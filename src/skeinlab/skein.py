@@ -18,10 +18,23 @@ Evaluation repeatedly removes a face with at most three sides:
 
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
 terminates.
+
+The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
+face and rewires the map; it emits an op (cap vertex u on a dart pair, or
+fuse u and v into a new vertex, with the re-root parities and sides).  The
+number half applies an op to labels: the cap scalar, or the product label.
+A diagram whose reduction never meets a 3-gon has a fixed op sequence, its
+plan, that depends only on its topology (vertex ids, shading bits, dart
+pairing, free loops).  `evaluate` compiles the plan once per topology,
+keeps it in a bounded LRU cache, and replays only the numbers on each call,
+with the same zero-drop the FormalSum engine applies to a single term.
+Diagrams that meet a 3-gon, and every call with a `chooser`, are reduced
+by the FormalSum engine, which calls the same two halves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -272,6 +285,50 @@ class Diagram:
 # -- rewiring surgery ----------------------------------------------------
 
 
+def walk_connections(connections, is_connector):
+    """Resolve chains through degree-2 connector nodes; returns the terminal
+    pairings and the number of connector-only cycles."""
+    adj = defaultdict(list)
+    for cid, (a, b) in enumerate(connections):
+        adj[a].append((cid, b))
+        adj[b].append((cid, a))
+
+    for node, links in adj.items():
+        want = 2 if is_connector(node) else 1
+        if len(links) != want:
+            raise InvariantViolation(f"node {node} has {len(links)} links, wants {want}")
+
+    used: set[int] = set()
+    pairs = []
+    for node in list(adj):
+        if is_connector(node) or any(cid in used for cid, _ in adj[node]):
+            continue
+        cid, cur = adj[node][0]
+        used.add(cid)
+        while is_connector(cur):
+            nxt = [(c, o) for c, o in adj[cur] if c not in used]
+            if not nxt:
+                raise InvariantViolation("dangling connector walk")
+            cid, cur = nxt[0]
+            used.add(cid)
+        pairs.append((node, cur))
+
+    loops = 0
+    for cid0, (_, cur) in enumerate(connections):
+        if cid0 in used:
+            continue
+        # connector-only cycle
+        used.add(cid0)
+        while True:
+            nxt = [(c, o) for c, o in adj[cur] if c not in used]
+            if not nxt:
+                break
+            cid, cur = nxt[0]
+            used.add(cid)
+        loops += 1
+    return pairs, loops
+
+
 def _surgery(
     diagram: Diagram,
     removed: set[int],
@@ -289,16 +346,11 @@ def _surgery(
     new_vertices = new_vertices or {}
     new_edges = new_edges or []
 
-    connections: list[tuple[Dart, Dart]] = []
-    linked: set[Dart] = set()
-    for a, b in itertools.chain(inner, new_edges):
-        connections.append((a, b))
-        for d in (a, b):
-            if d[0] in removed:
-                linked.add(d)
-
     def is_connector(d: Dart) -> bool:
         return d[0] in removed
+
+    connections: list[tuple[Dart, Dart]] = list(itertools.chain(inner, new_edges))
+    linked = {d for pair in connections for d in pair if is_connector(d)}
 
     seen_pairs = set()
     for a, b in diagram.edges.items():
@@ -316,45 +368,7 @@ def _surgery(
             continue
         connections.append((a, b))
 
-    adj: dict[Dart, list[tuple[int, Dart]]] = defaultdict(list)
-    for cid, (a, b) in enumerate(connections):
-        adj[a].append((cid, b))
-        adj[b].append((cid, a))
-
-    for d, links in adj.items():
-        want = 2 if is_connector(d) else 1
-        if len(links) != want:
-            raise InvariantViolation(f"dart {d} has {len(links)} links, wants {want}")
-
-    used: set[int] = set()
-    paired: list[tuple[Dart, Dart]] = []
-    for d in list(adj):
-        if is_connector(d) or any(cid in used for cid, _ in adj[d]):
-            continue
-        cid, cur = adj[d][0]
-        used.add(cid)
-        while is_connector(cur):
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
-                raise InvariantViolation("dangling connector walk")
-            cid, cur = nxt[0]
-            used.add(cid)
-        paired.append((d, cur))
-
-    loops = 0
-    for cid0, (a0, _) in enumerate(connections):
-        if cid0 in used:
-            continue
-        # connector-only cycle
-        used.add(cid0)
-        cid, cur = cid0, connections[cid0][1]
-        while True:
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
-                break
-            cid, cur = nxt[0]
-            used.add(cid)
-        loops += 1
+    paired, loops = walk_connections(connections, is_connector)
 
     result = Diagram(
         {v: vert for v, vert in diagram.vertices.items() if v not in removed},
@@ -373,6 +387,11 @@ def _surgery(
 # -- formal sums ---------------------------------------------------------
 
 
+def _kept(coeff: Scalar, scale: float, tol: Tolerance) -> bool:
+    """Whether a term survives normalization next to terms of size `scale`."""
+    return abs(coeff) > tol.eq_tol * 1e-3 * max(1.0, scale)
+
+
 @dataclass
 class FormalSum:
     """Scalar-weighted multiset of diagrams, deduplicated by canonical form."""
@@ -389,10 +408,7 @@ class FormalSum:
             else:
                 buckets[key] = (complex(coeff), diag)
         scale = max([abs(c) for c, _ in buckets.values()], default=1.0)
-        kept = [
-            (c, d) for c, d in buckets.values() if abs(c) > tol.eq_tol * 1e-3 * max(1.0, scale)
-        ]
-        return FormalSum(kept)
+        return FormalSum([(c, d) for c, d in buckets.values() if _kept(c, scale, tol)])
 
     @property
     def is_scalar(self) -> bool:
@@ -415,12 +431,6 @@ def _reroot_coeffs(model: TwoBoxModel, coeffs, k: int) -> tuple:
     return tuple(vec)
 
 
-def _cap_scalar(model: TwoBoxModel, vert: Vertex, pair: int) -> Scalar:
-    """Scalar left by capping the vertex on darts (pair, pair+1)."""
-    x = BoxVec(PLUS, vert.coeffs)
-    return model.cap(x, pair % 4)
-
-
 def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, Scalar]:
     m = np.array(
         [[1.0, 1.0, 0.0], [1.0, 0.0, model.b], [1.0, 0.0, -model.a]], dtype=complex
@@ -429,45 +439,67 @@ def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, S
     return tuple(sol)
 
 
-# -- face rewrites -------------------------------------------------------
+# -- 1-gon and 2-gon rewrites, split into shape and numbers ---------------
+#
+# An op names what a rewrite does to the labels, in vertex ids of the
+# diagram it was taken on:
+#   ("cap", u, pair)                       vertex u capped on darts (pair, pair+1)
+#   ("fuse", u, v, nid, ku, kv, su, sv)    u and v fused into nid, labelled by
+#                                          the product of u re-rooted at parity
+#                                          ku on side su and v at kv on sv
 
 
-def _apply_1gon(model: TwoBoxModel, coeff: Scalar, diag: Diagram, corner: Dart):
-    u, d = corner
-    vert = diag.vertices[u]
-    s = _cap_scalar(model, vert, d)
-    arcs = [((u, (d + 2) % 4), (u, (d + 3) % 4))]
-    out, _ = _surgery(diag, {u}, arcs)
-    return [(coeff * s, out)]
+def _shape_step(diag: Diagram, face: list[Dart]):
+    """Shape half of a 1-gon or 2-gon rewrite: the op and the rewired
+    diagram, in which a fused vertex carries a zero placeholder label."""
+    if len(face) == 2:
+        (u, d), (v, dp) = face
+        if u == v:
+            # A self-bigon forces the self-loop (d+1, d+2), i.e. a coexisting
+            # 1-gon; reduce that one instead.
+            face = [(u, (d + 1) % 4)]
+        else:
+            su = PLUS if (diag.vertices[u].shading0 + d + 3) % 2 == 0 else MINUS
+            sv = PLUS if (diag.vertices[v].shading0 + dp + 1) % 2 == 0 else MINUS
+            nid = max(itertools.chain(diag.vertices, [0])) + 1
+            legs = [
+                ((u, (d + 3) % 4), (nid, 0)),
+                ((v, (dp + 2) % 4), (nid, 1)),
+                ((v, (dp + 3) % 4), (nid, 2)),
+                ((u, (d + 2) % 4), (nid, 3)),
+            ]
+            placeholder = Vertex((0.0, 0.0, 0.0), 0 if su == PLUS else 1)
+            out, _ = _surgery(diag, {u, v}, [], {nid: placeholder}, legs)
+            return ("fuse", u, v, nid, (d + 3) % 2, (dp + 1) % 2, su, sv), out
+    u, d = face[0]
+    out, _ = _surgery(diag, {u}, [((u, (d + 2) % 4), (u, (d + 3) % 4))])
+    return ("cap", u, d), out
 
 
-def _apply_2gon(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face: list[Dart]):
-    (u, d), (v, dp) = face
-    if u == v:
-        # A self-bigon forces the self-loop (d+1, d+2), i.e. a coexisting
-        # 1-gon; reduce that one instead.
-        return _apply_1gon(model, coeff, diag, (u, (d + 1) % 4))
-    xu = diag.vertices[u]
-    xv = diag.vertices[v]
-    x = BoxVec(
-        PLUS if (xu.shading0 + d + 3) % 2 == 0 else MINUS,
-        _reroot_coeffs(model, xu.coeffs, d + 3),
-    )
-    y = BoxVec(
-        PLUS if (xv.shading0 + dp + 1) % 2 == 0 else MINUS,
-        _reroot_coeffs(model, xv.coeffs, dp + 1),
-    )
-    z = model.product(x, y)
-    nid = max(itertools.chain(diag.vertices, [0])) + 1
-    w = Vertex(z.coeffs, 0 if z.side == PLUS else 1)
-    legs = [
-        ((u, (d + 3) % 4), (nid, 0)),
-        ((v, (dp + 2) % 4), (nid, 1)),
-        ((v, (dp + 3) % 4), (nid, 2)),
-        ((u, (d + 2) % 4), (nid, 3)),
-    ]
-    out, _ = _surgery(diag, {u, v}, [], {nid: w}, legs)
+def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
+    """Number half of a rewrite: the new coefficient and, for a fusion, the
+    fused label; `labels` maps vertex ids to coefficient triples."""
+    if op[0] == "cap":
+        _, u, pair = op
+        return coeff * model.cap(BoxVec(PLUS, labels[u]), pair), None
+    _, u, v, _, ku, kv, su, sv = op
+    x = BoxVec(su, _reroot_coeffs(model, labels[u], ku))
+    y = BoxVec(sv, _reroot_coeffs(model, labels[v], kv))
+    return coeff, model.product(x, y).coeffs
+
+
+def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face: list[Dart]):
+    """A 1-gon or 2-gon rewrite of one term: the shape half, then the numbers."""
+    op, out = _shape_step(diag, face)
+    labels = {v: vert.coeffs for v, vert in diag.vertices.items()}
+    coeff, label = _number_step(model, coeff, op, labels)
+    if label is not None:
+        nid = op[3]
+        out.vertices[nid] = Vertex(label, out.vertices[nid].shading0)
     return [(coeff, out)]
+
+
+# -- 3-gon rewrites ------------------------------------------------------
 
 
 ID_ARCS = ((0, 1), (2, 3))
@@ -480,7 +512,6 @@ def _apply_3gon(
     diag: Diagram,
     face: list[Dart],
     triangle,
-    tol: Tolerance,
 ):
     if triangle is None:
         raise TriangleTableRequired("met a 3-gon face with no triangle table")
@@ -489,10 +520,8 @@ def _apply_3gon(
         # A 3-gon revisiting a vertex comes from a self-loop; it always
         # coexists with a smaller reducible face, so rewrite that instead.
         alt = find_small_face(diag)
-        if len(alt) == 1:
-            return _apply_1gon(model, coeff, diag, alt[0])
-        if len(alt) == 2:
-            return _apply_2gon(model, coeff, diag, alt)
+        if len(alt) <= 2:
+            return _apply_small(model, coeff, diag, alt)
         raise InvariantViolation("degenerate 3-gon with no smaller face")
 
     decomp = []
@@ -532,8 +561,7 @@ def _apply_3gon(
                 relabel[u] = Vertex(t_coeffs, diag.vertices[u].shading0)
         work = diag.copy()
         work.vertices.update(relabel)
-        reduced, loops = _surgery(work, removed, inner)
-        w *= model.delta ** 0  # loops already recorded on the diagram
+        reduced, _ = _surgery(work, removed, inner)
         out_terms.append((w, reduced))
     return out_terms
 
@@ -619,15 +647,81 @@ def reduce_once(
             out.append((coeff, diag))
             continue
         face = chooser(diag) if chooser is not None else find_small_face(diag)
-        if len(face) == 1:
-            out.extend(_apply_1gon(model, coeff, diag, face[0]))
-        elif len(face) == 2:
-            out.extend(_apply_2gon(model, coeff, diag, face))
+        if len(face) in (1, 2):
+            out.extend(_apply_small(model, coeff, diag, face))
         elif len(face) == 3:
-            out.extend(_apply_3gon(model, coeff, diag, face, triangle, tol))
+            out.extend(_apply_3gon(model, coeff, diag, face, triangle))
         else:
             raise InvariantViolation(f"face of size {len(face)} is not reducible")
     return FormalSum(out).normalized(tol)
+
+
+# -- reduction plans -----------------------------------------------------
+
+PLAN_CACHE_SIZE = 1024
+
+
+def topology(d: Diagram) -> tuple:
+    """The exact shape of a diagram, without labels: vertex ids with their
+    shading bits in insertion order, the flattened partner of every dart
+    (vertex by vertex, slots 0..3), and the free loop count."""
+    verts = tuple((v, vert.shading0) for v, vert in d.vertices.items())
+    edges = d.edges
+    pairing = tuple(x for v in d.vertices for slot in range(4) for x in edges[(v, slot)])
+    return verts, pairing, d.free_loops
+
+
+def from_topology(shape: tuple, labels) -> Diagram:
+    """The diagram with the given topology and one coefficient triple per
+    vertex, in the topology's vertex order."""
+    verts, pairing, loops = shape
+    darts = [(v, slot) for v, _ in verts for slot in range(4)]
+    it = iter(pairing)
+    return Diagram(
+        {v: Vertex(c, s0) for (v, s0), c in zip(verts, labels)},
+        dict(zip(darts, zip(it, it))),
+        loops,
+    )
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(shape: tuple):
+    """The reduction plan of a topology: one (free loops, op) per rewrite
+    step, or None when the reduction meets a 3-gon or a step whose sides
+    mismatch, which the FormalSum engine then serves."""
+    diag = from_topology(shape, [(0.0, 0.0, 0.0)] * len(shape[0]))
+    plan = []
+    while diag.n_vertices or diag.free_loops:
+        loops, op = diag.free_loops, None
+        if loops:
+            diag = Diagram(diag.vertices, diag.edges, 0)
+        if diag.n_vertices:
+            face = find_small_face(diag)
+            if len(face) > 2:
+                return None
+            op, diag = _shape_step(diag, face)
+            if op[0] == "fuse" and op[6] != op[7]:
+                return None
+        plan.append((loops, op))
+    return tuple(plan)
+
+
+def _replay(plan: tuple, d: Diagram, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
+    """Run a plan on d's labels with the engine's arithmetic, including its
+    zero-drop of a single term."""
+    labels = {v: vert.coeffs for v, vert in d.vertices.items()}
+    coeff = complex(1.0)
+    for steps, (loops, op) in enumerate(plan, 1):
+        if loops:
+            coeff = coeff * model.delta ** loops
+        if op is not None:
+            coeff, label = _number_step(model, coeff, op, labels)
+            if label is not None:
+                labels[op[3]] = label
+        if not _kept(coeff, abs(coeff), tol):
+            return complex(0.0), steps
+    # FormalSum.scalar_value sums onto 0j, which fixes the signs of zeros.
+    return complex(0.0) + coeff, len(plan)
 
 
 def evaluate_detailed(
@@ -637,8 +731,14 @@ def evaluate_detailed(
     tol: Tolerance = DEFAULT_TOL,
     chooser=None,
 ) -> tuple[Scalar, int]:
-    """Evaluate a closed diagram to a scalar; also return the rewrite count."""
+    """Evaluate a closed diagram to a scalar; also return the rewrite count.
+
+    Without a chooser the reduction replays the cached plan of d's topology
+    when it has one; otherwise the FormalSum engine reduces term by term."""
     d.validate(check_shading=True)
+    plan = _plan(topology(d)) if chooser is None else None
+    if plan is not None:
+        return _replay(plan, d, model, tol)
     s = FormalSum([(complex(1.0), d)])
     steps = 0
     guard = 0

@@ -9,13 +9,14 @@ X.i <-> mirror(Y).(5-i) for every i.
 
 All inner products reduce to closed diagrams with at most 5 vertices, which
 the skein engine evaluates without a triangle table (Euler counting leaves a
-face with at most 2 sides at every step).
+face with at most 2 sides at every step).  The closure's shape depends only
+on the two patterns' shapes, so `inner` builds it once per pattern pair
+(bounded LRU cache) and attaches the labels on each call.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     InvariantViolation,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .skein import Diagram, Vertex, evaluate
+from .skein import Diagram, Vertex, evaluate, from_topology, topology, walk_connections
 from .twobox import BoxVec, BraidPair, PLUS, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -119,47 +120,6 @@ def mirror(p: Pattern) -> Pattern:
     return Pattern(verts, edges, tuple(bnd))
 
 
-def _walk_connections(connections, is_connector):
-    """Resolve chains through degree-2 connector nodes; returns terminal
-    pairings and the number of pure-connector cycles."""
-    adj = defaultdict(list)
-    for cid, (u, v) in enumerate(connections):
-        adj[u].append((cid, v))
-        adj[v].append((cid, u))
-    for node, links in adj.items():
-        want = 2 if is_connector(node) else 1
-        if len(links) != want:
-            raise InvariantViolation(f"node {node} has {len(links)} links, wants {want}")
-    used: set[int] = set()
-    pairs = []
-    for node in list(adj):
-        if is_connector(node) or any(cid in used for cid, _ in adj[node]):
-            continue
-        cid, cur = adj[node][0]
-        used.add(cid)
-        while is_connector(cur):
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
-                raise InvariantViolation("dangling connector walk")
-            cid, cur = nxt[0]
-            used.add(cid)
-        pairs.append((node, cur))
-    loops = 0
-    for cid0, (_, end) in enumerate(connections):
-        if cid0 in used:
-            continue
-        used.add(cid0)
-        cur = end
-        while True:
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
-                break
-            cid, cur = nxt[0]
-            used.add(cid)
-        loops += 1
-    return pairs, loops
-
-
 def closure(x: Pattern, y: Pattern) -> Diagram:
     """The closed diagram of tr_3(y* x): glue x with the mirror of y."""
     ym = mirror(y)
@@ -190,7 +150,7 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
                 arc_seen.add(("y",) + pair)
                 connections.append((("g", pair[0]), ("g", pair[1])))
 
-    pairs, loops = _walk_connections(connections, lambda n: n[0] == "g")
+    pairs, loops = walk_connections(connections, lambda n: n[0] == "g")
 
     d = Diagram(vertices, {}, loops)
     for (a, sa), (b, sb) in x.internal_edges:
@@ -202,9 +162,31 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
     return d.infer_shading()
 
 
+CLOSURE_CACHE_SIZE = 1024
+
+
+def _shape(p: Pattern) -> tuple:
+    return tuple((vid, v.shading0) for vid, v in p.vertices), p.internal_edges, p.boundary
+
+
+def _unshape(shape: tuple) -> Pattern:
+    verts, edges, boundary = shape
+    return Pattern(tuple((vid, Vertex((0.0, 0.0, 0.0), s0)) for vid, s0 in verts), edges, boundary)
+
+
+@functools.lru_cache(maxsize=CLOSURE_CACHE_SIZE)
+def _closure_topology(x_shape: tuple, y_shape: tuple) -> tuple:
+    """The skein topology of closure(x, y), which depends on the patterns'
+    shapes only; its vertices are x's followed by mirror(y)'s."""
+    return topology(closure(_unshape(x_shape), _unshape(y_shape)))
+
+
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
-    return evaluate(closure(x, y), model, None, tol)
+    labels = [v.coeffs for _, v in x.vertices]
+    labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
+    d = from_topology(_closure_topology(_shape(x), _shape(y)), labels)
+    return evaluate(d, model, None, tol)
 
 
 # -- basis enumeration ---------------------------------------------------

@@ -1,0 +1,137 @@
+"""Cached reduction plans and closure shapes against the FormalSum engine.
+
+Passing chooser=find_small_face makes evaluate_detailed take the general
+engine with the same face order as the plan, so both paths must agree
+exactly, in the value's bits (signed zeros included) and in step count."""
+
+import numpy as np
+import pytest
+
+from helpers import (
+    coproduct_trace_closure,
+    octahedron_diagram,
+    product_trace_closure,
+    random_diagram_corpus,
+)
+from skeinlab import (
+    DEPTH3_DELTA,
+    BoxVec,
+    Diagram,
+    TwoBoxModel,
+    Vertex,
+    braid_pair,
+    classify,
+    delta_for_l,
+    enumerate_basis,
+    evaluate,
+    evaluate_detailed,
+    find_small_face,
+    from_classification_data,
+    gram,
+    inner,
+    mirror,
+    triangle_pattern,
+)
+from skeinlab.errors import ShadingInconsistent
+from skeinlab.skein import _plan, topology
+from skeinlab.threebox import _braid_pattern, closure
+from skeinlab.twobox import PLUS
+
+
+def exact(result):
+    value, steps = result
+    return np.complex128(value).tobytes(), steps
+
+
+def engine(d, m, table=None):
+    return exact(evaluate_detailed(d, m, table, chooser=find_small_face))
+
+
+def plan(d, m, table=None):
+    return exact(evaluate_detailed(d, m, table))
+
+
+def test_plan_matches_engine_on_random_corpus(model12):
+    rng = np.random.default_rng(11)
+    for d in random_diagram_corpus(rng, 60, max_vertices=5):
+        # Five vertices or fewer always leave a face with at most 2 sides.
+        assert _plan(topology(d)) is not None
+        assert plan(d, model12) == engine(d, model12)
+
+
+def test_three_gon_diagrams_have_no_plan(model12, table12):
+    rng = np.random.default_rng(12)
+    d = octahedron_diagram([rng.normal(size=3) for _ in range(6)])
+    assert _plan(topology(d)) is None
+    assert plan(d, model12, table12) == engine(d, model12, table12)
+
+
+def test_plan_keeps_the_engines_signed_zeros(model12):
+    d = coproduct_trace_closure((1j, -1j, 0.0), (1j, -1j, 0.0))
+    value, _ = evaluate_detailed(d, model12)
+    assert value.imag == 0
+    assert plan(d, model12) == engine(d, model12)
+
+
+def test_plan_drops_a_zero_coefficient_mid_reduction(model12):
+    generator = model12.uncappable().coeffs
+    capped = coproduct_trace_closure(generator, (0.3, -1.2, 0.7))
+    generic = coproduct_trace_closure((0.5, 0.4, -0.9), (0.3, -1.2, 0.7))
+    assert topology(capped) == topology(generic)
+    value, steps = evaluate_detailed(capped, model12)
+    assert plan(capped, model12) == engine(capped, model12)
+    assert value == 0
+    assert steps < evaluate_detailed(generic, model12)[1]
+
+
+@pytest.mark.parametrize("delta", [DEPTH3_DELTA, delta_for_l(12), 5.0])
+def test_plan_matches_engine_on_classify_closures(delta):
+    res = classify(delta)
+    m = TwoBoxModel(res.delta, res.a, res.b, res.sigma)
+    basis = enumerate_basis(m)
+    braid = braid_pair(m, res.q, res.r)
+    left = triangle_pattern(m)
+    expanded = [left, mirror(left), _braid_pattern(m, braid, "A"), _braid_pattern(m, braid, "B")]
+    for x in list(basis.diagrams) + expanded:
+        for y in basis.diagrams:
+            d = closure(x, y)
+            want = engine(d, m)
+            assert plan(d, m) == want
+            assert exact((inner(m, x, y), want[1])) == want
+
+
+def test_one_topology_different_labels(model12):
+    pairs = [((0.3, 1.1, -0.2), (0.5, -0.4, 0.9)), ((1.0, 0.0, 2.0), (-0.7, 0.2, 0.1))]
+    diagrams = [product_trace_closure(cx, cy) for cx, cy in pairs]
+    assert topology(diagrams[0]) == topology(diagrams[1])
+    values = [evaluate(d, model12) for d in diagrams]
+    assert values[0] != values[1]
+    for (cx, cy), d, v in zip(pairs, diagrams, values):
+        want = model12.trace(model12.product(BoxVec(PLUS, cx), BoxVec(PLUS, cy)))
+        assert abs(v - want) < 1e-10 * max(1.0, abs(want))
+        assert plan(d, model12) == engine(d, model12)
+
+
+def test_gram_across_loop_values_matches_engine():
+    for delta in (5.0, delta_for_l(12), 5.0):
+        m = from_classification_data(delta, -1)
+        basis = enumerate_basis(m)
+        want = np.array(
+            [
+                [evaluate(closure(x, y), m, chooser=find_small_face) for y in basis.diagrams]
+                for x in basis.diagrams
+            ]
+        )
+        assert gram(m, basis).entries.tobytes() == want.tobytes()
+
+
+def test_validation_is_not_memoised(model12):
+    two = product_trace_closure((1, 0, 0), (0, 1, 0))
+    evaluate(two, model12)
+    v1 = two.vertices[1]
+    mixed = Diagram(
+        {0: two.vertices[0], 1: Vertex(v1.coeffs, (v1.shading0 + 1) % 2)},
+        dict(two.edges),
+    )
+    with pytest.raises(ShadingInconsistent):
+        evaluate(mixed, model12)
