@@ -6,18 +6,22 @@ continuum delta >= 4), solve for the trace split (y, a, b), recover the
 braid parameters (q, r), and verify every defining relation numerically.
 The verdict is PASS only when all residuals clear their tolerances;
 inadmissible loop values are REJECTED, not errored.
+
+`Stages` is that pipeline, each stage built once on first use: `classify`
+reads every stage, each CLI subcommand only the stages it reports.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateDenominator,
+    InadmissibleDelta,
     NoCanonicalRepresentative,
     SkeinlabError,
     SupportAmbiguous,
@@ -26,13 +30,15 @@ from .scalar import DEFAULT_TOL, Scalar, Tolerance, is_real, principal_q_from_c
 from .threebox import enumerate_basis, gram, reidemeister_residuals, solve_triangle, ybe_residual
 from .twobox import (
     DEPTH3_DELTA,
+    BraidPair,
     TwoBoxModel,
     bmw_two_box_traces,
     braid_pair,
     trace_split,
 )
 
-# Even-l search cap for the root-of-unity series below delta = 4.
+# Even-l range searched for the root-of-unity series below delta = 4.
+L_SERIES_MIN = 12
 L_SERIES_MAX = 200
 
 
@@ -57,7 +63,7 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
         return Admissibility("Depth3", note="cubic depth-3 loop value")
     if delta >= 4.0 - tol.eq_tol:
         return Admissibility("Sp4", note="real continuum, q >= 1")
-    for l in range(12, L_SERIES_MAX + 1, 2):
+    for l in range(L_SERIES_MIN, L_SERIES_MAX + 1, 2):
         if abs(delta - delta_for_l(l)) < 1e-6:
             return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
     return Admissibility(
@@ -67,11 +73,6 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
             f"series (l <= {L_SERIES_MAX}), nor >= 4"
         ),
     )
-
-
-def solve_delta(delta: float, sigma: int, tol: Tolerance = DEFAULT_TOL):
-    """(y, a, b) with y = b/a and a + b = delta^2 - 1 on the given branch."""
-    return trace_split(float(delta), sigma, tol)
 
 
 def recover_qr(
@@ -243,6 +244,71 @@ RESIDUAL_TOLERANCES = {
 }
 
 
+def over_tolerance(residuals: dict[str, float]) -> list[str]:
+    """Sorted keys whose residual is at or over its RESIDUAL_TOLERANCES entry."""
+    return sorted(k for k, v in residuals.items() if v >= RESIDUAL_TOLERANCES[k])
+
+
+class Stages:
+    """The pipeline at one loop value.  The locus (case, sigma, depth-3 snap)
+    is found up front; each later stage is computed on first read.  A
+    rejected loop value has no stages: reading one raises InadmissibleDelta."""
+
+    def __init__(self, delta: float, tol: Tolerance = DEFAULT_TOL):
+        self.tol = tol
+        self.delta = float(delta)
+        self.admissibility = admissible_check(self.delta, tol)
+        case = self.admissibility.case
+        self.rejected = case == "Rejected"
+        self.sigma = {"Depth3": +1, "Sp4": -1}.get(case, 0)
+        if case == "Depth3":
+            self.delta = DEPTH3_DELTA  # snap user-typed approximations to the root
+
+    @cached_property
+    def split(self) -> tuple[float, float, float]:
+        if self.rejected:  # every later stage starts from the split
+            raise InadmissibleDelta(self.admissibility.note)
+        return trace_split(self.delta, self.sigma, self.tol)
+
+    @cached_property
+    def model(self) -> TwoBoxModel:
+        _, a, b = self.split
+        return TwoBoxModel(self.delta, a, b, self.sigma, self.tol)
+
+    @cached_property
+    def qr(self) -> tuple[Scalar, Scalar]:
+        _, a, b = self.split
+        return recover_qr(self.delta, a, b, self.sigma, self.tol)
+
+    @cached_property
+    def braid(self) -> BraidPair:
+        q, r = self.qr
+        return braid_pair(self.model, q, r, self.tol)
+
+    @cached_property
+    def basis(self):
+        return enumerate_basis(self.model)
+
+    @cached_property
+    def gram(self):
+        return gram(self.model, self.basis, self.tol)
+
+    @cached_property
+    def table(self):
+        return solve_triangle(self.model, self.basis, self.gram, self.tol)
+
+    def perturbed_braid(self, factor: float) -> BraidPair:
+        """The braid generator with q scaled by factor (r kept); any factor
+        but 1 is a negative control that must fail the braid relations."""
+        return BraidPair.from_qr(self.braid.q * factor, self.braid.r)
+
+    def braid_residuals(self, braid: BraidPair) -> dict[str, float]:
+        """Yang-Baxter and Reidemeister residuals of braid."""
+        ybe = ybe_residual(self.model, braid, self.table, self.tol)
+        r1, r2, quad = reidemeister_residuals(self.model, braid)
+        return {"ybe": ybe, "r1": r1, "r2": r2, "quad": quad}
+
+
 @dataclass
 class ClassificationResult:
     case: str
@@ -261,41 +327,21 @@ class ClassificationResult:
 
 
 def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult:
-    delta = float(delta)
-    adm = admissible_check(delta, tol)
-    if adm.case == "Rejected":
-        return ClassificationResult(
-            case="Rejected", delta=delta, verdict="REJECTED", notes=[adm.note]
-        )
-
-    sigma = +1 if adm.case == "Depth3" else -1
-    if adm.case == "Depth3":
-        delta = DEPTH3_DELTA  # snap user-typed approximations to the root
-    result = ClassificationResult(
-        case=adm.case, delta=delta, sigma=sigma, l=adm.l, notes=[adm.note]
-    )
+    st = Stages(delta, tol)
+    delta, sigma, adm = st.delta, st.sigma, st.admissibility
+    result = ClassificationResult(case=adm.case, delta=delta, sigma=sigma, l=adm.l, notes=[adm.note])
+    if st.rejected:
+        return result
     try:
-        y, a, b = solve_delta(delta, sigma, tol)
-        result.y, result.a, result.b = y, a, b
-        model = TwoBoxModel(delta, a, b, sigma, tol)
+        result.y, result.a, result.b = st.split
+        q, r = result.q, result.r = st.qr
+        braid = st.braid
 
-        q, r = recover_qr(delta, a, b, sigma, tol)
-        result.q, result.r = q, r
-        braid = braid_pair(model, q, r, tol)
-
-        residuals: dict[str, float] = {}
-        residuals["chirality"] = model.chirality_residual()
-
-        basis = enumerate_basis(model)
-        gm = gram(model, basis, tol)
-        evals = gm.eigenvalues()
-        lam_max = max(float(evals[-1]), 1e-300)
-        residuals["gram_psd_min_eigenvalue"] = max(0.0, -float(evals[0]) / lam_max)
-
-        table = solve_triangle(model, basis, gm, tol)
-        residuals["ybe"] = ybe_residual(model, braid, table, tol)
-        r1, r2, quad = reidemeister_residuals(model, braid, table)
-        residuals["r1"], residuals["r2"], residuals["quad"] = r1, r2, quad
+        residuals: dict[str, float] = {
+            "chirality": st.model.chirality_residual(),
+            "gram_psd_min_eigenvalue": st.gram.psd_defect(),
+        }
+        residuals.update(st.braid_residuals(braid))
 
         if abs(q - 1.0) <= 1e-9:
             residuals["qr_roundtrip"] = 0.0
@@ -304,17 +350,15 @@ def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult
             dp, t1, t2 = bmw_two_box_traces(q, r, tol)
             scale = max(1.0, delta * delta)
             residuals["qr_roundtrip"] = (
-                max(abs(dp - sigma * delta), abs(t1 - a), abs(t2 - b)) / scale
+                max(abs(dp - sigma * delta), abs(t1 - result.a), abs(t2 - result.b)) / scale
             )
 
         result.residuals = residuals
-        result.graph = principal_graph_prefix(model, tol)
-        bad = [
-            k for k, v in residuals.items() if v >= RESIDUAL_TOLERANCES[k]
-        ]
+        result.graph = principal_graph_prefix(st.model, tol)
+        bad = over_tolerance(residuals)
         if bad:
             result.verdict = "FAIL"
-            result.notes.append(f"residuals over tolerance: {', '.join(sorted(bad))}")
+            result.notes.append(f"residuals over tolerance: {', '.join(bad)}")
         else:
             result.verdict = "PASS"
     except SkeinlabError as exc:

@@ -1,34 +1,24 @@
 """Command-line front end: classification, diagram evaluation, Gram and
 braid-relation reports, all as deterministic JSON.
 
+Every subcommand locates delta with one `Stages` pipeline and renders only
+the stages it reads; off the locus it is REJECTED before any stage is
+built, and a residual at or over its `RESIDUAL_TOLERANCES` entry FAILs.
+
 Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 
-import numpy as np
-
-from . import classify as classify_mod
-from .classify import RESIDUAL_TOLERANCES, classify, delta_for_l
+from .classify import L_SERIES_MIN, RESIDUAL_TOLERANCES, Stages, classify, delta_for_l, over_tolerance
 from .errors import ShadingInconsistent, SkeinlabError, TriangleTableRequired
 from .scalar import Tolerance
 from .skein import Diagram, Vertex, evaluate_detailed
-from .threebox import enumerate_basis, gram, reidemeister_residuals, solve_triangle, ybe_residual
-from .twobox import (
-    DEPTH3_DELTA,
-    BoxVec,
-    BraidPair,
-    PLUS,
-    TwoBoxModel,
-    braid_pair,
-    from_classification_data,
-)
-from .classify import recover_qr
+from .twobox import DEPTH3_DELTA, TwoBoxModel
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -48,13 +38,18 @@ def _cnum(z) -> list[float]:
     return [_num(z.real), _num(z.imag)]
 
 
-def _dump(report: dict, path: str | None) -> None:
+def _emit(args, summary: str, **report) -> int:
+    """Print the JSON report, or write it to --json/--out and print the
+    summary line; return the exit code of the report's verdict."""
+    report = {"command": args.command, "residuals": {}, "tolerances": {}, **report}
     text = json.dumps(report, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
+    if args.path:
+        with open(args.path, "w") as fh:
             fh.write(text + "\n")
+        print(summary)
     else:
         print(text)
+    return {"PASS": EXIT_PASS, "REJECTED": EXIT_REJECTED}.get(report["verdict"], EXIT_FAIL)
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -65,30 +60,37 @@ def _add_locus_args(sp: argparse.ArgumentParser) -> None:
     g.add_argument("--delta", type=float, help="loop value")
     g.add_argument("--l", type=int, help="even root-of-unity index, l >= 12")
     g.add_argument("--depth3", action="store_true", help="the cubic depth-3 point")
-    sp.add_argument("--sigma", type=int, choices=(1, -1), default=None,
-                    help="chirality override (defaults from the case)")
     sp.add_argument("--tol", type=float, default=None, help="equality tolerance")
 
 
-def _resolve_locus(args) -> tuple[float, int]:
+def _resolve_locus(args) -> float:
     if args.depth3:
-        delta = DEPTH3_DELTA
-        sigma = 1 if args.sigma is None else args.sigma
-    elif args.l is not None:
-        if args.l < 12 or args.l % 2:
-            raise SkeinlabError(f"l must be even and >= 12, got {args.l}")
-        delta = delta_for_l(args.l)
-        sigma = -1 if args.sigma is None else args.sigma
-    else:
-        delta = args.delta
-        sigma = -1 if args.sigma is None else args.sigma
-    return delta, sigma
+        return DEPTH3_DELTA
+    if args.l is not None:
+        if args.l < L_SERIES_MIN or args.l % 2:
+            raise SkeinlabError(f"l must be even and >= {L_SERIES_MIN}, got {args.l}")
+        return delta_for_l(args.l)
+    return args.delta
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return Tolerance(eq_tol=args.tol)
     return Tolerance.from_env()
+
+
+def _stages(args, **inputs) -> tuple[Stages, dict]:
+    """The pipeline at the requested locus, and the report's inputs."""
+    delta = _resolve_locus(args)
+    st = Stages(delta, _tolerance(args))
+    return st, {"delta": _num(delta), "sigma": st.sigma, "tol": _num(st.tol.eq_tol), **inputs}
+
+
+def _reject(args, st: Stages, inputs: dict) -> int:
+    """Report a loop value off the locus; no stage is built."""
+    adm = st.admissibility
+    outputs = {"case": adm.case, "notes": [adm.note]}
+    return _emit(args, f"REJECTED: {adm.note}", inputs=inputs, outputs=outputs, verdict="REJECTED")
 
 
 # -- diagram file I/O ----------------------------------------------------
@@ -134,134 +136,94 @@ def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    delta, _ = _resolve_locus(args)
+    delta = _resolve_locus(args)
     res = classify(delta, tol)
-    report = {
-        "command": "classify",
-        "inputs": {"delta": _num(delta), "tol": _num(tol.eq_tol)},
-        "outputs": {
-            "case": res.case,
-            "l": res.l,
-            "sigma": res.sigma,
-            "delta": _num(res.delta),
-            "y": None if res.y is None else _num(res.y),
-            "a": None if res.a is None else _num(res.a),
-            "b": None if res.b is None else _num(res.b),
-            "q": None if res.q is None else _cnum(res.q),
-            "r": None if res.r is None else _cnum(res.r),
-            "notes": res.notes,
-        },
-        "residuals": {k: _num(v) for k, v in sorted(res.residuals.items())},
-        "tolerances": {k: _num(v) for k, v in sorted(RESIDUAL_TOLERANCES.items())},
-        "verdict": res.verdict,
+    outputs = {
+        "case": res.case,
+        "l": res.l,
+        "sigma": res.sigma,
+        "delta": _num(res.delta),
+        "y": None if res.y is None else _num(res.y),
+        "a": None if res.a is None else _num(res.a),
+        "b": None if res.b is None else _num(res.b),
+        "q": None if res.q is None else _cnum(res.q),
+        "r": None if res.r is None else _cnum(res.r),
+        "notes": res.notes,
     }
     if res.graph is not None:
-        report["outputs"]["principal_graph_prefix"] = {
+        outputs["principal_graph_prefix"] = {
             "depth2_weights": {k: _num(v) for k, v in sorted(res.graph.depth2_weights.items())},
             "depth3_neighbors": {k: list(v) for k, v in sorted(res.graph.depth3_neighbors.items())},
         }
-    _dump(report, args.json)
-    if args.json:
-        print(f"{res.verdict}: case={res.case} delta={res.delta:.12g}")
-    return {"PASS": EXIT_PASS, "REJECTED": EXIT_REJECTED}.get(res.verdict, EXIT_FAIL)
+    return _emit(
+        args,
+        f"{res.verdict}: case={res.case} delta={res.delta:.12g}",
+        inputs={"delta": _num(delta), "tol": _num(tol.eq_tol)},
+        outputs=outputs,
+        residuals={k: _num(v) for k, v in sorted(res.residuals.items())},
+        tolerances={k: _num(v) for k, v in sorted(RESIDUAL_TOLERANCES.items())},
+        verdict=res.verdict,
+    )
 
 
 def cmd_evaluate(args) -> int:
-    tol = _tolerance(args)
-    delta, sigma = _resolve_locus(args)
-    model = from_classification_data(delta, sigma, tol)
-    diagram = load_diagram(args.diagram, model)
+    st, inputs = _stages(args, diagram=args.diagram)
+    if st.rejected:
+        return _reject(args, st, inputs)
+    diagram = load_diagram(args.diagram, st.model)
     try:
-        value, steps = evaluate_detailed(diagram, model, None, tol)
+        value, steps = evaluate_detailed(diagram, st.model, None, st.tol)
     except TriangleTableRequired:
-        table = solve_triangle(model, tol=tol)
-        value, steps = evaluate_detailed(diagram, model, table, tol)
-    report = {
-        "command": "evaluate",
-        "inputs": {
-            "diagram": args.diagram,
-            "delta": _num(delta),
-            "sigma": sigma,
-            "tol": _num(tol.eq_tol),
-        },
-        "outputs": {"value": _cnum(value), "reduction_steps": steps},
-        "residuals": {},
-        "tolerances": {},
-        "verdict": "PASS",
-    }
-    _dump(report, args.json)
-    if args.json:
-        print(f"value = {value:.12g} ({steps} reduction steps)")
-    return EXIT_PASS
+        value, steps = evaluate_detailed(diagram, st.model, st.table, st.tol)
+    outputs = {"value": _cnum(value), "reduction_steps": steps}
+    summary = f"value = {value:.12g} ({steps} reduction steps)"
+    return _emit(args, summary, inputs=inputs, outputs=outputs, verdict="PASS")
 
 
 def cmd_gram(args) -> int:
-    tol = _tolerance(args)
-    delta, sigma = _resolve_locus(args)
-    model = from_classification_data(delta, sigma, tol)
-    basis = enumerate_basis(model)
-    gm = gram(model, basis, tol)
+    st, inputs = _stages(args)
+    if st.rejected:
+        return _reject(args, st, inputs)
+    gm = st.gram
     evals = gm.eigenvalues()
-    rank = gm.rank(tol)
-    lam_max = float(evals[-1])
-    psd_ok = float(evals[0]) >= -1e-8 * max(lam_max, 1e-300)
-    verdict = "PASS" if (rank == 14 and psd_ok) else "FAIL"
-    report = {
-        "command": "gram",
-        "inputs": {"delta": _num(delta), "sigma": sigma, "tol": _num(tol.eq_tol)},
-        "outputs": {
-            "matrix": [[_cnum(z) for z in row] for row in gm.entries],
-            "eigenvalues": [_num(v) for v in evals],
-            "min_eigenvalue": _num(evals[0]),
-            "max_eigenvalue": _num(lam_max),
-            "rank": rank,
-        },
-        "residuals": {"hermiticity": _num(gm.hermiticity_defect())},
-        "tolerances": {"rank_tol": _num(tol.rank_tol)},
-        "verdict": verdict,
+    rank = gm.rank(st.tol)
+    # A rank deficit fails the pipeline too (GramRankDeficient in classify).
+    judged = {"gram_psd_min_eigenvalue": gm.psd_defect()}
+    verdict = "FAIL" if rank < len(gm.entries) or over_tolerance(judged) else "PASS"
+    outputs = {
+        "matrix": [[_cnum(z) for z in row] for row in gm.entries],
+        "eigenvalues": [_num(v) for v in evals],
+        "min_eigenvalue": _num(evals[0]),
+        "max_eigenvalue": _num(evals[-1]),
+        "rank": rank,
     }
-    _dump(report, args.out)
-    if args.out:
-        print(f"{verdict}: rank={rank} min_eig={evals[0]:.6g} max_eig={lam_max:.6g}")
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    return _emit(
+        args,
+        f"{verdict}: rank={rank} min_eig={evals[0]:.6g} max_eig={evals[-1]:.6g}",
+        inputs=inputs,
+        outputs=outputs,
+        residuals={"hermiticity": _num(gm.hermiticity_defect())},
+        tolerances={"rank_tol": _num(st.tol.rank_tol)},
+        verdict=verdict,
+    )
 
 
 def cmd_ybe(args) -> int:
-    tol = _tolerance(args)
-    delta, sigma = _resolve_locus(args)
-    model = from_classification_data(delta, sigma, tol)
-    y, a, b = model.delta, model.a, model.b
-    q, r = recover_qr(delta, model.a, model.b, sigma, tol)
-    braid = braid_pair(model, q, r, tol)
-    if args.perturb_q and args.perturb_q != 1.0:
-        qp = braid.q * args.perturb_q
-        braid = BraidPair(
-            U=BoxVec(PLUS, (braid.z1, qp, -1.0 / qp)),
-            V=BoxVec(PLUS, (1.0 / braid.z1, 1.0 / qp, -qp)),
-            q=qp, r=braid.r, z1=braid.z1, z2=braid.z2,
-        )
-    table = solve_triangle(model, tol=tol)
-    ybe = ybe_residual(model, braid, table, tol)
-    r1, r2, quad = reidemeister_residuals(model, braid, table)
-    residuals = {"ybe": ybe, "r1": r1, "r2": r2, "quad": quad}
-    verdict = "PASS" if all(v < 1e-8 for v in residuals.values()) else "FAIL"
-    report = {
-        "command": "ybe",
-        "inputs": {
-            "delta": _num(delta),
-            "sigma": sigma,
-            "tol": _num(tol.eq_tol),
-            "perturb_q": _num(args.perturb_q or 1.0),
-        },
-        "outputs": {"q": _cnum(braid.q), "r": _cnum(braid.r)},
-        "residuals": {k: _num(v) for k, v in sorted(residuals.items())},
-        "tolerances": {k: _num(1e-8) for k in sorted(residuals)},
-        "verdict": verdict,
-    }
-    _dump(report, args.out)
-    if args.out:
-        print(f"{verdict}: " + " ".join(f"{k}={v:.3e}" for k, v in sorted(residuals.items())))
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    st, inputs = _stages(args, perturb_q=_num(args.perturb_q or 1.0))
+    if st.rejected:
+        return _reject(args, st, inputs)
+    braid = st.perturbed_braid(args.perturb_q or 1.0)
+    residuals = st.braid_residuals(braid)
+    verdict = "FAIL" if over_tolerance(residuals) else "PASS"
+    return _emit(
+        args,
+        f"{verdict}: " + " ".join(f"{k}={v:.3e}" for k, v in sorted(residuals.items())),
+        inputs=inputs,
+        outputs={"q": _cnum(braid.q), "r": _cnum(braid.r)},
+        residuals={k: _num(v) for k, v in sorted(residuals.items())},
+        tolerances={k: _num(RESIDUAL_TOLERANCES[k]) for k in sorted(residuals)},
+        verdict=verdict,
+    )
 
 
 # -- entry point ---------------------------------------------------------
@@ -276,25 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="run the full classification pipeline")
     _add_locus_args(sp)
-    sp.add_argument("--json", default=None, help="write the JSON report here")
+    sp.add_argument("--json", dest="path", help="write the JSON report here")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("evaluate", help="evaluate a closed diagram file")
     sp.add_argument("--diagram", required=True, help="DiagramFile JSON path")
     _add_locus_args(sp)
-    sp.add_argument("--json", default=None, help="write the JSON report here")
+    sp.add_argument("--json", dest="path", help="write the JSON report here")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("gram", help="14x14 Gram matrix report")
     _add_locus_args(sp)
-    sp.add_argument("--out", default=None, help="write the JSON report here")
+    sp.add_argument("--out", dest="path", help="write the JSON report here")
     sp.set_defaults(func=cmd_gram)
 
     sp = sub.add_parser("ybe", help="braid relation residuals")
     _add_locus_args(sp)
     sp.add_argument("--perturb-q", type=float, default=None,
                     help="multiply q by this factor (negative control)")
-    sp.add_argument("--out", default=None, help="write the JSON report here")
+    sp.add_argument("--out", dest="path", help="write the JSON report here")
     sp.set_defaults(func=cmd_ybe)
     return p
 

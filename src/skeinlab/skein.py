@@ -65,13 +65,6 @@ class Vertex:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    @property
-    def side(self) -> str:
-        return PLUS if self.shading0 == 0 else MINUS
-
-    def boxvec(self) -> BoxVec:
-        return BoxVec(self.side, self.coeffs)
-
 
 class Diagram:
     """A closed diagram: labeled vertices, dart pairing, free loops."""
@@ -98,9 +91,6 @@ class Diagram:
 
     def copy(self) -> "Diagram":
         return Diagram(dict(self.vertices), dict(self.edges), self.free_loops)
-
-    def partner(self, d: Dart) -> Dart:
-        return self.edges[d]
 
     def darts(self):
         for v in self.vertices:

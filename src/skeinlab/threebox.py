@@ -17,7 +17,7 @@ on the two patterns' shapes, so `inner` builds it once per pattern pair
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .skein import Diagram, Vertex, evaluate, from_topology, topology, walk_connections
-from .twobox import BoxVec, BraidPair, PLUS, TwoBoxModel
+from .twobox import BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
 Attachment = tuple  # ("v", vid, slot) or ("b", j)
@@ -292,8 +292,11 @@ class GramMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
+    def psd_defect(self) -> float:
+        """Most negative eigenvalue relative to the largest; 0 when PSD."""
+        evals = self.eigenvalues()
+        lam_max = max(float(evals[-1]), 1e-300)
+        return max(0.0, -float(evals[0]) / lam_max)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         s = np.linalg.svd(self.entries, compute_uv=False)
@@ -486,9 +489,7 @@ def ybe_residual(
     return float(np.sqrt(max(val.real, 0.0)) / np.sqrt(scale))
 
 
-def reidemeister_residuals(
-    model: TwoBoxModel, braid: BraidPair, table: TriangleTable | None = None
-) -> tuple[float, float, float]:
+def reidemeister_residuals(model: TwoBoxModel, braid: BraidPair) -> tuple[float, float, float]:
     """(r1, r2, quad): twist, inverse, and quadratic relation defects.
 
     r1 compares both cap-twists of U against (sigma*r, 1/r); r2 is

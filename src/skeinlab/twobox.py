@@ -9,7 +9,6 @@ the rotation matrix and the chirality identity are all functions of
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -75,10 +74,6 @@ class BoxVec:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
-
-    def adjoint(self) -> "BoxVec":
-        # e, P1, P2 are self-adjoint projections, so * conjugates coefficients.
-        return BoxVec(self.side, tuple(c.conjugate() for c in self.coeffs))
 
 
 def _trace_ratio(delta: float, sigma: int, tol: Tolerance) -> float:
@@ -258,6 +253,14 @@ class BraidPair:
     z1: Scalar
     z2: Scalar
 
+    @classmethod
+    def from_qr(cls, q: Scalar, r: Scalar) -> "BraidPair":
+        """U = r^-1 e + q P1 - q^-1 P2 and its inverse, unchecked."""
+        z1 = 1.0 / r
+        U = BoxVec(PLUS, (z1, q, -1.0 / q))
+        V = BoxVec(PLUS, (1.0 / z1, 1.0 / q, -q))
+        return cls(U=U, V=V, q=q, r=r, z1=z1, z2=-r)
+
 
 def bmw_two_box_traces(
     q: Scalar, r: Scalar, tol: Tolerance = DEFAULT_TOL
@@ -327,8 +330,4 @@ def braid_pair(
                 f"(q, r) = ({q}, {r}) traces do not match model "
                 f"(delta={d}, a={model.a}, b={model.b}, sigma={model.sigma})"
             )
-    z1 = 1.0 / r
-    z2 = -r
-    U = BoxVec(PLUS, (z1, q, -1.0 / q))
-    V = BoxVec(PLUS, (1.0 / z1, 1.0 / q, -q))
-    return BraidPair(U=U, V=V, q=q, r=r, z1=z1, z2=z2)
+    return BraidPair.from_qr(q, r)

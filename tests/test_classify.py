@@ -6,6 +6,7 @@ import pytest
 
 from skeinlab import (
     DEPTH3_DELTA,
+    Stages,
     admissible_check,
     bmw_two_box_traces,
     classify,
@@ -14,9 +15,9 @@ from skeinlab import (
     normalize_bmw_params,
     principal_graph_prefix,
     recover_qr,
-    solve_delta,
+    trace_split,
 )
-from skeinlab.errors import DegenerateDenominator, NoCanonicalRepresentative
+from skeinlab.errors import DegenerateDenominator, InadmissibleDelta, NoCanonicalRepresentative
 
 
 # -- admissibility -------------------------------------------------------
@@ -48,6 +49,13 @@ def test_rejected_values():
         assert admissible_check(delta).case == "Rejected"
 
 
+def test_rejected_stages_are_not_built():
+    st = Stages(2.5)
+    assert st.rejected and st.sigma == 0
+    with pytest.raises(InadmissibleDelta):
+        st.model
+
+
 def test_delta_for_l_monotone_toward_four():
     vals = [delta_for_l(l) for l in range(12, 201, 2)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
@@ -58,11 +66,6 @@ def test_delta_for_l_monotone_toward_four():
 # -- trace solving and parameter recovery --------------------------------
 
 
-def test_solve_delta_matches_trace_split():
-    y, a, b = solve_delta(4.0, -1)
-    assert (y, a, b) == pytest.approx((2.0, 5.0, 10.0))
-
-
 def test_recover_qr_brauer():
     q, r = recover_qr(4.0, 5.0, 10.0, sigma=-1)
     assert q == 1.0 and r == 1.0
@@ -70,7 +73,7 @@ def test_recover_qr_brauer():
 
 def test_recover_qr_l12():
     delta = 1.0 + math.sqrt(3.0)
-    _, a, b = solve_delta(delta, -1)
+    _, a, b = trace_split(delta, -1)
     q, r = recover_qr(delta, a, b, sigma=-1)
     q0 = cmath.exp(1j * math.pi / 12.0)
     assert abs(q - q0) < 1e-9
@@ -78,7 +81,7 @@ def test_recover_qr_l12():
 
 
 def test_recover_qr_depth3():
-    _, a, b = solve_delta(DEPTH3_DELTA, +1)
+    _, a, b = trace_split(DEPTH3_DELTA, +1)
     q, r = recover_qr(DEPTH3_DELTA, a, b, sigma=+1)
     q0 = cmath.exp(2j * math.pi / 7.0)
     assert abs(q - q0) < 1e-9

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from skeinlab import DEPTH3_DELTA
 from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, main
 
 
@@ -53,6 +54,7 @@ def test_classify_rejected(capsys):
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "classify")[0] == EXIT_USAGE
     assert run(capsys, "classify", "--delta", "3", "--l", "12")[0] == EXIT_USAGE
+    assert run(capsys, "classify", "--l", "12", "--sigma", "1")[0] == EXIT_USAGE
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
 
@@ -147,6 +149,30 @@ def test_ybe_passes_and_perturbation_fails(capsys):
     assert code == EXIT_FAIL
     report = json.loads(out)
     assert report["residuals"]["ybe"] > 1e-3
+
+
+# -- every subcommand locates delta as classify does ----------------------
+
+
+def test_subcommands_reject_off_locus(capsys, tmp_path):
+    path = write_diagram(tmp_path, {"free_loops": 1})
+    for argv in (["gram"], ["ybe"], ["evaluate", "--diagram", path]):
+        code, out, _ = run(capsys, *argv, "--delta", "2.5")
+        assert code == EXIT_REJECTED, argv
+        assert json.loads(out)["verdict"] == "REJECTED"
+
+
+def test_gram_snaps_typed_depth3_value(capsys):
+    _, typed, _ = run(capsys, "gram", "--delta", repr(DEPTH3_DELTA))
+    _, depth3, _ = run(capsys, "gram", "--depth3")
+    assert json.loads(typed)["outputs"] == json.loads(depth3)["outputs"]
+
+
+@pytest.mark.parametrize("locus", [["--depth3"], ["--l", "12"], ["--delta", "5"]])
+def test_subcommand_exit_codes_match_classify(capsys, locus):
+    expected = run(capsys, "classify", *locus)[0]
+    assert run(capsys, "gram", *locus)[0] == expected
+    assert run(capsys, "ybe", *locus)[0] == expected
 
 
 # -- report determinism and file output ----------------------------------

@@ -74,9 +74,7 @@ def test_gram_hermitian_psd_rank_14(model12, model_depth3, model_brauer):
     for m in (model12, model_depth3, model_brauer):
         gm = gram(m)
         assert gm.hermiticity_defect() < 1e-10
-        eig = gm.eigenvalues()
-        lam_max = float(np.max(eig))
-        assert gm.min_eigenvalue() >= -1e-8 * lam_max
+        assert gm.psd_defect() < 1e-8
         assert gm.rank() == 14
 
 
