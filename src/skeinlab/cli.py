@@ -4,6 +4,8 @@ braid-relation reports, all as deterministic JSON.
 Every subcommand locates delta with one `Stages` pipeline and renders only
 the stages it reads; off the locus it is REJECTED before any stage is
 built, and a residual at or over its `RESIDUAL_TOLERANCES` entry FAILs.
+A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
+report naming the exception, as `classify` does.
 
 Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage.
 """
@@ -93,6 +95,14 @@ def _reject(args, st: Stages, inputs: dict) -> int:
     return _emit(args, f"REJECTED: {adm.note}", inputs=inputs, outputs=outputs, verdict="REJECTED")
 
 
+def _fail(args, inputs: dict, exc: SkeinlabError, **outputs) -> int:
+    """Report a stage that raised, as classify does: FAIL, with the
+    exception named in the notes."""
+    note = f"{type(exc).__name__}: {exc}"
+    outputs["notes"] = [note]
+    return _emit(args, f"FAIL: {note}", inputs=inputs, outputs=outputs, verdict="FAIL")
+
+
 # -- diagram file I/O ----------------------------------------------------
 
 
@@ -174,7 +184,11 @@ def cmd_evaluate(args) -> int:
     try:
         value, steps = evaluate_detailed(diagram, st.model, None, st.tol)
     except TriangleTableRequired:
-        value, steps = evaluate_detailed(diagram, st.model, st.table, st.tol)
+        try:
+            table = st.table
+        except SkeinlabError as exc:
+            return _fail(args, inputs, exc)
+        value, steps = evaluate_detailed(diagram, st.model, table, st.tol)
     outputs = {"value": _cnum(value), "reduction_steps": steps}
     summary = f"value = {value:.12g} ({steps} reduction steps)"
     return _emit(args, summary, inputs=inputs, outputs=outputs, verdict="PASS")
@@ -212,14 +226,19 @@ def cmd_ybe(args) -> int:
     st, inputs = _stages(args, perturb_q=_num(args.perturb_q or 1.0))
     if st.rejected:
         return _reject(args, st, inputs)
-    braid = st.perturbed_braid(args.perturb_q or 1.0)
-    residuals = st.braid_residuals(braid)
+    outputs = {}
+    try:
+        braid = st.perturbed_braid(args.perturb_q or 1.0)
+        outputs = {"q": _cnum(braid.q), "r": _cnum(braid.r)}
+        residuals = st.braid_residuals(braid)
+    except SkeinlabError as exc:
+        return _fail(args, inputs, exc, **outputs)
     verdict = "FAIL" if over_tolerance(residuals) else "PASS"
     return _emit(
         args,
         f"{verdict}: " + " ".join(f"{k}={v:.3e}" for k, v in sorted(residuals.items())),
         inputs=inputs,
-        outputs={"q": _cnum(braid.q), "r": _cnum(braid.r)},
+        outputs=outputs,
         residuals={k: _num(v) for k, v in sorted(residuals.items())},
         tolerances={k: _num(RESIDUAL_TOLERANCES[k]) for k in sorted(residuals)},
         verdict=verdict,

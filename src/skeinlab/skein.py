@@ -5,7 +5,10 @@ A diagram is a combinatorial map: every vertex carries four darts in
 counterclockwise order with dart 0 at the $-position, and the edges are a
 fixed-point-free involution on darts.  Faces are the orbits of the face
 permutation phi(v, d) = partner(v, d+1); planarity is enforced through the
-Euler characteristic of every connected component.
+Euler characteristic of every connected component.  `Diagram.validate`
+runs on every input to `evaluate`: it checks the pairing, then walks every
+face once, counting faces and components and noting any face that mixes
+shading parities.
 
 Evaluation repeatedly removes a face with at most three sides:
 
@@ -22,7 +25,10 @@ terminates.
 The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
 face and rewires the map; it emits an op (cap vertex u on a dart pair, or
 fuse u and v into a new vertex, with the re-root parities and sides).  The
-number half applies an op to labels: the cap scalar, or the product label.
+number half applies an op to labels, held as plain tuples of three
+complex coefficients: the cap scalar, or the product label, from the
+model's rotation and cap rows and the elementwise product of
+`twobox.product_coeffs`.
 A diagram whose reduction never meets a 3-gon has a fixed op sequence, its
 plan, that depends only on its topology (vertex ids, shading bits, dart
 pairing, free loops).  `evaluate` compiles the plan once per topology,
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -49,7 +56,7 @@ from .errors import (
     TriangleTableRequired,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .twobox import MINUS, PLUS, BoxVec, TwoBoxModel
+from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
 
 Dart = tuple[int, int]
 
@@ -152,44 +159,75 @@ class Diagram:
 
     # -- validation ------------------------------------------------------
 
-    @staticmethod
-    def corner_parity(vertex: Vertex, slot: int) -> int:
-        # Region after dart `slot`; regions alternate, the one before dart 0
-        # (i.e. after dart 3) carries shading0.
-        return (vertex.shading0 + slot + 1) % 2
-
     def validate(self, check_shading: bool = True) -> None:
-        all_darts = set(self.darts())
-        for a, b in self.edges.items():
-            if a not in all_darts or b not in all_darts:
-                raise MalformedPairing(f"edge endpoint {a if a not in all_darts else b} unknown")
-            if a == b:
-                raise MalformedPairing(f"self-paired dart {a}")
-            if self.edges.get(b) != a:
-                raise MalformedPairing("pairing is not an involution")
-        missing = [d for d in all_darts if d not in self.edges]
-        if missing:
+        """Raise MalformedPairing, NonPlanar or ShadingInconsistent, checked
+        in that order.  After the pairing checks, one walk over the faces
+        counts them, merges the vertices of each face in a union-find
+        and notes the first face that mixes shading parities.  A 4-valent
+        component has E = 2V, so it is planar iff F - V = 2."""
+        verts, edges = self.vertices, self.edges
+        all_darts = {(v, s) for v in verts for s in range(4)}
+        darts, partners = edges.keys(), edges.values()
+        if not (darts <= all_darts and all_darts.issuperset(partners)):
+            unknown = next(d for pair in edges.items() for d in pair if d not in all_darts)
+            raise MalformedPairing(f"edge endpoint {unknown} unknown")
+        if not all(map(operator.ne, darts, partners)):
+            a = next(a for a, b in edges.items() if a == b)
+            raise MalformedPairing(f"self-paired dart {a}")
+        if not all(map(operator.eq, map(edges.get, partners), darts)):
+            raise MalformedPairing("pairing is not an involution")
+        if len(edges) != len(all_darts):
+            missing = [d for d in all_darts if d not in edges]
             raise MalformedPairing(f"unpaired darts {sorted(missing)[:4]}")
         if self.free_loops < 0:
             raise MalformedPairing("negative free loop count")
 
-        faces = self.faces()
-        face_of: dict[Dart, int] = {}
-        for i, f in enumerate(faces):
-            for d in f:
-                face_of[d] = i
-        for comp in self.components():
-            v = len(comp)
-            e = sum(1 for (a, _), (b, _) in self.edges.items() if a in comp) // 2
-            f = len({face_of[d] for d in face_of if d[0] in comp})
-            if v - e + f != 2:
-                raise NonPlanar(f"component {sorted(comp)}: V-E+F = {v - e + f} != 2")
+        comp = {v: v for v in verts}  # quick-find union-find: vertex -> label
+        members = {v: [v] for v in verts}  # label -> its vertices
+        seen: set[Dart] = set()
+        n_faces = 0
+        mixed = None
+        for v0, vert0 in verts.items():
+            for s0 in range(4):
+                start = (v0, s0)
+                if start in seen:
+                    continue
+                n_faces += 1
+                c0 = comp[v0]
+                # The region after dart s has parity shading0 + s + 1 (regions
+                # alternate, the one before dart 0 carries shading0); a face
+                # mixes parities iff its shading0 + s do.
+                parity = (vert0.shading0 + s0) % 2
+                d = start
+                while True:
+                    seen.add(d)
+                    v, s = d
+                    c = comp[v]
+                    if c != c0:  # the corners of a face share a component
+                        if len(members[c]) > len(members[c0]):
+                            c, c0 = c0, c  # move the smaller group
+                        moved = members.pop(c)
+                        members[c0] += moved
+                        for w in moved:
+                            comp[w] = c0
+                    if mixed is None and (verts[v].shading0 + s) % 2 != parity:
+                        mixed = start
+                    d = edges[(v, (s + 1) % 4)]
+                    if d == start:
+                        break
 
-        if check_shading:
-            for face in faces:
-                parities = {self.corner_parity(self.vertices[v], s) for v, s in face}
-                if len(parities) > 1:
-                    raise ShadingInconsistent(f"face {face} mixes shading parities")
+        # Each component has V - E + F = F - V = 2 - 2g <= 2, so the total
+        # is 2 per component exactly when every component is planar.
+        if n_faces - len(verts) != 2 * len(members):
+            excess = {c: -len(vs) for c, vs in members.items()}
+            for face in self.faces():
+                excess[comp[face[0][0]]] += 1
+            c, x = next((c, x) for c, x in excess.items() if x != 2)
+            raise NonPlanar(f"component {sorted(members[c])}: V-E+F = {x} != 2")
+
+        if check_shading and mixed is not None:
+            face = next(f for f in self.faces() if mixed in f)
+            raise ShadingInconsistent(f"face {face} mixes shading parities")
 
     def infer_shading(self) -> "Diagram":
         """Reassign shading bits by propagation (root of each component keeps
@@ -413,14 +451,6 @@ class FormalSum:
 # -- label frame changes ------------------------------------------------
 
 
-def _reroot_coeffs(model: TwoBoxModel, coeffs, k: int) -> tuple:
-    """Coefficients of the same box re-rooted so old dart k is the new dart 0."""
-    vec = np.array([complex(c) for c in coeffs])
-    if k % 2:
-        vec = model.rotation @ vec
-    return tuple(vec)
-
-
 def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, Scalar]:
     m = np.array(
         [[1.0, 1.0, 0.0], [1.0, 0.0, model.b], [1.0, 0.0, -model.a]], dtype=complex
@@ -471,11 +501,11 @@ def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
     fused label; `labels` maps vertex ids to coefficient triples."""
     if op[0] == "cap":
         _, u, pair = op
-        return coeff * model.cap(BoxVec(PLUS, labels[u]), pair), None
+        return coeff * model.cap_coeffs(labels[u], pair), None
     _, u, v, _, ku, kv, su, sv = op
-    x = BoxVec(su, _reroot_coeffs(model, labels[u], ku))
-    y = BoxVec(sv, _reroot_coeffs(model, labels[v], kv))
-    return coeff, model.product(x, y).coeffs
+    x = model.rotate_coeffs(labels[u], ku)
+    y = model.rotate_coeffs(labels[v], kv)
+    return coeff, product_coeffs(su, x, sv, y)
 
 
 def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face: list[Dart]):
@@ -516,7 +546,7 @@ def _apply_3gon(
 
     decomp = []
     for u, d in corners:
-        rerooted = _reroot_coeffs(model, diag.vertices[u].coeffs, d)
+        rerooted = model.rotate_coeffs(diag.vertices[u].coeffs, d)
         decomp.append(_id_e_t_decomposition(model, rerooted))
 
     out_terms = []
@@ -547,7 +577,7 @@ def _apply_3gon(
                     (((u, (a + d) % 4), (u, (b + d) % 4))) for a, b in E_ARCS
                 )
             else:
-                t_coeffs = _reroot_coeffs(model, (0.0, model.b, -model.a), d)
+                t_coeffs = model.rotate_coeffs((0.0, model.b, -model.a), d)
                 relabel[u] = Vertex(t_coeffs, diag.vertices[u].shading0)
         work = diag.copy()
         work.vertices.update(relabel)

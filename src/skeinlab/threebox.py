@@ -369,19 +369,33 @@ def triangle_pattern(model: TwoBoxModel, labels=None) -> Pattern:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """Expansions of the two 3-gon chiralities over Basis14."""
+    """Expansions of the two 3-gon chiralities over Basis14.  The skein
+    reducer meets 3-gons in the "left" frame by construction, so the left
+    expansion is solved up front and the right one on first read."""
 
     left_coeffs: np.ndarray
-    right_coeffs: np.ndarray
     residual_left: float
-    residual_right: float
     basis: Basis14
     gram: GramMatrix
+    model: TwoBoxModel
+    tol: Tolerance = DEFAULT_TOL
 
-    # The skein reducer meets 3-gons in the "left" frame by construction.
     @property
     def reduction_coeffs(self) -> np.ndarray:
         return self.left_coeffs
+
+    @functools.cached_property
+    def _right(self) -> tuple[np.ndarray, float]:
+        right = mirror(triangle_pattern(self.model))
+        return expand(self.model, right, self.basis, self.gram, self.tol)
+
+    @property
+    def right_coeffs(self) -> np.ndarray:
+        return self._right[0]
+
+    @property
+    def residual_right(self) -> float:
+        return self._right[1]
 
 
 def solve_triangle(
@@ -395,11 +409,8 @@ def solve_triangle(
     rank = gm.rank(tol)
     if rank < 14:
         raise GramRankDeficient(f"Gram rank {rank} < 14; 3-box space degenerated")
-    left = triangle_pattern(model)
-    right = mirror(left)
-    cl, rl = expand(model, left, basis, gm, tol)
-    cr, rr = expand(model, right, basis, gm, tol)
-    return TriangleTable(cl, cr, rl, rr, basis, gm)
+    cl, rl = expand(model, triangle_pattern(model), basis, gm, tol)
+    return TriangleTable(cl, rl, basis, gm, model, tol)
 
 
 # -- braid relation residuals -------------------------------------------

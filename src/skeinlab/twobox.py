@@ -100,6 +100,21 @@ def trace_split(delta: float, sigma: int, tol: Tolerance = DEFAULT_TOL):
     return y, a, y * a
 
 
+def dot(row, coeffs) -> complex:
+    """Sum of row[i] * coeffs[i] over the three basis coordinates."""
+    r0, r1, r2 = row
+    c0, c1, c2 = coeffs
+    return r0 * c0 + r1 * c1 + r2 * c2
+
+
+def product_coeffs(x_side: str, x, y_side: str, y) -> tuple:
+    """The product rule on coefficient triples: (e, P1, P2) are orthogonal
+    idempotents, so the product is elementwise."""
+    if x_side != y_side:
+        raise SideMismatch("operands live on different shadings")
+    return (x[0] * y[0], x[1] * y[1], x[2] * y[2])
+
+
 @dataclass(frozen=True)
 class TwoBoxModel:
     """Structure constants of the 2-box spaces at one classification point."""
@@ -109,20 +124,17 @@ class TwoBoxModel:
     b: float
     sigma: int
     tol: Tolerance = DEFAULT_TOL
-    product_table: np.ndarray = field(init=False, repr=False, compare=False)
     coproduct_table: np.ndarray = field(init=False, repr=False, compare=False)
     trace_vec: np.ndarray = field(init=False, repr=False, compare=False)
     rotation: np.ndarray = field(init=False, repr=False, compare=False)
     conj: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation_rows: tuple = field(init=False, repr=False, compare=False)
+    cap_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (+1, -1):
             raise ValueError("sigma must be +1 or -1")
         d, a, b = self.delta, self.a, self.b
-
-        prod = np.zeros((3, 3, 3), dtype=complex)
-        for i in range(3):
-            prod[i, i, i] = 1.0  # orthogonal idempotents
 
         cop = np.zeros((3, 3, 3), dtype=complex)
         cop[0, 0] = (1.0 / d, 0.0, 0.0)
@@ -146,11 +158,18 @@ class TwoBoxModel:
             dtype=complex,
         )
 
-        object.__setattr__(self, "product_table", prod)
+        trace_vec = np.array([1.0, a, b], dtype=complex)
         object.__setattr__(self, "coproduct_table", cop)
-        object.__setattr__(self, "trace_vec", np.array([1.0, a, b], dtype=complex))
+        object.__setattr__(self, "trace_vec", trace_vec)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "conj", rot @ rot)
+        # The rotation and the trace as rows of Python complex numbers, for
+        # the skein engine's per-step arithmetic on coefficient triples;
+        # dot(cap_rows[k], x) is the trace of x rotated k clicks (k = 0, 1).
+        object.__setattr__(self, "rotation_rows", tuple(tuple(map(complex, row)) for row in rot))
+        object.__setattr__(
+            self, "cap_rows", (tuple(map(complex, trace_vec)), tuple(map(complex, trace_vec @ rot)))
+        )
 
     # -- basis elements -------------------------------------------------
 
@@ -175,17 +194,14 @@ class TwoBoxModel:
 
     # -- structure operations -------------------------------------------
 
-    def _bilinear(self, table: np.ndarray, x: BoxVec, y: BoxVec) -> BoxVec:
-        if x.side != y.side:
-            raise SideMismatch("operands live on different shadings")
-        out = np.einsum("i,j,ijk->k", x.vec, y.vec, table)
-        return BoxVec(x.side, tuple(out))
-
     def product(self, x: BoxVec, y: BoxVec) -> BoxVec:
-        return self._bilinear(self.product_table, x, y)
+        return BoxVec(x.side, product_coeffs(x.side, x.coeffs, y.side, y.coeffs))
 
     def coproduct(self, x: BoxVec, y: BoxVec) -> BoxVec:
-        return self._bilinear(self.coproduct_table, x, y)
+        if x.side != y.side:
+            raise SideMismatch("operands live on different shadings")
+        out = np.einsum("i,j,ijk->k", x.vec, y.vec, self.coproduct_table)
+        return BoxVec(x.side, tuple(out))
 
     def trace(self, x: BoxVec) -> Scalar:
         return complex(self.trace_vec @ x.vec)
@@ -193,6 +209,14 @@ class TwoBoxModel:
     def rotate(self, x: BoxVec) -> BoxVec:
         """1-click rotation; flips the shading."""
         return BoxVec(other_side(x.side), tuple(self.rotation @ x.vec))
+
+    def rotate_coeffs(self, coeffs, clicks: int) -> tuple:
+        """Coefficients of a box rotated by `clicks`, e.g. re-rooted so that
+        old dart `clicks` is the new dart 0.  The rotation squares to the
+        identity on these coordinates, so only the parity counts."""
+        if clicks % 2 == 0:
+            return tuple(coeffs)
+        return tuple(dot(row, coeffs) for row in self.rotation_rows)
 
     def conjugate(self, x: BoxVec) -> BoxVec:
         """Contragredient (2-click rotation)."""
@@ -204,9 +228,11 @@ class TwoBoxModel:
         Pair indices run 0..3 counterclockwise from the $-marker; the right
         closure (pair 2) equals tr(x)/delta, odd pairs pick up one rotation.
         """
-        if pair % 2 == 0:
-            return self.trace(x) / self.delta
-        return self.trace(self.rotate(x)) / self.delta
+        return self.cap_coeffs(x.coeffs, pair)
+
+    def cap_coeffs(self, coeffs, pair: int) -> complex:
+        """`cap` on a coefficient triple."""
+        return dot(self.cap_rows[pair % 2], coeffs) / self.delta
 
     # -- derived diagnostics --------------------------------------------
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from skeinlab import Diagram, Vertex
-from skeinlab.errors import SkeinlabError
+from skeinlab.errors import MalformedPairing, NonPlanar, ShadingInconsistent, SkeinlabError
 
 
 def trace_closure(coeffs):
@@ -120,3 +120,42 @@ def octahedron_diagram(labels):
             done.add((v, w))
             d.add_edge((v, slots[(v, w)]), (w, slots[(w, v)]))
     return d.infer_shading()
+
+
+def reference_validate(d, check_shading=True):
+    """The multi-scan `Diagram.validate` that the one-pass walk replaced,
+    kept as a test oracle: pairing checks, then `faces()`, `components()`,
+    one edge scan and one dart scan per component, then the shading of
+    every face."""
+    all_darts = set(d.darts())
+    for a, b in d.edges.items():
+        if a not in all_darts or b not in all_darts:
+            raise MalformedPairing(f"edge endpoint {a if a not in all_darts else b} unknown")
+        if a == b:
+            raise MalformedPairing(f"self-paired dart {a}")
+        if d.edges.get(b) != a:
+            raise MalformedPairing("pairing is not an involution")
+    missing = [x for x in all_darts if x not in d.edges]
+    if missing:
+        raise MalformedPairing(f"unpaired darts {sorted(missing)[:4]}")
+    if d.free_loops < 0:
+        raise MalformedPairing("negative free loop count")
+
+    faces = d.faces()
+    face_of = {}
+    for i, f in enumerate(faces):
+        for x in f:
+            face_of[x] = i
+    for comp in d.components():
+        v = len(comp)
+        e = sum(1 for (a, _), (b, _) in d.edges.items() if a in comp) // 2
+        f = len({face_of[x] for x in face_of if x[0] in comp})
+        if v - e + f != 2:
+            raise NonPlanar(f"component {sorted(comp)}: V-E+F = {v - e + f} != 2")
+
+    if check_shading:
+        for face in faces:
+            # Parity of the region after dart s, as in Diagram.validate.
+            parities = {(d.vertices[v].shading0 + s + 1) % 2 for v, s in face}
+            if len(parities) > 1:
+                raise ShadingInconsistent(f"face {face} mixes shading parities")

@@ -6,6 +6,8 @@ import pytest
 from skeinlab import DEPTH3_DELTA
 from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, main
 
+from helpers import octahedron_diagram
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -127,6 +129,23 @@ def test_evaluate_malformed_diagram_fails(capsys, tmp_path):
     assert code == EXIT_FAIL
 
 
+def test_evaluate_table_fault_gives_fail_report(capsys, tmp_path):
+    # The octahedron is all 3-gons, so evaluate needs the triangle table,
+    # whose Gram matrix has rank 9 at delta = 30.
+    octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
+    doc = {
+        "vertices": [{"id": v, "label": "G"} for v in octa.vertices],
+        "edges": [[list(a), list(b)] for a, b in octa.edges.items() if a < b],
+    }
+    path = write_diagram(tmp_path, doc)
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--delta", "30")
+    assert code == EXIT_FAIL
+    assert err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert report["outputs"]["notes"][0].startswith("GramRankDeficient: ")
+
+
 # -- gram and ybe --------------------------------------------------------
 
 
@@ -152,6 +171,26 @@ def test_ybe_passes_and_perturbation_fails(capsys):
 
 
 # -- every subcommand locates delta as classify does ----------------------
+
+
+def test_ybe_stage_fault_gives_fail_report(capsys, tmp_path):
+    # At delta = 30 the Gram matrix has rank 9, so the triangle table the
+    # Yang-Baxter residual needs cannot be solved; classify and gram FAIL
+    # there too.
+    code, out, err = run(capsys, "ybe", "--delta", "30")
+    assert code == EXIT_FAIL
+    assert err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    note = "GramRankDeficient: Gram rank 9 < 14; 3-box space degenerated"
+    assert report["outputs"]["notes"] == [note]
+    assert report["residuals"] == {}
+    assert run(capsys, "classify", "--delta", "30")[0] == EXIT_FAIL
+    path = tmp_path / "ybe.json"
+    code, out, _ = run(capsys, "ybe", "--delta", "30", "--out", str(path))
+    assert code == EXIT_FAIL
+    assert out.startswith("FAIL: GramRankDeficient")
+    assert json.loads(path.read_text())["verdict"] == "FAIL"
 
 
 def test_subcommands_reject_off_locus(capsys, tmp_path):

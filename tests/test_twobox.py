@@ -24,7 +24,7 @@ from skeinlab.errors import (
     ParameterMismatch,
     SideMismatch,
 )
-from skeinlab.twobox import MINUS, PLUS
+from skeinlab.twobox import MINUS, PLUS, product_coeffs
 
 LOCI = [
     (DEPTH3_DELTA, +1),
@@ -170,6 +170,30 @@ def test_cap_values_on_basis():
         assert abs(m.cap(m.p1(), 2) - m.a / m.delta) < 1e-9
         # odd caps pick up one rotation
         assert abs(m.cap(m.p1(), 1) - m.trace(m.rotate(m.p1())) / m.delta) < 1e-12
+
+
+def test_coefficient_rows_match_the_matrix_forms():
+    # The skein engine's tuple arithmetic against the numpy forms it
+    # replaced: rotation matrix, trace vector, diagonal product tensor.
+    rng = np.random.default_rng(7)
+    product_tensor = np.zeros((3, 3, 3))
+    for i in range(3):
+        product_tensor[i, i, i] = 1.0
+    for m in models():
+        for _ in range(20):
+            x, y = (tuple(rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(2))
+            scale = max(1.0, float(np.max(np.abs(m.rotation))) * float(np.max(np.abs(x))))
+            assert m.rotate_coeffs(x, 2) == x
+            rotated = m.rotation @ np.array(x)
+            assert np.allclose(m.rotate_coeffs(x, 3), rotated, rtol=0, atol=1e-14 * scale)
+            for pair in range(4):
+                rotated = m.rotation @ np.array(x) if pair % 2 else np.array(x)
+                want = (m.trace_vec @ rotated) / m.delta
+                assert abs(m.cap_coeffs(x, pair) - want) <= 1e-14 * scale * max(1.0, m.a + m.b)
+            want = np.einsum("i,j,ijk->k", np.array(x), np.array(y), product_tensor)
+            assert m.product(BoxVec(PLUS, x), BoxVec(PLUS, y)).coeffs == tuple(want)
+            with pytest.raises(SideMismatch):
+                product_coeffs(PLUS, x, MINUS, y)
 
 
 def test_chirality_residual_on_and_off_locus():

@@ -1,0 +1,67 @@
+"""Pins on the work one classification does.  Every closed diagram that is
+evaluated is validated once (validation is never memoised), and the right
+triangle table, which the pipeline never reads, is solved only on demand."""
+
+import numpy as np
+import pytest
+
+from skeinlab import classify, delta_for_l, skein, threebox
+from skeinlab.classify import Stages
+from skeinlab.threebox import expand, mirror, triangle_pattern
+
+# 196 Gram entries, 14 for the left triangle table, 2 x 14 for the two
+# sides of the Yang-Baxter equation.
+EVALUATIONS_PER_PASS = 196 + 14 + 2 * 14
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Records the diagrams handed to evaluate_detailed and validate, and
+    counts inner calls."""
+    seen = {"evaluated": [], "validated": [], "inner": 0}
+    evaluate_detailed = skein.evaluate_detailed
+    validate = skein.Diagram.validate
+    inner = threebox.inner
+
+    def counting_evaluate(d, *args, **kwargs):
+        seen["evaluated"].append(d)
+        return evaluate_detailed(d, *args, **kwargs)
+
+    def counting_validate(self, *args, **kwargs):
+        seen["validated"].append(self)
+        return validate(self, *args, **kwargs)
+
+    def counting_inner(*args, **kwargs):
+        seen["inner"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(skein, "evaluate_detailed", counting_evaluate)
+    monkeypatch.setattr(skein.Diagram, "validate", counting_validate)
+    monkeypatch.setattr(threebox, "inner", counting_inner)
+    return seen
+
+
+def test_classify_validates_every_evaluated_diagram_once(counted):
+    res = classify(5.0)
+    assert res.verdict == "PASS"
+    assert len(counted["evaluated"]) == EVALUATIONS_PER_PASS
+    assert len(counted["validated"]) == EVALUATIONS_PER_PASS
+    assert [id(d) for d in counted["validated"]] == [id(d) for d in counted["evaluated"]]
+
+
+def test_right_table_is_solved_on_first_read(counted):
+    st = Stages(delta_for_l(12))
+    table = st.table
+    before = counted["inner"]
+    right, residual = table.right_coeffs, table.residual_right
+    assert counted["inner"] == before + 14
+    assert table.right_coeffs is right and table.residual_right == residual
+    assert counted["inner"] == before + 14
+
+    # The expansion the table used to solve eagerly, in solve_triangle.
+    right_pattern = mirror(triangle_pattern(st.model))
+    want, want_residual = expand(st.model, right_pattern, st.basis, st.gram, st.tol)
+    assert np.max(np.abs(right - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(residual - want_residual) <= 1e-12
+    assert residual < 1e-10
+
