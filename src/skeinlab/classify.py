@@ -30,8 +30,10 @@ from .scalar import DEFAULT_TOL, Scalar, Tolerance, is_real, principal_q_from_c
 from .threebox import enumerate_basis, gram, reidemeister_residuals, solve_triangle, ybe_residual
 from .twobox import (
     DEPTH3_DELTA,
+    DEPTH3_WINDOW,
     BraidPair,
     TwoBoxModel,
+    at_brauer_point,
     bmw_two_box_traces,
     braid_pair,
     trace_split,
@@ -59,7 +61,7 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
     delta = float(delta)
     if not delta > 0:
         return Admissibility("Rejected", note=f"delta = {delta} is not positive")
-    if abs(delta - DEPTH3_DELTA) < 1e-6:
+    if abs(delta - DEPTH3_DELTA) < DEPTH3_WINDOW:
         return Admissibility("Depth3", note="cubic depth-3 loop value")
     if delta >= 4.0 - tol.eq_tol:
         return Admissibility("Sp4", note="real continuum, q >= 1")
@@ -99,7 +101,7 @@ def recover_qr(
         )
     c = (2.0 * u * u - 4.0 * u + 2.0 * w) / denom
     q = principal_q_from_c(c, tol)
-    if abs(q - 1.0) <= 1e-9:
+    if at_brauer_point(q):
         return complex(1.0), complex(1.0)
     r = ((dp - 1.0) ** 2 * (q - 1.0 / q) + (a - b) * (q + 1.0 / q)) / (2.0 * (dp - 1.0))
     # On the unit-circle branch the modulus is exact; snap the float noise.
@@ -343,7 +345,7 @@ def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult
         }
         residuals.update(st.braid_residuals(braid))
 
-        if abs(q - 1.0) <= 1e-9:
+        if at_brauer_point(q):
             residuals["qr_roundtrip"] = 0.0
             result.notes.append("Brauer point: roundtrip taken as the q -> 1 limit")
         else:

@@ -29,18 +29,17 @@ number half applies an op to labels, held as plain tuples of three
 complex coefficients: the cap scalar, or the product label, from the
 model's rotation and cap rows and the elementwise product of
 `twobox.product_coeffs`.
-A diagram whose reduction never meets a 3-gon has a fixed op sequence, its
-plan, that depends only on its topology (vertex ids, shading bits, dart
-pairing, free loops).  `evaluate` compiles the plan once per topology,
-keeps it in a bounded LRU cache, and replays only the numbers on each call,
-with the same zero-drop the FormalSum engine applies to a single term.
-Diagrams that meet a 3-gon, and every call with a `chooser`, are reduced
-by the FormalSum engine, which calls the same two halves.
+`evaluate` is the FormalSum engine: it validates every input, then reduces
+it term by term with the two halves.  A diagram whose reduction never
+meets a 3-gon has a fixed op sequence, its plan, that depends only on its
+shape (vertex ids, shading bits, dart pairing, free loops).  `_plan`
+compiles it from a valid diagram with the shape half, and `_replay` runs
+it on a map of labels with the number half and the engine's zero-drop of
+a single term; `threebox.inner` keeps one plan per closure shape.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections import defaultdict
@@ -599,8 +598,8 @@ def _substitute_triangle(model, coeff, diag, corners, triangle):
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
 
     out = []
-    for c_i, pattern in zip(triangle.reduction_coeffs, triangle.basis.diagrams):
-        if abs(c_i) < 1e-13 * max(1.0, float(np.max(np.abs(triangle.reduction_coeffs)))):
+    for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
+        if abs(c_i) < 1e-13 * max(1.0, float(np.max(np.abs(triangle.left_coeffs)))):
             continue
         new_vertices = {}
         new_edges = []
@@ -634,8 +633,8 @@ def validate(d: Diagram) -> None:
     d.validate(check_shading=True)
 
 
-def small_faces(d: Diagram, max_size: int = 3) -> list[list[Dart]]:
-    faces = [f for f in d.faces() if len(f) <= max_size]
+def small_faces(d: Diagram) -> list[list[Dart]]:
+    faces = [f for f in d.faces() if len(f) <= 3]
     faces.sort(key=lambda f: (len(f), min(f)))
     return faces
 
@@ -678,38 +677,14 @@ def reduce_once(
 
 # -- reduction plans -----------------------------------------------------
 
-PLAN_CACHE_SIZE = 1024
 
-
-def topology(d: Diagram) -> tuple:
-    """The exact shape of a diagram, without labels: vertex ids with their
-    shading bits in insertion order, the flattened partner of every dart
-    (vertex by vertex, slots 0..3), and the free loop count."""
-    verts = tuple((v, vert.shading0) for v, vert in d.vertices.items())
-    edges = d.edges
-    pairing = tuple(x for v in d.vertices for slot in range(4) for x in edges[(v, slot)])
-    return verts, pairing, d.free_loops
-
-
-def from_topology(shape: tuple, labels) -> Diagram:
-    """The diagram with the given topology and one coefficient triple per
-    vertex, in the topology's vertex order."""
-    verts, pairing, loops = shape
-    darts = [(v, slot) for v, _ in verts for slot in range(4)]
-    it = iter(pairing)
-    return Diagram(
-        {v: Vertex(c, s0) for (v, s0), c in zip(verts, labels)},
-        dict(zip(darts, zip(it, it))),
-        loops,
-    )
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(shape: tuple):
-    """The reduction plan of a topology: one (free loops, op) per rewrite
-    step, or None when the reduction meets a 3-gon or a step whose sides
-    mismatch, which the FormalSum engine then serves."""
-    diag = from_topology(shape, [(0.0, 0.0, 0.0)] * len(shape[0]))
+def _plan(diag: Diagram) -> tuple:
+    """The reduction plan of a valid diagram: one (free loops, op) per
+    rewrite step, taken with the engine's face order and shape half.  It
+    depends on the diagram's shape only, not on its labels.  Like the
+    engine without a triangle table, it raises TriangleTableRequired at a
+    3-gon; a fusion whose sides differ raises SideMismatch when replayed,
+    in the number half the engine shares."""
     plan = []
     while diag.n_vertices or diag.free_loops:
         loops, op = diag.free_loops, None
@@ -718,18 +693,16 @@ def _plan(shape: tuple):
         if diag.n_vertices:
             face = find_small_face(diag)
             if len(face) > 2:
-                return None
+                raise TriangleTableRequired("met a 3-gon face with no triangle table")
             op, diag = _shape_step(diag, face)
-            if op[0] == "fuse" and op[6] != op[7]:
-                return None
         plan.append((loops, op))
     return tuple(plan)
 
 
-def _replay(plan: tuple, d: Diagram, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
-    """Run a plan on d's labels with the engine's arithmetic, including its
-    zero-drop of a single term."""
-    labels = {v: vert.coeffs for v, vert in d.vertices.items()}
+def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
+    """Run a plan on `labels`, a map of vertex ids to coefficient triples,
+    with the engine's arithmetic, including its zero-drop of a single term.
+    Fused labels are written into `labels`."""
     coeff = complex(1.0)
     for steps, (loops, op) in enumerate(plan, 1):
         if loops:
@@ -752,13 +725,8 @@ def evaluate_detailed(
     chooser=None,
 ) -> tuple[Scalar, int]:
     """Evaluate a closed diagram to a scalar; also return the rewrite count.
-
-    Without a chooser the reduction replays the cached plan of d's topology
-    when it has one; otherwise the FormalSum engine reduces term by term."""
+    d is validated, then the FormalSum engine reduces it term by term."""
     d.validate(check_shading=True)
-    plan = _plan(topology(d)) if chooser is None else None
-    if plan is not None:
-        return _replay(plan, d, model, tol)
     s = FormalSum([(complex(1.0), d)])
     steps = 0
     guard = 0

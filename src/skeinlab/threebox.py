@@ -10,8 +10,11 @@ X.i <-> mirror(Y).(5-i) for every i.
 All inner products reduce to closed diagrams with at most 5 vertices, which
 the skein engine evaluates without a triangle table (Euler counting leaves a
 face with at most 2 sides at every step).  The closure's shape depends only
-on the two patterns' shapes, so `inner` builds it once per pattern pair
-(bounded LRU cache) and attaches the labels on each call.
+on the two patterns' shapes, so `inner` builds and validates it once per
+pair of pattern shapes, compiles its reduction plan (`skein._plan`), keeps
+both in a bounded LRU cache, and on each call replays the plan on the
+patterns' labels (`skein._replay`).  A shape that fails to validate or to
+compile is not cached and raises on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     InvariantViolation,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .skein import Diagram, Vertex, evaluate, from_topology, topology, walk_connections
+from .skein import Diagram, Vertex, _plan, _replay, walk_connections
 from .twobox import BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -159,6 +162,9 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
         d.add_edge((a + off, sa), (b + off, sb))
     for a, b in pairs:
         d.add_edge(a, b)
+    # The inferred shading is consistent on every valid planar map, so the
+    # pairing and planarity are what a malformed pattern can break.
+    d.validate(check_shading=False)
     return d.infer_shading()
 
 
@@ -175,18 +181,19 @@ def _unshape(shape: tuple) -> Pattern:
 
 
 @functools.lru_cache(maxsize=CLOSURE_CACHE_SIZE)
-def _closure_topology(x_shape: tuple, y_shape: tuple) -> tuple:
-    """The skein topology of closure(x, y), which depends on the patterns'
-    shapes only; its vertices are x's followed by mirror(y)'s."""
-    return topology(closure(_unshape(x_shape), _unshape(y_shape)))
+def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
+    """The vertex ids (x's, then mirror(y)'s) and the reduction plan of
+    closure(x, y), which depend on the patterns' shapes only."""
+    d = closure(_unshape(x_shape), _unshape(y_shape))
+    return tuple(d.vertices), _plan(d)
 
 
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
+    ids, plan = _closure_plan(_shape(x), _shape(y))
     labels = [v.coeffs for _, v in x.vertices]
     labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
-    d = from_topology(_closure_topology(_shape(x), _shape(y)), labels)
-    return evaluate(d, model, None, tol)
+    return _replay(plan, dict(zip(ids, labels)), model, tol)[0]
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -289,6 +296,11 @@ class GramMatrix:
 
     entries: np.ndarray
 
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """In descending order, computed once."""
+        return np.linalg.svd(self.entries, compute_uv=False)
+
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
 
@@ -299,7 +311,7 @@ class GramMatrix:
         return max(0.0, -float(evals[0]) / lam_max)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        s = np.linalg.svd(self.entries, compute_uv=False)
+        s = self.singular_values
         if len(s) == 0 or s[0] == 0:
             return 0
         return int(np.sum(s >= tol.rank_tol * s[0]))
@@ -337,8 +349,7 @@ def expand(
         [inner(model, pattern, di, tol) for di in basis.diagrams], dtype=complex
     )
     gt = gm.entries.T
-    s = np.linalg.svd(gt, compute_uv=False)
-    if s[0] == 0 or s[-1] / s[0] < tol.rank_tol:
+    if gm.rank(tol) < len(v):
         c, *_ = np.linalg.lstsq(gt, v, rcond=tol.rank_tol)
     else:
         c = np.linalg.solve(gt, v)
@@ -379,10 +390,6 @@ class TriangleTable:
     gram: GramMatrix
     model: TwoBoxModel
     tol: Tolerance = DEFAULT_TOL
-
-    @property
-    def reduction_coeffs(self) -> np.ndarray:
-        return self.left_coeffs
 
     @functools.cached_property
     def _right(self) -> tuple[np.ndarray, float]:

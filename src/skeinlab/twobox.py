@@ -34,6 +34,14 @@ MINUS = "-"
 # Largest root of x^3 - 2x^2 - x + 1, the depth-3 loop value.  It equals
 # 1 + 2cos(2*pi/7).
 DEPTH3_DELTA = 1.0 + 2.0 * math.cos(2.0 * math.pi / 7.0)
+# Loop values closer than this to DEPTH3_DELTA are the depth-3 point.
+DEPTH3_WINDOW = 1e-6
+
+
+def at_brauer_point(q: Scalar) -> bool:
+    """Whether q is the Brauer point q = 1, where the braid generator is
+    taken as its limit."""
+    return abs(q - 1.0) <= 1e-9
 
 
 def other_side(side: str) -> str:
@@ -127,7 +135,6 @@ class TwoBoxModel:
     coproduct_table: np.ndarray = field(init=False, repr=False, compare=False)
     trace_vec: np.ndarray = field(init=False, repr=False, compare=False)
     rotation: np.ndarray = field(init=False, repr=False, compare=False)
-    conj: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
     cap_rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -162,7 +169,6 @@ class TwoBoxModel:
         object.__setattr__(self, "coproduct_table", cop)
         object.__setattr__(self, "trace_vec", trace_vec)
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "conj", rot @ rot)
         # The rotation and the trace as rows of Python complex numbers, for
         # the skein engine's per-step arithmetic on coefficient triples;
         # dot(cap_rows[k], x) is the trace of x rotated k clicks (k = 0, 1).
@@ -218,10 +224,6 @@ class TwoBoxModel:
             return tuple(coeffs)
         return tuple(dot(row, coeffs) for row in self.rotation_rows)
 
-    def conjugate(self, x: BoxVec) -> BoxVec:
-        """Contragredient (2-click rotation)."""
-        return BoxVec(x.side, tuple(self.conj @ x.vec))
-
     def cap(self, x: BoxVec, pair: int) -> Scalar:
         """Scalar s with the box capped on darts (pair, pair+1) equal to s*strand.
 
@@ -257,7 +259,7 @@ def from_classification_data(
     delta = float(delta)
     if not delta > 1.0:
         raise InadmissibleDelta(f"delta = {delta} must exceed 1")
-    if sigma == +1 and abs(delta - DEPTH3_DELTA) > 1e-6:
+    if sigma == +1 and abs(delta - DEPTH3_DELTA) > DEPTH3_WINDOW:
         raise ChiralityMismatch(
             f"sigma=+1 forces the depth-3 loop value {DEPTH3_DELTA:.9f}, got {delta}"
         )
@@ -338,7 +340,7 @@ def braid_pair(
     """
     q, r = complex(q), complex(r)
     d = model.delta
-    if abs(q - 1.0) <= 1e-9:
+    if at_brauer_point(q):
         if abs(r - 1.0) > 1e-9:
             raise BrauerDegenerate(f"q = 1 requires r = 1, got r = {r}")
         q, r = 1.0 + 0.0j, 1.0 + 0.0j

@@ -1,8 +1,9 @@
-"""Cached reduction plans and closure shapes against the FormalSum engine.
+"""Reduction plans compiled from a diagram and replayed on its labels,
+against the FormalSum engine.
 
-Passing chooser=find_small_face makes evaluate_detailed take the general
-engine with the same face order as the plan, so both paths must agree
-exactly, in the value's bits (signed zeros included) and in step count."""
+Passing chooser=find_small_face makes evaluate_detailed pick faces in the
+same order as the plan, so a replay must agree with the engine exactly,
+in the value's bits (signed zeros included) and in step count."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from skeinlab import (
     DEPTH3_DELTA,
     BoxVec,
     Diagram,
+    Pattern,
     TwoBoxModel,
     Vertex,
     braid_pair,
@@ -32,9 +34,10 @@ from skeinlab import (
     mirror,
     triangle_pattern,
 )
-from skeinlab.errors import ShadingInconsistent
-from skeinlab.skein import _plan, topology
-from skeinlab.threebox import _braid_pattern, closure
+from skeinlab.errors import MalformedPairing, ShadingInconsistent, TriangleTableRequired
+from skeinlab.scalar import DEFAULT_TOL
+from skeinlab.skein import _plan, _replay
+from skeinlab.threebox import _braid_pattern, _closure_plan, closure
 from skeinlab.twobox import PLUS
 
 
@@ -47,39 +50,46 @@ def engine(d, m, table=None):
     return exact(evaluate_detailed(d, m, table, chooser=find_small_face))
 
 
-def plan(d, m, table=None):
-    return exact(evaluate_detailed(d, m, table))
+def labels(d):
+    return {v: vert.coeffs for v, vert in d.vertices.items()}
+
+
+def replayed(d, m, plan=None):
+    """d's labels run through a plan, by default the one compiled from d."""
+    return exact(_replay(plan if plan is not None else _plan(d), labels(d), m, DEFAULT_TOL))
 
 
 def test_plan_matches_engine_on_random_corpus(model12):
     rng = np.random.default_rng(11)
     for d in random_diagram_corpus(rng, 60, max_vertices=5):
         # Five vertices or fewer always leave a face with at most 2 sides.
-        assert _plan(topology(d)) is not None
-        assert plan(d, model12) == engine(d, model12)
+        assert replayed(d, model12) == engine(d, model12)
 
 
 def test_three_gon_diagrams_have_no_plan(model12, table12):
     rng = np.random.default_rng(12)
     d = octahedron_diagram([rng.normal(size=3) for _ in range(6)])
-    assert _plan(topology(d)) is None
-    assert plan(d, model12, table12) == engine(d, model12, table12)
+    with pytest.raises(TriangleTableRequired):
+        _plan(d)
+    with pytest.raises(TriangleTableRequired):
+        evaluate(d, model12)
+    assert exact(evaluate_detailed(d, model12, table12)) == engine(d, model12, table12)
 
 
 def test_plan_keeps_the_engines_signed_zeros(model12):
     d = coproduct_trace_closure((1j, -1j, 0.0), (1j, -1j, 0.0))
     value, _ = evaluate_detailed(d, model12)
     assert value.imag == 0
-    assert plan(d, model12) == engine(d, model12)
+    assert replayed(d, model12) == engine(d, model12)
 
 
 def test_plan_drops_a_zero_coefficient_mid_reduction(model12):
     generator = model12.uncappable().coeffs
     capped = coproduct_trace_closure(generator, (0.3, -1.2, 0.7))
     generic = coproduct_trace_closure((0.5, 0.4, -0.9), (0.3, -1.2, 0.7))
-    assert topology(capped) == topology(generic)
+    assert _plan(capped) == _plan(generic)
     value, steps = evaluate_detailed(capped, model12)
-    assert plan(capped, model12) == engine(capped, model12)
+    assert replayed(capped, model12) == engine(capped, model12)
     assert value == 0
     assert steps < evaluate_detailed(generic, model12)[1]
 
@@ -96,20 +106,21 @@ def test_plan_matches_engine_on_classify_closures(delta):
         for y in basis.diagrams:
             d = closure(x, y)
             want = engine(d, m)
-            assert plan(d, m) == want
+            assert replayed(d, m) == want
             assert exact((inner(m, x, y), want[1])) == want
 
 
 def test_one_topology_different_labels(model12):
     pairs = [((0.3, 1.1, -0.2), (0.5, -0.4, 0.9)), ((1.0, 0.0, 2.0), (-0.7, 0.2, 0.1))]
     diagrams = [product_trace_closure(cx, cy) for cx, cy in pairs]
-    assert topology(diagrams[0]) == topology(diagrams[1])
+    plan = _plan(diagrams[0])
+    assert _plan(diagrams[1]) == plan
     values = [evaluate(d, model12) for d in diagrams]
     assert values[0] != values[1]
     for (cx, cy), d, v in zip(pairs, diagrams, values):
         want = model12.trace(model12.product(BoxVec(PLUS, cx), BoxVec(PLUS, cy)))
         assert abs(v - want) < 1e-10 * max(1.0, abs(want))
-        assert plan(d, model12) == engine(d, model12)
+        assert replayed(d, model12, plan) == engine(d, model12)
 
 
 def test_gram_across_loop_values_matches_engine():
@@ -135,3 +146,16 @@ def test_validation_is_not_memoised(model12):
     )
     with pytest.raises(ShadingInconsistent):
         evaluate(mixed, model12)
+
+
+def test_a_malformed_closure_shape_raises_on_every_inner_call(model12):
+    t = Vertex(model12.uncappable().coeffs)
+    # Boundary point 3 names vertex 7, which the pattern does not have.
+    broken = Pattern(
+        ((0, t),), (), (("v", 0, 0), ("v", 0, 1), ("v", 0, 2), ("v", 7, 3), ("b", 5), ("b", 4))
+    )
+    cached = _closure_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MalformedPairing):
+            inner(model12, broken, broken)
+    assert _closure_plan.cache_info().currsize == cached

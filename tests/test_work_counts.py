@@ -1,6 +1,8 @@
-"""Pins on the work one classification does.  Every closed diagram that is
-evaluated is validated once (validation is never memoised), and the right
-triangle table, which the pipeline never reads, is solved only on demand."""
+"""Pins on the work one classification does.  Every inner product replays
+the plan of its closure shape, and each shape is validated once, when its
+plan is compiled; the right triangle table, which the pipeline never reads,
+is solved only on demand.  A PASS classification makes one SVD, of the
+Gram matrix."""
 
 import numpy as np
 import pytest
@@ -10,15 +12,15 @@ from skeinlab.classify import Stages
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
 # 196 Gram entries, 14 for the left triangle table, 2 x 14 for the two
-# sides of the Yang-Baxter equation.
-EVALUATIONS_PER_PASS = 196 + 14 + 2 * 14
+# sides of the Yang-Baxter equation; each pairs a different closure shape.
+CLOSURES_PER_PASS = 196 + 14 + 2 * 14
 
 
 @pytest.fixture
 def counted(monkeypatch):
     """Records the diagrams handed to evaluate_detailed and validate, and
-    counts inner calls."""
-    seen = {"evaluated": [], "validated": [], "inner": 0}
+    counts inner calls and the pattern-shape pairs they ask for."""
+    seen = {"evaluated": [], "validated": [], "inner": 0, "shapes": set()}
     evaluate_detailed = skein.evaluate_detailed
     validate = skein.Diagram.validate
     inner = threebox.inner
@@ -31,9 +33,10 @@ def counted(monkeypatch):
         seen["validated"].append(self)
         return validate(self, *args, **kwargs)
 
-    def counting_inner(*args, **kwargs):
+    def counting_inner(model, x, y, *args, **kwargs):
         seen["inner"] += 1
-        return inner(*args, **kwargs)
+        seen["shapes"].add((threebox._shape(x), threebox._shape(y)))
+        return inner(model, x, y, *args, **kwargs)
 
     monkeypatch.setattr(skein, "evaluate_detailed", counting_evaluate)
     monkeypatch.setattr(skein.Diagram, "validate", counting_validate)
@@ -42,11 +45,32 @@ def counted(monkeypatch):
 
 
 def test_classify_validates_every_evaluated_diagram_once(counted):
+    threebox._closure_plan.cache_clear()
     res = classify(5.0)
     assert res.verdict == "PASS"
-    assert len(counted["evaluated"]) == EVALUATIONS_PER_PASS
-    assert len(counted["validated"]) == EVALUATIONS_PER_PASS
-    assert [id(d) for d in counted["validated"]] == [id(d) for d in counted["evaluated"]]
+    assert counted["inner"] == len(counted["shapes"]) == CLOSURES_PER_PASS
+    assert counted["evaluated"] == []
+    assert len(counted["validated"]) == CLOSURES_PER_PASS
+    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
+
+    # A second classification replays the cached plans and validates nothing.
+    counted["validated"].clear()
+    assert classify(5.0).verdict == "PASS"
+    assert counted["inner"] == 2 * CLOSURES_PER_PASS
+    assert counted["evaluated"] == counted["validated"] == []
+
+
+def test_classify_computes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert classify(5.0).verdict == "PASS"
+    assert calls == [(14, 14)]
 
 
 def test_right_table_is_solved_on_first_read(counted):
