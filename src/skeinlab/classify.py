@@ -30,10 +30,8 @@ from .scalar import DEFAULT_TOL, Scalar, Tolerance, is_real, principal_q_from_c
 from .threebox import enumerate_basis, gram, reidemeister_residuals, solve_triangle, ybe_residual
 from .twobox import (
     DEPTH3_DELTA,
-    DEPTH3_WINDOW,
     BraidPair,
     TwoBoxModel,
-    at_brauer_point,
     bmw_two_box_traces,
     braid_pair,
     trace_split,
@@ -61,12 +59,12 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
     delta = float(delta)
     if not delta > 0:
         return Admissibility("Rejected", note=f"delta = {delta} is not positive")
-    if abs(delta - DEPTH3_DELTA) < DEPTH3_WINDOW:
+    if abs(delta - DEPTH3_DELTA) < tol.DEPTH3_WINDOW:
         return Admissibility("Depth3", note="cubic depth-3 loop value")
     if delta >= 4.0 - tol.eq_tol:
         return Admissibility("Sp4", note="real continuum, q >= 1")
     for l in range(L_SERIES_MIN, L_SERIES_MAX + 1, 2):
-        if abs(delta - delta_for_l(l)) < 1e-6:
+        if abs(delta - delta_for_l(l)) < tol.L_WINDOW:
             return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
     return Admissibility(
         "Rejected",
@@ -101,13 +99,13 @@ def recover_qr(
         )
     c = (2.0 * u * u - 4.0 * u + 2.0 * w) / denom
     q = principal_q_from_c(c, tol)
-    if at_brauer_point(q):
+    if tol.at_brauer_point(q):
         return complex(1.0), complex(1.0)
     r = ((dp - 1.0) ** 2 * (q - 1.0 / q) + (a - b) * (q + 1.0 / q)) / (2.0 * (dp - 1.0))
     # On the unit-circle branch the modulus is exact; snap the float noise.
-    if abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= 1e-6:
+    if abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= tol.match_tol:
         r /= abs(r)
-    if is_real(q, tol) and abs(r.imag) <= 1e-9 * max(1.0, abs(r)):
+    if is_real(q, tol) and is_real(r, tol):
         r = complex(r.real, 0.0)
     return q, r
 
@@ -137,7 +135,7 @@ def normalize_bmw_params(
     """Canonical orbit representative: Re q >= 0, Im q >= 0, Re r >= 0 on the
     unit circle, or q >= 1, r >= 0 in the real case."""
     r, q = complex(r), complex(q)
-    unit = abs(abs(q) - 1.0) <= 1e-9 and abs(abs(r) - 1.0) <= 1e-9
+    unit = abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= tol.eq_tol
     candidates = []
     for rr, qq in _bmw_orbit(r, q):
         if unit:
@@ -148,9 +146,9 @@ def normalize_bmw_params(
             )
         else:
             ok = (
-                abs(qq.imag) <= 1e-9 * max(1.0, abs(qq))
-                and abs(rr.imag) <= 1e-9 * max(1.0, abs(rr))
-                and qq.real >= 1.0 - 1e-9
+                is_real(qq, tol)
+                and is_real(rr, tol)
+                and qq.real >= 1.0 - tol.eq_tol
                 and rr.real >= -tol.eq_tol
             )
         if ok:
@@ -234,23 +232,6 @@ def principal_graph_prefix(
 # -- end-to-end pipeline -------------------------------------------------
 
 
-# PASS thresholds per residual key.
-RESIDUAL_TOLERANCES = {
-    "chirality": 1e-8,
-    "gram_psd_min_eigenvalue": 1e-8,
-    "ybe": 1e-8,
-    "r1": 1e-8,
-    "r2": 1e-8,
-    "quad": 1e-8,
-    "qr_roundtrip": 1e-9,
-}
-
-
-def over_tolerance(residuals: dict[str, float]) -> list[str]:
-    """Sorted keys whose residual is at or over its RESIDUAL_TOLERANCES entry."""
-    return sorted(k for k, v in residuals.items() if v >= RESIDUAL_TOLERANCES[k])
-
-
 class Stages:
     """The pipeline at one loop value.  The locus (case, sigma, depth-3 snap)
     is found up front; each later stage is computed on first read.  A
@@ -275,7 +256,7 @@ class Stages:
     @cached_property
     def model(self) -> TwoBoxModel:
         _, a, b = self.split
-        return TwoBoxModel(self.delta, a, b, self.sigma, self.tol)
+        return TwoBoxModel(self.delta, a, b, self.sigma)
 
     @cached_property
     def qr(self) -> tuple[Scalar, Scalar]:
@@ -345,7 +326,7 @@ def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult
         }
         residuals.update(st.braid_residuals(braid))
 
-        if at_brauer_point(q):
+        if tol.at_brauer_point(q):
             residuals["qr_roundtrip"] = 0.0
             result.notes.append("Brauer point: roundtrip taken as the q -> 1 limit")
         else:
@@ -357,7 +338,7 @@ def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult
 
         result.residuals = residuals
         result.graph = principal_graph_prefix(st.model, tol)
-        bad = over_tolerance(residuals)
+        bad = tol.over_limits(residuals)
         if bad:
             result.verdict = "FAIL"
             result.notes.append(f"residuals over tolerance: {', '.join(bad)}")

@@ -3,7 +3,8 @@ braid-relation reports, all as deterministic JSON.
 
 Every subcommand locates delta with one `Stages` pipeline and renders only
 the stages it reads; off the locus it is REJECTED before any stage is
-built, and a residual at or over its `RESIDUAL_TOLERANCES` entry FAILs.
+built, and a residual at or over its `Tolerance.limits` entry, which moves
+with `--tol`/`SKEINLAB_TOL` and is listed under `tolerances`, FAILs.
 A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
 report naming the exception, as `classify` does.
 
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .classify import L_SERIES_MIN, RESIDUAL_TOLERANCES, Stages, classify, delta_for_l, over_tolerance
+from .classify import L_SERIES_MIN, Stages, classify, delta_for_l
 from .errors import ShadingInconsistent, SkeinlabError, TriangleTableRequired
 from .scalar import Tolerance
 from .skein import Diagram, Vertex, evaluate_detailed
@@ -171,7 +172,7 @@ def cmd_classify(args) -> int:
         inputs={"delta": _num(delta), "tol": _num(tol.eq_tol)},
         outputs=outputs,
         residuals={k: _num(v) for k, v in sorted(res.residuals.items())},
-        tolerances={k: _num(v) for k, v in sorted(RESIDUAL_TOLERANCES.items())},
+        tolerances={k: _num(v) for k, v in sorted(tol.limits.items())},
         verdict=res.verdict,
     )
 
@@ -203,7 +204,7 @@ def cmd_gram(args) -> int:
     rank = gm.rank(st.tol)
     # A rank deficit fails the pipeline too (GramRankDeficient in classify).
     judged = {"gram_psd_min_eigenvalue": gm.psd_defect()}
-    verdict = "FAIL" if rank < len(gm.entries) or over_tolerance(judged) else "PASS"
+    verdict = "FAIL" if rank < len(gm.entries) or st.tol.over_limits(judged) else "PASS"
     outputs = {
         "matrix": [[_cnum(z) for z in row] for row in gm.entries],
         "eigenvalues": [_num(v) for v in evals],
@@ -216,8 +217,8 @@ def cmd_gram(args) -> int:
         f"{verdict}: rank={rank} min_eig={evals[0]:.6g} max_eig={evals[-1]:.6g}",
         inputs=inputs,
         outputs=outputs,
-        residuals={"hermiticity": _num(gm.hermiticity_defect())},
-        tolerances={"rank_tol": _num(st.tol.rank_tol)},
+        residuals={"hermiticity": _num(gm.hermiticity_defect()), **{k: _num(v) for k, v in judged.items()}},
+        tolerances={"rank_tol": _num(st.tol.rank_tol), **{k: _num(st.tol.limits[k]) for k in judged}},
         verdict=verdict,
     )
 
@@ -233,14 +234,14 @@ def cmd_ybe(args) -> int:
         residuals = st.braid_residuals(braid)
     except SkeinlabError as exc:
         return _fail(args, inputs, exc, **outputs)
-    verdict = "FAIL" if over_tolerance(residuals) else "PASS"
+    verdict = "FAIL" if st.tol.over_limits(residuals) else "PASS"
     return _emit(
         args,
         f"{verdict}: " + " ".join(f"{k}={v:.3e}" for k, v in sorted(residuals.items())),
         inputs=inputs,
         outputs=outputs,
         residuals={k: _num(v) for k, v in sorted(residuals.items())},
-        tolerances={k: _num(RESIDUAL_TOLERANCES[k]) for k in sorted(residuals)},
+        tolerances={k: _num(st.tol.limits[k]) for k in sorted(residuals)},
         verdict=verdict,
     )
 

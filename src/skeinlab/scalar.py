@@ -1,10 +1,11 @@
-"""Complex scalar arithmetic with an explicit tolerance policy.
+"""Complex scalar arithmetic and the tolerance policy.
 
-All algebra in the library is done over plain Python complex numbers; this
-module centralizes the comparison policy (relative tolerances, never exact
-zero tests on computed values) plus the few root-solving routines the
-classification pipeline needs, including the branch normalization
-Re q >= 0, Im q >= 0 used when recovering the braid parameter.
+All algebra in the library is done over plain Python complex numbers.
+`Tolerance` holds every threshold the other modules compare against:
+relative equality, the limits derived from it, which move with `--tol`,
+and the fixed locus windows and float-noise guards.  The root solvers are
+a stable quadratic and the principal branch Re q >= 0, Im q >= 0 of
+q^2 + q^-2 = c, used to recover the braid parameter.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass
-
-import numpy as np
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import (
     DegenerateLeadingCoefficient,
@@ -26,21 +27,70 @@ from .errors import (
 Scalar = complex
 
 
+# Default eq_tol; derived thresholds scale by eq_tol / _EQ_TOL, exactly 1 here.
+_EQ_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison thresholds used throughout the pipeline.
+    """Every threshold the pipeline compares against.
 
-    eq_tol is relative, rank_tol is a ratio to the largest singular value,
-    root_tol is an absolute residual bound for polished roots.
+    Two values are set: eq_tol, the relative tolerance of `close` and
+    `is_real`, and rank_tol, a ratio to the largest singular value of the
+    Gram matrix.  The fields derived from eq_tol judge agreement up to float
+    error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class
+    constants identify points of the locus or guard against float noise,
+    and stay fixed.
     """
 
-    eq_tol: float = 1e-9
+    eq_tol: float = _EQ_TOL
     rank_tol: float = 1e-8
-    root_tol: float = 1e-12
+
+    limits: Mapping[str, float] = field(init=False, repr=False, compare=False)
+    """PASS limit per residual: 1e-8, and eq_tol for qr_roundtrip."""
+    match_tol: float = field(init=False, repr=False, compare=False)
+    """Agreement of the BMW traces of (q, r) with the model, and the q^4 = 1,
+    Brauer delta = 4 and unit-modulus r checks: 1e-6."""
+    closure_tol: float = field(init=False, repr=False, compare=False)
+    """Residual of a sign candidate in `unique_braid_check`: 1e-7."""
+    drop_tol: float = field(init=False, repr=False, compare=False)
+    """Formal-sum terms up to this times the largest (floored at 1) drop."""
+
+    DEPTH3_WINDOW: ClassVar[float] = 1e-6
+    """Window of the depth-3 point.  Fixed: the next admissible loop value
+    is 0.49 away, and a window that shrank with --tol would miss a depth-3
+    value typed to 7 digits."""
+    L_WINDOW: ClassVar[float] = 1e-6
+    """Window of the even-l point delta(l).  Fixed: the series spacing bounds
+    it, not float error; delta(98) and delta(100) are 8.1e-4 apart, so a
+    window scaled by --tol 1e-6 would match l = 98 for l = 100."""
+    BRAUER_WINDOW: ClassVar[float] = 1e-9
+    """Window of the Brauer point q = 1.  Fixed: it is where the q -> 1 limit
+    replaces trace formulas that divide by q - 1/q, whatever --tol judges."""
+    TERM_DROP: ClassVar[float] = 1e-14
+    """3-gon expansion terms below this times their parent coefficient
+    (floored at 1) are skipped.  Fixed: a float-noise guard."""
+    TABLE_DROP: ClassVar[float] = 1e-13
+    """Triangle-table coefficients below this times the largest (floored at
+    1) are not substituted.  Fixed: a guard on the solve's float noise."""
+    UNIT_SNAP: ClassVar[float] = 1e-13
+    """q with ||q| - 1| below this is put on the unit circle.  Fixed: a
+    float-noise guard on a modulus that is exactly 1."""
+    EIG_FLOOR: ClassVar[float] = 1e-300
+    """Floor of the largest Gram eigenvalue in the PSD defect.  Fixed: it
+    only keeps a zero matrix from dividing by zero."""
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.rank_tol > 0 and self.root_tol > 0):
+        if not (self.eq_tol > 0 and self.rank_tol > 0):
             raise ValueError("tolerances must be strictly positive")
+        ratio = self.eq_tol / _EQ_TOL
+        keys = ("chirality", "gram_psd_min_eigenvalue", "ybe", "r1", "r2", "quad")
+        limits = dict.fromkeys(keys, 1e-8 * ratio)
+        limits["qr_roundtrip"] = self.eq_tol
+        object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "match_tol", 1e-6 * ratio)
+        object.__setattr__(self, "closure_tol", 1e-7 * ratio)
+        object.__setattr__(self, "drop_tol", self.eq_tol * 1e-3)
 
     @classmethod
     def from_env(cls) -> "Tolerance":
@@ -49,6 +99,14 @@ class Tolerance:
         if raw is None:
             return cls()
         return cls(eq_tol=float(raw))
+
+    def over_limits(self, residuals: Mapping[str, float]) -> list[str]:
+        """Sorted keys whose residual is at or over its limit."""
+        return sorted(k for k, v in residuals.items() if v >= self.limits[k])
+
+    def at_brauer_point(self, q: Scalar) -> bool:
+        """Whether q is the Brauer point q = 1 (see BRAUER_WINDOW)."""
+        return abs(q - 1.0) <= self.BRAUER_WINDOW
 
 
 DEFAULT_TOL = Tolerance()
@@ -124,40 +182,9 @@ def principal_q_from_c(c: Scalar, tol: Tolerance = DEFAULT_TOL) -> Scalar:
         raise NoRealRoot(f"no normalized q for c = {cr}")
     q = best[1]
     # Snap the exactly-representable branches.
-    if cr <= 2.0 + tol.eq_tol and abs(abs(q) - 1.0) < 1e-13:
+    if cr <= 2.0 + tol.eq_tol and abs(abs(q) - 1.0) < tol.UNIT_SNAP:
         q /= abs(q)
     if abs(q.imag) < tol.eq_tol * max(1.0, abs(q)) and cr > 2.0:
         q = complex(q.real, 0.0)
     return q
 
-
-def largest_real_root(
-    coeffs: list[Scalar] | tuple[Scalar, ...], tol: Tolerance = DEFAULT_TOL
-) -> Scalar:
-    """Largest real root of the polynomial with the given coefficients.
-
-    Coefficients are highest degree first, as in numpy.roots.  The chosen
-    root is Newton-polished to root_tol.
-    """
-    arr = np.array([complex(c) for c in coeffs], dtype=complex)
-    check_finite(*arr.tolist())
-    roots = np.roots(arr)
-    scale = max(1.0, float(np.max(np.abs(roots)))) if len(roots) else 1.0
-    real_roots = [r for r in roots if abs(r.imag) <= 1e-8 * scale]
-    if not real_roots:
-        raise NoRealRoot("polynomial has no real root")
-    x = max(r.real for r in real_roots)
-
-    poly = np.polynomial.Polynomial(arr[::-1])
-    dpoly = poly.deriv()
-    for _ in range(100):
-        fx = poly(x)
-        if abs(fx) <= tol.root_tol:
-            break
-        dfx = dpoly(x)
-        if dfx == 0:
-            break
-        x = x - (fx / dfx).real
-    if abs(poly(x)) > tol.root_tol * max(1.0, float(np.max(np.abs(arr)))):
-        raise NoRealRoot(f"Newton polish failed, residual {abs(poly(x))}")
-    return complex(x)

@@ -416,7 +416,7 @@ def _surgery(
 
 def _kept(coeff: Scalar, scale: float, tol: Tolerance) -> bool:
     """Whether a term survives normalization next to terms of size `scale`."""
-    return abs(coeff) > tol.eq_tol * 1e-3 * max(1.0, scale)
+    return abs(coeff) > tol.drop_tol * max(1.0, scale)
 
 
 @dataclass
@@ -531,6 +531,7 @@ def _apply_3gon(
     diag: Diagram,
     face: list[Dart],
     triangle,
+    tol: Tolerance,
 ):
     if triangle is None:
         raise TriangleTableRequired("met a 3-gon face with no triangle table")
@@ -553,11 +554,11 @@ def _apply_3gon(
         w = coeff
         for (alpha, beta, gamma), c in zip(decomp, choice):
             w *= (alpha, beta, gamma)[c]
-        if abs(w) < 1e-14 * max(1.0, abs(coeff)):
+        if abs(w) < tol.TERM_DROP * max(1.0, abs(coeff)):
             continue
 
         if all(c == 2 for c in choice):
-            out_terms.extend(_substitute_triangle(model, w, diag, corners, triangle))
+            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle))
             continue
 
         removed = set()
@@ -585,7 +586,7 @@ def _apply_3gon(
     return out_terms
 
 
-def _substitute_triangle(model, coeff, diag, corners, triangle):
+def _substitute_triangle(tol, coeff, diag, corners, triangle):
     """Replace an all-generator 3-gon by the triangle table expansion."""
     # The face orbit lists corners clockwise around the 3-gon, so the
     # counterclockwise hole boundary visits them in reversed vertex order
@@ -599,7 +600,7 @@ def _substitute_triangle(model, coeff, diag, corners, triangle):
 
     out = []
     for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
-        if abs(c_i) < 1e-13 * max(1.0, float(np.max(np.abs(triangle.left_coeffs)))):
+        if abs(c_i) < tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs)))):
             continue
         new_vertices = {}
         new_edges = []
@@ -669,7 +670,7 @@ def reduce_once(
         if len(face) in (1, 2):
             out.extend(_apply_small(model, coeff, diag, face))
         elif len(face) == 3:
-            out.extend(_apply_3gon(model, coeff, diag, face, triangle))
+            out.extend(_apply_3gon(model, coeff, diag, face, triangle, tol))
         else:
             raise InvariantViolation(f"face of size {len(face)} is not reducible")
     return FormalSum(out).normalized(tol)
@@ -729,12 +730,10 @@ def evaluate_detailed(
     d.validate(check_shading=True)
     s = FormalSum([(complex(1.0), d)])
     steps = 0
-    guard = 0
     while not s.is_scalar:
         s = reduce_once(s, model, triangle, tol, chooser)
         steps += 1
-        guard += 1
-        if guard > 10000:
+        if steps > 10000:
             raise InvariantViolation("evaluation failed to terminate")
     return s.scalar_value(), steps
 

@@ -307,7 +307,7 @@ class GramMatrix:
     def psd_defect(self) -> float:
         """Most negative eigenvalue relative to the largest; 0 when PSD."""
         evals = self.eigenvalues()
-        lam_max = max(float(evals[-1]), 1e-300)
+        lam_max = max(float(evals[-1]), Tolerance.EIG_FLOOR)
         return max(0.0, -float(evals[0]) / lam_max)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -34,14 +34,6 @@ MINUS = "-"
 # Largest root of x^3 - 2x^2 - x + 1, the depth-3 loop value.  It equals
 # 1 + 2cos(2*pi/7).
 DEPTH3_DELTA = 1.0 + 2.0 * math.cos(2.0 * math.pi / 7.0)
-# Loop values closer than this to DEPTH3_DELTA are the depth-3 point.
-DEPTH3_WINDOW = 1e-6
-
-
-def at_brauer_point(q: Scalar) -> bool:
-    """Whether q is the Brauer point q = 1, where the braid generator is
-    taken as its limit."""
-    return abs(q - 1.0) <= 1e-9
 
 
 def other_side(side: str) -> str:
@@ -131,7 +123,6 @@ class TwoBoxModel:
     a: float
     b: float
     sigma: int
-    tol: Tolerance = DEFAULT_TOL
     coproduct_table: np.ndarray = field(init=False, repr=False, compare=False)
     trace_vec: np.ndarray = field(init=False, repr=False, compare=False)
     rotation: np.ndarray = field(init=False, repr=False, compare=False)
@@ -259,12 +250,12 @@ def from_classification_data(
     delta = float(delta)
     if not delta > 1.0:
         raise InadmissibleDelta(f"delta = {delta} must exceed 1")
-    if sigma == +1 and abs(delta - DEPTH3_DELTA) > DEPTH3_WINDOW:
+    if sigma == +1 and abs(delta - DEPTH3_DELTA) > tol.DEPTH3_WINDOW:
         raise ChiralityMismatch(
             f"sigma=+1 forces the depth-3 loop value {DEPTH3_DELTA:.9f}, got {delta}"
         )
     _, a, b = trace_split(delta, sigma, tol)
-    return TwoBoxModel(delta, a, b, sigma, tol)
+    return TwoBoxModel(delta, a, b, sigma)
 
 
 # -- BMW braid elements -------------------------------------------------
@@ -313,7 +304,7 @@ def unique_braid_check(
 ) -> tuple[Scalar, Scalar]:
     """The unique (c1, c2) in {q, -1/q}^2 solving the closure equation."""
     q, r = complex(q), complex(r)
-    if abs(q * q - 1.0) <= 1e-6 or abs(q * q + 1.0) <= 1e-6:
+    if abs(q * q - 1.0) <= tol.match_tol or abs(q * q + 1.0) <= tol.match_tol:
         raise MultipleSolutions("sign candidates coincide at q^4 = 1")
     dp, tr1, tr2 = bmw_two_box_traces(q, r, tol)
     target = dp * r - 1.0 / r
@@ -321,7 +312,7 @@ def unique_braid_check(
     hits = []
     for c1 in (q, -1.0 / q):
         for c2 in (q, -1.0 / q):
-            if abs(c1 * tr1 + c2 * tr2 - target) <= 1e-7 * scale:
+            if abs(c1 * tr1 + c2 * tr2 - target) <= tol.closure_tol * scale:
                 hits.append((c1, c2))
     if not hits:
         raise NoSolution(f"no closure solution at q={q}, r={r}")
@@ -340,19 +331,19 @@ def braid_pair(
     """
     q, r = complex(q), complex(r)
     d = model.delta
-    if at_brauer_point(q):
-        if abs(r - 1.0) > 1e-9:
+    if tol.at_brauer_point(q):
+        if abs(r - 1.0) > tol.eq_tol:
             raise BrauerDegenerate(f"q = 1 requires r = 1, got r = {r}")
         q, r = 1.0 + 0.0j, 1.0 + 0.0j
-        if abs(d - 4.0) > 1e-6:
+        if abs(d - 4.0) > tol.match_tol:
             raise ParameterMismatch(f"Brauer braid needs delta = 4, model has {d}")
     else:
         dp, tr1, tr2 = bmw_two_box_traces(q, r, tol)
         expected_dp = model.sigma * d
         if (
-            abs(dp - expected_dp) > 1e-6 * max(1.0, abs(dp))
-            or abs(tr1 - model.a) > 1e-6 * max(1.0, abs(tr1))
-            or abs(tr2 - model.b) > 1e-6 * max(1.0, abs(tr2))
+            abs(dp - expected_dp) > tol.match_tol * max(1.0, abs(dp))
+            or abs(tr1 - model.a) > tol.match_tol * max(1.0, abs(tr1))
+            or abs(tr2 - model.b) > tol.match_tol * max(1.0, abs(tr2))
         ):
             raise ParameterMismatch(
                 f"(q, r) = ({q}, {r}) traces do not match model "

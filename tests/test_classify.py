@@ -26,6 +26,10 @@ from skeinlab.errors import DegenerateDenominator, InadmissibleDelta, NoCanonica
 def test_admissible_depth3():
     adm = admissible_check(DEPTH3_DELTA)
     assert adm.case == "Depth3"
+    # The depth-3 loop value is a root of x^3 - 2x^2 - x + 1.
+    x = DEPTH3_DELTA
+    assert abs(x**3 - 2.0 * x**2 - x + 1.0) < 1e-12
+    assert x == pytest.approx(max(np.roots([1.0, -2.0, -1.0, 1.0]).real), abs=1e-12)
 
 
 def test_admissible_l_series():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from skeinlab import DEPTH3_DELTA
+from skeinlab import DEPTH3_DELTA, Tolerance
 from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, main
 
 from helpers import octahedron_diagram
@@ -156,6 +156,9 @@ def test_gram_rank_14(capsys):
     assert report["outputs"]["rank"] == 14
     lam_max = report["outputs"]["max_eigenvalue"]
     assert report["outputs"]["min_eigenvalue"] >= -1e-8 * lam_max
+    # The report lists the residual and the limit its verdict rests on.
+    assert report["residuals"]["gram_psd_min_eigenvalue"] == 0.0
+    assert report["tolerances"] == {"gram_psd_min_eigenvalue": 1e-8, "rank_tol": 1e-8}
 
 
 def test_ybe_passes_and_perturbation_fails(capsys):
@@ -238,6 +241,18 @@ def test_out_file_output(capsys, tmp_path):
     assert code == EXIT_PASS
     report = json.loads(target.read_text())
     assert report["outputs"]["rank"] == 14
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-6"])
+@pytest.mark.parametrize("command", ["classify", "ybe"])
+def test_tol_scales_the_listed_limits(capsys, command, tol):
+    code, out, _ = run(capsys, command, "--l", "12", "--tol", tol)
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    limits = Tolerance(eq_tol=float(tol)).limits
+    assert report["tolerances"] == {k: limits[k] for k in report["tolerances"]}
+    assert set(report["tolerances"]) >= {"ybe", "r1", "r2", "quad"}
+    assert report["tolerances"]["ybe"] == pytest.approx(float(tol) * 10, rel=1e-12)
 
 
 def test_tol_env_override(capsys, monkeypatch):

@@ -1,10 +1,12 @@
-"""Every name a skeinlab module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a skeinlab module imports is used in that module, every
+module-level private name is used somewhere in the package, and no module
+but `scalar` writes a threshold-sized float literal.
 
 No linter ships with the project, so these stdlib `ast` checks stand in
-for unused-import and unused-definition rules.  `__future__` imports and
-the package `__init__.py` (whose imports are re-exports) are exempt from
-the first.
+for unused-import and unused-definition rules and for the tolerance
+policy: every threshold is a `scalar.Tolerance` field or constant.
+`__future__` imports and the package `__init__.py` (whose imports are
+re-exports) are exempt from the first.
 """
 
 import ast
@@ -74,3 +76,25 @@ def test_every_private_name_is_used_in_the_package():
     used = set().union(*map(references, sources))
     defined = set().union(*map(private_definitions, sources))
     assert sorted(defined - used) == []
+
+
+def threshold_literals(source: str) -> list[str]:
+    """Float literals x with 0 < |x| <= 1e-3, the size of a threshold."""
+    return sorted(
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < abs(node.value) <= 1e-3
+    )
+
+
+def test_checker_flags_a_threshold_literal():
+    source = "def f(x, tol):\n    return abs(x) < 1e-9 or x > -2e-4 or x == 0.5 or abs(x) <= tol.eq_tol * 1e-3\n"
+    assert threshold_literals(source) == ["0.0002 (line 2)", "0.001 (line 2)", "1e-09 (line 2)"]
+    assert threshold_literals("x = 0.0 + 1e3 + 4.0\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"], ids=lambda p: p.name)
+def test_no_threshold_literals_outside_scalar(path):
+    assert threshold_literals(path.read_text()) == []

@@ -1,13 +1,14 @@
 import cmath
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from skeinlab import Tolerance, largest_real_root, principal_q_from_c, solve_quadratic
+from skeinlab import Tolerance, principal_q_from_c, solve_quadratic
 from skeinlab.errors import (
     DegenerateLeadingCoefficient,
-    NoRealRoot,
     NonFiniteScalar,
     NonRealInput,
 )
@@ -68,17 +69,6 @@ def test_principal_q_rejects_nonreal():
         principal_q_from_c(2.0 + 1.0j)
 
 
-def test_largest_real_root_cubic():
-    # x^3 - 2x^2 - x + 1 has its largest root at 1 + 2cos(2pi/7).
-    x = largest_real_root([1.0, -2.0, -1.0, 1.0])
-    assert abs(x - (1.0 + 2.0 * math.cos(2.0 * math.pi / 7.0))) < 1e-12
-
-
-def test_largest_real_root_no_real():
-    with pytest.raises(NoRealRoot):
-        largest_real_root([1.0, 0.0, 1.0])
-
-
 def test_check_finite():
     with pytest.raises(NonFiniteScalar):
         check_finite(float("nan"))
@@ -109,3 +99,73 @@ def test_tolerance_env_override(monkeypatch):
 def test_tolerance_positive():
     with pytest.raises(ValueError):
         Tolerance(eq_tol=0.0)
+
+
+# -- the threshold policy ------------------------------------------------
+
+# Each derived threshold and its value at the default eq_tol = 1e-9, which
+# is the literal it replaced in the pipeline.
+DERIVED = {"match_tol": 1e-6, "closure_tol": 1e-7, "drop_tol": 1e-9 * 1e-3}
+FIXED = {
+    "DEPTH3_WINDOW": 1e-6,
+    "L_WINDOW": 1e-6,
+    "BRAUER_WINDOW": 1e-9,
+    "TERM_DROP": 1e-14,
+    "TABLE_DROP": 1e-13,
+    "UNIT_SNAP": 1e-13,
+    "EIG_FLOOR": 1e-300,
+}
+LIMITS = {
+    "chirality": 1e-8,
+    "gram_psd_min_eigenvalue": 1e-8,
+    "ybe": 1e-8,
+    "r1": 1e-8,
+    "r2": 1e-8,
+    "quad": 1e-8,
+    "qr_roundtrip": 1e-9,
+}
+
+
+def test_tolerance_defaults_equal_the_old_literals():
+    tol = Tolerance()
+    assert (tol.eq_tol, tol.rank_tol) == (1e-9, 1e-8)
+    assert {name: getattr(tol, name) for name in DERIVED} == DERIVED
+    assert {name: getattr(tol, name) for name in FIXED} == FIXED
+    assert tol.limits == LIMITS
+
+
+def test_tolerance_round_trips_through_pickle():
+    tol = Tolerance(eq_tol=1e-6)
+    back = pickle.loads(pickle.dumps(tol))
+    assert back == tol and back.limits == tol.limits and back.match_tol == tol.match_tol
+
+
+def test_tolerance_has_two_settable_fields():
+    assert [f.name for f in dataclasses.fields(Tolerance) if f.init] == ["eq_tol", "rank_tol"]
+    with pytest.raises(TypeError):
+        Tolerance(match_tol=1e-3)
+
+
+@pytest.mark.parametrize("eq_tol", [1e-6, 1e-12])
+def test_derived_thresholds_scale_with_eq_tol(eq_tol):
+    tol = Tolerance(eq_tol=eq_tol)
+    ratio = eq_tol / 1e-9
+    for name, default in DERIVED.items():
+        assert getattr(tol, name) == pytest.approx(default * ratio, rel=1e-12), name
+    for key, default in LIMITS.items():
+        assert tol.limits[key] == pytest.approx(default * ratio, rel=1e-12), key
+    assert {name: getattr(tol, name) for name in FIXED} == FIXED
+    assert tol.rank_tol == 1e-8
+
+
+def test_over_limits_is_at_or_over():
+    tol = Tolerance()
+    residuals = {"ybe": 1e-8, "r1": 0.99e-8, "qr_roundtrip": 2e-9}
+    assert tol.over_limits(residuals) == ["qr_roundtrip", "ybe"]
+    assert Tolerance(eq_tol=1e-6).over_limits(residuals) == []
+
+
+def test_brauer_point_window_is_fixed():
+    for tol in (Tolerance(), Tolerance(eq_tol=1e-6)):
+        assert tol.at_brauer_point(1.0 + 0.5e-9)
+        assert not tol.at_brauer_point(1.0 + 2e-9)
