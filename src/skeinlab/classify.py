@@ -184,7 +184,7 @@ _BASIS_NAMES = ("e", "P1", "P2")
 def _support(coeffs: np.ndarray, tol: Tolerance) -> tuple[str, ...]:
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     lo = tol.eq_tol * scale
-    hi = 1e3 * lo
+    hi = tol.SUPPORT_BAND * lo
     out = []
     for name, c in zip(_BASIS_NAMES, coeffs):
         mag = abs(complex(c))

@@ -8,7 +8,8 @@ with `--tol`/`SKEINLAB_TOL` and is listed under `tolerances`, FAILs.
 A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
 report naming the exception, as `classify` does.
 
-Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage.
+Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage (bad arguments,
+or a `--tol`/`SKEINLAB_TOL` that `Tolerance` refuses).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 
 from .classify import L_SERIES_MIN, Stages, classify, delta_for_l
-from .errors import ShadingInconsistent, SkeinlabError, TriangleTableRequired
+from .errors import InvalidTolerance, ShadingInconsistent, SkeinlabError, TriangleTableRequired
 from .scalar import Tolerance
 from .skein import Diagram, Vertex, evaluate_detailed
 from .twobox import DEPTH3_DELTA, TwoBoxModel
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvalidTolerance as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SkeinlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -5,6 +5,11 @@ class SkeinlabError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidTolerance(SkeinlabError, ValueError):
+    """A tolerance that is not finite, not positive or too loose, or an
+    SKEINLAB_TOL that does not parse."""
+
+
 class NonFiniteScalar(SkeinlabError):
     """An operation produced (or received) a NaN or infinity."""
 

@@ -19,6 +19,7 @@ from typing import ClassVar
 
 from .errors import (
     DegenerateLeadingCoefficient,
+    InvalidTolerance,
     NoRealRoot,
     NonFiniteScalar,
     NonRealInput,
@@ -37,10 +38,11 @@ class Tolerance:
 
     Two values are set: eq_tol, the relative tolerance of `close` and
     `is_real`, and rank_tol, a ratio to the largest singular value of the
-    Gram matrix.  The fields derived from eq_tol judge agreement up to float
-    error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class
-    constants identify points of the locus or guard against float noise,
-    and stay fixed.
+    Gram matrix.  Both must be finite and positive, and eq_tol at most
+    EQ_TOL_MAX; anything else raises InvalidTolerance.  The fields derived
+    from eq_tol judge agreement up to float error, so they move with it
+    (`--tol`, `SKEINLAB_TOL`).  The class constants identify points of the
+    locus or guard against float noise, and stay fixed.
     """
 
     eq_tol: float = _EQ_TOL
@@ -56,6 +58,17 @@ class Tolerance:
     drop_tol: float = field(init=False, repr=False, compare=False)
     """Formal-sum terms up to this times the largest (floored at 1) drop."""
 
+    SUPPORT_BAND: ClassVar[float] = 1e3
+    """Top of the ambiguity band of a coproduct support coefficient, in
+    units of eq_tol times the coefficient scale: a coefficient between
+    eq_tol and SUPPORT_BAND * eq_tol (relative) is neither clearly zero nor
+    clearly present, and raises SupportAmbiguous."""
+    EQ_TOL_MAX: ClassVar[float] = 1e-5
+    """Largest accepted eq_tol.  The smallest relative support coefficient
+    on the locus is 3.9e-2, at the depth-3 point, and the band top
+    SUPPORT_BAND * eq_tol must stay below it: at eq_tol = 1e-4 it is 0.1, and
+    the depth-3 point FAILs.  Looser tolerances also let the perturbed-q
+    negative control pass (`ybe --l 12 --perturb-q 1.01 --tol 1e-2`)."""
     DEPTH3_WINDOW: ClassVar[float] = 1e-6
     """Window of the depth-3 point.  Fixed: the next admissible loop value
     is 0.49 away, and a window that shrank with --tol would miss a depth-3
@@ -81,8 +94,12 @@ class Tolerance:
     only keeps a zero matrix from dividing by zero."""
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.rank_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("eq_tol", "rank_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidTolerance(f"{name} must be finite and positive, got {value!r}")
+        if self.eq_tol > self.EQ_TOL_MAX:
+            raise InvalidTolerance(f"eq_tol must be at most {self.EQ_TOL_MAX:g}, got {self.eq_tol!r}")
         ratio = self.eq_tol / _EQ_TOL
         keys = ("chirality", "gram_psd_min_eigenvalue", "ybe", "r1", "r2", "quad")
         limits = dict.fromkeys(keys, 1e-8 * ratio)
@@ -98,7 +115,11 @@ class Tolerance:
         raw = os.environ.get("SKEINLAB_TOL")
         if raw is None:
             return cls()
-        return cls(eq_tol=float(raw))
+        try:
+            eq_tol = float(raw)
+        except ValueError:
+            raise InvalidTolerance(f"SKEINLAB_TOL={raw!r} is not a number") from None
+        return cls(eq_tol=eq_tol)
 
     def over_limits(self, residuals: Mapping[str, float]) -> list[str]:
         """Sorted keys whose residual is at or over its limit."""

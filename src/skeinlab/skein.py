@@ -20,7 +20,10 @@ Evaluation repeatedly removes a face with at most three sides:
                       supplied triangle table for the pure-generator case
 
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
-terminates.
+terminates.  A rewrite's surgery visits only the darts of the vertices it
+removes and copies the rest of the edge map as it stands, and a formal sum
+merges terms by `Diagram.canonical_key`, which rounds each label once and
+runs its BFS only from the vertices with the least label key.
 
 The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
 face and rewires the map; it emits an op (cap vertex u on a dart pair, or
@@ -259,38 +262,41 @@ class Diagram:
 
     def canonical_key(self, ndigits: int = 9):
         """Lexicographically minimal encoding over all BFS starting vertices;
-        invariant under vertex renumbering."""
-
-        def label_key(vert: Vertex):
-            return tuple(
-                (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
-                for c in vert.coeffs
-            ) + (vert.shading0,)
-
+        invariant under vertex renumbering.  An encoding opens with its
+        start's label key, so only the starts whose label key is the least
+        can give the minimum, and only those are searched."""
         if not self.vertices:
             return ("empty", self.free_loops)
 
+        edges = self.edges
+        labels = {
+            v: tuple(
+                (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
+                for c in vert.coeffs
+            ) + (vert.shading0,)
+            for v, vert in self.vertices.items()
+        }
+        least = min(labels.values())
         best = None
-        for start in self.vertices:
+        for start, label in labels.items():
+            if label != least:
+                continue
             order = {start: 0}
             queue = [start]
-            while queue:
-                v = queue.pop(0)
+            for v in queue:  # the queue grows while it is walked; it ends as the BFS order
                 for slot in range(4):
-                    w, _ = self.edges[(v, slot)]
+                    w = edges[(v, slot)][0]
                     if w not in order:
                         order[w] = len(order)
                         queue.append(w)
-            if len(order) < len(self.vertices):
+            if len(queue) < len(labels):
                 # Disconnected: canonicalize per component and combine.
                 return self._canonical_key_disconnected(ndigits)
             enc = []
-            inv = sorted(order, key=order.get)
-            for v in inv:
-                vert = self.vertices[v]
-                enc.append(label_key(vert))
+            for v in queue:
+                enc.append(labels[v])
                 for slot in range(4):
-                    w, wslot = self.edges[(v, slot)]
+                    w, wslot = edges[(v, slot)]
                     enc.append((order[w], wslot))
             key = tuple(enc)
             if best is None or key < best:
@@ -379,21 +385,25 @@ def _surgery(
     connections: list[tuple[Dart, Dart]] = list(itertools.chain(inner, new_edges))
     linked = {d for pair in connections for d in pair if is_connector(d)}
 
-    seen_pairs = set()
-    for a, b in diagram.edges.items():
-        if (b, a) in seen_pairs:
-            continue
-        seen_pairs.add((a, b))
-        a_rm, b_rm = is_connector(a), is_connector(b)
-        if not a_rm and not b_rm:
-            continue
-        dead_a = a_rm and a not in linked
-        dead_b = b_rm and b not in linked
-        if dead_a or dead_b:
-            if not (dead_a and dead_b):
-                raise InvariantViolation("half-dead edge in surgery")
-            continue
-        connections.append((a, b))
+    # Only the darts of removed vertices change: each of their edges joins
+    # the walk (or vanishes, dead at both ends) and leaves the edge map.
+    edges = dict(diagram.edges)
+    for u in removed:
+        for slot in range(4):
+            a = (u, slot)
+            b = diagram.edges[a]
+            edges.pop(a, None)
+            edges.pop(b, None)
+            b_rm = is_connector(b)
+            if b_rm and b < a:
+                continue  # the same edge, met from its other end
+            dead_a = a not in linked
+            dead_b = b_rm and b not in linked
+            if dead_a or dead_b:
+                if not (dead_a and dead_b):
+                    raise InvariantViolation("half-dead edge in surgery")
+                continue
+            connections.append((a, b))
 
     paired, loops = walk_connections(connections, is_connector)
 
@@ -403,9 +413,7 @@ def _surgery(
         diagram.free_loops + loops,
     )
     result.vertices.update(new_vertices)
-    for a, b in diagram.edges.items():
-        if not is_connector(a) and not is_connector(b) and a < b:
-            result.add_edge(a, b)
+    result.edges = edges
     for a, b in paired:
         result.add_edge(a, b)
     return result, loops
@@ -598,9 +606,11 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle):
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
 
+    floor = tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
+
     out = []
     for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
-        if abs(c_i) < tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs)))):
+        if abs(c_i) < floor:
             continue
         new_vertices = {}
         new_edges = []

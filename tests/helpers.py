@@ -1,11 +1,19 @@
 """Diagram builders shared across the test modules."""
 
+import itertools
 import math
 
 import numpy as np
 
 from skeinlab import Diagram, Vertex
-from skeinlab.errors import MalformedPairing, NonPlanar, ShadingInconsistent, SkeinlabError
+from skeinlab.errors import (
+    InvariantViolation,
+    MalformedPairing,
+    NonPlanar,
+    ShadingInconsistent,
+    SkeinlabError,
+)
+from skeinlab.skein import walk_connections
 
 
 def trace_closure(coeffs):
@@ -120,6 +128,165 @@ def octahedron_diagram(labels):
             done.add((v, w))
             d.add_edge((v, slots[(v, w)]), (w, slots[(w, v)]))
     return d.infer_shading()
+
+
+# Plane straight-line drawings of small polyhedra (one face outside):
+# name -> (vertex coordinates, edges).
+SCHLEGEL = {
+    "tetrahedron": (
+        {0: (0.0, 2.0), 1: (-2.0, -1.0), 2: (2.0, -1.0), 3: (0.0, 0.0)},
+        [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)],
+    ),
+    "square_pyramid": (
+        {0: (-1.0, -1.0), 1: (1.0, -1.0), 2: (1.0, 1.0), 3: (-1.0, 1.0), 4: (0.0, 0.0)},
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (2, 4), (3, 4)],
+    ),
+    "triangular_prism": (
+        {0: (0.0, 2.0), 1: (-2.0, -1.0), 2: (2.0, -1.0),
+         3: (0.0, 0.7), 4: (-0.6, -0.35), 5: (0.6, -0.35)},
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)],
+    ),
+}
+
+
+def medial_diagram(name, labels):
+    """The medial map of a polyhedron in SCHLEGEL: one vertex per edge, one
+    face per polyhedron face and per polyhedron vertex, so every triangle
+    and every degree-3 vertex gives a 3-gon.  Vertex i sits on edge
+    (u, v) = edges[i]; its darts, counterclockwise, run to the edges before
+    u around v, after v around u, before v around u and after u around v."""
+    coords, edges = SCHLEGEL[name]
+    index = {frozenset(e): i for i, e in enumerate(edges)}
+
+    def dart(x, w, after):
+        """The dart of the vertex on edge xw that lies after (or before)
+        that edge around x."""
+        i = index[frozenset((x, w))]
+        at_u = edges[i][0] == x
+        return (i, (1 if after else 2) if at_u else (3 if after else 0))
+
+    d = Diagram({i: Vertex(tuple(labels[i])) for i in range(len(edges))}, {})
+    for x, (px, py) in coords.items():
+        nbrs = sorted(
+            (b if a == x else a for a, b in edges if x in (a, b)),
+            key=lambda w: math.atan2(coords[w][1] - py, coords[w][0] - px),
+        )
+        for a, b in zip(nbrs, nbrs[1:] + nbrs[:1]):
+            d.add_edge(dart(x, a, True), dart(x, b, False))
+    return d.infer_shading()
+
+
+def renumbered(d, rng):
+    """d with its vertices renumbered to seeded sparse ids, listed in a
+    seeded order."""
+    ids = rng.choice(10 * len(d.vertices) + 10, size=len(d.vertices), replace=False)
+    new = {v: int(i) for v, i in zip(d.vertices, ids)}
+    order = [list(d.vertices)[k] for k in rng.permutation(len(d.vertices))]
+    return Diagram(
+        {new[v]: d.vertices[v] for v in order},
+        {(new[a], sa): (new[b], sb) for (a, sa), (b, sb) in d.edges.items()},
+        d.free_loops,
+    )
+
+
+def disjoint_union(*parts, free_loops=0):
+    """The diagrams side by side, vertex ids shifted apart."""
+    out = Diagram({}, {}, free_loops)
+    for d in parts:
+        shift = max(out.vertices, default=-1) + 1 - min(d.vertices, default=0)
+        out.vertices.update({v + shift: vert for v, vert in d.vertices.items()})
+        out.edges.update({(a + shift, sa): (b + shift, sb) for (a, sa), (b, sb) in d.edges.items()})
+        out.free_loops += d.free_loops
+    return out
+
+
+def reference_canonical_key(d, ndigits=9):
+    """The all-starts `Diagram.canonical_key` that the minimal-label search
+    replaced, kept as a test oracle: a BFS from every vertex, each label
+    rounded again for every start, and components keyed the same way."""
+
+    def label_key(vert):
+        return tuple(
+            (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
+            for c in vert.coeffs
+        ) + (vert.shading0,)
+
+    if not d.vertices:
+        return ("empty", d.free_loops)
+    best = None
+    for start in d.vertices:
+        order = {start: 0}
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            for slot in range(4):
+                w, _ = d.edges[(v, slot)]
+                if w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
+        if len(order) < len(d.vertices):
+            parts = []
+            for comp in d.components():
+                sub = Diagram(
+                    {v: d.vertices[v] for v in comp},
+                    {a: b for a, b in d.edges.items() if a[0] in comp},
+                    0,
+                )
+                parts.append(reference_canonical_key(sub, ndigits))
+            return ("multi", d.free_loops, tuple(sorted(map(repr, parts))))
+        enc = []
+        for v in sorted(order, key=order.get):
+            enc.append(label_key(d.vertices[v]))
+            for slot in range(4):
+                w, wslot = d.edges[(v, slot)]
+                enc.append((order[w], wslot))
+        key = tuple(enc)
+        if best is None or key < best:
+            best = key
+    return ("diagram", d.free_loops, best)
+
+
+def reference_surgery(diagram, removed, inner, new_vertices=None, new_edges=None):
+    """The full-scan `skein._surgery` that the local one replaced, kept as a
+    test oracle: every edge of the diagram is scanned for removed darts,
+    and the result is rebuilt edge by edge."""
+    new_vertices = new_vertices or {}
+    new_edges = new_edges or []
+
+    def is_connector(d):
+        return d[0] in removed
+
+    connections = list(itertools.chain(inner, new_edges))
+    linked = {d for pair in connections for d in pair if is_connector(d)}
+    seen_pairs = set()
+    for a, b in diagram.edges.items():
+        if (b, a) in seen_pairs:
+            continue
+        seen_pairs.add((a, b))
+        a_rm, b_rm = is_connector(a), is_connector(b)
+        if not a_rm and not b_rm:
+            continue
+        dead_a = a_rm and a not in linked
+        dead_b = b_rm and b not in linked
+        if dead_a or dead_b:
+            if not (dead_a and dead_b):
+                raise InvariantViolation("half-dead edge in surgery")
+            continue
+        connections.append((a, b))
+
+    paired, loops = walk_connections(connections, is_connector)
+    result = Diagram(
+        {v: vert for v, vert in diagram.vertices.items() if v not in removed},
+        {},
+        diagram.free_loops + loops,
+    )
+    result.vertices.update(new_vertices)
+    for a, b in diagram.edges.items():
+        if not is_connector(a) and not is_connector(b) and a < b:
+            result.add_edge(a, b)
+    for a, b in paired:
+        result.add_edge(a, b)
+    return result, loops
 
 
 def reference_validate(d, check_shading=True):

@@ -255,6 +255,29 @@ def test_tol_scales_the_listed_limits(capsys, command, tol):
     assert report["tolerances"]["ybe"] == pytest.approx(float(tol) * 10, rel=1e-12)
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1e-4"])
+def test_tol_out_of_range_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "classify", "--l", "12", "--tol", tol)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_tol_env_that_does_not_parse_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SKEINLAB_TOL", "abc")
+    code, out, err = run(capsys, "classify", "--l", "12")
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["1e-5", "1e-6", "1e-12"])
+@pytest.mark.parametrize("locus", [("--depth3",), ("--l", "12")])
+def test_accepted_tol_keeps_the_verdicts(capsys, locus, tol):
+    assert run(capsys, "classify", *locus, "--tol", tol)[0] == EXIT_PASS
+    assert run(capsys, "ybe", *locus, "--tol", tol)[0] == EXIT_PASS
+    assert run(capsys, "ybe", *locus, "--tol", tol, "--perturb-q", "1.01")[0] == EXIT_FAIL
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SKEINLAB_TOL", "1e-6")
     code, out, _ = run(capsys, "classify", "--l", "12")

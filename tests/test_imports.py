@@ -1,6 +1,7 @@
 """Every name a skeinlab module imports is used in that module, every
 module-level private name is used somewhere in the package, and no module
-but `scalar` writes a threshold-sized float literal.
+but `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
+more).
 
 No linter ships with the project, so these stdlib `ast` checks stand in
 for unused-import and unused-definition rules and for the tolerance
@@ -79,20 +80,24 @@ def test_every_private_name_is_used_in_the_package():
 
 
 def threshold_literals(source: str) -> list[str]:
-    """Float literals x with 0 < |x| <= 1e-3, the size of a threshold."""
+    """Float literals x with 0 < |x| <= 1e-3, the size of a threshold, or
+    |x| >= 1e3, the size of a threshold's factor."""
     return sorted(
         f"{node.value!r} (line {node.lineno})"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Constant)
         and type(node.value) is float
-        and 0.0 < abs(node.value) <= 1e-3
+        and (0.0 < abs(node.value) <= 1e-3 or abs(node.value) >= 1e3)
     )
 
 
 def test_checker_flags_a_threshold_literal():
     source = "def f(x, tol):\n    return abs(x) < 1e-9 or x > -2e-4 or x == 0.5 or abs(x) <= tol.eq_tol * 1e-3\n"
     assert threshold_literals(source) == ["0.0002 (line 2)", "0.001 (line 2)", "1e-09 (line 2)"]
-    assert threshold_literals("x = 0.0 + 1e3 + 4.0\n") == []
+    assert threshold_literals("x = 0.0 + 1e3 + 4.0 - 2e5 + 999.0 + 1000\n") == [
+        "1000.0 (line 1)",
+        "200000.0 (line 1)",
+    ]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"], ids=lambda p: p.name)

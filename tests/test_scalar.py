@@ -9,6 +9,7 @@ import pytest
 from skeinlab import Tolerance, principal_q_from_c, solve_quadratic
 from skeinlab.errors import (
     DegenerateLeadingCoefficient,
+    InvalidTolerance,
     NonFiniteScalar,
     NonRealInput,
 )
@@ -101,6 +102,35 @@ def test_tolerance_positive():
         Tolerance(eq_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"eq_tol": -1.0},
+        {"eq_tol": math.nan},
+        {"eq_tol": math.inf},
+        {"eq_tol": 1e-4},
+        {"rank_tol": 0.0},
+        {"rank_tol": math.nan},
+    ],
+)
+def test_tolerance_refuses_bad_values(kwargs):
+    with pytest.raises(InvalidTolerance):
+        Tolerance(**kwargs)
+
+
+def test_tolerance_accepts_up_to_eq_tol_max():
+    assert Tolerance(eq_tol=Tolerance.EQ_TOL_MAX).eq_tol == 1e-5
+    # The support band top stays below the smallest relative support
+    # coefficient on the locus, 3.9e-2 at the depth-3 point.
+    assert Tolerance.SUPPORT_BAND * Tolerance.EQ_TOL_MAX < 3.9e-2
+
+
+def test_tolerance_env_that_does_not_parse(monkeypatch):
+    monkeypatch.setenv("SKEINLAB_TOL", "abc")
+    with pytest.raises(InvalidTolerance, match="SKEINLAB_TOL"):
+        Tolerance.from_env()
+
+
 # -- the threshold policy ------------------------------------------------
 
 # Each derived threshold and its value at the default eq_tol = 1e-9, which
@@ -114,6 +144,8 @@ FIXED = {
     "TABLE_DROP": 1e-13,
     "UNIT_SNAP": 1e-13,
     "EIG_FLOOR": 1e-300,
+    "SUPPORT_BAND": 1e3,
+    "EQ_TOL_MAX": 1e-5,
 }
 LIMITS = {
     "chirality": 1e-8,

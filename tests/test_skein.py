@@ -4,9 +4,14 @@ import pytest
 from helpers import (
     coproduct_product_trace_closure,
     coproduct_trace_closure,
+    disjoint_union,
+    medial_diagram,
     octahedron_diagram,
     product_trace_closure,
     random_diagram_corpus,
+    reference_canonical_key,
+    reference_surgery,
+    renumbered,
     rotated_trace_closure,
     trace_closure,
 )
@@ -20,7 +25,9 @@ from skeinlab import (
     find_small_face,
     reduce_once,
 )
+from skeinlab import skein
 from skeinlab.errors import (
+    InvariantViolation,
     MalformedPairing,
     NonPlanar,
     ShadingInconsistent,
@@ -252,3 +259,137 @@ def test_evaluation_multiplicative_over_components(model12):
     v = evaluate(both, model12)
     want = evaluate(d1, model12) * evaluate(d2, model12)
     assert abs(v - want) < 1e-9 * max(1.0, abs(want))
+
+
+# -- canonical keys and surgery against their full-search references ---------
+
+
+@pytest.fixture(scope="module")
+def triangle_rich(model12):
+    """3-gon-rich diagrams by name: tied labels (the exact generator on
+    every vertex), mixed and generic labels, self-loops, and disconnected
+    diagrams with free loops."""
+    g = model12.uncappable().coeffs
+    rng = np.random.default_rng(11)
+
+    def labels(n, kind):
+        if kind == "tied":
+            return [g] * n
+        if kind == "mixed":
+            return [g if v % 2 == 0 else tuple(rng.normal(size=3)) for v in range(n)]
+        return [tuple(rng.normal(size=3)) for _ in range(n)]
+
+    out = {}
+    for kind in ("tied", "mixed", "generic"):
+        out[f"octahedron-{kind}"] = octahedron_diagram(labels(6, kind))
+        out[f"square_pyramid-{kind}"] = medial_diagram("square_pyramid", labels(8, kind))
+    out["triangular_prism-tied"] = medial_diagram("triangular_prism", labels(9, "tied"))
+    out["triangular_prism-mixed"] = medial_diagram("triangular_prism", labels(9, "mixed"))
+    out["tetrahedron-mixed"] = medial_diagram("tetrahedron", labels(6, "mixed"))
+    x, y, z, w = labels(4, "generic")
+    out["self-loops"] = disjoint_union(
+        trace_closure(x), rotated_trace_closure(y), coproduct_trace_closure(z, w)
+    )
+    out["disconnected"] = disjoint_union(
+        octahedron_diagram(labels(6, "tied")),
+        coproduct_product_trace_closure(g, g, labels(1, "generic")[0]),
+        trace_closure(labels(1, "generic")[0]),
+        free_loops=2,
+    )
+    return out
+
+
+def _relabeled(d, rng):
+    """d with its labels permuted among its vertices by a seeded draw."""
+    verts = list(d.vertices.values())
+    perm = rng.permutation(len(verts))
+    return Diagram(
+        {v: Vertex(verts[k].coeffs, d.vertices[v].shading0) for v, k in zip(d.vertices, perm)},
+        dict(d.edges),
+        d.free_loops,
+    )
+
+
+def test_canonical_key_matches_the_all_starts_reference(triangle_rich):
+    rng = np.random.default_rng(12)
+    corpus = list(triangle_rich.values()) + random_diagram_corpus(rng, 20, max_vertices=5)
+    for d in corpus:
+        want = reference_canonical_key(d)
+        assert d.canonical_key() == want
+        for _ in range(4):
+            assert renumbered(d, rng).canonical_key() == want
+            moved = _relabeled(d, rng)
+            assert moved.canonical_key() == reference_canonical_key(moved)
+
+
+def test_canonical_key_matches_the_reference_on_reduction_terms(model12, table12, triangle_rich):
+    """Every term met while reducing the corpus: self-loops, disconnected
+    terms and tied generator labels after each 3-gon expansion."""
+    seen = 0
+    for name in ("octahedron-tied", "octahedron-mixed", "square_pyramid-mixed", "disconnected"):
+        s = FormalSum([(complex(1.0), triangle_rich[name])])
+        while not s.is_scalar:
+            s = reduce_once(s, model12, table12)
+            for _, diag in s.terms:
+                assert diag.canonical_key() == reference_canonical_key(diag)
+                seen += 1
+    assert seen > 100
+
+
+def test_surgery_matches_the_full_scan_reference(model12, table12, triangle_rich, monkeypatch):
+    local = skein._surgery
+    calls = []
+
+    def checked(diagram, removed, inner, new_vertices=None, new_edges=None):
+        got, loops = local(diagram, removed, inner, new_vertices, new_edges)
+        want, want_loops = reference_surgery(diagram, removed, inner, new_vertices, new_edges)
+        assert list(got.vertices.items()) == list(want.vertices.items())
+        assert got.edges == want.edges
+        assert (got.free_loops, loops) == (want.free_loops, want_loops)
+        calls.append(len(removed))
+        return got, loops
+
+    monkeypatch.setattr(skein, "_surgery", checked)
+    for d in triangle_rich.values():
+        evaluate(d, model12, table12)
+    assert len(calls) > 100 and {1, 2, 3} <= set(calls)
+
+
+def test_surgery_on_removed_self_loops(model12):
+    # Capping a self-looped vertex: one edge dead at both ends, one closed
+    # by the inner arc into a free loop.
+    d = trace_closure(model12.uncappable().coeffs)
+    inner = [((0, 2), (0, 3))]
+    got, loops = skein._surgery(d, {0}, inner)
+    want, _ = reference_surgery(d, {0}, inner)
+    assert (got.vertices, got.edges, got.free_loops, loops) == ({}, {}, 1, 1)
+    assert (want.vertices, want.edges, want.free_loops) == ({}, {}, 1)
+    # A removed dart with no connection whose partner survives.
+    two = product_trace_closure((1, 0, 0), (0, 1, 0))
+    for surgery in (skein._surgery, reference_surgery):
+        with pytest.raises(InvariantViolation, match="half-dead"):
+            surgery(two, {0}, [((0, 0), (0, 1))])
+
+
+# evaluate() on the diagrams above at l = 12, (re, im) as hex floats, as the
+# all-starts canonical key and the full-scan surgery computed them.
+PINNED = {
+    "octahedron-tied": ("-0x1.6e34391a336e9p+13", "0x0.0p+0"),
+    "square_pyramid-tied": ("-0x1.136ab2b276bd4p+14", "0x0.0p+0"),
+    "octahedron-mixed": ("-0x1.f5aa3528510b8p+1", "0x0.0p+0"),
+    "square_pyramid-mixed": ("-0x1.8b593d637a0e6p+6", "0x0.0p+0"),
+    "octahedron-generic": ("0x1.1d411d65197dcp-1", "0x0.0p+0"),
+    "square_pyramid-generic": ("0x1.fc220d6199785p-1", "0x0.0p+0"),
+    "triangular_prism-tied": ("-0x1.66e77396b4c26p+15", "0x0.0p+0"),
+    "triangular_prism-mixed": ("-0x1.747cafa8737e4p+8", "0x0.0p+0"),
+    "tetrahedron-mixed": ("-0x1.80e35e76dc5bcp+6", "0x0.0p+0"),
+    "self-loops": ("-0x1.68bbb44a4ce5fp+7", "0x0.0p+0"),
+    "disconnected": ("-0x1.88125951e336ap+20", "0x0.0p+0"),
+}
+
+
+def test_evaluate_values_are_pinned(model12, table12, triangle_rich):
+    assert set(PINNED) == set(triangle_rich)
+    for name, d in triangle_rich.items():
+        re, im = PINNED[name]
+        assert evaluate(d, model12, table12) == complex(float.fromhex(re), float.fromhex(im)), name
