@@ -19,7 +19,7 @@ import json
 import sys
 
 from .classify import L_SERIES_MIN, Stages, classify, delta_for_l
-from .errors import InvalidTolerance, ShadingInconsistent, SkeinlabError, TriangleTableRequired
+from .errors import InvalidTolerance, SkeinlabError, TriangleTableRequired
 from .scalar import Tolerance
 from .skein import Diagram, Vertex, evaluate_detailed
 from .twobox import DEPTH3_DELTA, TwoBoxModel
@@ -110,7 +110,9 @@ def _fail(args, inputs: dict, exc: SkeinlabError, **outputs) -> int:
 
 def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
     """Parse a DiagramFile: {"free_loops", "vertices", "edges"}; the label
-    "G" stands for the uncappable generator b*P1 - a*P2."""
+    "G" stands for the uncappable generator b*P1 - a*P2.  Shading bits are
+    optional: once the pairing and planarity check out, they are inferred
+    from the least vertex id of each component, so consistent bits stay."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -122,25 +124,23 @@ def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
             return complex(c[0], c[1])
         return complex(c)
 
-    vertices = {}
-    for entry in doc.get("vertices", []):
-        label = entry["label"]
-        if label == "G":
-            coeffs = model.uncappable().coeffs
-        else:
-            coeffs = tuple(coeff(c) for c in label)
-        vertices[int(entry["id"])] = Vertex(coeffs, int(entry.get("shading0", 0)))
-    d = Diagram(vertices, {}, int(doc.get("free_loops", 0)))
-    for (a, sa), (b, sb) in doc.get("edges", []):
-        d.add_edge((int(a), int(sa)), (int(b), int(sb)))
     try:
-        d.validate(check_shading=True)
-    except ShadingInconsistent:
-        # Shading bits are optional in the file; re-derive them if absent
-        # or inconsistent, then validate for real.
-        d = d.infer_shading()
-        d.validate(check_shading=True)
-    return d
+        vertices = {}
+        for entry in doc.get("vertices", []):
+            label = entry["label"]
+            if label == "G":
+                coeffs = model.uncappable().coeffs
+            else:
+                e, p1, p2 = (coeff(c) for c in label)  # exactly three, or ValueError
+                coeffs = (e, p1, p2)
+            vertices[int(entry["id"])] = Vertex(coeffs, int(entry.get("shading0", 0)))
+        d = Diagram(vertices, {}, int(doc.get("free_loops", 0)))
+        for (a, sa), (b, sb) in doc.get("edges", []):
+            d.add_edge((int(a), int(sa)), (int(b), int(sb)))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SkeinlabError(f"{path}: malformed diagram file: {type(exc).__name__}: {exc}") from exc
+    d.validate(check_shading=False)
+    return d.infer_shading()
 
 
 # -- commands ------------------------------------------------------------

@@ -6,9 +6,9 @@ counterclockwise order with dart 0 at the $-position, and the edges are a
 fixed-point-free involution on darts.  Faces are the orbits of the face
 permutation phi(v, d) = partner(v, d+1); planarity is enforced through the
 Euler characteristic of every connected component.  `Diagram.validate`
-runs on every input to `evaluate`: it checks the pairing, then walks every
-face once, counting faces and components and noting any face that mixes
-shading parities.
+runs on every input to `evaluate`: it checks the pairing, then counts the
+faces of `faces()` against the components of `components()`, looks for a
+face that mixes shading parities, and checks that every label is finite.
 
 Evaluation repeatedly removes a face with at most three sides:
 
@@ -22,8 +22,8 @@ Evaluation repeatedly removes a face with at most three sides:
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
 terminates.  A rewrite's surgery visits only the darts of the vertices it
 removes and copies the rest of the edge map as it stands, and a formal sum
-merges terms by `Diagram.canonical_key`, which rounds each label once and
-runs its BFS only from the vertices with the least label key.
+merges terms by `Diagram.canonical_key`, which reads each `Vertex.key` once
+and runs its BFS only from the vertices with the least label key.
 
 The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
 face and rewires the map; it emits an op (cap vertex u on a dart pair, or
@@ -57,7 +57,7 @@ from .errors import (
     ShadingInconsistent,
     TriangleTableRequired,
 )
-from .scalar import DEFAULT_TOL, Scalar, Tolerance
+from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
 from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
 
 Dart = tuple[int, int]
@@ -73,6 +73,14 @@ class Vertex:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+
+    @property
+    def key(self) -> tuple:
+        """What canonical forms compare: the coefficients rounded to 9
+        decimals, signed zeros merged, then the shading bit."""
+        return tuple(
+            (round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in self.coeffs
+        ) + (self.shading0,)
 
 
 class Diagram:
@@ -162,11 +170,9 @@ class Diagram:
     # -- validation ------------------------------------------------------
 
     def validate(self, check_shading: bool = True) -> None:
-        """Raise MalformedPairing, NonPlanar or ShadingInconsistent, checked
-        in that order.  After the pairing checks, one walk over the faces
-        counts them, merges the vertices of each face in a union-find
-        and notes the first face that mixes shading parities.  A 4-valent
-        component has E = 2V, so it is planar iff F - V = 2."""
+        """Raise MalformedPairing, NonPlanar, ShadingInconsistent or
+        NonFiniteScalar, checked in that order.  A 4-valent component has
+        E = 2V, so it is planar iff F - V = 2."""
         verts, edges = self.vertices, self.edges
         all_darts = {(v, s) for v in verts for s in range(4)}
         darts, partners = edges.keys(), edges.values()
@@ -184,52 +190,27 @@ class Diagram:
         if self.free_loops < 0:
             raise MalformedPairing("negative free loop count")
 
-        comp = {v: v for v in verts}  # quick-find union-find: vertex -> label
-        members = {v: [v] for v in verts}  # label -> its vertices
-        seen: set[Dart] = set()
-        n_faces = 0
-        mixed = None
-        for v0, vert0 in verts.items():
-            for s0 in range(4):
-                start = (v0, s0)
-                if start in seen:
-                    continue
-                n_faces += 1
-                c0 = comp[v0]
-                # The region after dart s has parity shading0 + s + 1 (regions
-                # alternate, the one before dart 0 carries shading0); a face
-                # mixes parities iff its shading0 + s do.
-                parity = (vert0.shading0 + s0) % 2
-                d = start
-                while True:
-                    seen.add(d)
-                    v, s = d
-                    c = comp[v]
-                    if c != c0:  # the corners of a face share a component
-                        if len(members[c]) > len(members[c0]):
-                            c, c0 = c0, c  # move the smaller group
-                        moved = members.pop(c)
-                        members[c0] += moved
-                        for w in moved:
-                            comp[w] = c0
-                    if mixed is None and (verts[v].shading0 + s) % 2 != parity:
-                        mixed = start
-                    d = edges[(v, (s + 1) % 4)]
-                    if d == start:
-                        break
-
+        faces, comps = self.faces(), self.components()
         # Each component has V - E + F = F - V = 2 - 2g <= 2, so the total
         # is 2 per component exactly when every component is planar.
-        if n_faces - len(verts) != 2 * len(members):
-            excess = {c: -len(vs) for c, vs in members.items()}
-            for face in self.faces():
-                excess[comp[face[0][0]]] += 1
-            c, x = next((c, x) for c, x in excess.items() if x != 2)
-            raise NonPlanar(f"component {sorted(members[c])}: V-E+F = {x} != 2")
+        if len(faces) - len(verts) != 2 * len(comps):
+            comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+            excess = [-len(comp) for comp in comps]
+            for face in faces:
+                excess[comp_of[face[0][0]]] += 1
+            i, x = next((i, x) for i, x in enumerate(excess) if x != 2)
+            raise NonPlanar(f"component {sorted(comps[i])}: V-E+F = {x} != 2")
 
-        if check_shading and mixed is not None:
-            face = next(f for f in self.faces() if mixed in f)
-            raise ShadingInconsistent(f"face {face} mixes shading parities")
+        if check_shading:
+            # The region after dart s has parity shading0 + s + 1 (regions
+            # alternate, the one before dart 0 carries shading0); a face
+            # mixes parities iff its shading0 + s do.
+            for face in faces:
+                if len({(verts[v].shading0 + s) % 2 for v, s in face}) > 1:
+                    raise ShadingInconsistent(f"face {face} mixes shading parities")
+
+        for vert in verts.values():
+            check_finite(*vert.coeffs)
 
     def infer_shading(self) -> "Diagram":
         """Reassign shading bits by propagation (root of each component keeps
@@ -260,7 +241,7 @@ class Diagram:
 
     # -- canonical form --------------------------------------------------
 
-    def canonical_key(self, ndigits: int = 9):
+    def canonical_key(self):
         """Lexicographically minimal encoding over all BFS starting vertices;
         invariant under vertex renumbering.  An encoding opens with its
         start's label key, so only the starts whose label key is the least
@@ -269,13 +250,7 @@ class Diagram:
             return ("empty", self.free_loops)
 
         edges = self.edges
-        labels = {
-            v: tuple(
-                (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
-                for c in vert.coeffs
-            ) + (vert.shading0,)
-            for v, vert in self.vertices.items()
-        }
+        labels = {v: vert.key for v, vert in self.vertices.items()}
         least = min(labels.values())
         best = None
         for start, label in labels.items():
@@ -291,7 +266,7 @@ class Diagram:
                         queue.append(w)
             if len(queue) < len(labels):
                 # Disconnected: canonicalize per component and combine.
-                return self._canonical_key_disconnected(ndigits)
+                return self._canonical_key_disconnected()
             enc = []
             for v in queue:
                 enc.append(labels[v])
@@ -303,7 +278,7 @@ class Diagram:
                 best = key
         return ("diagram", self.free_loops, best)
 
-    def _canonical_key_disconnected(self, ndigits: int):
+    def _canonical_key_disconnected(self):
         parts = []
         for comp in self.components():
             sub = Diagram(
@@ -311,7 +286,7 @@ class Diagram:
                 {a: b for a, b in self.edges.items() if a[0] in comp},
                 0,
             )
-            parts.append(sub.canonical_key(ndigits))
+            parts.append(sub.canonical_key())
         return ("multi", self.free_loops, tuple(sorted(map(repr, parts))))
 
 
@@ -612,36 +587,14 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle):
     for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
         if abs(c_i) < floor:
             continue
-        new_vertices = {}
-        new_edges = []
-        vid_map = {}
-        for pv, vert in dict(pattern.vertices).items():
-            vid_map[pv] = nid0 + pv
-            new_vertices[nid0 + pv] = vert
-        for (pa, sa), (pb, sb) in pattern.internal_edges:
-            new_edges.append(((vid_map[pa], sa), (vid_map[pb], sb)))
-        arcs_done = set()
-        for i, att in enumerate(pattern.boundary):
-            if att[0] == "v":
-                _, pv, slot = att
-                new_edges.append((ext[i], (vid_map[pv], slot)))
-            else:
-                j = att[1]
-                if (min(i, j), max(i, j)) in arcs_done:
-                    continue
-                arcs_done.add((min(i, j), max(i, j)))
-                new_edges.append((ext[i], ext[j]))
-        reduced, _ = _surgery(diag, removed, [], new_vertices, new_edges)
+        new_vertices, inner, legs = pattern.wiring(nid0, ext.__getitem__)
+        reduced, _ = _surgery(diag, removed, [], new_vertices, inner + legs)
         # Pattern vertices arrive with placeholder shading bits.
         out.append((coeff * c_i, reduced.infer_shading()))
     return out
 
 
 # -- public operations ---------------------------------------------------
-
-
-def validate(d: Diagram) -> None:
-    d.validate(check_shading=True)
 
 
 def small_faces(d: Diagram) -> list[list[Dart]]:

@@ -49,11 +49,23 @@ class Pattern:
         if len(self.boundary) != 6:
             raise InvariantViolation("a 3-box pattern has 6 boundary points")
 
-    @property
-    def vertex_map(self) -> dict[int, Vertex]:
-        return dict(self.vertices)
+    def wiring(self, off: int, point) -> tuple[dict[int, Vertex], list, list]:
+        """The pattern placed in a diagram: its vertices with ids shifted by
+        `off`, its internal edges, and the legs that join boundary point i to
+        `point(i)`, an arc i-j giving the leg point(i)-point(j) once."""
+        vertices = {vid + off: v for vid, v in self.vertices}
+        inner = [((a + off, sa), (b + off, sb)) for (a, sa), (b, sb) in self.internal_edges]
+        legs = []
+        arcs = set()
+        for i, att in enumerate(self.boundary):
+            if att[0] == "v":
+                legs.append((point(i), (att[1] + off, att[2])))
+            elif (arc := tuple(sorted((i, att[1])))) not in arcs:
+                arcs.add(arc)
+                legs.append((point(i), point(att[1])))
+        return vertices, inner, legs
 
-    def key(self, ndigits: int = 9):
+    def key(self):
         """Canonical form under vertex renumbering (boundary points are
         fixed, so a boundary-first scan pins the order)."""
         order: dict[int, int] = {}
@@ -63,33 +75,22 @@ class Pattern:
                 order[vid] = len(order)
             return order[vid]
 
-        vmap = self.vertex_map
+        vmap = dict(self.vertices)
         adjacency = {}
         for (a, sa), (b, sb) in self.internal_edges:
             adjacency[(a, sa)] = (b, sb)
             adjacency[(b, sb)] = (a, sa)
 
         enc = []
-        queue = []
         for att in self.boundary:
             if att[0] == "v":
                 enc.append(("v", see(att[1]), att[2]))
-                queue.append(att[1])
             else:
                 enc.append(("b", att[1]))
         # encode each vertex in discovered order: label + internal edges
-        idx = 0
-        listed = sorted(order, key=order.get)
-        while idx < len(listed):
-            vid = listed[idx]
-            idx += 1
-            vert = vmap[vid]
-            enc.append(
-                tuple(
-                    (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
-                    for c in vert.coeffs
-                )
-            )
+        listed = list(order)
+        for vid in listed:  # the list grows while it is walked
+            enc.append(vmap[vid].key)
             for slot in range(4):
                 link = adjacency.get((vid, slot))
                 if link is None:
@@ -125,42 +126,14 @@ def mirror(p: Pattern) -> Pattern:
 
 def closure(x: Pattern, y: Pattern) -> Diagram:
     """The closed diagram of tr_3(y* x): glue x with the mirror of y."""
-    ym = mirror(y)
     off = max((vid for vid, _ in x.vertices), default=-1) + 1
+    x_verts, x_inner, x_legs = x.wiring(0, lambda i: ("g", i))
+    # mirror(y)'s boundary point p sits on glue point 5 - p.
+    y_verts, y_inner, y_legs = mirror(y).wiring(off, lambda p: ("g", 5 - p))
+    pairs, loops = walk_connections(x_legs + y_legs, lambda n: n[0] == "g")
 
-    vertices = {vid: v for vid, v in x.vertices}
-    vertices.update({vid + off: v for vid, v in ym.vertices})
-
-    connections = []
-    arc_seen = set()
-    for i in range(6):
-        # x side of glue point i
-        att = x.boundary[i]
-        if att[0] == "v":
-            connections.append((("g", i), (att[1], att[2])))
-        else:
-            pair = tuple(sorted((i, att[1])))
-            if ("x",) + pair not in arc_seen:
-                arc_seen.add(("x",) + pair)
-                connections.append((("g", pair[0]), ("g", pair[1])))
-        # mirror-y side: its boundary point p sits on glue point 5-p
-        att = ym.boundary[5 - i]
-        if att[0] == "v":
-            connections.append((("g", i), (att[1] + off, att[2])))
-        else:
-            pair = tuple(sorted((i, 5 - att[1])))
-            if ("y",) + pair not in arc_seen:
-                arc_seen.add(("y",) + pair)
-                connections.append((("g", pair[0]), ("g", pair[1])))
-
-    pairs, loops = walk_connections(connections, lambda n: n[0] == "g")
-
-    d = Diagram(vertices, {}, loops)
-    for (a, sa), (b, sb) in x.internal_edges:
-        d.add_edge((a, sa), (b, sb))
-    for (a, sa), (b, sb) in ym.internal_edges:
-        d.add_edge((a + off, sa), (b + off, sb))
-    for a, b in pairs:
+    d = Diagram({**x_verts, **y_verts}, {}, loops)
+    for a, b in x_inner + y_inner + pairs:
         d.add_edge(a, b)
     # The inferred shading is consistent on every valid planar map, so the
     # pairing and planarity are what a malformed pattern can break.
@@ -238,19 +211,16 @@ def _one_vertex_patterns(model: TwoBoxModel) -> list[Pattern]:
 
 
 def _two_vertex_patterns(model: TwoBoxModel) -> list[Pattern]:
+    # Legs j..j+2 on vertex 0 and j+3..j+5 on vertex 1: j and j + 3 give
+    # the same pattern with the two vertices swapped.
     t = Vertex(model.uncappable().coeffs)
-    seen = set()
     pats = []
-    for j in range(6):
+    for j in range(3):
         bnd: list[Attachment] = [None] * 6
         for slot in range(3):
             bnd[(j + slot) % 6] = ("v", 0, slot)
             bnd[(j + 3 + slot) % 6] = ("v", 1, slot)
-        p = Pattern(((0, t), (1, t)), (((0, 3), (1, 3)),), tuple(bnd))
-        k = p.key()
-        if k not in seen:
-            seen.add(k)
-            pats.append(p)
+        pats.append(Pattern(((0, t), (1, t)), (((0, 3), (1, 3)),), tuple(bnd)))
     return pats
 
 

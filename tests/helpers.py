@@ -13,7 +13,8 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.skein import walk_connections
+from skeinlab.skein import _surgery, walk_connections
+from skeinlab.threebox import mirror
 
 
 def trace_closure(coeffs):
@@ -290,10 +291,10 @@ def reference_surgery(diagram, removed, inner, new_vertices=None, new_edges=None
 
 
 def reference_validate(d, check_shading=True):
-    """The multi-scan `Diagram.validate` that the one-pass walk replaced,
-    kept as a test oracle: pairing checks, then `faces()`, `components()`,
-    one edge scan and one dart scan per component, then the shading of
-    every face."""
+    """A multi-scan `Diagram.validate`, kept as a test oracle: pairing
+    checks, then `faces()`, `components()`, one edge scan and one dart scan
+    per component, then the shading of every face.  It does not check that
+    labels are finite."""
     all_darts = set(d.darts())
     for a, b in d.edges.items():
         if a not in all_darts or b not in all_darts:
@@ -326,3 +327,90 @@ def reference_validate(d, check_shading=True):
             parities = {(d.vertices[v].shading0 + s + 1) % 2 for v, s in face}
             if len(parities) > 1:
                 raise ShadingInconsistent(f"face {face} mixes shading parities")
+
+
+def reference_closure(x, y):
+    """`threebox.closure` as it wired the two patterns before
+    `Pattern.wiring`, kept as a test oracle: glue point by glue point, each
+    side with its own arc dedup."""
+    ym = mirror(y)
+    off = max((vid for vid, _ in x.vertices), default=-1) + 1
+    vertices = {vid: v for vid, v in x.vertices}
+    vertices.update({vid + off: v for vid, v in ym.vertices})
+    connections = []
+    arc_seen = set()
+    for i in range(6):
+        att = x.boundary[i]
+        if att[0] == "v":
+            connections.append((("g", i), (att[1], att[2])))
+        else:
+            pair = tuple(sorted((i, att[1])))
+            if ("x",) + pair not in arc_seen:
+                arc_seen.add(("x",) + pair)
+                connections.append((("g", pair[0]), ("g", pair[1])))
+        # mirror-y side: its boundary point p sits on glue point 5-p
+        att = ym.boundary[5 - i]
+        if att[0] == "v":
+            connections.append((("g", i), (att[1] + off, att[2])))
+        else:
+            pair = tuple(sorted((i, 5 - att[1])))
+            if ("y",) + pair not in arc_seen:
+                arc_seen.add(("y",) + pair)
+                connections.append((("g", pair[0]), ("g", pair[1])))
+    pairs, loops = walk_connections(connections, lambda n: n[0] == "g")
+    d = Diagram(vertices, {}, loops)
+    for (a, sa), (b, sb) in x.internal_edges:
+        d.add_edge((a, sa), (b, sb))
+    for (a, sa), (b, sb) in ym.internal_edges:
+        d.add_edge((a + off, sa), (b + off, sb))
+    for a, b in pairs:
+        d.add_edge(a, b)
+    d.validate(check_shading=False)
+    return d.infer_shading()
+
+
+def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
+    """`skein._substitute_triangle` as it wired each table pattern into the
+    3-gon's hole before `Pattern.wiring`, kept as a test oracle."""
+    ext = []
+    for u, d in (corners[0], corners[2], corners[1]):
+        ext.append((u, (d + 2) % 4))
+        ext.append((u, (d + 3) % 4))
+    removed = {u for u, _ in corners}
+    nid0 = max(itertools.chain(diag.vertices, [0])) + 1
+    floor = tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
+    out = []
+    for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
+        if abs(c_i) < floor:
+            continue
+        new_vertices = {}
+        new_edges = []
+        vid_map = {}
+        for pv, vert in dict(pattern.vertices).items():
+            vid_map[pv] = nid0 + pv
+            new_vertices[nid0 + pv] = vert
+        for (pa, sa), (pb, sb) in pattern.internal_edges:
+            new_edges.append(((vid_map[pa], sa), (vid_map[pb], sb)))
+        arcs_done = set()
+        for i, att in enumerate(pattern.boundary):
+            if att[0] == "v":
+                _, pv, slot = att
+                new_edges.append((ext[i], (vid_map[pv], slot)))
+            else:
+                j = att[1]
+                if (min(i, j), max(i, j)) in arcs_done:
+                    continue
+                arcs_done.add((min(i, j), max(i, j)))
+                new_edges.append((ext[i], ext[j]))
+        reduced, _ = _surgery(diag, removed, [], new_vertices, new_edges)
+        out.append((coeff * c_i, reduced.infer_shading()))
+    return out
+
+
+def same_wiring(got, want):
+    """Equal vertex order and labels, edge pairs as a set, and free loops."""
+    return (
+        list(got.vertices.items()) == list(want.vertices.items())
+        and got.edges == want.edges
+        and got.free_loops == want.free_loops
+    )

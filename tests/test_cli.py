@@ -4,7 +4,7 @@ import math
 import pytest
 
 from skeinlab import DEPTH3_DELTA, Tolerance
-from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, main
+from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, load_diagram, main
 
 from helpers import octahedron_diagram
 
@@ -127,6 +127,59 @@ def test_evaluate_malformed_diagram_fails(capsys, tmp_path):
     path = write_diagram(tmp_path, doc)
     code, _, err = run(capsys, "evaluate", "--diagram", path, "--l", "12")
     assert code == EXIT_FAIL
+
+
+CAPPED = [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [{"id": 0}], "edges": CAPPED},
+        {"vertices": [{"id": 0, "label": "G"}], "edges": [[0, 0]]},
+        {"vertices": [{"id": 0, "label": [1.0, 2.0]}], "edges": CAPPED},
+        {"vertices": [{"id": 0, "label": ["x", 0, 0]}], "edges": CAPPED},
+        {"vertices": [{"id": "a", "label": "G"}], "edges": CAPPED},
+        {"vertices": ["G"], "edges": CAPPED},
+        {"free_loops": 1e400},
+        [],
+    ],
+    ids=["no label", "int edge", "two-entry label", "string coeff", "string id",
+         "string vertex", "infinite loops", "top-level list"],
+)
+def test_evaluate_unparsable_diagram_fails(capsys, tmp_path, doc):
+    path = write_diagram(tmp_path, doc)
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--l", "12")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith(f"error: {path}: malformed diagram file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [0.0, -math.inf]])
+def test_evaluate_non_finite_label_fails(capsys, tmp_path, bad):
+    path = write_diagram(tmp_path, {"vertices": [{"id": 0, "label": [bad, 0, 0]}], "edges": CAPPED})
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--l", "12")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error: non-finite scalar") and err.count("\n") == 1
+
+
+def test_load_diagram_keeps_consistent_shading_and_infers_the_rest(tmp_path, model12):
+    octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
+    doc = {
+        "vertices": [{"id": v, "label": [0, 1, 0], "shading0": x.shading0}
+                     for v, x in octa.vertices.items()],
+        "edges": [[list(a), list(b)] for a, b in octa.edges.items() if a < b],
+    }
+    flipped = {v: 1 - x.shading0 for v, x in octa.vertices.items()}
+    for v in octa.vertices:
+        doc["vertices"][v]["shading0"] = flipped[v]
+    path = write_diagram(tmp_path, doc, "flipped.json")
+    assert {v: x.shading0 for v, x in load_diagram(path, model12).vertices.items()} == flipped
+    # One bit off: the rest follow the least vertex id.
+    doc["vertices"][3]["shading0"] = 1 - flipped[3]
+    path = write_diagram(tmp_path, doc, "mixed.json")
+    assert {v: x.shading0 for v, x in load_diagram(path, model12).vertices.items()} == flipped
 
 
 def test_evaluate_table_fault_gives_fail_report(capsys, tmp_path):

@@ -18,8 +18,11 @@ from skeinlab import (
     triangle_pattern,
     ybe_residual,
 )
-from skeinlab.threebox import _braid_pattern, closure, expand
-from skeinlab.skein import FormalSum, reduce_once
+from skeinlab.errors import InvariantViolation, MalformedPairing, SkeinlabError
+from skeinlab.threebox import Pattern, _braid_pattern, _two_vertex_patterns, closure, expand
+from skeinlab.skein import FormalSum, Vertex, reduce_once
+
+from helpers import reference_closure, same_wiring
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -223,3 +226,91 @@ def test_braid_pattern_sides_differ_as_patterns(model12, braid12):
 def test_braid_pattern_rejects_bad_side(model12, braid12):
     with pytest.raises(ValueError):
         _braid_pattern(model12, braid12, "C")
+
+
+# -- closure wiring ------------------------------------------------------
+
+
+def test_two_vertex_patterns_are_the_distinct_rotations(model12):
+    # j and j + 3 swap the two vertices, so the three patterns built are
+    # the distinct ones among all six rotations.
+    pats = _two_vertex_patterns(model12)
+    assert len({p.key() for p in pats}) == 3
+    for j, p in enumerate(pats):
+        assert p.boundary[j] == ("v", 0, 0)
+        bnd = [None] * 6
+        for slot in range(3):
+            bnd[(j + 3 + slot) % 6] = ("v", 0, slot)
+            bnd[(j + slot) % 6] = ("v", 1, slot)
+        assert Pattern(p.vertices, p.internal_edges, tuple(bnd)).key() == p.key()
+
+
+def test_pattern_key_carries_the_shading_bit(model12):
+    p = enumerate_basis(model12).one_vertex[0]
+    (vid, v), = p.vertices
+    flipped = Pattern(((vid, Vertex(v.coeffs, 1)),), p.internal_edges, p.boundary)
+    assert flipped.key() != p.key()
+
+
+def test_closure_matches_the_reference_wiring(model12, braid12):
+    basis = enumerate_basis(model12)
+    tri = triangle_pattern(model12)
+    extra = [
+        tri,
+        mirror(tri),
+        _braid_pattern(model12, braid12, "A"),
+        _braid_pattern(model12, braid12, "B"),
+    ]
+    pats = list(basis.diagrams) + extra
+    pairs = [(x, y) for x in pats for y in basis.diagrams]
+    pairs += [(x, y) for x in extra for y in extra]
+    for x, y in pairs:
+        assert same_wiring(closure(x, y), reference_closure(x, y))
+
+
+def _malformed_patterns(model):
+    basis = enumerate_basis(model)
+    one, two = basis.one_vertex[0], basis.two_vertex[0]
+    return {
+        # A leg on a vertex the pattern does not have.
+        "unknown vertex": Pattern(
+            one.vertices,
+            (),
+            tuple(("v", 7, 0) if a == ("v", 0, 0) else a for a in one.boundary),
+        ),
+        # Dart (0, 3) on the internal edge and on the boundary.
+        "dart twice": Pattern(
+            two.vertices,
+            two.internal_edges,
+            tuple(("v", 0, 3) if a == ("v", 0, 0) else a for a in two.boundary),
+        ),
+        # Closed with itself, the self-arcs on both sides meet at glue
+        # points 0 and 1; an arc dedup that kept only i < j dropped them all
+        # and closed the pair without error.
+        "self-arc": Pattern((), (), (("b", 0), ("b", 1), ("b", 3), ("b", 2), ("b", 5), ("b", 4))),
+        # Points 3 and 5 name 0, which names 1; an i < j dedup dropped both
+        # arcs, and the closure with the first TL pattern passed the walk.
+        "non-involutive arcs": Pattern(
+            (), (), (("b", 1), ("b", 0), ("b", 3), ("b", 0), ("b", 5), ("b", 0))
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        ("unknown vertex", MalformedPairing),
+        ("dart twice", MalformedPairing),
+        ("self-arc", InvariantViolation),
+        ("non-involutive arcs", InvariantViolation),
+    ],
+)
+def test_closure_rejects_malformed_patterns(model12, name, want):
+    bad = _malformed_patterns(model12)[name]
+    basis = enumerate_basis(model12)
+    for y in (basis.tl[0], basis.one_vertex[0], basis.two_vertex[0], bad):
+        for args in ((bad, y), (y, bad)):
+            for build in (closure, reference_closure):
+                with pytest.raises(SkeinlabError) as info:
+                    build(*args)
+                assert type(info.value) is want

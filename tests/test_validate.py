@@ -1,12 +1,21 @@
-"""The one-pass `Diagram.validate` against the multi-scan reference in
+"""`Diagram.validate`, which counts the faces of `faces()` against the
+components of `components()`, against the multi-scan reference in
 `helpers.reference_validate`: on every input both pass, or both raise the
-same exception class."""
+same exception class, with the same message on multi-component pairings."""
+
+import math
 
 import numpy as np
 import pytest
 
 from skeinlab import Diagram, Vertex
-from skeinlab.errors import MalformedPairing, NonPlanar, ShadingInconsistent, SkeinlabError
+from skeinlab.errors import (
+    MalformedPairing,
+    NonFiniteScalar,
+    NonPlanar,
+    ShadingInconsistent,
+    SkeinlabError,
+)
 
 from helpers import octahedron_diagram, random_diagram_corpus, reference_validate
 
@@ -169,3 +178,64 @@ def test_disconnected_components_each_checked():
         both.edges[(v + off, s)] = (w + off, t)
     assert assert_agrees(both) is NonPlanar
     assert assert_agrees(Diagram(dict(planar.vertices), dict(planar.edges), 3)) is None
+
+
+def raised(check, d):
+    """(class, message) of what the check raised, or None."""
+    try:
+        check(d)
+    except SkeinlabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_messages_agree_on_multi_component_pairings():
+    # Random pairings on 2-4 groups of interleaved vertex ids, listed in a
+    # seeded order, so that components and their first vertices interleave.
+    rng = np.random.default_rng(44)
+    seen = set()
+    for _ in range(400):
+        sizes = rng.integers(1, 5, size=int(rng.integers(2, 5)))
+        ids = [int(v) for v in rng.permutation(int(sizes.sum()))]
+        d = Diagram({}, {})
+        for group in np.split(np.array(ids), np.cumsum(sizes)[:-1]):
+            darts = [(int(v), s) for v in group for s in range(4)]
+            perm = rng.permutation(len(darts))
+            for i in range(0, len(darts), 2):
+                d.add_edge(darts[perm[i]], darts[perm[i + 1]])
+        order = [int(v) for v in rng.permutation(len(ids))]
+        d.vertices = {v: Vertex(tuple(rng.normal(size=3)), int(rng.integers(2))) for v in order}
+        if rng.integers(2):
+            d = d.infer_shading()
+        got = raised(Diagram.validate, d)
+        assert got == raised(reference_validate, d)
+        seen.add(got and got[0])
+    assert {None, NonPlanar, ShadingInconsistent} <= seen
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_label(corpus, bad):
+    for d in corpus[:10]:
+        v = next(iter(d.vertices))
+        d = d.copy()
+        d.vertices[v] = Vertex((1.0, bad, 0.0), d.vertices[v].shading0)
+        for check_shading in (True, False):
+            with pytest.raises(NonFiniteScalar):
+                d.validate(check_shading)
+
+
+def test_structural_faults_come_before_non_finite_labels(corpus):
+    d = corpus[0].copy()
+    v = next(iter(d.vertices))
+    d.vertices[v] = Vertex((math.nan, 0.0, 0.0), d.vertices[v].shading0)
+    flipped = d.copy()
+    flipped.vertices[v] = Vertex(d.vertices[v].coeffs, 1 - d.vertices[v].shading0)
+    assert outcome(Diagram.validate, flipped) is ShadingInconsistent
+    d.free_loops = -1
+    assert outcome(Diagram.validate, d) is MalformedPairing
+    rng = np.random.default_rng(45)
+    bad = raw_random_diagram(rng, 4)
+    while outcome(reference_validate, bad) is not NonPlanar:
+        bad = raw_random_diagram(rng, 4)
+    bad.vertices = {v: Vertex((math.nan, 0.0, 0.0), x.shading0) for v, x in bad.vertices.items()}
+    assert outcome(Diagram.validate, bad) is NonPlanar
