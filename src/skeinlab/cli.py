@@ -19,9 +19,10 @@ import json
 import sys
 
 from .classify import L_SERIES_MIN, Stages, classify, delta_for_l
+from .diagram import Diagram, Vertex
 from .errors import InvalidTolerance, SkeinlabError, TriangleTableRequired
 from .scalar import Tolerance
-from .skein import Diagram, Vertex, evaluate_detailed
+from .skein import evaluate_detailed
 from .twobox import DEPTH3_DELTA, TwoBoxModel
 
 EXIT_PASS = 0
@@ -133,7 +134,10 @@ def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
             else:
                 e, p1, p2 = (coeff(c) for c in label)  # exactly three, or ValueError
                 coeffs = (e, p1, p2)
-            vertices[int(entry["id"])] = Vertex(coeffs, int(entry.get("shading0", 0)))
+            vid = int(entry["id"])
+            if vid in vertices:
+                raise SkeinlabError(f"{path}: malformed diagram file: vertex id {vid} appears twice")
+            vertices[vid] = Vertex(coeffs, int(entry.get("shading0", 0)))
         d = Diagram(vertices, {}, int(doc.get("free_loops", 0)))
         for (a, sa), (b, sb) in doc.get("edges", []):
             d.add_edge((int(a), int(sa)), (int(b), int(sb)))

@@ -1,16 +1,5 @@
-"""Closed planar diagrams with 2-box-labeled 4-valent vertices, and their
-evaluation by face reduction.
-
-A diagram is a combinatorial map: every vertex carries four darts in
-counterclockwise order with dart 0 at the $-position, and the edges are a
-fixed-point-free involution on darts.  Faces are the orbits of the face
-permutation phi(v, d) = partner(v, d+1); planarity is enforced through the
-Euler characteristic of every connected component.  `Diagram.validate`
-runs on every input to `evaluate`: it checks the pairing, then counts the
-faces of `faces()` against the components of `components()`, looks for a
-face that mixes shading parities, and checks that every label is finite.
-
-Evaluation repeatedly removes a face with at most three sides:
+"""Evaluation of closed planar diagrams (`diagram.Diagram`) by face
+reduction.  Evaluation repeatedly removes a face with at most three sides:
 
   * free loop      -> factor delta
   * 1-gon          -> cap functional of the vertex label
@@ -22,8 +11,7 @@ Evaluation repeatedly removes a face with at most three sides:
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
 terminates.  A rewrite's surgery visits only the darts of the vertices it
 removes and copies the rest of the edge map as it stands, and a formal sum
-merges terms by `Diagram.canonical_key`, which reads each `Vertex.key` once
-and runs its BFS only from the vertices with the least label key.
+merges terms by `Diagram.canonical_key`.
 
 The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
 face and rewires the map; it emits an op (cap vertex u on a dart pair, or
@@ -33,262 +21,43 @@ complex coefficients: the cap scalar, or the product label, from the
 model's rotation and cap rows and the elementwise product of
 `twobox.product_coeffs`.
 `evaluate` is the FormalSum engine: it validates every input, then reduces
-it term by term with the two halves.  A diagram whose reduction never
-meets a 3-gon has a fixed op sequence, its plan, that depends only on its
-shape (vertex ids, shading bits, dart pairing, free loops).  `_plan`
-compiles it from a valid diagram with the shape half, and `_replay` runs
-it on a map of labels with the number half and the engine's zero-drop of
-a single term; `threebox.inner` keeps one plan per closure shape.
+it term by term with the two halves.
+
+The engine keeps the shape half in the process-wide graph of `shapes`.  A
+node stands for a label-free shape (vertex ids in order, their shading
+bits, the dart pairing) and holds its engine face and, for each rewrite
+taken from it, the op, the child node and a compact edge delta against
+the parent: one step for a 1-gon or 2-gon, one per id/e/T choice of a
+3-gon and one per triangle-table pattern, with the inferred shading bits
+of the pattern's vertices.  A rewrite taken again is rebuilt by
+`_rebuild` from its parent term and delta, with no surgery, face walk or
+shading inference; the number half and the merging of terms are
+unchanged, so every value is too.  `evaluate` looks the root node up by
+the input's content after validating it and attaches nothing to it.  The
+graph is dropped whole when it reaches `shapes.SHAPE_CACHE_NODES` nodes,
+and a call with a `chooser` neither reads nor writes it.
+
+A diagram whose reduction never meets a 3-gon has a fixed op sequence,
+its plan, that depends only on its shape (vertex ids, shading bits, dart
+pairing, free loops).  `_plan` compiles it from a valid diagram with the
+shape half, and `_replay` runs it on a map of labels with the number half
+and the engine's zero-drop of a single term; `threebox.inner` keeps one
+plan per closure shape.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    MalformedPairing,
-    NonPlanar,
-    ShadingInconsistent,
-    TriangleTableRequired,
-)
-from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
+from . import shapes
+from .diagram import Dart, Diagram, Vertex
+from .errors import InvariantViolation, NonFiniteScalar, TriangleTableRequired
+from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
-
-Dart = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """A labeled 4-valent vertex; coeffs are over (e, P1, P2) in the frame
-    rooted at dart 0, shading0 is the parity of the region before dart 0."""
-
-    coeffs: tuple[Scalar, Scalar, Scalar]
-    shading0: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @property
-    def key(self) -> tuple:
-        """What canonical forms compare: the coefficients rounded to 9
-        decimals, signed zeros merged, then the shading bit."""
-        return tuple(
-            (round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in self.coeffs
-        ) + (self.shading0,)
-
-
-class Diagram:
-    """A closed diagram: labeled vertices, dart pairing, free loops."""
-
-    def __init__(
-        self,
-        vertices: dict[int, Vertex] | None = None,
-        edges: dict[Dart, Dart] | None = None,
-        free_loops: int = 0,
-    ):
-        self.vertices: dict[int, Vertex] = dict(vertices or {})
-        self.edges: dict[Dart, Dart] = dict(edges or {})
-        self.free_loops = int(free_loops)
-
-    # -- construction helpers -------------------------------------------
-
-    def add_edge(self, a: Dart, b: Dart) -> None:
-        if a == b:
-            raise MalformedPairing(f"self-paired dart {a}")
-        if a in self.edges or b in self.edges:
-            raise MalformedPairing(f"dart {a if a in self.edges else b} paired twice")
-        self.edges[a] = b
-        self.edges[b] = a
-
-    def copy(self) -> "Diagram":
-        return Diagram(dict(self.vertices), dict(self.edges), self.free_loops)
-
-    def darts(self):
-        for v in self.vertices:
-            for slot in range(4):
-                yield (v, slot)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges) // 2
-
-    # -- faces and components -------------------------------------------
-
-    def _phi(self, d: Dart) -> Dart:
-        v, slot = d
-        return self.edges[(v, (slot + 1) % 4)]
-
-    def faces(self) -> list[list[Dart]]:
-        """Orbits of the face permutation; each corner (v, d) stands for the
-        region counterclockwise after dart d."""
-        seen: set[Dart] = set()
-        out = []
-        for start in self.darts():
-            if start in seen:
-                continue
-            orbit = []
-            d = start
-            while True:
-                orbit.append(d)
-                seen.add(d)
-                d = self._phi(d)
-                if d == start:
-                    break
-                if d in seen:
-                    raise MalformedPairing("face permutation is not a permutation")
-            out.append(orbit)
-        return out
-
-    def components(self) -> list[set[int]]:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, _), (b, _) in self.edges.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups = defaultdict(set)
-        for v in self.vertices:
-            groups[find(v)].add(v)
-        return list(groups.values())
-
-    # -- validation ------------------------------------------------------
-
-    def validate(self, check_shading: bool = True) -> None:
-        """Raise MalformedPairing, NonPlanar, ShadingInconsistent or
-        NonFiniteScalar, checked in that order.  A 4-valent component has
-        E = 2V, so it is planar iff F - V = 2."""
-        verts, edges = self.vertices, self.edges
-        all_darts = {(v, s) for v in verts for s in range(4)}
-        darts, partners = edges.keys(), edges.values()
-        if not (darts <= all_darts and all_darts.issuperset(partners)):
-            unknown = next(d for pair in edges.items() for d in pair if d not in all_darts)
-            raise MalformedPairing(f"edge endpoint {unknown} unknown")
-        if not all(map(operator.ne, darts, partners)):
-            a = next(a for a, b in edges.items() if a == b)
-            raise MalformedPairing(f"self-paired dart {a}")
-        if not all(map(operator.eq, map(edges.get, partners), darts)):
-            raise MalformedPairing("pairing is not an involution")
-        if len(edges) != len(all_darts):
-            missing = [d for d in all_darts if d not in edges]
-            raise MalformedPairing(f"unpaired darts {sorted(missing)[:4]}")
-        if self.free_loops < 0:
-            raise MalformedPairing("negative free loop count")
-
-        faces, comps = self.faces(), self.components()
-        # Each component has V - E + F = F - V = 2 - 2g <= 2, so the total
-        # is 2 per component exactly when every component is planar.
-        if len(faces) - len(verts) != 2 * len(comps):
-            comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-            excess = [-len(comp) for comp in comps]
-            for face in faces:
-                excess[comp_of[face[0][0]]] += 1
-            i, x = next((i, x) for i, x in enumerate(excess) if x != 2)
-            raise NonPlanar(f"component {sorted(comps[i])}: V-E+F = {x} != 2")
-
-        if check_shading:
-            # The region after dart s has parity shading0 + s + 1 (regions
-            # alternate, the one before dart 0 carries shading0); a face
-            # mixes parities iff its shading0 + s do.
-            for face in faces:
-                if len({(verts[v].shading0 + s) % 2 for v, s in face}) > 1:
-                    raise ShadingInconsistent(f"face {face} mixes shading parities")
-
-        for vert in verts.values():
-            check_finite(*vert.coeffs)
-
-    def infer_shading(self) -> "Diagram":
-        """Reassign shading bits by propagation (root of each component keeps
-        parity 0 at its $-region).  Always succeeds for valid closed maps."""
-        d = self.copy()
-        assigned: dict[int, int] = {}
-        for comp in d.components():
-            root = min(comp)
-            assigned[root] = d.vertices[root].shading0
-            stack = [root]
-            seen = {root}
-            while stack:
-                v = stack.pop()
-                for slot in range(4):
-                    # Corner (v, slot) and corner alpha(v, slot+1) lie on the
-                    # same face, hence share a shading parity.
-                    w, wslot = d.edges[(v, (slot + 1) % 4)]
-                    if w in seen:
-                        continue
-                    assigned[w] = (assigned[v] + slot - wslot) % 2
-                    seen.add(w)
-                    stack.append(w)
-        d.vertices = {
-            v: Vertex(vert.coeffs, assigned.get(v, vert.shading0))
-            for v, vert in d.vertices.items()
-        }
-        return d
-
-    # -- canonical form --------------------------------------------------
-
-    def canonical_key(self):
-        """Lexicographically minimal encoding over all BFS starting vertices;
-        invariant under vertex renumbering.  An encoding opens with its
-        start's label key, so only the starts whose label key is the least
-        can give the minimum, and only those are searched."""
-        if not self.vertices:
-            return ("empty", self.free_loops)
-
-        edges = self.edges
-        labels = {v: vert.key for v, vert in self.vertices.items()}
-        least = min(labels.values())
-        best = None
-        for start, label in labels.items():
-            if label != least:
-                continue
-            order = {start: 0}
-            queue = [start]
-            for v in queue:  # the queue grows while it is walked; it ends as the BFS order
-                for slot in range(4):
-                    w = edges[(v, slot)][0]
-                    if w not in order:
-                        order[w] = len(order)
-                        queue.append(w)
-            if len(queue) < len(labels):
-                # Disconnected: canonicalize per component and combine.
-                return self._canonical_key_disconnected()
-            enc = []
-            for v in queue:
-                enc.append(labels[v])
-                for slot in range(4):
-                    w, wslot = edges[(v, slot)]
-                    enc.append((order[w], wslot))
-            key = tuple(enc)
-            if best is None or key < best:
-                best = key
-        return ("diagram", self.free_loops, best)
-
-    def _canonical_key_disconnected(self):
-        parts = []
-        for comp in self.components():
-            sub = Diagram(
-                {v: self.vertices[v] for v in comp},
-                {a: b for a, b in self.edges.items() if a[0] in comp},
-                0,
-            )
-            parts.append(sub.canonical_key())
-        return ("multi", self.free_loops, tuple(sorted(map(repr, parts))))
-
 
 # -- rewiring surgery ----------------------------------------------------
 
@@ -394,6 +163,26 @@ def _surgery(
     return result, loops
 
 
+def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> Diagram:
+    """The child of `diag` under a recorded rewrite whose delta starts at
+    code[at]: its vertices but the removed ones, then `new_vertices` (an id
+    already there keeps its place), and its edge map with the delta applied."""
+    shapes.graph.hits += 1
+    child = Diagram(free_loops=code[at])
+    verts = child.vertices = {v: x for v, x in diag.vertices.items() if v not in removed}
+    verts.update(new_vertices)
+    edges = child.edges = diag.edges.copy()
+    for u in removed:
+        for slot in range(4):
+            del edges[u, slot]
+    for i in range(at + 1, len(code), 2):
+        a, b = code[i], code[i + 1]
+        a, b = (a >> 2, a & 3), (b >> 2, b & 3)
+        edges[a] = b
+        edges[b] = a
+    return child
+
+
 # -- formal sums ---------------------------------------------------------
 
 
@@ -490,14 +279,27 @@ def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
     return coeff, product_coeffs(su, x, sv, y)
 
 
-def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face: list[Dart]):
-    """A 1-gon or 2-gon rewrite of one term: the shape half, then the numbers."""
-    op, out = _shape_step(diag, face)
-    labels = {v: vert.coeffs for v, vert in diag.vertices.items()}
-    coeff, label = _number_step(model, coeff, op, labels)
-    if label is not None:
-        nid = op[3]
-        out.vertices[nid] = Vertex(label, out.vertices[nid].shading0)
+def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face, node=None):
+    """A 1-gon or 2-gon rewrite of one term: the shape half, replayed from
+    `node` once it holds a record, then the numbers."""
+    if node is None or node.step is None:
+        if face is None:  # the node's first rewrite raised
+            face = find_small_face(diag)
+        op, out = _shape_step(diag, face)
+        if node is not None:
+            node.step = shapes.record(diag, out, shapes.op_codes(op))
+    else:
+        (op, at), out = shapes.decode_op(node.step), None
+    fuse = op[0] == "fuse"
+    gone = op[1:3] if fuse else op[1:2]
+    coeff, label = _number_step(model, coeff, op, {w: diag.vertices[w].coeffs for w in gone})
+    if out is None:
+        new = {op[3]: Vertex(label, 0 if op[6] == PLUS else 1)} if fuse else {}
+        out = _rebuild(diag, gone, new, node.step, at)
+    elif fuse:
+        out.vertices[op[3]] = Vertex(label, out.vertices[op[3]].shading0)
+    if node is not None:
+        out._shape = (node, None)
     return [(coeff, out)]
 
 
@@ -512,61 +314,77 @@ def _apply_3gon(
     model: TwoBoxModel,
     coeff: Scalar,
     diag: Diagram,
-    face: list[Dart],
+    face,
     triangle,
     tol: Tolerance,
+    node=None,
 ):
     if triangle is None:
         raise TriangleTableRequired("met a 3-gon face with no triangle table")
-    corners = list(face)
-    if len({u for u, _ in corners}) != 3:
-        # A 3-gon revisiting a vertex comes from a self-loop; it always
-        # coexists with a smaller reducible face, so rewrite that instead.
-        alt = find_small_face(diag)
-        if len(alt) <= 2:
-            return _apply_small(model, coeff, diag, alt)
-        raise InvariantViolation("degenerate 3-gon with no smaller face")
+    if node is not None:
+        corners = [(c >> 2, c & 3) for c in node.corners]
+    else:
+        corners = list(face)
+        if len({u for u, _ in corners}) != 3:
+            # A 3-gon revisiting a vertex comes from a self-loop; it always
+            # coexists with a smaller reducible face, so rewrite that instead.
+            alt = find_small_face(diag)
+            if len(alt) <= 2:
+                return _apply_small(model, coeff, diag, alt)
+            raise InvariantViolation("degenerate 3-gon with no smaller face")
 
     decomp = []
     for u, d in corners:
         rerooted = model.rotate_coeffs(diag.vertices[u].coeffs, d)
         decomp.append(_id_e_t_decomposition(model, rerooted))
 
+    codes = node.codes if node is not None else None
     out_terms = []
-    for choice in itertools.product(range(3), repeat=3):  # 0=id, 1=e, 2=T
+    for k, choice in enumerate(itertools.product(range(3), repeat=3)):  # 0=id, 1=e, 2=T
         w = coeff
         for (alpha, beta, gamma), c in zip(decomp, choice):
             w *= (alpha, beta, gamma)[c]
         if abs(w) < tol.TERM_DROP * max(1.0, abs(coeff)):
             continue
 
-        if all(c == 2 for c in choice):
-            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle))
+        if k == shapes.ALL_T:
+            out_terms.extend(_substitute_recorded(tol, w, diag, corners, triangle, node))
             continue
 
         removed = set()
-        inner = []
         relabel = {}
         for (u, d), c in zip(corners, choice):
-            if c == 0:
-                removed.add(u)
-                inner.extend(
-                    (((u, (a + d) % 4), (u, (b + d) % 4))) for a, b in ID_ARCS
-                )
-            elif c == 1:
-                removed.add(u)
-                w /= model.delta
-                inner.extend(
-                    (((u, (a + d) % 4), (u, (b + d) % 4))) for a, b in E_ARCS
-                )
-            else:
+            if c == 2:
                 t_coeffs = model.rotate_coeffs((0.0, model.b, -model.a), d)
                 relabel[u] = Vertex(t_coeffs, diag.vertices[u].shading0)
-        work = diag.copy()
-        work.vertices.update(relabel)
-        reduced, _ = _surgery(work, removed, inner)
+                continue
+            removed.add(u)
+            if c == 1:
+                w /= model.delta
+        code = codes[k] if codes is not None else None
+        if code is None:
+            inner = [
+                ((u, (a + d) % 4), (u, (b + d) % 4))
+                for (u, d), c in zip(corners, choice)
+                if c < 2
+                for a, b in (ID_ARCS, E_ARCS)[c]
+            ]
+            work = diag.copy()
+            work.vertices.update(relabel)
+            reduced, _ = _surgery(work, removed, inner)
+            if codes is not None:
+                codes[k] = shapes.record(diag, reduced)
+        else:
+            reduced = _rebuild(diag, removed, relabel, code)
+        if codes is not None:
+            reduced._shape = (node.nodes, k)
         out_terms.append((w, reduced))
     return out_terms
+
+
+def _table_floor(tol: Tolerance, triangle) -> float:
+    """Table coefficients under this size are dropped."""
+    return tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
 
 
 def _substitute_triangle(tol, coeff, diag, corners, triangle):
@@ -581,7 +399,7 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle):
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
 
-    floor = tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
+    floor = _table_floor(tol, triangle)
 
     out = []
     for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
@@ -591,6 +409,50 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle):
         reduced, _ = _surgery(diag, removed, [], new_vertices, inner + legs)
         # Pattern vertices arrive with placeholder shading bits.
         out.append((coeff * c_i, reduced.infer_shading()))
+    return out
+
+
+def _substitute_recorded(tol, coeff, diag, corners, triangle, node):
+    """`_substitute_triangle` for the 3-gon of `node`: run as it is while a
+    kept pattern has no record under the table's pattern wiring, recording
+    each child's delta after the inferred shading bits of its pattern
+    vertices; rebuilt from those records after."""
+    if node is None:
+        return _substitute_triangle(tol, coeff, diag, corners, triangle)
+    patterns = triangle.basis.diagrams
+    key = shapes.graph.pattern_key(patterns)
+    if node.table is None or node.table[0] != key:
+        node.table = (key, [None] * len(patterns), [None] * len(patterns))
+    _, codes, nodes = node.table
+    floor = _table_floor(tol, triangle)
+    kept = [i for i, c in enumerate(triangle.left_coeffs) if not abs(c) < floor]
+    removed = {u for u, _ in corners}
+    nid0 = max(itertools.chain(diag.vertices, [0])) + 1
+
+    if any(codes[i] is None for i in kept):
+        out = _substitute_triangle(tol, coeff, diag, corners, triangle)
+        for i, (_, child) in zip(kept, out):
+            if codes[i] is None:
+                cv = child.vertices
+                bits = sum(cv[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(patterns[i].vertices))
+                code = shapes.record(diag, child, [bits])
+                # Shading inference keeps the bits of the surviving vertices
+                # on a consistent map; a child where it did not is not recorded.
+                if all(cv[v].shading0 == x.shading0 for v, x in diag.vertices.items() if v not in removed):
+                    codes[i] = code
+            if codes[i] is not None:
+                child._shape = (nodes, i)
+        return out
+
+    out = []
+    for i, (c_i, pattern) in enumerate(zip(triangle.left_coeffs, patterns)):
+        if abs(c_i) < floor:
+            continue
+        code = codes[i]
+        new = {nid0 + vid: Vertex(v.coeffs, code[0] >> j & 1) for j, (vid, v) in enumerate(pattern.vertices)}
+        child = _rebuild(diag, removed, new, code, 1)
+        child._shape = (nodes, i)
+        out.append((coeff * c_i, child))
     return out
 
 
@@ -613,6 +475,14 @@ def find_small_face(d: Diagram) -> list[Dart]:
     return faces[0]
 
 
+def _loop_factor(model: TwoBoxModel, loops: int) -> Scalar:
+    """delta ** loops; a power past the float range raises NonFiniteScalar."""
+    try:
+        return model.delta ** loops
+    except OverflowError:
+        raise NonFiniteScalar(f"non-finite scalar delta ** {loops}") from None
+
+
 def reduce_once(
     s: FormalSum,
     model: TwoBoxModel,
@@ -620,20 +490,33 @@ def reduce_once(
     tol: Tolerance = DEFAULT_TOL,
     chooser=None,
 ) -> FormalSum:
-    """One rewrite on every term that still has vertices or loops."""
+    """One rewrite on every term that still has vertices or loops.  Without
+    a chooser the shape half of each rewrite comes from the shape graph,
+    and the diagrams of the returned terms link to their nodes, so they are
+    not to be changed in place (edit a `copy()`).  A chooser picks each face
+    itself; such a call neither reads nor writes the graph."""
     out = []
     for coeff, diag in s.terms:
+        link = diag._shape
         if diag.free_loops:
-            coeff = coeff * model.delta ** diag.free_loops
+            coeff = coeff * _loop_factor(model, diag.free_loops)
             diag = Diagram(dict(diag.vertices), dict(diag.edges), 0)
         if diag.n_vertices == 0:
             out.append((coeff, diag))
             continue
-        face = chooser(diag) if chooser is not None else find_small_face(diag)
-        if len(face) in (1, 2):
-            out.extend(_apply_small(model, coeff, diag, face))
-        elif len(face) == 3:
-            out.extend(_apply_3gon(model, coeff, diag, face, triangle, tol))
+        if chooser is None:
+            slot = link or shapes.graph.root_slot(diag)
+            node, face = shapes.node_at(slot), None
+            if node is None:
+                face = find_small_face(diag)
+                node = shapes.graph.settle(slot, face)
+        else:
+            node, face = None, chooser(diag)
+        sides = len(face) if face is not None else node.SIDES
+        if sides in (1, 2):
+            out.extend(_apply_small(model, coeff, diag, face, node))
+        elif sides == 3:
+            out.extend(_apply_3gon(model, coeff, diag, face, triangle, tol, node))
         else:
             raise InvariantViolation(f"face of size {len(face)} is not reducible")
     return FormalSum(out).normalized(tol)
@@ -670,7 +553,7 @@ def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tu
     coeff = complex(1.0)
     for steps, (loops, op) in enumerate(plan, 1):
         if loops:
-            coeff = coeff * model.delta ** loops
+            coeff = coeff * _loop_factor(model, loops)
         if op is not None:
             coeff, label = _number_step(model, coeff, op, labels)
             if label is not None:
@@ -691,6 +574,10 @@ def evaluate_detailed(
     """Evaluate a closed diagram to a scalar; also return the rewrite count.
     d is validated, then the FormalSum engine reduces it term by term."""
     d.validate(check_shading=True)
+    if chooser is None:
+        # A fresh term, so the root is looked up by content: nothing on d is
+        # read or attached.
+        d = Diagram(d.vertices, d.edges, d.free_loops)
     s = FormalSum([(complex(1.0), d)])
     steps = 0
     while not s.is_scalar:

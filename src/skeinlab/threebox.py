@@ -24,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagram import Diagram, Vertex
 from .errors import (
     GramRankDeficient,
     InternalEnumerationMismatch,
     InvariantViolation,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .skein import Diagram, Vertex, _plan, _replay, walk_connections
+from .shapes import pattern_shape
+from .skein import _plan, _replay, walk_connections
 from .twobox import BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -144,10 +146,6 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
 CLOSURE_CACHE_SIZE = 1024
 
 
-def _shape(p: Pattern) -> tuple:
-    return tuple((vid, v.shading0) for vid, v in p.vertices), p.internal_edges, p.boundary
-
-
 def _unshape(shape: tuple) -> Pattern:
     verts, edges, boundary = shape
     return Pattern(tuple((vid, Vertex((0.0, 0.0, 0.0), s0)) for vid, s0 in verts), edges, boundary)
@@ -163,7 +161,7 @@ def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
 
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
-    ids, plan = _closure_plan(_shape(x), _shape(y))
+    ids, plan = _closure_plan(pattern_shape(x), pattern_shape(y))
     labels = [v.coeffs for _, v in x.vertices]
     labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
     return _replay(plan, dict(zip(ids, labels)), model, tol)[0]

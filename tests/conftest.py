@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from skeinlab import DEPTH3_DELTA, braid_pair, delta_for_l, from_classification_data, solve_triangle
+from skeinlab import shapes
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_graph():
+    """Each test starts on an empty shape graph, so the tests that count the
+    engine's surgery see every rewrite computed in any test order."""
+    shapes.graph.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,25 @@ def test_evaluate_non_finite_label_fails(capsys, tmp_path, bad):
     assert err.startswith("error: non-finite scalar") and err.count("\n") == 1
 
 
+def test_evaluate_loop_power_past_the_float_range_fails(capsys, tmp_path):
+    path = write_diagram(tmp_path, {"free_loops": 100000})
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--l", "12")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: non-finite scalar delta ** 100000\n"
+
+
+def test_evaluate_duplicate_vertex_id_fails(capsys, tmp_path):
+    # Two vertices of id 0: the second would replace the first and the
+    # caps of one vertex would evaluate to a PASS.
+    doc = {"vertices": [{"id": 0, "label": "G"}, {"id": 0, "label": [1, 0, 0]}], "edges": CAPPED}
+    path = write_diagram(tmp_path, doc)
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--l", "12")
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == f"error: {path}: malformed diagram file: vertex id 0 appears twice\n"
+
+
 def test_load_diagram_keeps_consistent_shading_and_infers_the_rest(tmp_path, model12):
     octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
     doc = {

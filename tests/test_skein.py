@@ -32,7 +32,7 @@ from skeinlab import (
     reduce_once,
     solve_triangle,
 )
-from skeinlab import skein
+from skeinlab import shapes, skein
 from skeinlab.errors import (
     InvariantViolation,
     MalformedPairing,
@@ -418,6 +418,96 @@ def test_triangle_substitution_matches_the_reference_wiring(model12, table12, tr
     for name in PINNED:
         evaluate(triangle_rich[name], model12, table12)
     assert len(calls) > 10 and min(calls) > 0
+
+
+# -- the shape graph -----------------------------------------------------
+
+
+def _shifted(d, by):
+    """d with every vertex id moved by `by`: ids of 64 and over, or below
+    zero, do not fit a byte as dart codes."""
+    return Diagram(
+        {v + by: x for v, x in d.vertices.items()},
+        {(a + by, sa): (b + by, sb) for (a, sa), (b, sb) in d.edges.items()},
+        d.free_loops,
+    )
+
+
+def test_replayed_children_match_the_fresh_rewrites(model12, table12, triangle_rich, monkeypatch):
+    """Every child of every step on the corpus, rebuilt from its recorded
+    delta, against the same step by surgery and shading inference (a
+    chooser run, which takes the engine's faces and no records): the same
+    coefficients, vertex order, labels, edge map and free loops."""
+    corpus = list(triangle_rich.values())
+    for name in ("octahedron-mixed", "self-loops", "disconnected"):
+        corpus += [_shifted(triangle_rich[name], 100), _shifted(triangle_rich[name], -50)]
+    for d in corpus:
+        evaluate(d, model12, table12)
+    before = shapes.graph.cache_info()
+
+    raw = []
+    normalized = FormalSum.normalized
+
+    def recording(self, *args, **kwargs):
+        raw.append(self.terms)
+        return normalized(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormalSum, "normalized", recording)
+    children = 0
+    for d in corpus:
+        s = FormalSum([(complex(1.0), d.copy())])
+        while not s.is_scalar:
+            reduce_once(s, model12, table12, chooser=find_small_face)
+            s = reduce_once(s, model12, table12)
+            want, got = raw[-2:]
+            assert [c for c, _ in got] == [c for c, _ in want]
+            assert all(same_wiring(g, w) for (_, g), (_, w) in zip(got, want))
+            children += len(got)
+    after = shapes.graph.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits > 0.9 * children > 3000
+
+
+def test_a_chooser_run_leaves_the_shape_graph_alone(model12, table12, triangle_rich):
+    graph = shapes.graph
+    evaluate(triangle_rich["octahedron-mixed"], model12, table12)
+    before = graph.cache_info(), dict(graph.roots)
+    for d in triangle_rich.values():
+        evaluate(d, model12, table12, chooser=find_small_face)
+    assert (graph.cache_info(), dict(graph.roots)) == before
+
+
+def test_a_changed_diagram_is_evaluated_afresh(model12, table12):
+    x, y, z = (1.0, 0.5, -0.25), (0.3, -1.0, 2.0), (0.0, 1.0, 1.5)
+    d = product_trace_closure(x, y)
+    first = evaluate(d, model12, table12)
+    other = coproduct_trace_closure(z, y)
+    d.vertices.update(other.vertices)
+    d.edges.clear()
+    d.edges.update(other.edges)
+    assert "_shape" not in vars(d)
+    value = evaluate(d, model12, table12)
+    assert value == evaluate(d, model12, table12, chooser=find_small_face) != first
+    d.vertices[0] = Vertex(x, d.vertices[0].shading0)
+    assert evaluate(d, model12, table12) == evaluate(d, model12, table12, chooser=find_small_face) != value
+
+
+def test_a_small_node_bound_keeps_the_values_and_holds(model12, table12, triangle_rich, monkeypatch):
+    monkeypatch.setattr(shapes, "SHAPE_CACHE_NODES", 5)
+    settle = shapes.ShapeGraph.settle
+    nodes = []
+
+    def counted(self, slot, face):
+        node = settle(self, slot, face)
+        nodes.append(self.nodes)
+        return node
+
+    monkeypatch.setattr(shapes.ShapeGraph, "settle", counted)
+    for _ in range(2):
+        for name, d in triangle_rich.items():
+            re, im = PINNED[name]
+            assert evaluate(d, model12, table12) == complex(float.fromhex(re), float.fromhex(im)), name
+    assert max(nodes) == 5 and nodes.count(1) > 10
 
 
 # -- label keys ----------------------------------------------------------

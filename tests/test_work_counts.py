@@ -2,12 +2,14 @@
 the plan of its closure shape, and each shape is validated once, when its
 plan is compiled; the right triangle table, which the pipeline never reads,
 is solved only on demand.  A PASS classification makes one SVD, of the
-Gram matrix."""
+Gram matrix.  The FormalSum engine evaluates a diagram again without
+redoing the shape half of any rewrite."""
 
 import numpy as np
 import pytest
 
-from skeinlab import classify, delta_for_l, skein, threebox
+from helpers import octahedron_diagram
+from skeinlab import classify, delta_for_l, shapes, skein, threebox
 from skeinlab.classify import Stages
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
@@ -35,7 +37,7 @@ def counted(monkeypatch):
 
     def counting_inner(model, x, y, *args, **kwargs):
         seen["inner"] += 1
-        seen["shapes"].add((threebox._shape(x), threebox._shape(y)))
+        seen["shapes"].add((shapes.pattern_shape(x), shapes.pattern_shape(y)))
         return inner(model, x, y, *args, **kwargs)
 
     monkeypatch.setattr(skein, "evaluate_detailed", counting_evaluate)
@@ -58,6 +60,32 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert classify(5.0).verdict == "PASS"
     assert counted["inner"] == 2 * CLOSURES_PER_PASS
     assert counted["evaluated"] == counted["validated"] == []
+
+
+def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch):
+    """The shape half of every rewrite is recorded once per process: the
+    same diagram evaluated again makes no surgery, face search or shading
+    inference; its one face walk is validate's."""
+    g = model12.uncappable().coeffs
+    d = octahedron_diagram([g if v % 2 else (1.0, -0.5, 0.25) for v in range(6)])
+    calls = dict.fromkeys(("surgery", "find_small_face", "faces", "infer_shading"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(skein, "_surgery", counting("surgery", skein._surgery))
+    monkeypatch.setattr(skein, "find_small_face", counting("find_small_face", skein.find_small_face))
+    for name in ("faces", "infer_shading"):
+        monkeypatch.setattr(skein.Diagram, name, counting(name, getattr(skein.Diagram, name)))
+    first = skein.evaluate_detailed(d, model12, table12)
+    assert min(calls.values()) > 0
+    calls.update(dict.fromkeys(calls, 0))
+    assert skein.evaluate_detailed(d, model12, table12) == first
+    assert calls == {"surgery": 0, "find_small_face": 0, "faces": 1, "infer_shading": 0}
 
 
 def test_classify_computes_one_svd(monkeypatch):
