@@ -10,14 +10,17 @@ counts the faces of `faces()` against the components of `components()`,
 looks for a face that mixes shading parities, and checks that every label
 is finite.  `Diagram.canonical_key`, by which a formal sum merges terms,
 reads each `Vertex.key` once and runs its BFS only from the vertices with
-the least label key.
+the least label key.  A label key is exact (the coefficients as they are,
+signed zeros merged, then the shading bit), so only equal labels merge.  A
+vertex computes its key on first read and keeps it in a slot; the engine's
+terms share their parent's vertices, so a carried vertex is keyed once.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import MalformedPairing, NonPlanar, ShadingInconsistent
 from .scalar import Scalar, check_finite
@@ -25,24 +28,29 @@ from .scalar import Scalar, check_finite
 Dart = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A labeled 4-valent vertex; coeffs are over (e, P1, P2) in the frame
     rooted at dart 0, shading0 is the parity of the region before dart 0."""
 
     coeffs: tuple[Scalar, Scalar, Scalar]
     shading0: int = 0
+    _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @property
     def key(self) -> tuple:
-        """What canonical forms compare: the coefficients rounded to 9
-        decimals, signed zeros merged, then the shading bit."""
-        return tuple(
-            (round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in self.coeffs
-        ) + (self.shading0,)
+        """What canonical forms compare: the exact coefficients, signed
+        zeros merged, then the shading bit.  Computed on first read and
+        kept on the vertex, which the engine's terms share with their
+        parents."""
+        key = self._key
+        if key is None:
+            key = tuple((c.real + 0.0, c.imag + 0.0) for c in self.coeffs) + (self.shading0,)
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 class Diagram:

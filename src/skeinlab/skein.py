@@ -11,7 +11,8 @@ reduction.  Evaluation repeatedly removes a face with at most three sides:
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
 terminates.  A rewrite's surgery visits only the darts of the vertices it
 removes and copies the rest of the edge map as it stands, and a formal sum
-merges terms by `Diagram.canonical_key`.
+merges terms by `Diagram.canonical_key`, whose exact label keys merge only
+terms with equal labels.
 
 The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
 face and rewires the map; it emits an op (cap vertex u on a dart pair, or
@@ -21,7 +22,9 @@ complex coefficients: the cap scalar, or the product label, from the
 model's rotation and cap rows and the elementwise product of
 `twobox.product_coeffs`.
 `evaluate` is the FormalSum engine: it validates every input, then reduces
-it term by term with the two halves.
+fresh copies of its vertices term by term with the two halves.  A child
+term shares the vertices it keeps with its parent, so each vertex's label
+key is computed once, and none is left on the caller's vertices.
 
 The engine keeps the shape half in the process-wide graph of `shapes`.  A
 node stands for a label-free shape (vertex ids in order, their shading
@@ -574,10 +577,10 @@ def evaluate_detailed(
     """Evaluate a closed diagram to a scalar; also return the rewrite count.
     d is validated, then the FormalSum engine reduces it term by term."""
     d.validate(check_shading=True)
-    if chooser is None:
-        # A fresh term, so the root is looked up by content: nothing on d is
-        # read or attached.
-        d = Diagram(d.vertices, d.edges, d.free_loops)
+    # A fresh term of fresh vertices: the root is looked up by content, and
+    # the label keys that the engine keeps go on its own vertices, so
+    # nothing on d is read or attached.
+    d = Diagram({v: Vertex(x.coeffs, x.shading0) for v, x in d.vertices.items()}, d.edges, d.free_loops)
     s = FormalSum([(complex(1.0), d)])
     steps = 0
     while not s.is_scalar:

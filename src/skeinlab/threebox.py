@@ -145,17 +145,21 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
 
 CLOSURE_CACHE_SIZE = 1024
 
+ZERO = (0.0, 0.0, 0.0)
 
-def _unshape(shape: tuple) -> Pattern:
+
+def _labelled(shape: tuple, coeffs) -> Pattern:
+    """The pattern of a label-free shape (`pattern_shape`) with every
+    vertex labelled by `coeffs`."""
     verts, edges, boundary = shape
-    return Pattern(tuple((vid, Vertex((0.0, 0.0, 0.0), s0)) for vid, s0 in verts), edges, boundary)
+    return Pattern(tuple((vid, Vertex(coeffs, s0)) for vid, s0 in verts), edges, boundary)
 
 
 @functools.lru_cache(maxsize=CLOSURE_CACHE_SIZE)
 def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
     """The vertex ids (x's, then mirror(y)'s) and the reduction plan of
     closure(x, y), which depend on the patterns' shapes only."""
-    d = closure(_unshape(x_shape), _unshape(y_shape))
+    d = closure(_labelled(x_shape, ZERO), _labelled(y_shape, ZERO))
     return tuple(d.vertices), _plan(d)
 
 
@@ -195,8 +199,8 @@ def _tl_patterns() -> list[Pattern]:
     return pats
 
 
-def _one_vertex_patterns(model: TwoBoxModel) -> list[Pattern]:
-    t = Vertex(model.uncappable().coeffs)
+def _one_vertex_patterns() -> list[Pattern]:
+    t = Vertex(ZERO)
     pats = []
     for i in range(6):
         bnd: list[Attachment] = [None] * 6
@@ -208,10 +212,10 @@ def _one_vertex_patterns(model: TwoBoxModel) -> list[Pattern]:
     return pats
 
 
-def _two_vertex_patterns(model: TwoBoxModel) -> list[Pattern]:
+def _two_vertex_patterns() -> list[Pattern]:
     # Legs j..j+2 on vertex 0 and j+3..j+5 on vertex 1: j and j + 3 give
     # the same pattern with the two vertices swapped.
-    t = Vertex(model.uncappable().coeffs)
+    t = Vertex(ZERO)
     pats = []
     for j in range(3):
         bnd: list[Attachment] = [None] * 6
@@ -242,17 +246,28 @@ class Basis14:
         return self.diagrams[11:]
 
 
-def enumerate_basis(model: TwoBoxModel) -> Basis14:
+@functools.cache
+def _basis_shapes() -> tuple:
+    """The label-free shapes of the 14 basis patterns, in the Basis14 order,
+    checked once per process: (5, 6, 3) of them, pairwise distinct under
+    vertex renumbering.  Every vertex carries the same label, so the check
+    holds for the labelled basis of any model."""
     tl = _tl_patterns()
-    one = _one_vertex_patterns(model)
-    two = _two_vertex_patterns(model)
+    one = _one_vertex_patterns()
+    two = _two_vertex_patterns()
     counts = (len(tl), len(one), len(two))
     if counts != (5, 6, 3):
         raise InternalEnumerationMismatch(f"basis counts {counts} != (5, 6, 3)")
     keys = {p.key() for p in tl + one + two}
     if len(keys) != 14:
         raise InternalEnumerationMismatch("basis diagrams are not pairwise distinct")
-    return Basis14(tuple(tl + one + two))
+    return tuple(map(pattern_shape, tl + one + two))
+
+
+def enumerate_basis(model: TwoBoxModel) -> Basis14:
+    """The basis shapes with every vertex labelled by the generator."""
+    t = model.uncappable().coeffs
+    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()))
 
 
 # -- Gram matrix ---------------------------------------------------------

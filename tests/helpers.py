@@ -201,16 +201,15 @@ def disjoint_union(*parts, free_loops=0):
     return out
 
 
-def reference_canonical_key(d, ndigits=9):
+def reference_canonical_key(d):
     """The all-starts `Diagram.canonical_key` that the minimal-label search
     replaced, kept as a test oracle: a BFS from every vertex, each label
-    rounded again for every start, and components keyed the same way."""
+    keyed again for every start (exact coefficients, signed zeros merged,
+    then the shading bit) without reading `Vertex.key`, and components
+    keyed the same way."""
 
     def label_key(vert):
-        return tuple(
-            (round(c.real, ndigits) + 0.0, round(c.imag, ndigits) + 0.0)
-            for c in vert.coeffs
-        ) + (vert.shading0,)
+        return tuple((c.real + 0.0, c.imag + 0.0) for c in vert.coeffs) + (vert.shading0,)
 
     if not d.vertices:
         return ("empty", d.free_loops)
@@ -233,7 +232,7 @@ def reference_canonical_key(d, ndigits=9):
                     {a: b for a, b in d.edges.items() if a[0] in comp},
                     0,
                 )
-                parts.append(reference_canonical_key(sub, ndigits))
+                parts.append(reference_canonical_key(sub))
             return ("multi", d.free_loops, tuple(sorted(map(repr, parts))))
         enc = []
         for v in sorted(order, key=order.get):

@@ -231,10 +231,10 @@ def test_braid_pattern_rejects_bad_side(model12, braid12):
 # -- closure wiring ------------------------------------------------------
 
 
-def test_two_vertex_patterns_are_the_distinct_rotations(model12):
+def test_two_vertex_patterns_are_the_distinct_rotations():
     # j and j + 3 swap the two vertices, so the three patterns built are
     # the distinct ones among all six rotations.
-    pats = _two_vertex_patterns(model12)
+    pats = _two_vertex_patterns()
     assert len({p.key() for p in pats}) == 3
     for j, p in enumerate(pats):
         assert p.boundary[j] == ("v", 0, 0)
