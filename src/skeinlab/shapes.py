@@ -13,12 +13,14 @@ it, a record and the child's node:
     wiring, one record per pattern, headed by the inferred shading bits of
     the pattern's vertices (bit j for the j-th).
 
-A record is `pack([*head, loops, a0, b0, a1, b1, ...])`: the head, the
-free loops the rewrite closes, and the dart pairs (codes 4 * vertex +
-slot) that differ from the parent's edge map.  The darts of the removed
-vertices drop out, and which vertices go, come or are relabelled follows
-from the op or the 3-gon choice, so `skein._rebuild` makes the child from
-the parent term and the record alone.
+A record is `pack([*head, *delta])`, where the delta `skein._delta`
+computes is [loops, a0, b0, a1, b1, ...]: the free loops the rewrite
+closes, and the dart pairs (codes 4 * vertex + slot) its connector walk
+made, which are the pairs that differ from the parent's edge map.  The
+darts of the removed vertices drop out, and which vertices go, come or
+are relabelled follows from the op or the 3-gon choice, so
+`skein._rebuild` makes the child from the parent term and the record
+alone, whether the record was just computed or stored before.
 
 A term's diagram links to the slot its node goes in, (holder, key): a
 `Small` and None, a list of child nodes and an index, or the root table
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .errors import InvariantViolation
 from .twobox import MINUS, PLUS
 
 # Shape nodes made before the whole graph is dropped, as CLOSURE_CACHE_SIZE
@@ -50,14 +53,6 @@ def pack(codes: list[int]):
         return bytes(codes)
     except ValueError:
         return tuple(codes)
-
-
-def op_codes(op: tuple) -> list[int]:
-    """A 1-gon or 2-gon op as the head of its record."""
-    if op[0] == "cap":
-        return [0, *op[1:]]
-    _, u, v, nid, ku, kv, su, sv = op
-    return [1, u, v, nid, ku, kv, su == MINUS, sv == MINUS]
 
 
 def decode_op(step) -> tuple[tuple, int]:
@@ -100,17 +95,6 @@ def pattern_shape(p) -> tuple:
     return tuple((vid, v.shading0) for vid, v in p.vertices), p.internal_edges, p.boundary
 
 
-def record(parent, child, head=()):
-    """The record of a rewrite from a loop-free parent diagram to its child."""
-    graph.misses += 1
-    old = parent.edges
-    codes = [*head, child.free_loops]
-    for a, b in child.edges.items():
-        if a < b and old.get(a) != b:
-            codes += (4 * a[0] + a[1], 4 * b[0] + b[1])
-    return pack(codes)
-
-
 def node_at(slot):
     """The node in a slot, or None."""
     holder, key = slot
@@ -120,8 +104,8 @@ def node_at(slot):
 class ShapeGraph:
     """Root nodes by shape, with counters.  `cache_info()` gives (nodes,
     hits, misses): the nodes made since the graph was last dropped, and the
-    rewrites rebuilt from a record and computed afresh; `cache_clear()`
-    drops the graph and the counters."""
+    records reused and newly stored; `cache_clear()` drops the graph and
+    the counters."""
 
     def __init__(self):
         self._patterns = self._pattern_key = None
@@ -153,13 +137,15 @@ class ShapeGraph:
 
     def settle(self, slot, face):
         """Make the node of a shape with this engine face and put it in its
-        slot; a 3-gon that revisits a vertex gets none."""
+        slot.  The engine's face is never a 3-gon that revisits a vertex:
+        such a 3-gon comes from a self-loop, whose 1-gon or 2-gon the face
+        order prefers."""
         if len(face) <= 2:
             node = Small()
         elif len({u for u, _ in face}) == 3:
             node = Gon3(pack([4 * u + d for u, d in face]))
         else:
-            return None
+            raise InvariantViolation(f"engine face {face} is a 3-gon that revisits a vertex")
         if self.nodes >= SHAPE_CACHE_NODES:
             self.roots.clear()
             self.nodes = 0

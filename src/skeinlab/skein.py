@@ -9,34 +9,34 @@ reduction.  Evaluation repeatedly removes a face with at most three sides:
                       supplied triangle table for the pure-generator case
 
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
-terminates.  A rewrite's surgery visits only the darts of the vertices it
-removes and copies the rest of the edge map as it stands, and a formal sum
-merges terms by `Diagram.canonical_key`, whose exact label keys merge only
-terms with equal labels.
+terminates.  A formal sum merges terms by `Diagram.canonical_key`, whose
+exact label keys merge only terms with equal labels.
 
-The 1-gon and 2-gon rewrites come in two halves.  The shape half picks the
-face and rewires the map; it emits an op (cap vertex u on a dart pair, or
-fuse u and v into a new vertex, with the re-root parities and sides).  The
-number half applies an op to labels, held as plain tuples of three
-complex coefficients: the cap scalar, or the product label, from the
-model's rotation and cap rows and the elementwise product of
-`twobox.product_coeffs`.
+Every rewrite comes in two halves.  The shape half picks the face and
+computes the rewrite's record: for a 1-gon or 2-gon an op (cap vertex u
+on a dart pair, or fuse u and v into a new vertex, with the re-root
+parities and sides), then the edge delta of `_delta`, which visits only
+the darts of the removed vertices and returns the loops closed and the
+dart pairs its connector walk made.  A 3-gon has a record per id/e/T
+choice and per triangle-table pattern, the last headed by the shading
+bits that inference gives the pattern's vertices.  The number half
+applies an op to labels, held as plain tuples of three complex
+coefficients: the cap scalar, or the product label, from the model's
+rotation and cap rows and the elementwise product of
+`twobox.product_coeffs`.  `_rebuild` makes every child term from its
+parent term and the record: the edge map is copied as it stands, the
+removed vertices' darts drop out and the delta is applied.
+
 `evaluate` is the FormalSum engine: it validates every input, then reduces
-fresh copies of its vertices term by term with the two halves.  A child
-term shares the vertices it keeps with its parent, so each vertex's label
-key is computed once, and none is left on the caller's vertices.
-
-The engine keeps the shape half in the process-wide graph of `shapes`.  A
-node stands for a label-free shape (vertex ids in order, their shading
-bits, the dart pairing) and holds its engine face and, for each rewrite
-taken from it, the op, the child node and a compact edge delta against
-the parent: one step for a 1-gon or 2-gon, one per id/e/T choice of a
-3-gon and one per triangle-table pattern, with the inferred shading bits
-of the pattern's vertices.  A rewrite taken again is rebuilt by
-`_rebuild` from its parent term and delta, with no surgery, face walk or
-shading inference; the number half and the merging of terms are
-unchanged, so every value is too.  `evaluate` looks the root node up by
-the input's content after validating it and attaches nothing to it.  The
+fresh copies of its vertices term by term.  A child term shares the
+vertices it keeps with its parent, so each vertex's label key is computed
+once, and none is left on the caller's vertices.  The engine keeps the
+records in the process-wide graph of `shapes`: a node per label-free
+shape (vertex ids in order, their shading bits, the dart pairing) holds
+its engine face and, for each rewrite taken from it, the record and the
+child node.  A rewrite taken again reuses its record, with no delta, face
+walk or shading inference.  `evaluate` looks the root node up by the
+input's content after validating it and attaches nothing to it.  The
 graph is dropped whole when it reaches `shapes.SHAPE_CACHE_NODES` nodes,
 and a call with a `chooser` neither reads nor writes it.
 
@@ -58,11 +58,11 @@ import numpy as np
 
 from . import shapes
 from .diagram import Dart, Diagram, Vertex
-from .errors import InvariantViolation, NonFiniteScalar, TriangleTableRequired
+from .errors import InvariantViolation, MalformedPairing, NonFiniteScalar, TriangleTableRequired
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
+from .twobox import PLUS, TwoBoxModel, product_coeffs
 
-# -- rewiring surgery ----------------------------------------------------
+# -- edge deltas ---------------------------------------------------------
 
 
 def walk_connections(connections, is_connector):
@@ -109,22 +109,22 @@ def walk_connections(connections, is_connector):
     return pairs, loops
 
 
-def _surgery(
+def _delta(
     diagram: Diagram,
     removed: set[int],
     inner: list[tuple[Dart, Dart]],
-    new_vertices: dict[int, Vertex] | None = None,
-    new_edges: list[tuple[Dart, Dart]] | None = None,
-) -> tuple[Diagram, int]:
-    """Remove vertices, wiring their darts through `inner` arcs and the leg
-    connections in `new_edges`; returns the new diagram and the number of
-    closed loops formed.
+    new_edges: list[tuple[Dart, Dart]] = (),
+) -> list[int]:
+    """The edge delta of removing vertices, wiring their darts through
+    `inner` arcs and the leg connections in `new_edges`: [loops, a0, b0,
+    a1, b1, ...], the closed loops formed and the walked dart pairs as
+    codes 4 * vertex + slot.  `_rebuild` applies it.
 
     Removed-vertex darts without any inner/leg connection must be paired
     among themselves (they vanish with the vertices, e.g. the edges of a
-    fused bigon)."""
-    new_vertices = new_vertices or {}
-    new_edges = new_edges or []
+    fused bigon).  A walked dart must be a new vertex's dart or a kept dart
+    whose partner is removed, and must be walked once."""
+    edges = diagram.edges
 
     def is_connector(d: Dart) -> bool:
         return d[0] in removed
@@ -132,15 +132,12 @@ def _surgery(
     connections: list[tuple[Dart, Dart]] = list(itertools.chain(inner, new_edges))
     linked = {d for pair in connections for d in pair if is_connector(d)}
 
-    # Only the darts of removed vertices change: each of their edges joins
-    # the walk (or vanishes, dead at both ends) and leaves the edge map.
-    edges = dict(diagram.edges)
+    # Only the darts of removed vertices are visited: each of their edges
+    # joins the walk, or vanishes when it is dead at both ends.
     for u in removed:
         for slot in range(4):
             a = (u, slot)
-            b = diagram.edges[a]
-            edges.pop(a, None)
-            edges.pop(b, None)
+            b = edges[a]
             b_rm = is_connector(b)
             if b_rm and b < a:
                 continue  # the same edge, met from its other end
@@ -153,24 +150,23 @@ def _surgery(
             connections.append((a, b))
 
     paired, loops = walk_connections(connections, is_connector)
-
-    result = Diagram(
-        {v: vert for v, vert in diagram.vertices.items() if v not in removed},
-        {},
-        diagram.free_loops + loops,
-    )
-    result.vertices.update(new_vertices)
-    result.edges = edges
+    delta = [loops]
+    walked: set[Dart] = set()
     for a, b in paired:
-        result.add_edge(a, b)
-    return result, loops
+        for x in (a, b):
+            partner = edges.get(x)
+            if x in walked or (partner is not None and partner[0] not in removed):
+                raise MalformedPairing(f"dart {x} paired twice")
+            walked.add(x)
+        delta += (4 * a[0] + a[1], 4 * b[0] + b[1])
+    return delta
 
 
 def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> Diagram:
     """The child of `diag` under a recorded rewrite whose delta starts at
     code[at]: its vertices but the removed ones, then `new_vertices` (an id
-    already there keeps its place), and its edge map with the delta applied."""
-    shapes.graph.hits += 1
+    already there keeps its place), and its edge map with the delta applied.
+    Every child term of a rewrite is made here."""
     child = Diagram(free_loops=code[at])
     verts = child.vertices = {v: x for v, x in diag.vertices.items() if v not in removed}
     verts.update(new_vertices)
@@ -243,9 +239,9 @@ def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, S
 #                                          ku on side su and v at kv on sv
 
 
-def _shape_step(diag: Diagram, face: list[Dart]):
-    """Shape half of a 1-gon or 2-gon rewrite: the op and the rewired
-    diagram, in which a fused vertex carries a zero placeholder label."""
+def _small_step(diag: Diagram, face: list[Dart]):
+    """The record of a 1-gon or 2-gon rewrite: its op as `shapes.decode_op`
+    reads it, then its edge delta."""
     if len(face) == 2:
         (u, d), (v, dp) = face
         if u == v:
@@ -253,8 +249,6 @@ def _shape_step(diag: Diagram, face: list[Dart]):
             # 1-gon; reduce that one instead.
             face = [(u, (d + 1) % 4)]
         else:
-            su = PLUS if (diag.vertices[u].shading0 + d + 3) % 2 == 0 else MINUS
-            sv = PLUS if (diag.vertices[v].shading0 + dp + 1) % 2 == 0 else MINUS
             nid = max(itertools.chain(diag.vertices, [0])) + 1
             legs = [
                 ((u, (d + 3) % 4), (nid, 0)),
@@ -262,12 +256,23 @@ def _shape_step(diag: Diagram, face: list[Dart]):
                 ((v, (dp + 3) % 4), (nid, 2)),
                 ((u, (d + 2) % 4), (nid, 3)),
             ]
-            placeholder = Vertex((0.0, 0.0, 0.0), 0 if su == PLUS else 1)
-            out, _ = _surgery(diag, {u, v}, [], {nid: placeholder}, legs)
-            return ("fuse", u, v, nid, (d + 3) % 2, (dp + 1) % 2, su, sv), out
+            # Each side is stored as a bit, 1 for MINUS: the parity of the
+            # region before dart d+3 of u, or dart dp+1 of v.  The side of u
+            # is the fused vertex's shading bit.
+            su = (diag.vertices[u].shading0 + d + 3) % 2
+            sv = (diag.vertices[v].shading0 + dp + 1) % 2
+            head = [1, u, v, nid, (d + 3) % 2, (dp + 1) % 2, su, sv]
+            return shapes.pack(head + _delta(diag, {u, v}, [], legs))
     u, d = face[0]
-    out, _ = _surgery(diag, {u}, [((u, (d + 2) % 4), (u, (d + 3) % 4))])
-    return ("cap", u, d), out
+    return shapes.pack([0, u, d] + _delta(diag, {u}, [((u, (d + 2) % 4), (u, (d + 3) % 4))]))
+
+
+def _small_child(diag: Diagram, op: tuple, step, at: int, label) -> Diagram:
+    """The child of a 1-gon or 2-gon rewrite from its record, a fused
+    vertex labelled `label`."""
+    if op[0] == "cap":
+        return _rebuild(diag, op[1:2], {}, step, at)
+    return _rebuild(diag, op[1:3], {op[3]: Vertex(label, 0 if op[6] == PLUS else 1)}, step, at)
 
 
 def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
@@ -283,24 +288,22 @@ def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
 
 
 def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face, node=None):
-    """A 1-gon or 2-gon rewrite of one term: the shape half, replayed from
-    `node` once it holds a record, then the numbers."""
-    if node is None or node.step is None:
+    """A 1-gon or 2-gon rewrite of one term: the record from `node`, or
+    computed (and stored there), then the numbers and the rebuilt child."""
+    step = node.step if node is not None else None
+    if step is None:
         if face is None:  # the node's first rewrite raised
             face = find_small_face(diag)
-        op, out = _shape_step(diag, face)
+        step = _small_step(diag, face)
         if node is not None:
-            node.step = shapes.record(diag, out, shapes.op_codes(op))
+            node.step = step
+            shapes.graph.misses += 1
     else:
-        (op, at), out = shapes.decode_op(node.step), None
-    fuse = op[0] == "fuse"
-    gone = op[1:3] if fuse else op[1:2]
+        shapes.graph.hits += 1
+    op, at = shapes.decode_op(step)
+    gone = op[1:3] if op[0] == "fuse" else op[1:2]
     coeff, label = _number_step(model, coeff, op, {w: diag.vertices[w].coeffs for w in gone})
-    if out is None:
-        new = {op[3]: Vertex(label, 0 if op[6] == PLUS else 1)} if fuse else {}
-        out = _rebuild(diag, gone, new, node.step, at)
-    elif fuse:
-        out.vertices[op[3]] = Vertex(label, out.vertices[op[3]].shading0)
+    out = _small_child(diag, op, step, at, label)
     if node is not None:
         out._shape = (node, None)
     return [(coeff, out)]
@@ -351,7 +354,7 @@ def _apply_3gon(
             continue
 
         if k == shapes.ALL_T:
-            out_terms.extend(_substitute_recorded(tol, w, diag, corners, triangle, node))
+            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle, node))
             continue
 
         removed = set()
@@ -372,13 +375,13 @@ def _apply_3gon(
                 if c < 2
                 for a, b in (ID_ARCS, E_ARCS)[c]
             ]
-            work = diag.copy()
-            work.vertices.update(relabel)
-            reduced, _ = _surgery(work, removed, inner)
+            code = shapes.pack(_delta(diag, removed, inner))
             if codes is not None:
-                codes[k] = shapes.record(diag, reduced)
+                codes[k] = code
+                shapes.graph.misses += 1
         else:
-            reduced = _rebuild(diag, removed, relabel, code)
+            shapes.graph.hits += 1
+        reduced = _rebuild(diag, removed, relabel, code)
         if codes is not None:
             reduced._shape = (node.nodes, k)
         out_terms.append((w, reduced))
@@ -390,8 +393,11 @@ def _table_floor(tol: Tolerance, triangle) -> float:
     return tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
 
 
-def _substitute_triangle(tol, coeff, diag, corners, triangle):
-    """Replace an all-generator 3-gon by the triangle table expansion."""
+def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
+    """Replace an all-generator 3-gon by the triangle table expansion.  A
+    pattern's record, from `node` or computed (and stored there), is headed
+    by the shading bits of its vertices, which a miss takes from the
+    inferred shading of the child."""
     # The face orbit lists corners clockwise around the 3-gon, so the
     # counterclockwise hole boundary visits them in reversed vertex order
     # (first corner, then the third, then the second).
@@ -401,60 +407,41 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle):
         ext.append((u, (d + 3) % 4))
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
-
-    floor = _table_floor(tol, triangle)
-
-    out = []
-    for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
-        if abs(c_i) < floor:
-            continue
-        new_vertices, inner, legs = pattern.wiring(nid0, ext.__getitem__)
-        reduced, _ = _surgery(diag, removed, [], new_vertices, inner + legs)
-        # Pattern vertices arrive with placeholder shading bits.
-        out.append((coeff * c_i, reduced.infer_shading()))
-    return out
-
-
-def _substitute_recorded(tol, coeff, diag, corners, triangle, node):
-    """`_substitute_triangle` for the 3-gon of `node`: run as it is while a
-    kept pattern has no record under the table's pattern wiring, recording
-    each child's delta after the inferred shading bits of its pattern
-    vertices; rebuilt from those records after."""
-    if node is None:
-        return _substitute_triangle(tol, coeff, diag, corners, triangle)
     patterns = triangle.basis.diagrams
-    key = shapes.graph.pattern_key(patterns)
-    if node.table is None or node.table[0] != key:
-        node.table = (key, [None] * len(patterns), [None] * len(patterns))
-    _, codes, nodes = node.table
-    floor = _table_floor(tol, triangle)
-    kept = [i for i, c in enumerate(triangle.left_coeffs) if not abs(c) < floor]
-    removed = {u for u, _ in corners}
-    nid0 = max(itertools.chain(diag.vertices, [0])) + 1
+    codes = nodes = None
+    if node is not None:
+        key = shapes.graph.pattern_key(patterns)
+        if node.table is None or node.table[0] != key:
+            node.table = (key, [None] * len(patterns), [None] * len(patterns))
+        _, codes, nodes = node.table
 
-    if any(codes[i] is None for i in kept):
-        out = _substitute_triangle(tol, coeff, diag, corners, triangle)
-        for i, (_, child) in zip(kept, out):
-            if codes[i] is None:
-                cv = child.vertices
-                bits = sum(cv[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(patterns[i].vertices))
-                code = shapes.record(diag, child, [bits])
-                # Shading inference keeps the bits of the surviving vertices
-                # on a consistent map; a child where it did not is not recorded.
-                if all(cv[v].shading0 == x.shading0 for v, x in diag.vertices.items() if v not in removed):
-                    codes[i] = code
-            if codes[i] is not None:
-                child._shape = (nodes, i)
-        return out
+    floor = _table_floor(tol, triangle)
 
     out = []
     for i, (c_i, pattern) in enumerate(zip(triangle.left_coeffs, patterns)):
         if abs(c_i) < floor:
             continue
-        code = codes[i]
+        code = codes[i] if codes is not None else None
+        if code is None:
+            new_vertices, inner, legs = pattern.wiring(nid0, ext.__getitem__)
+            delta = _delta(diag, removed, [], inner + legs)
+            # Pattern vertices arrive with placeholder shading bits.  The
+            # inference roots each component at its least id, a kept one,
+            # so on a consistent parent no kept vertex changes its bit.
+            shaded = _rebuild(diag, removed, new_vertices, delta).infer_shading().vertices
+            if any(shaded[v].shading0 != x.shading0 for v, x in diag.vertices.items() if v not in removed):
+                raise InvariantViolation("triangle substitution moved a kept shading bit")
+            bits = sum(shaded[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(pattern.vertices))
+            code = shapes.pack([bits, *delta])
+            if codes is not None:
+                codes[i] = code
+                shapes.graph.misses += 1
+        else:
+            shapes.graph.hits += 1
         new = {nid0 + vid: Vertex(v.coeffs, code[0] >> j & 1) for j, (vid, v) in enumerate(pattern.vertices)}
         child = _rebuild(diag, removed, new, code, 1)
-        child._shape = (nodes, i)
+        if nodes is not None:
+            child._shape = (nodes, i)
         out.append((coeff * c_i, child))
     return out
 
@@ -503,7 +490,7 @@ def reduce_once(
         link = diag._shape
         if diag.free_loops:
             coeff = coeff * _loop_factor(model, diag.free_loops)
-            diag = Diagram(dict(diag.vertices), dict(diag.edges), 0)
+            diag = Diagram(diag.vertices, diag.edges, 0)
         if diag.n_vertices == 0:
             out.append((coeff, diag))
             continue
@@ -544,7 +531,10 @@ def _plan(diag: Diagram) -> tuple:
             face = find_small_face(diag)
             if len(face) > 2:
                 raise TriangleTableRequired("met a 3-gon face with no triangle table")
-            op, diag = _shape_step(diag, face)
+            step = _small_step(diag, face)
+            op, at = shapes.decode_op(step)
+            # The plan reads no labels: a fused vertex carries a zero one.
+            diag = _small_child(diag, op, step, at, (0.0, 0.0, 0.0))
         plan.append((loops, op))
     return tuple(plan)
 

@@ -284,8 +284,13 @@ class GramMatrix:
         """In descending order, computed once."""
         return np.linalg.svd(self.entries, compute_uv=False)
 
-    def eigenvalues(self) -> np.ndarray:
+    @functools.cached_property
+    def _eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
+
+    def eigenvalues(self) -> np.ndarray:
+        """Of the Hermitian part, in ascending order, computed once."""
+        return self._eigenvalues
 
     def psd_defect(self) -> float:
         """Most negative eigenvalue relative to the largest; 0 when PSD."""

@@ -10,7 +10,7 @@ from skeinlab import shapes
 @pytest.fixture(autouse=True)
 def cold_shape_graph():
     """Each test starts on an empty shape graph, so the tests that count the
-    engine's surgery see every rewrite computed in any test order."""
+    engine's edge deltas see every rewrite computed in any test order."""
     shapes.graph.cache_clear()
 
 

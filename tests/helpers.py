@@ -13,7 +13,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.skein import _surgery, walk_connections
+from skeinlab.skein import walk_connections
 from skeinlab.threebox import mirror
 
 
@@ -247,9 +247,10 @@ def reference_canonical_key(d):
 
 
 def reference_surgery(diagram, removed, inner, new_vertices=None, new_edges=None):
-    """The full-scan `skein._surgery` that the local one replaced, kept as a
-    test oracle: every edge of the diagram is scanned for removed darts,
-    and the result is rebuilt edge by edge."""
+    """The full-scan surgery that the engine's edge delta (`skein._delta`,
+    applied by `skein._rebuild`) replaced, kept as a test oracle: every
+    edge of the diagram is scanned for removed darts, and the result is
+    built edge by edge.  Returns it and the number of loops closed."""
     new_vertices = new_vertices or {}
     new_edges = new_edges or []
 
@@ -370,7 +371,8 @@ def reference_closure(x, y):
 
 def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
     """`skein._substitute_triangle` as it wired each table pattern into the
-    3-gon's hole before `Pattern.wiring`, kept as a test oracle."""
+    3-gon's hole before `Pattern.wiring`, with the full-scan surgery and
+    shading inference of each child, kept as a test oracle."""
     ext = []
     for u, d in (corners[0], corners[2], corners[1]):
         ext.append((u, (d + 2) % 4))
@@ -401,7 +403,7 @@ def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
                     continue
                 arcs_done.add((min(i, j), max(i, j)))
                 new_edges.append((ext[i], ext[j]))
-        reduced, _ = _surgery(diag, removed, [], new_vertices, new_edges)
+        reduced, _ = reference_surgery(diag, removed, [], new_vertices, new_edges)
         out.append((coeff * c_i, reduced.infer_shading()))
     return out
 

@@ -1,15 +1,29 @@
-"""Golden reports of the plan path: the sha256 of stdout and the exit code
-of `classify`, `gram` and `ybe` at the fixture loci.  These commands reduce
-every closed diagram through `skein._plan`/`_replay`, which read no label
-keys, so a change to the FormalSum engine's keys or merging must leave
-these bytes as they are."""
+"""Golden reports: the sha256 of stdout and the exit code of each command.
+
+`classify`, `gram` and `ybe` at the fixture loci take the plan path: they
+reduce every closed diagram through `skein._plan`/`_replay`, which read no
+label keys, so a change to the FormalSum engine's keys or merging must
+leave these bytes as they are.  `evaluate --l 12` on 3-gon-rich diagram
+files takes the engine path: 3-gon expansion, triangle-table substitution
+and the shape graph, so a change to how the engine builds its terms must
+leave those bytes as they are."""
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from helpers import (
+    coproduct_product_trace_closure,
+    coproduct_trace_closure,
+    disjoint_union,
+    medial_diagram,
+    octahedron_diagram,
+    rotated_trace_closure,
+    trace_closure,
+)
 from skeinlab.cli import main
 
 LOCI = {
@@ -58,3 +72,74 @@ def test_plan_path_reports_are_golden(monkeypatch, command, locus):
     with contextlib.redirect_stdout(out):
         code = main([*COMMANDS[command], *LOCI[locus]])
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command, locus]
+
+
+def _generic(v):
+    """A fixed label with no special structure for vertex v."""
+    return (0.5 + 0.25 * v, -1.0 + 0.125 * v, 0.75 - 0.375 * v)
+
+
+def _engine_diagrams():
+    """3-gon-rich diagrams by name, each with the vertex ids labelled "G"
+    (the generator) in its file; every other vertex keeps its `_generic`
+    label."""
+    labels = [_generic(v) for v in range(9)]
+    x, y, z, w = labels[:4]
+    return {
+        "octahedron-tied": (octahedron_diagram(labels), range(6)),
+        "octahedron-mixed": (octahedron_diagram(labels), range(0, 6, 2)),
+        "square_pyramid-mixed": (medial_diagram("square_pyramid", labels), range(0, 8, 2)),
+        "triangular_prism-mixed": (medial_diagram("triangular_prism", labels), range(1, 9, 2)),
+        "self-loops": (
+            disjoint_union(trace_closure(x), rotated_trace_closure(y), coproduct_trace_closure(z, w)),
+            (),
+        ),
+        "disconnected": (
+            disjoint_union(
+                octahedron_diagram(labels),
+                coproduct_product_trace_closure(x, y, z),
+                trace_closure(w),
+                free_loops=2,
+            ),
+            (0, 1, 2, 3, 4, 5, 6, 7),
+        ),
+    }
+
+
+def _write_diagram(path, d, generators):
+    doc = {
+        "free_loops": d.free_loops,
+        "vertices": [
+            {"id": v, "label": "G" if v in generators else [c.real for c in x.coeffs]}
+            for v, x in d.vertices.items()
+        ],
+        "edges": [[list(a), list(b)] for a, b in d.edges.items() if a < b],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+# (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
+GOLDEN_EVALUATE = {
+    "octahedron-tied": (0, "99d8c70f06191ec6eb6aa0822c7e65cb694e4f93096a6a36f2d34841fad1b453"),
+    "octahedron-mixed": (0, "59d8e0b52bf71c1112fcb7ea9b7d70ac9d9722c4d7ef19913b3c77c3cea3f06c"),
+    "square_pyramid-mixed": (0, "be3adcd3b3717c0cf4306d03ddac47739834128979ba9d261ad9d978b5155772"),
+    "triangular_prism-mixed": (0, "e63d57bf0e118e0e2d75d2421671a82d4b57e404770a59e7a5156e8fea896bfb"),
+    "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
+    "disconnected": (0, "250ddbbe5e9bb7d2a2b37597144fb033b98c1583b76b882986bce8d184e1b603"),
+}
+
+
+@pytest.mark.parametrize("name", list(_engine_diagrams()))
+def test_engine_path_reports_are_golden(monkeypatch, tmp_path, name):
+    monkeypatch.delenv("SKEINLAB_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)  # the report names the file as given
+    d, generators = _engine_diagrams()[name]
+    _write_diagram(f"{name}.json", d, set(generators))
+    # The first run computes every rewrite on a cold shape graph, the
+    # second rebuilds them from its records.
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["evaluate", "--diagram", f"{name}.json", "--l", "12"])
+        assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN_EVALUATE[name]

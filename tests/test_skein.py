@@ -41,6 +41,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     TriangleTableRequired,
 )
+from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import small_faces
 from skeinlab.twobox import PLUS
 
@@ -344,39 +345,60 @@ def test_canonical_key_matches_the_reference_on_reduction_terms(model12, table12
     assert seen > 100
 
 
-def test_surgery_matches_the_full_scan_reference(model12, table12, triangle_rich, monkeypatch):
-    local = skein._surgery
+def test_delta_matches_the_full_scan_reference(model12, table12, triangle_rich, monkeypatch):
+    """Every edge delta the engine computes on the corpus, applied by
+    `_rebuild`, against the full-scan surgery: the same kept vertices in
+    order, edge map and loops."""
+    local = skein._delta
     calls = []
 
-    def checked(diagram, removed, inner, new_vertices=None, new_edges=None):
-        got, loops = local(diagram, removed, inner, new_vertices, new_edges)
-        want, want_loops = reference_surgery(diagram, removed, inner, new_vertices, new_edges)
+    def checked(diagram, removed, inner, new_edges=()):
+        delta = local(diagram, removed, inner, new_edges)
+        got = skein._rebuild(diagram, removed, {}, delta)
+        want, loops = reference_surgery(diagram, removed, inner, None, new_edges)
         assert list(got.vertices.items()) == list(want.vertices.items())
         assert got.edges == want.edges
-        assert (got.free_loops, loops) == (want.free_loops, want_loops)
+        assert (diagram.free_loops, got.free_loops) == (0, want.free_loops) == (0, loops)
         calls.append(len(removed))
-        return got, loops
+        return delta
 
-    monkeypatch.setattr(skein, "_surgery", checked)
+    monkeypatch.setattr(skein, "_delta", checked)
     for d in triangle_rich.values():
         evaluate(d, model12, table12)
     assert len(calls) > 100 and {1, 2, 3} <= set(calls)
 
 
-def test_surgery_on_removed_self_loops(model12):
+def test_delta_on_removed_self_loops(model12):
     # Capping a self-looped vertex: one edge dead at both ends, one closed
     # by the inner arc into a free loop.
     d = trace_closure(model12.uncappable().coeffs)
     inner = [((0, 2), (0, 3))]
-    got, loops = skein._surgery(d, {0}, inner)
+    delta = skein._delta(d, {0}, inner)
+    got = skein._rebuild(d, {0}, {}, delta)
     want, _ = reference_surgery(d, {0}, inner)
-    assert (got.vertices, got.edges, got.free_loops, loops) == ({}, {}, 1, 1)
+    assert delta == [1]
+    assert (got.vertices, got.edges, got.free_loops) == ({}, {}, 1)
     assert (want.vertices, want.edges, want.free_loops) == ({}, {}, 1)
     # A removed dart with no connection whose partner survives.
     two = product_trace_closure((1, 0, 0), (0, 1, 0))
-    for surgery in (skein._surgery, reference_surgery):
+    for surgery in (skein._delta, reference_surgery):
         with pytest.raises(InvariantViolation, match="half-dead"):
             surgery(two, {0}, [((0, 0), (0, 1))])
+
+
+def test_delta_refuses_a_kept_dart_that_is_still_paired():
+    """Vertex 0 of tr((x * y) z) replaced by a new vertex 9, with one leg
+    wired to dart (2, 2) of a kept vertex, whose partner (1, 3) is kept."""
+    d = coproduct_product_trace_closure((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert d.edges[2, 2] == (1, 3)
+    legs = [((0, 0), (9, 0)), ((0, 1), (9, 1)), ((0, 2), (9, 2)), ((0, 3), (2, 2))]
+    with pytest.raises(MalformedPairing, match=r"dart \(2, 2\) paired twice"):
+        skein._delta(d, {0}, [], legs)
+    with pytest.raises(MalformedPairing, match="paired twice"):
+        reference_surgery(d, {0}, [], None, legs)
+    # The same legs onto the fourth dart of the new vertex are a delta.
+    legs[3] = ((0, 3), (9, 3))
+    assert skein._delta(d, {0}, [], legs)[0] == 0
 
 
 # evaluate() on the diagrams above at l = 12, (re, im) as hex floats, as the
@@ -408,8 +430,8 @@ def test_triangle_substitution_matches_the_reference_wiring(model12, table12, tr
     wired = skein._substitute_triangle
     calls = []
 
-    def checked(tol, coeff, diag, corners, triangle):
-        got = wired(tol, coeff, diag, corners, triangle)
+    def checked(tol, coeff, diag, corners, triangle, node=None):
+        got = wired(tol, coeff, diag, corners, triangle, node)
         want = reference_substitute_triangle(tol, coeff, diag, corners, triangle)
         assert [c for c, _ in got] == [c for c, _ in want]
         assert all(same_wiring(g, w) for (_, g), (_, w) in zip(got, want))
@@ -420,6 +442,20 @@ def test_triangle_substitution_matches_the_reference_wiring(model12, table12, tr
     for name in PINNED:
         evaluate(triangle_rich[name], model12, table12)
     assert len(calls) > 10 and min(calls) > 0
+
+
+def test_triangle_substitution_refuses_an_inconsistently_shaded_parent(model12, table12):
+    """A kept vertex whose shading bit is flipped: the shading inference of
+    each child would move it back, so no record can hold the child."""
+    d = octahedron_diagram([model12.uncappable().coeffs] * 6)
+    corners = next(f for f in small_faces(d) if len(f) == 3 and 5 not in {u for u, _ in f})
+    assert skein._substitute_triangle(DEFAULT_TOL, 1.0, d, corners, table12)
+    bad = d.copy()
+    bad.vertices[5] = Vertex(d.vertices[5].coeffs, 1 - d.vertices[5].shading0)
+    with pytest.raises(ShadingInconsistent):
+        bad.validate()
+    with pytest.raises(InvariantViolation, match="kept shading bit"):
+        skein._substitute_triangle(DEFAULT_TOL, 1.0, bad, corners, table12)
 
 
 # -- the shape graph -----------------------------------------------------
@@ -436,10 +472,11 @@ def _shifted(d, by):
 
 
 def test_replayed_children_match_the_fresh_rewrites(model12, table12, triangle_rich, monkeypatch):
-    """Every child of every step on the corpus, rebuilt from its recorded
-    delta, against the same step by surgery and shading inference (a
-    chooser run, which takes the engine's faces and no records): the same
-    coefficients, vertex order, labels, edge map and free loops."""
+    """Every child of every step on the corpus, rebuilt from its stored
+    record, against the same step with its record computed afresh by
+    `_delta` and shading inference (a chooser run, which takes the engine's
+    faces and stores no records): the same coefficients, vertex order,
+    labels, edge map and free loops."""
     corpus = list(triangle_rich.values())
     for name in ("octahedron-mixed", "self-loops", "disconnected"):
         corpus += [_shifted(triangle_rich[name], 100), _shifted(triangle_rich[name], -50)]
@@ -492,6 +529,13 @@ def test_a_changed_diagram_is_evaluated_afresh(model12, table12):
     assert value == evaluate(d, model12, table12, chooser=find_small_face) != first
     d.vertices[0] = Vertex(x, d.vertices[0].shading0)
     assert evaluate(d, model12, table12) == evaluate(d, model12, table12, chooser=find_small_face) != value
+
+
+def test_no_node_settles_on_a_3gon_that_revisits_a_vertex():
+    d = coproduct_trace_closure((1.0, 0.5, -0.25), (0.3, -1.0, 2.0))
+    with pytest.raises(InvariantViolation, match="revisits a vertex"):
+        shapes.graph.settle(shapes.graph.root_slot(d), [(0, 1), (0, 2), (1, 0)])
+    assert shapes.graph.cache_info().nodes == 0
 
 
 def test_a_small_node_bound_keeps_the_values_and_holds(model12, table12, triangle_rich, monkeypatch):

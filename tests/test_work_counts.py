@@ -2,8 +2,12 @@
 the plan of its closure shape, and each shape is validated once, when its
 plan is compiled; the right triangle table, which the pipeline never reads,
 is solved only on demand.  A PASS classification makes one SVD, of the
-Gram matrix.  The FormalSum engine evaluates a diagram again without
-redoing the shape half of any rewrite."""
+Gram matrix, and a Gram report one eigendecomposition.  The FormalSum
+engine evaluates a diagram again without redoing the shape half of any
+rewrite."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from helpers import octahedron_diagram
 from skeinlab import classify, delta_for_l, shapes, skein, threebox
 from skeinlab.classify import Stages
+from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
 # 196 Gram entries, 14 for the left triangle table, 2 x 14 for the two
@@ -64,11 +69,11 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
 
 def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch):
     """The shape half of every rewrite is recorded once per process: the
-    same diagram evaluated again makes no surgery, face search or shading
-    inference; its one face walk is validate's."""
+    same diagram evaluated again computes no edge delta, face search or
+    shading inference; its one face walk is validate's."""
     g = model12.uncappable().coeffs
     d = octahedron_diagram([g if v % 2 else (1.0, -0.5, 0.25) for v in range(6)])
-    calls = dict.fromkeys(("surgery", "find_small_face", "faces", "infer_shading"), 0)
+    calls = dict.fromkeys(("delta", "find_small_face", "faces", "infer_shading"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -77,7 +82,7 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
 
         return wrapper
 
-    monkeypatch.setattr(skein, "_surgery", counting("surgery", skein._surgery))
+    monkeypatch.setattr(skein, "_delta", counting("delta", skein._delta))
     monkeypatch.setattr(skein, "find_small_face", counting("find_small_face", skein.find_small_face))
     for name in ("faces", "infer_shading"):
         monkeypatch.setattr(skein.Diagram, name, counting(name, getattr(skein.Diagram, name)))
@@ -85,7 +90,7 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
     assert min(calls.values()) > 0
     calls.update(dict.fromkeys(calls, 0))
     assert skein.evaluate_detailed(d, model12, table12) == first
-    assert calls == {"surgery": 0, "find_small_face": 0, "faces": 1, "infer_shading": 0}
+    assert calls == {"delta": 0, "find_small_face": 0, "faces": 1, "infer_shading": 0}
 
 
 def test_classify_computes_one_svd(monkeypatch):
@@ -98,6 +103,20 @@ def test_classify_computes_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert classify(5.0).verdict == "PASS"
+    assert calls == [(14, 14)]
+
+
+def test_gram_report_computes_the_eigenvalues_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gram", "--l", "12"]) == 0
     assert calls == [(14, 14)]
 
 
