@@ -23,6 +23,7 @@ from .errors import (
     DegenerateDenominator,
     InadmissibleDelta,
     NoCanonicalRepresentative,
+    NonFiniteScalar,
     SkeinlabError,
     SupportAmbiguous,
 )
@@ -89,8 +90,11 @@ def recover_qr(
     Brauer point q = 1 is returned with its limit r = 1.
     """
     dp = sigma * float(delta)
-    u = (dp - 1.0) ** 2
-    w = (b - a) ** 2
+    try:
+        u = (dp - 1.0) ** 2
+        w = (b - a) ** 2
+    except OverflowError:
+        raise NonFiniteScalar(f"(delta'-1)^2 or (b-a)^2 overflows at delta={delta}") from None
     denom = u * u - w
     scale = max(1.0, abs(u * u), abs(w))
     if abs(denom) <= tol.eq_tol * scale:
@@ -101,7 +105,7 @@ def recover_qr(
     q = principal_q_from_c(c, tol)
     if tol.at_brauer_point(q):
         return complex(1.0), complex(1.0)
-    r = ((dp - 1.0) ** 2 * (q - 1.0 / q) + (a - b) * (q + 1.0 / q)) / (2.0 * (dp - 1.0))
+    r = (u * (q - 1.0 / q) + (a - b) * (q + 1.0 / q)) / (2.0 * (dp - 1.0))
     # On the unit-circle branch the modulus is exact; snap the float noise.
     if abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= tol.match_tol:
         r /= abs(r)

@@ -9,13 +9,15 @@ A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
 report naming the exception, as `classify` does.
 
 Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage (bad arguments,
-or a `--tol`/`SKEINLAB_TOL` that `Tolerance` refuses).
+a `--tol`/`SKEINLAB_TOL` that `Tolerance` refuses, or a `--perturb-q` that
+is not finite and nonzero).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .classify import L_SERIES_MIN, Stages, classify, delta_for_l
@@ -229,12 +231,16 @@ def cmd_gram(args) -> int:
 
 
 def cmd_ybe(args) -> int:
-    st, inputs = _stages(args, perturb_q=_num(args.perturb_q or 1.0))
+    factor = 1.0 if args.perturb_q is None else args.perturb_q
+    if not (math.isfinite(factor) and factor != 0.0):
+        print(f"error: --perturb-q must be finite and nonzero, got {factor!r}", file=sys.stderr)
+        return EXIT_USAGE
+    st, inputs = _stages(args, perturb_q=_num(factor))
     if st.rejected:
         return _reject(args, st, inputs)
     outputs = {}
     try:
-        braid = st.perturbed_braid(args.perturb_q or 1.0)
+        braid = st.perturbed_braid(factor)
         outputs = {"q": _cnum(braid.q), "r": _cnum(braid.r)}
         residuals = st.braid_residuals(braid)
     except SkeinlabError as exc:

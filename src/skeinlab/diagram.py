@@ -6,14 +6,17 @@ fixed-point-free involution on darts.  Faces are the orbits of the face
 permutation phi(v, d) = partner(v, d+1); planarity is enforced through the
 Euler characteristic of every connected component.  `Diagram.validate`
 runs on every input to `skein.evaluate`: it checks the pairing, then
-counts the faces of `faces()` against the components of `components()`,
-looks for a face that mixes shading parities, and checks that every label
-is finite.  `Diagram.canonical_key`, by which a formal sum merges terms,
-reads each `Vertex.key` once and runs its BFS only from the vertices with
-the least label key.  A label key is exact (the coefficients as they are,
-signed zeros merged, then the shading bit), so only equal labels merge.  A
-vertex computes its key on first read and keeps it in a slot; the engine's
-terms share their parent's vertices, so a carried vertex is keyed once.
+counts the faces of `faces()` (one pass over the darts in vertex order)
+against the components of `components()`, looks for a face that mixes
+shading parities, and checks that every label is finite.
+`Diagram.canonical_key`, by which a formal sum merges terms, reads each
+`Vertex.key` and the four partners of each vertex once and runs its BFS
+only from the vertices with the least label key.  A label key is exact
+(the coefficients as they are, signed zeros merged, then the shading bit),
+so only equal labels merge.  A vertex computes its key on first read and
+keeps it in a slot; the engine's terms share their parent's vertices, and
+`infer_shading` keeps every vertex whose bit stays, so a carried vertex is
+keyed once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class Vertex:
     _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
 
     @property
     def key(self) -> tuple:
@@ -48,7 +51,13 @@ class Vertex:
         parents."""
         key = self._key
         if key is None:
-            key = tuple((c.real + 0.0, c.imag + 0.0) for c in self.coeffs) + (self.shading0,)
+            x, y, z = self.coeffs
+            key = (
+                (x.real + 0.0, x.imag + 0.0),
+                (y.real + 0.0, y.imag + 0.0),
+                (z.real + 0.0, z.imag + 0.0),
+                self.shading0,
+            )
             object.__setattr__(self, "_key", key)
         return key
 
@@ -96,29 +105,30 @@ class Diagram:
 
     # -- faces and components -------------------------------------------
 
-    def _phi(self, d: Dart) -> Dart:
-        v, slot = d
-        return self.edges[(v, (slot + 1) % 4)]
-
     def faces(self) -> list[list[Dart]]:
-        """Orbits of the face permutation; each corner (v, d) stands for the
-        region counterclockwise after dart d."""
+        """Orbits of the face permutation phi(v, d) = partner(v, d+1), from
+        the darts in vertex order; each corner (v, d) stands for the region
+        counterclockwise after dart d."""
+        edges = self.edges
         seen: set[Dart] = set()
         out = []
-        for start in self.darts():
-            if start in seen:
-                continue
-            orbit = []
-            d = start
-            while True:
-                orbit.append(d)
-                seen.add(d)
-                d = self._phi(d)
-                if d == start:
-                    break
-                if d in seen:
-                    raise MalformedPairing("face permutation is not a permutation")
-            out.append(orbit)
+        for v in self.vertices:
+            for start in ((v, 0), (v, 1), (v, 2), (v, 3)):
+                if start in seen:
+                    continue
+                orbit = [start]
+                seen.add(start)
+                u, slot = start
+                while True:
+                    d = edges[u, (slot + 1) & 3]
+                    if d == start:
+                        break
+                    if d in seen:
+                        raise MalformedPairing("face permutation is not a permutation")
+                    orbit.append(d)
+                    seen.add(d)
+                    u, slot = d
+                out.append(orbit)
         return out
 
     def components(self) -> list[set[int]]:
@@ -205,10 +215,11 @@ class Diagram:
                     assigned[w] = (assigned[v] + slot - wslot) % 2
                     seen.add(w)
                     stack.append(w)
-        d.vertices = {
-            v: Vertex(vert.coeffs, assigned.get(v, vert.shading0))
-            for v, vert in d.vertices.items()
-        }
+        verts = d.vertices
+        for v, bit in assigned.items():
+            vert = verts[v]
+            if bit != vert.shading0:  # a vertex whose bit stays is kept as it is
+                verts[v] = Vertex(vert.coeffs, bit)
         return d
 
     # -- canonical form --------------------------------------------------
@@ -224,27 +235,25 @@ class Diagram:
         edges = self.edges
         labels = {v: vert.key for v, vert in self.vertices.items()}
         least = min(labels.values())
+        starts = [v for v, label in labels.items() if label == least]
+        # The four partners of each vertex, read once for every start.
+        ports = {v: (edges[v, 0], edges[v, 1], edges[v, 2], edges[v, 3]) for v in labels}
         best = None
-        for start, label in labels.items():
-            if label != least:
-                continue
+        for start in starts:
             order = {start: 0}
             queue = [start]
             for v in queue:  # the queue grows while it is walked; it ends as the BFS order
-                for slot in range(4):
-                    w = edges[(v, slot)][0]
+                for w, _ in ports[v]:
                     if w not in order:
-                        order[w] = len(order)
+                        order[w] = len(queue)
                         queue.append(w)
             if len(queue) < len(labels):
                 # Disconnected: canonicalize per component and combine.
                 return self._canonical_key_disconnected()
             enc = []
             for v in queue:
-                enc.append(labels[v])
-                for slot in range(4):
-                    w, wslot = edges[(v, slot)]
-                    enc.append((order[w], wslot))
+                (a, sa), (b, sb), (c, sc), (d, sd) = ports[v]
+                enc += (labels[v], (order[a], sa), (order[b], sb), (order[c], sc), (order[d], sd))
             key = tuple(enc)
             if best is None or key < best:
                 best = key

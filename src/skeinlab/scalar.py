@@ -122,8 +122,9 @@ class Tolerance:
         return cls(eq_tol=eq_tol)
 
     def over_limits(self, residuals: Mapping[str, float]) -> list[str]:
-        """Sorted keys whose residual is at or over its limit."""
-        return sorted(k for k, v in residuals.items() if v >= self.limits[k])
+        """Sorted keys whose residual is at or over its limit; a NaN
+        residual is over any limit."""
+        return sorted(k for k, v in residuals.items() if not v < self.limits[k])
 
     def at_brauer_point(self, q: Scalar) -> bool:
         """Whether q is the Brauer point q = 1 (see BRAUER_WINDOW)."""

@@ -10,14 +10,19 @@ reduction.  Evaluation repeatedly removes a face with at most three sides:
 
 Each rewrite strictly decreases (vertex count, edge count), so evaluation
 terminates.  A formal sum merges terms by `Diagram.canonical_key`, whose
-exact label keys merge only terms with equal labels.
+exact label keys merge only terms with equal labels.  Equal keys imply an
+equal invariant (free loops, vertex count, sum of the label keys' hashes),
+so `FormalSum.normalized` keys only the terms whose invariant another term
+of the sum shares; about half the terms of a 3-gon-rich reduction have an
+invariant of their own and skip the key's BFS.
 
 Every rewrite comes in two halves.  The shape half picks the face and
 computes the rewrite's record: for a 1-gon or 2-gon an op (cap vertex u
 on a dart pair, or fuse u and v into a new vertex, with the re-root
 parities and sides), then the edge delta of `_delta`, which visits only
 the darts of the removed vertices and returns the loops closed and the
-dart pairs its connector walk made.  A 3-gon has a record per id/e/T
+dart pairs its connector walk made; `walk_connections` classifies each
+node of the walk once.  A 3-gon has a record per id/e/T
 choice and per triangle-table pattern, the last headed by the shading
 bits that inference gives the pattern's vertices.  The number half
 applies an op to labels, held as plain tuples of three complex
@@ -67,44 +72,57 @@ from .twobox import PLUS, TwoBoxModel, product_coeffs
 
 def walk_connections(connections, is_connector):
     """Resolve chains through degree-2 connector nodes; returns the terminal
-    pairings and the number of connector-only cycles."""
+    pairings, each listed from whichever of its two terminals comes first in
+    `connections`, and the number of connector-only cycles.  Each node is
+    classified once."""
     adj = defaultdict(list)
     for cid, (a, b) in enumerate(connections):
         adj[a].append((cid, b))
         adj[b].append((cid, a))
 
+    connector = {}
     for node, links in adj.items():
-        want = 2 if is_connector(node) else 1
+        connector[node] = kind = is_connector(node)
+        want = 2 if kind else 1
         if len(links) != want:
             raise InvariantViolation(f"node {node} has {len(links)} links, wants {want}")
 
-    used: set[int] = set()
+    used = [False] * len(connections)
     pairs = []
-    for node in list(adj):
-        if is_connector(node) or any(cid in used for cid, _ in adj[node]):
+    for node, links in adj.items():
+        if connector[node]:
             continue
-        cid, cur = adj[node][0]
-        used.add(cid)
-        while is_connector(cur):
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
+        ((cid, cur),) = links
+        if used[cid]:  # the walk from the other end came in here
+            continue
+        used[cid] = True
+        while connector[cur]:
+            (c1, o1), (c2, o2) = adj[cur]
+            if not used[c1]:
+                cid, cur = c1, o1
+            elif not used[c2]:
+                cid, cur = c2, o2
+            else:
                 raise InvariantViolation("dangling connector walk")
-            cid, cur = nxt[0]
-            used.add(cid)
+            used[cid] = True
         pairs.append((node, cur))
 
+    # Every terminal's link is used now, so what is left joins connectors
+    # only: each unused connection lies on a connector-only cycle.
     loops = 0
     for cid0, (_, cur) in enumerate(connections):
-        if cid0 in used:
+        if used[cid0]:
             continue
-        # connector-only cycle
-        used.add(cid0)
+        used[cid0] = True
         while True:
-            nxt = [(c, o) for c, o in adj[cur] if c not in used]
-            if not nxt:
+            (c1, o1), (c2, o2) = adj[cur]
+            if not used[c1]:
+                cid, cur = c1, o1
+            elif not used[c2]:
+                cid, cur = c2, o2
+            else:
                 break
-            cid, cur = nxt[0]
-            used.add(cid)
+            used[cid] = True
         loops += 1
     return pairs, loops
 
@@ -129,16 +147,15 @@ def _delta(
     def is_connector(d: Dart) -> bool:
         return d[0] in removed
 
-    connections: list[tuple[Dart, Dart]] = list(itertools.chain(inner, new_edges))
-    linked = {d for pair in connections for d in pair if is_connector(d)}
+    connections: list[tuple[Dart, Dart]] = [*inner, *new_edges]
+    linked = {d for pair in connections for d in pair if d[0] in removed}
 
     # Only the darts of removed vertices are visited: each of their edges
     # joins the walk, or vanishes when it is dead at both ends.
     for u in removed:
-        for slot in range(4):
-            a = (u, slot)
+        for a in ((u, 0), (u, 1), (u, 2), (u, 3)):
             b = edges[a]
-            b_rm = is_connector(b)
+            b_rm = b[0] in removed
             if b_rm and b < a:
                 continue  # the same edge, met from its other end
             dead_a = a not in linked
@@ -167,18 +184,18 @@ def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> D
     code[at]: its vertices but the removed ones, then `new_vertices` (an id
     already there keeps its place), and its edge map with the delta applied.
     Every child term of a rewrite is made here."""
-    child = Diagram(free_loops=code[at])
-    verts = child.vertices = {v: x for v, x in diag.vertices.items() if v not in removed}
+    verts = {v: x for v, x in diag.vertices.items() if v not in removed}
     verts.update(new_vertices)
-    edges = child.edges = diag.edges.copy()
+    edges = diag.edges.copy()
     for u in removed:
-        for slot in range(4):
-            del edges[u, slot]
+        del edges[u, 0], edges[u, 1], edges[u, 2], edges[u, 3]
     for i in range(at + 1, len(code), 2):
         a, b = code[i], code[i + 1]
         a, b = (a >> 2, a & 3), (b >> 2, b & 3)
         edges[a] = b
         edges[b] = a
+    child = Diagram.__new__(Diagram)  # takes the two dicts as they are
+    child.vertices, child.edges, child.free_loops = verts, edges, code[at]
     return child
 
 
@@ -197,9 +214,23 @@ class FormalSum:
     terms: list[tuple[Scalar, Diagram]] = field(default_factory=list)
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
+        """Merge the terms of equal canonical key, in first-seen order, then
+        drop the terms that `_kept` refuses.  Equal keys imply an equal
+        invariant (free loops, vertex count, sum of the label keys' hashes),
+        so a term whose invariant no other term shares merges with nothing:
+        its bucket key is the invariant, which no canonical key (a tuple
+        headed by a str) can equal, and only the other terms are keyed."""
+        terms = self.terms
+        invariants = [
+            (d.free_loops, len(d.vertices), sum([hash(v.key) for v in d.vertices.values()]))
+            for _, d in terms
+        ]
+        shared: dict[tuple, bool] = {}
+        for inv in invariants:
+            shared[inv] = inv in shared
         buckets: dict[object, tuple[Scalar, Diagram]] = {}
-        for coeff, diag in self.terms:
-            key = diag.canonical_key()
+        for (coeff, diag), inv in zip(terms, invariants):
+            key = diag.canonical_key() if shared[inv] else inv
             if key in buckets:
                 prev, d0 = buckets[key]
                 buckets[key] = (prev + coeff, d0)

@@ -1,7 +1,8 @@
-"""Diagram builders shared across the test modules."""
+"""Diagram builders and test oracles shared across the test modules."""
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.skein import walk_connections
 from skeinlab.threebox import mirror
 
 
@@ -201,6 +201,99 @@ def disjoint_union(*parts, free_loops=0):
     return out
 
 
+def reference_walk_connections(connections, is_connector):
+    """`skein.walk_connections` before it classified each node once, kept
+    as a test oracle: the same pairs in the same order, the same loop count
+    and the same errors.  Resolve chains through degree-2 connector nodes;
+    returns the terminal pairings and the number of connector-only cycles."""
+    adj = defaultdict(list)
+    for cid, (a, b) in enumerate(connections):
+        adj[a].append((cid, b))
+        adj[b].append((cid, a))
+
+    for node, links in adj.items():
+        want = 2 if is_connector(node) else 1
+        if len(links) != want:
+            raise InvariantViolation(f"node {node} has {len(links)} links, wants {want}")
+
+    used: set[int] = set()
+    pairs = []
+    for node in list(adj):
+        if is_connector(node) or any(cid in used for cid, _ in adj[node]):
+            continue
+        cid, cur = adj[node][0]
+        used.add(cid)
+        while is_connector(cur):
+            nxt = [(c, o) for c, o in adj[cur] if c not in used]
+            if not nxt:
+                raise InvariantViolation("dangling connector walk")
+            cid, cur = nxt[0]
+            used.add(cid)
+        pairs.append((node, cur))
+
+    loops = 0
+    for cid0, (_, cur) in enumerate(connections):
+        if cid0 in used:
+            continue
+        # connector-only cycle
+        used.add(cid0)
+        while True:
+            nxt = [(c, o) for c, o in adj[cur] if c not in used]
+            if not nxt:
+                break
+            cid, cur = nxt[0]
+            used.add(cid)
+        loops += 1
+    return pairs, loops
+
+
+def reference_faces(d):
+    """`Diagram.faces` before it inlined the face permutation, kept as a
+    test oracle: orbits of phi(v, s) = partner(v, s+1), started from the
+    darts in vertex order; each corner (v, s) stands for the region
+    counterclockwise after dart s."""
+
+    def phi(x):
+        v, slot = x
+        return d.edges[(v, (slot + 1) % 4)]
+
+    seen = set()
+    out = []
+    for start in ((v, slot) for v in d.vertices for slot in range(4)):
+        if start in seen:
+            continue
+        orbit = []
+        x = start
+        while True:
+            orbit.append(x)
+            seen.add(x)
+            x = phi(x)
+            if x == start:
+                break
+            if x in seen:
+                raise MalformedPairing("face permutation is not a permutation")
+        out.append(orbit)
+    return out
+
+
+def reference_normalized(s, tol):
+    """`FormalSum.normalized` with every term keyed by
+    `reference_canonical_key`, kept as a test oracle: the terms of equal key
+    summed onto the first one, in first-seen order, then the terms under
+    `tol.drop_tol` times the largest dropped.  Returns the (coefficient,
+    diagram) list."""
+    buckets = {}
+    for coeff, diag in s.terms:
+        key = reference_canonical_key(diag)
+        if key in buckets:
+            prev, d0 = buckets[key]
+            buckets[key] = (prev + coeff, d0)
+        else:
+            buckets[key] = (complex(coeff), diag)
+    scale = max([abs(c) for c, _ in buckets.values()], default=1.0)
+    return [(c, d) for c, d in buckets.values() if abs(c) > tol.drop_tol * max(1.0, scale)]
+
+
 def reference_canonical_key(d):
     """The all-starts `Diagram.canonical_key` that the minimal-label search
     replaced, kept as a test oracle: a BFS from every vertex, each label
@@ -275,7 +368,7 @@ def reference_surgery(diagram, removed, inner, new_vertices=None, new_edges=None
             continue
         connections.append((a, b))
 
-    paired, loops = walk_connections(connections, is_connector)
+    paired, loops = reference_walk_connections(connections, is_connector)
     result = Diagram(
         {v: vert for v, vert in diagram.vertices.items() if v not in removed},
         {},
@@ -292,10 +385,10 @@ def reference_surgery(diagram, removed, inner, new_vertices=None, new_edges=None
 
 def reference_validate(d, check_shading=True):
     """A multi-scan `Diagram.validate`, kept as a test oracle: pairing
-    checks, then `faces()`, `components()`, one edge scan and one dart scan
+    checks, then `reference_faces`, `components()`, one edge scan and one dart scan
     per component, then the shading of every face.  It does not check that
     labels are finite."""
-    all_darts = set(d.darts())
+    all_darts = {(v, slot) for v in d.vertices for slot in range(4)}
     for a, b in d.edges.items():
         if a not in all_darts or b not in all_darts:
             raise MalformedPairing(f"edge endpoint {a if a not in all_darts else b} unknown")
@@ -309,7 +402,7 @@ def reference_validate(d, check_shading=True):
     if d.free_loops < 0:
         raise MalformedPairing("negative free loop count")
 
-    faces = d.faces()
+    faces = reference_faces(d)
     face_of = {}
     for i, f in enumerate(faces):
         for x in f:
@@ -357,7 +450,7 @@ def reference_closure(x, y):
             if ("y",) + pair not in arc_seen:
                 arc_seen.add(("y",) + pair)
                 connections.append((("g", pair[0]), ("g", pair[1])))
-    pairs, loops = walk_connections(connections, lambda n: n[0] == "g")
+    pairs, loops = reference_walk_connections(connections, lambda n: n[0] == "g")
     d = Diagram(vertices, {}, loops)
     for (a, sa), (b, sb) in x.internal_edges:
         d.add_edge((a, sa), (b, sb))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from skeinlab import (
     recover_qr,
     trace_split,
 )
-from skeinlab.errors import DegenerateDenominator, InadmissibleDelta, NoCanonicalRepresentative
+from skeinlab.errors import (
+    DegenerateDenominator,
+    InadmissibleDelta,
+    NoCanonicalRepresentative,
+    NonFiniteScalar,
+)
 
 
 # -- admissibility -------------------------------------------------------
@@ -112,6 +118,14 @@ def test_recover_qr_degenerate_denominator():
     # (delta'-1)^4 = (b-a)^2 forced by hand
     with pytest.raises(DegenerateDenominator):
         recover_qr(2.0, 1.0, 1.0 + 9.0, sigma=-1)
+
+
+@pytest.mark.parametrize("delta", [1e78, 1e200, sys.float_info.max])
+def test_recover_qr_overflow_is_a_non_finite_scalar(delta):
+    # (b - a)^2 leaves the float range; it used to raise a bare OverflowError.
+    _, a, b = trace_split(delta, -1)
+    with pytest.raises(NonFiniteScalar):
+        recover_qr(delta, a, b, sigma=-1)
 
 
 def test_sign_candidate_uniqueness():
@@ -233,6 +247,13 @@ def test_classify_real_continuum_passes():
     res = classify(4.5)
     assert res.verdict == "PASS"
     assert res.q.imag == 0.0 and res.q.real > 1.0
+
+
+@pytest.mark.parametrize("delta", [1e78, sys.float_info.max])
+def test_classify_fails_with_a_note_at_huge_delta(delta):
+    res = classify(delta)
+    assert (res.case, res.verdict) == ("Sp4", "FAIL")
+    assert res.notes[-1].startswith("NonFiniteScalar: ")
 
 
 def test_classify_rejects():

@@ -245,6 +245,32 @@ def test_ybe_passes_and_perturbation_fails(capsys):
     assert report["residuals"]["ybe"] > 1e-3
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "-inf", "0", "-0.0"])
+def test_perturb_q_must_be_finite_and_nonzero(capsys, factor):
+    # NaN and inf gave PASS with NaN residuals, and 0 was read as 1.0.
+    code, out, err = run(capsys, "ybe", "--l", "12", f"--perturb-q={factor}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --perturb-q must be finite and nonzero")
+
+
+def test_perturb_q_default_and_negative_factor(capsys):
+    code, out, _ = run(capsys, "ybe", "--l", "12")
+    assert code == EXIT_PASS and json.loads(out)["inputs"]["perturb_q"] == 1.0
+    code, out, _ = run(capsys, "ybe", "--l", "12", "--perturb-q=-1.01")
+    report = json.loads(out)
+    assert code == EXIT_FAIL and report["inputs"]["perturb_q"] == -1.01
+    assert report["residuals"]["ybe"] > 1e-3
+
+
+def test_classify_at_huge_delta_is_a_fail_report(capsys):
+    code, out, err = run(capsys, "classify", "--delta", "1e78")
+    assert (code, err) == (EXIT_FAIL, "")
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert report["outputs"]["notes"][-1].startswith("NonFiniteScalar: ")
+
+
 # -- every subcommand locates delta as classify does ----------------------
 
 

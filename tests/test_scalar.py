@@ -197,6 +197,12 @@ def test_over_limits_is_at_or_over():
     assert Tolerance(eq_tol=1e-6).over_limits(residuals) == []
 
 
+def test_over_limits_counts_a_nan_residual_as_over():
+    residuals = {"ybe": math.nan, "r1": 0.0, "quad": math.inf}
+    assert Tolerance().over_limits(residuals) == ["quad", "ybe"]
+    assert Tolerance(eq_tol=1e-6).over_limits(residuals) == ["quad", "ybe"]
+
+
 def test_brauer_point_window_is_fixed():
     for tol in (Tolerance(), Tolerance(eq_tol=1e-6)):
         assert tol.at_brauer_point(1.0 + 0.5e-9)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,14 +8,15 @@ import pytest
 from helpers import (
     coproduct_product_trace_closure,
     coproduct_trace_closure,
-    disjoint_union,
-    medial_diagram,
     octahedron_diagram,
     product_trace_closure,
     random_diagram_corpus,
     reference_canonical_key,
+    reference_faces,
+    reference_normalized,
     reference_substitute_triangle,
     reference_surgery,
+    reference_walk_connections,
     renumbered,
     rotated_trace_closure,
     same_wiring,
@@ -33,7 +35,7 @@ from skeinlab import (
     reduce_once,
     solve_triangle,
 )
-from skeinlab import shapes, skein
+from skeinlab import shapes, skein, threebox
 from skeinlab.errors import (
     InvariantViolation,
     MalformedPairing,
@@ -271,41 +273,6 @@ def test_evaluation_multiplicative_over_components(model12):
 
 
 # -- canonical keys and surgery against their full-search references ---------
-
-
-@pytest.fixture(scope="module")
-def triangle_rich(model12):
-    """3-gon-rich diagrams by name: tied labels (the exact generator on
-    every vertex), mixed and generic labels, self-loops, and disconnected
-    diagrams with free loops."""
-    g = model12.uncappable().coeffs
-    rng = np.random.default_rng(11)
-
-    def labels(n, kind):
-        if kind == "tied":
-            return [g] * n
-        if kind == "mixed":
-            return [g if v % 2 == 0 else tuple(rng.normal(size=3)) for v in range(n)]
-        return [tuple(rng.normal(size=3)) for _ in range(n)]
-
-    out = {}
-    for kind in ("tied", "mixed", "generic"):
-        out[f"octahedron-{kind}"] = octahedron_diagram(labels(6, kind))
-        out[f"square_pyramid-{kind}"] = medial_diagram("square_pyramid", labels(8, kind))
-    out["triangular_prism-tied"] = medial_diagram("triangular_prism", labels(9, "tied"))
-    out["triangular_prism-mixed"] = medial_diagram("triangular_prism", labels(9, "mixed"))
-    out["tetrahedron-mixed"] = medial_diagram("tetrahedron", labels(6, "mixed"))
-    x, y, z, w = labels(4, "generic")
-    out["self-loops"] = disjoint_union(
-        trace_closure(x), rotated_trace_closure(y), coproduct_trace_closure(z, w)
-    )
-    out["disconnected"] = disjoint_union(
-        octahedron_diagram(labels(6, "tied")),
-        coproduct_product_trace_closure(g, g, labels(1, "generic")[0]),
-        trace_closure(labels(1, "generic")[0]),
-        free_loops=2,
-    )
-    return out
 
 
 def _relabeled(d, rng):
@@ -554,6 +521,189 @@ def test_a_small_node_bound_keeps_the_values_and_holds(model12, table12, triangl
             re, im = PINNED[name]
             assert evaluate(d, model12, table12) == complex(float.fromhex(re), float.fromhex(im)), name
     assert max(nodes) == 5 and nodes.count(1) > 10
+
+
+# -- connector walks and faces against their references -------------------
+
+
+def _outcome(fn, *args):
+    """What a call gives: ("ok", its result), or the type and message of
+    what it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the two sides must raise alike, whatever it is
+        return type(exc), str(exc)
+
+
+def _random_connections(rng):
+    """Seeded chains of 0-4 connectors between two terminals and rings of
+    1-4 connectors (a ring of one is a connection from a connector to
+    itself), as connections in seeded order and orientation."""
+    ids = itertools.count()
+    conns = []
+    for _ in range(rng.randint(0, 5)):
+        chain = [("t", next(ids))] + [("c", next(ids)) for _ in range(rng.randint(0, 4))]
+        chain.append(("t", next(ids)))
+        conns += zip(chain, chain[1:])
+    for _ in range(rng.randint(0, 3)):
+        ring = [("c", next(ids)) for _ in range(rng.randint(1, 4))]
+        conns += zip(ring, ring[1:] + ring[:1])
+    rng.shuffle(conns)
+    return [(b, a) if rng.random() < 0.5 else (a, b) for a, b in conns]
+
+
+def test_walk_connections_matches_the_reference_on_every_delta(model12, table12, triangle_rich, monkeypatch):
+    """Every connector walk of the edge deltas on the corpus, fresh in the
+    engine and in a chooser run: the same pairs in the same order, and the
+    same loops."""
+    walk = skein.walk_connections
+    sizes = []
+
+    def checked(connections, is_connector):
+        got = walk(connections, is_connector)
+        assert got == reference_walk_connections(connections, is_connector)
+        sizes.append(len(connections))
+        return got
+
+    monkeypatch.setattr(skein, "walk_connections", checked)
+    for d in triangle_rich.values():
+        evaluate(d, model12, table12)
+        evaluate(d, model12, table12, chooser=find_small_face)
+    assert len(sizes) > 1000 and max(sizes) > 10
+
+
+def test_walk_connections_matches_the_reference_on_the_pattern_closures(model12, monkeypatch):
+    walk = threebox.walk_connections
+    loops = []
+
+    def checked(connections, is_connector):
+        got = walk(connections, is_connector)
+        assert got == reference_walk_connections(connections, is_connector)
+        loops.append(got[1])
+        return got
+
+    monkeypatch.setattr(threebox, "walk_connections", checked)
+    patterns = threebox.enumerate_basis(model12).diagrams
+    triangle = threebox.triangle_pattern(model12)
+    for x in patterns + (triangle, threebox.mirror(triangle)):
+        for y in patterns:
+            threebox.closure(x, y)
+    assert len(loops) == 16 * 14 and max(loops) == 3
+
+
+def test_walk_connections_matches_the_reference_on_random_chains():
+    """Seeded chains and rings, and the same with one connection dropped or
+    doubled: the same result or the same error."""
+    rng = random.Random(53)
+
+    def is_connector(node):
+        return node[0] == "c"
+
+    outcomes = set()
+    for _ in range(400):
+        conns = _random_connections(rng)
+        variants = [conns]
+        if conns:
+            k = rng.randrange(len(conns))
+            variants += [conns[:k] + conns[k + 1 :], conns[:k] + [conns[k]] + conns[k:]]
+        for v in variants:
+            got = _outcome(skein.walk_connections, v, is_connector)
+            assert got == _outcome(reference_walk_connections, v, is_connector)
+            outcomes.add(got[0] if got[0] != "ok" else ("ok", got[1][1] > 0))
+    assert outcomes == {("ok", False), ("ok", True), InvariantViolation}
+
+
+def test_faces_match_the_reference(model12, table12, triangle_rich, monkeypatch):
+    """The faces of the corpus, of random diagrams and of every term that a
+    chooser run meets: the same orbits in the same order."""
+    corpus = list(triangle_rich.values()) + random_diagram_corpus(np.random.default_rng(31), 30, 6)
+    faces = Diagram.faces
+    calls = []
+
+    def checked(self):
+        got = faces(self)
+        assert got == reference_faces(self)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(Diagram, "faces", checked)
+    for d in corpus:
+        checked(d)
+        evaluate(d, model12, table12, chooser=find_small_face)
+    assert len(calls) > 500
+
+
+def test_faces_raise_like_the_reference_on_broken_pairings():
+    """Seeded dart maps that are not involutions, some with darts missing:
+    the same orbits or the same error."""
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        darts = [(v, s) for v in range(n) for s in range(4)]
+        edges = {d: rng.choice(darts) for d in darts if rng.random() < 0.95}
+        d = Diagram({v: Vertex((1.0, 0.0, 0.0)) for v in range(n)}, edges)
+        got = _outcome(Diagram.faces, d)
+        assert got == _outcome(reference_faces, d)
+        outcomes.add(got[0])
+    assert outcomes == {"ok", KeyError, MalformedPairing}
+
+
+# -- formal sum dedup against the all-terms reference ----------------------
+
+
+def _nudged(d, rng):
+    """d with one coefficient of one label moved up by one ulp."""
+    v = list(d.vertices)[rng.randrange(len(d.vertices))]
+    x = d.vertices[v]
+    k = rng.randrange(3)
+    c = x.coeffs[k]
+    coeffs = x.coeffs[:k] + (complex(math.nextafter(c.real, math.inf), c.imag),) + x.coeffs[k + 1 :]
+    return Diagram({**d.vertices, v: Vertex(coeffs, x.shading0)}, d.edges, d.free_loops)
+
+
+def test_normalized_matches_the_all_terms_reference(model12, table12, triangle_rich, monkeypatch):
+    """Every sum the engine normalizes on the corpus, and each again with
+    renumbered copies (which merge, one of them cancelling its term), labels
+    permuted among the vertices (same invariant, mostly another key) and
+    one label moved by one ulp (which merges with nothing): the same
+    diagrams in the same order, with coefficients that are ==."""
+    sums = []
+    normalized = FormalSum.normalized
+
+    def recording(self, *args, **kwargs):
+        sums.append(list(self.terms))
+        return normalized(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormalSum, "normalized", recording)
+    for d in triangle_rich.values():
+        evaluate(d, model12, table12)
+    monkeypatch.undo()
+
+    def check(terms):
+        s = FormalSum(terms)
+        got = [(c, id(d)) for c, d in s.normalized(DEFAULT_TOL).terms]
+        assert got == [(c, id(d)) for c, d in reference_normalized(s, DEFAULT_TOL)]
+
+    rng = random.Random(61)
+    nprng = np.random.default_rng(61)
+    copied = 0
+    for terms in sums:
+        check(terms)
+        more = list(terms)
+        for c, d in terms:
+            if not d.vertices or rng.random() < 0.7:
+                continue
+            copy = renumbered(d, nprng)
+            assert reference_canonical_key(copy) == reference_canonical_key(d)
+            more.insert(rng.randrange(len(more) + 1), (-c if rng.random() < 0.2 else c / 3, copy))
+            more.insert(rng.randrange(len(more) + 1), (c, _relabeled(d, nprng)))
+            nudged = _nudged(d, rng)
+            assert reference_canonical_key(nudged) != reference_canonical_key(d)
+            more.insert(rng.randrange(len(more) + 1), (c, nudged))
+            copied += 1
+        check(more)
+    assert len(sums) > 50 and copied > 500
 
 
 # -- label keys ----------------------------------------------------------

@@ -4,10 +4,12 @@ plan is compiled; the right triangle table, which the pipeline never reads,
 is solved only on demand.  A PASS classification makes one SVD, of the
 Gram matrix, and a Gram report one eigendecomposition.  The FormalSum
 engine evaluates a diagram again without redoing the shape half of any
-rewrite."""
+rewrite, keys only the terms that can merge, and its connector walk asks
+once per node whether the node is a connector."""
 
 import contextlib
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -136,3 +138,65 @@ def test_right_table_is_solved_on_first_read(counted):
     assert abs(residual - want_residual) <= 1e-12
     assert residual < 1e-10
 
+
+# On the warm corpus: the terms that enter FormalSum.normalized, and those
+# whose invariant (free loops, vertex count, sum of label-key hashes)
+# another term of their sum shares, which alone are keyed.
+CORPUS_TERMS = 3418
+CORPUS_SHARED = 1955
+
+
+def test_only_the_terms_that_can_merge_are_keyed(model12, table12, triangle_rich, monkeypatch):
+    for d in triangle_rich.values():
+        skein.evaluate(d, model12, table12)  # warms the shape graph
+    counts = {"terms": 0, "shared": 0, "keys": 0}
+    depth = [0]
+    canonical_key = skein.Diagram.canonical_key
+    normalized = skein.FormalSum.normalized
+
+    def counting_key(self):
+        counts["keys"] += depth[0] == 0  # a disconnected term keys its components too
+        depth[0] += 1
+        try:
+            return canonical_key(self)
+        finally:
+            depth[0] -= 1
+
+    def counting_normalized(self, *args, **kwargs):
+        invariants = Counter(
+            (d.free_loops, len(d.vertices), sum(hash(v.key) for v in d.vertices.values()))
+            for _, d in self.terms
+        )
+        counts["terms"] += len(self.terms)
+        counts["shared"] += sum(n for n in invariants.values() if n > 1)
+        return normalized(self, *args, **kwargs)
+
+    monkeypatch.setattr(skein.Diagram, "canonical_key", counting_key)
+    monkeypatch.setattr(skein.FormalSum, "normalized", counting_normalized)
+    for d in triangle_rich.values():
+        skein.evaluate(d, model12, table12)
+    assert counts["keys"] == counts["shared"] < counts["terms"]
+    assert (counts["terms"], counts["shared"]) == (CORPUS_TERMS, CORPUS_SHARED)
+
+
+def test_the_connector_walk_classifies_each_node_once(model12, table12, triangle_rich, monkeypatch):
+    """Every edge delta of a cold engine run and of a chooser run on the
+    corpus."""
+    walk = skein.walk_connections
+    totals = {"calls": 0, "nodes": 0, "asked": 0}
+
+    def counting_walk(connections, is_connector):
+        def counted(node):
+            totals["asked"] += 1
+            return is_connector(node)
+
+        totals["calls"] += 1
+        totals["nodes"] += len({node for pair in connections for node in pair})
+        return walk(connections, counted)
+
+    monkeypatch.setattr(skein, "walk_connections", counting_walk)
+    for d in triangle_rich.values():
+        skein.evaluate(d, model12, table12)
+        skein.evaluate(d, model12, table12, chooser=skein.find_small_face)
+    assert totals["calls"] > 1000
+    assert totals["asked"] == totals["nodes"]
