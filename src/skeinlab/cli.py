@@ -36,8 +36,10 @@ EXIT_USAGE = 64
 # -- number formatting ---------------------------------------------------
 
 
-def _num(x) -> float:
-    return float(f"{float(x):.17g}")
+def _num(x) -> float | str:
+    """17 significant digits; strict JSON has no inf or nan, so those are
+    written as the strings "inf", "-inf" and "nan"."""
+    return float(f"{float(x):.17g}") if math.isfinite(x) else str(float(x))
 
 
 def _cnum(z) -> list[float]:
@@ -49,7 +51,7 @@ def _emit(args, summary: str, **report) -> int:
     """Print the JSON report, or write it to --json/--out and print the
     summary line; return the exit code of the report's verdict."""
     report = {"command": args.command, "residuals": {}, "tolerances": {}, **report}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.path:
         with open(args.path, "w") as fh:
             fh.write(text + "\n")
@@ -206,7 +208,10 @@ def cmd_gram(args) -> int:
     st, inputs = _stages(args)
     if st.rejected:
         return _reject(args, st, inputs)
-    gm = st.gram
+    try:
+        gm = st.gram
+    except SkeinlabError as exc:
+        return _fail(args, inputs, exc)
     evals = gm.eigenvalues()
     rank = gm.rank(st.tol)
     # A rank deficit fails the pipeline too (GramRankDeficient in classify).

@@ -56,6 +56,7 @@ plan per closure shape.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -64,7 +65,7 @@ import numpy as np
 from . import shapes
 from .diagram import Dart, Diagram, Vertex
 from .errors import InvariantViolation, MalformedPairing, NonFiniteScalar, TriangleTableRequired
-from .scalar import DEFAULT_TOL, Scalar, Tolerance
+from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
 from .twobox import PLUS, TwoBoxModel, product_coeffs
 
 # -- edge deltas ---------------------------------------------------------
@@ -215,7 +216,8 @@ class FormalSum:
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
         """Merge the terms of equal canonical key, in first-seen order, then
-        drop the terms that `_kept` refuses.  Equal keys imply an equal
+        drop the terms that `_kept` refuses, raising NonFiniteScalar on an
+        inf or nan one.  Equal keys imply an equal
         invariant (free loops, vertex count, sum of the label keys' hashes),
         so a term whose invariant no other term shares merges with nothing:
         its bucket key is the invariant, which no canonical key (a tuple
@@ -236,7 +238,10 @@ class FormalSum:
                 buckets[key] = (prev + coeff, d0)
             else:
                 buckets[key] = (complex(coeff), diag)
-        scale = max([abs(c) for c, _ in buckets.values()], default=1.0)
+        sizes = [abs(c) for c, _ in buckets.values()]
+        if not all(map(math.isfinite, sizes)):
+            raise NonFiniteScalar("non-finite coefficient in a formal sum")
+        scale = max(sizes, default=1.0)
         return FormalSum([(c, d) for c, d in buckets.values() if _kept(c, scale, tol)])
 
     @property
@@ -583,6 +588,7 @@ def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tu
             if label is not None:
                 labels[op[3]] = label
         if not _kept(coeff, abs(coeff), tol):
+            check_finite(coeff)  # `_kept` refuses an inf or nan too
             return complex(0.0), steps
     # FormalSum.scalar_value sums onto 0j, which fixes the signs of zeros.
     return complex(0.0) + coeff, len(plan)

@@ -15,11 +15,16 @@ pair of pattern shapes, compiles its reduction plan (`skein._plan`), keeps
 both in a bounded LRU cache, and on each call replays the plan on the
 patterns' labels (`skein._replay`).  A shape that fails to validate or to
 compile is not cached and raises on every call.
+
+A one-click turn of the disk permutes the basis and keeps every closure,
+so `gram` reduces one closure per rotation orbit of index pairs (40 of
+196); the basis is checked to be closed under the turn once per process.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +108,14 @@ class Pattern:
                     if w not in listed:
                         listed.append(w)
         return tuple(enc)
+
+    def rotated(self) -> Pattern:
+        """The pattern turned one click: boundary point i moves to i + 1,
+        and the vertices and internal edges stay as they are."""
+        bnd: list[Attachment] = [None] * 6
+        for i, att in enumerate(self.boundary):
+            bnd[(i + 1) % 6] = att if att[0] == "v" else ("b", (att[1] + 1) % 6)
+        return Pattern(self.vertices, self.internal_edges, tuple(bnd))
 
 
 def mirror(p: Pattern) -> Pattern:
@@ -199,31 +212,26 @@ def _tl_patterns() -> list[Pattern]:
     return pats
 
 
-def _one_vertex_patterns() -> list[Pattern]:
-    t = Vertex(ZERO)
-    pats = []
-    for i in range(6):
-        bnd: list[Attachment] = [None] * 6
-        bnd[i] = ("b", (i + 1) % 6)
-        bnd[(i + 1) % 6] = ("b", i)
-        for slot in range(4):
-            bnd[(i + 2 + slot) % 6] = ("v", 0, slot)
-        pats.append(Pattern(((0, t),), (), tuple(bnd)))
+def _turns(seed: Pattern, n: int) -> list[Pattern]:
+    """seed and its first n - 1 one-click turns."""
+    pats = [seed]
+    while len(pats) < n:
+        pats.append(pats[-1].rotated())
     return pats
+
+
+def _one_vertex_patterns() -> list[Pattern]:
+    # Points 0 and 1 joined by an arc, 2..5 on the vertex's darts 0..3.
+    bnd = (("b", 1), ("b", 0), *(("v", 0, slot) for slot in range(4)))
+    return _turns(Pattern(((0, Vertex(ZERO)),), (), bnd), 6)
 
 
 def _two_vertex_patterns() -> list[Pattern]:
-    # Legs j..j+2 on vertex 0 and j+3..j+5 on vertex 1: j and j + 3 give
-    # the same pattern with the two vertices swapped.
+    # Points 0..2 on vertex 0 and 3..5 on vertex 1: three turns give the
+    # same pattern with the two vertices swapped.
     t = Vertex(ZERO)
-    pats = []
-    for j in range(3):
-        bnd: list[Attachment] = [None] * 6
-        for slot in range(3):
-            bnd[(j + slot) % 6] = ("v", 0, slot)
-            bnd[(j + 3 + slot) % 6] = ("v", 1, slot)
-        pats.append(Pattern(((0, t), (1, t)), (((0, 3), (1, 3)),), tuple(bnd)))
-    return pats
+    bnd = tuple(("v", vid, slot) for vid in (0, 1) for slot in range(3))
+    return _turns(Pattern(((0, t), (1, t)), (((0, 3), (1, 3)),), bnd), 3)
 
 
 @dataclass(frozen=True)
@@ -249,25 +257,34 @@ class Basis14:
 @functools.cache
 def _basis_shapes() -> tuple:
     """The label-free shapes of the 14 basis patterns, in the Basis14 order,
-    checked once per process: (5, 6, 3) of them, pairwise distinct under
-    vertex renumbering.  Every vertex carries the same label, so the check
-    holds for the labelled basis of any model."""
-    tl = _tl_patterns()
-    one = _one_vertex_patterns()
-    two = _two_vertex_patterns()
-    counts = (len(tl), len(one), len(two))
-    if counts != (5, 6, 3):
+    and the rotation orbits of ordered index pairs as (rows, cols), first
+    pair first; checked once per process: (5, 6, 3) patterns, pairwise
+    distinct under vertex renumbering, each turned one click again in the
+    basis.  Every vertex carries the same label, so the checks hold for the
+    labelled basis of any model."""
+    families = (_tl_patterns(), _one_vertex_patterns(), _two_vertex_patterns())
+    if (counts := tuple(map(len, families))) != (5, 6, 3):
         raise InternalEnumerationMismatch(f"basis counts {counts} != (5, 6, 3)")
-    keys = {p.key() for p in tl + one + two}
-    if len(keys) != 14:
+    pats = [p for family in families for p in family]
+    index = {p.key(): i for i, p in enumerate(pats)}
+    if len(index) != 14:
         raise InternalEnumerationMismatch("basis diagrams are not pairwise distinct")
-    return tuple(map(pattern_shape, tl + one + two))
+    turn = [index.get(p.rotated().key()) for p in pats]
+    if None in turn:
+        raise InternalEnumerationMismatch("the basis is not closed under rotation")
+    orbits = {}  # keyed by the set of pairs: the first pair seen stays first
+    for pair in itertools.product(range(14), repeat=2):
+        orbit = [pair]
+        while (nxt := (turn[orbit[-1][0]], turn[orbit[-1][1]])) != pair:
+            orbit.append(nxt)
+        orbits.setdefault(frozenset(orbit), tuple(zip(*orbit)))
+    return tuple(map(pattern_shape, pats)), tuple(orbits.values())
 
 
 def enumerate_basis(model: TwoBoxModel) -> Basis14:
     """The basis shapes with every vertex labelled by the generator."""
     t = model.uncappable().coeffs
-    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()))
+    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()[0]))
 
 
 # -- Gram matrix ---------------------------------------------------------
@@ -310,17 +327,14 @@ class GramMatrix:
         return float(np.max(np.abs(g - g.conj().T))) / scale
 
 
-def gram(
-    model: TwoBoxModel,
-    basis: Basis14 | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> GramMatrix:
-    basis = basis or enumerate_basis(model)
-    n = len(basis.diagrams)
-    g = np.zeros((n, n), dtype=complex)
-    for i, di in enumerate(basis.diagrams):
-        for j, dj in enumerate(basis.diagrams):
-            g[i, j] = inner(model, di, dj, tol)
+def gram(model: TwoBoxModel, basis: Basis14, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
+    """One closure per rotation orbit of ordered pairs: but for the orbits
+    of (0, 3) and (5, 8), (i, j) and (j, i) are reduced apart and
+    `hermiticity_defect` compares two computations."""
+    d = basis.diagrams
+    g = np.zeros((len(d), len(d)), dtype=complex)
+    for rows, cols in _basis_shapes()[1]:
+        g[rows, cols] = inner(model, d[rows[0]], d[cols[0]], tol)
     return GramMatrix(g)
 
 
@@ -368,29 +382,13 @@ def triangle_pattern(model: TwoBoxModel, labels=None) -> Pattern:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """Expansions of the two 3-gon chiralities over Basis14.  The skein
-    reducer meets 3-gons in the "left" frame by construction, so the left
-    expansion is solved up front and the right one on first read."""
+    """The expansion of the 3-gon over Basis14, in the "left" frame that
+    the skein reducer meets by construction."""
 
     left_coeffs: np.ndarray
     residual_left: float
     basis: Basis14
     gram: GramMatrix
-    model: TwoBoxModel
-    tol: Tolerance = DEFAULT_TOL
-
-    @functools.cached_property
-    def _right(self) -> tuple[np.ndarray, float]:
-        right = mirror(triangle_pattern(self.model))
-        return expand(self.model, right, self.basis, self.gram, self.tol)
-
-    @property
-    def right_coeffs(self) -> np.ndarray:
-        return self._right[0]
-
-    @property
-    def residual_right(self) -> float:
-        return self._right[1]
 
 
 def solve_triangle(
@@ -405,7 +403,7 @@ def solve_triangle(
     if rank < 14:
         raise GramRankDeficient(f"Gram rank {rank} < 14; 3-box space degenerated")
     cl, rl = expand(model, triangle_pattern(model), basis, gm, tol)
-    return TriangleTable(cl, rl, basis, gm, model, tol)
+    return TriangleTable(cl, rl, basis, gm)
 
 
 # -- braid relation residuals -------------------------------------------

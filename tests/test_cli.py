@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict(text):
+    """Parse a report as strict JSON: the bare tokens NaN, Infinity and
+    -Infinity are refused."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_diagram(tmp_path, doc, name="d.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -269,6 +279,40 @@ def test_classify_at_huge_delta_is_a_fail_report(capsys):
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
     assert report["outputs"]["notes"][-1].startswith("NonFiniteScalar: ")
+
+
+@pytest.mark.parametrize(
+    "delta, written",
+    [("1e200", {"y": 1e100, "a": "inf", "b": "inf"}), ("1e300", {"y": "inf", "a": "nan", "b": "nan"})],
+)
+def test_non_finite_numbers_are_written_as_strings(capsys, delta, written):
+    # json.dumps wrote them as the bare tokens Infinity and NaN.
+    code, out, _ = run(capsys, "classify", "--delta", delta)
+    assert code == EXIT_FAIL
+    report = strict(out)
+    assert {k: report["outputs"][k] for k in written} == written
+
+
+def test_an_overflowing_braid_side_is_a_fail_report(capsys):
+    # Every braid-side closure overflows to inf or nan; they were dropped as
+    # zeros, and the report read "ybe": 0.0 next to "quad": Infinity.
+    code, out, err = run(capsys, "ybe", "--l", "12", "--perturb-q", "1e200")
+    assert (code, err) == (EXIT_FAIL, "")
+    report = strict(out)
+    assert report["verdict"] == "FAIL"
+    assert report["residuals"] == {}
+    assert report["outputs"]["notes"][-1].startswith("NonFiniteScalar: ")
+
+
+def test_gram_stage_fault_gives_fail_report(capsys, tmp_path):
+    # delta ** 3 overflows in the first closure; gram printed only an error.
+    path = tmp_path / "gram.json"
+    code, out, err = run(capsys, "gram", "--delta", "1e200", "--out", str(path))
+    assert (code, err) == (EXIT_FAIL, "")
+    assert out.startswith("FAIL: NonFiniteScalar")
+    report = strict(path.read_text())
+    assert report["verdict"] == "FAIL"
+    assert report["outputs"]["notes"] == ["NonFiniteScalar: non-finite scalar delta ** 3"]
 
 
 # -- every subcommand locates delta as classify does ----------------------

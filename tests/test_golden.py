@@ -42,26 +42,26 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) by (command, locus).
 GOLDEN = {
-    ("classify", "depth3"): (0, "887d2fff229ed5190afd185d000c8959b585ac7c803117297ed57aa9e3f7ff67"),
-    ("classify", "l12"): (0, "78701215afcfd3fbe1f3cab6cec39f262466d00692e09d2eccc50f5865c5cd86"),
+    ("classify", "depth3"): (0, "4f70b35cae834e02199d34032c5867836b7ca7358e3430c66377453b9540f0d6"),
+    ("classify", "l12"): (0, "a0afe80c129c6ff2044ae5ea7745d2209162f0a1d80c295fda0b2807c5045891"),
     ("classify", "l100"): (0, "2de0793a8cd28491b9bff1ae36d28fdf0d2c98a7e200c612ff59e5a8dfe5ad7f"),
-    ("classify", "delta5"): (0, "b9f72fcf72d387b83f661af570e3750108d000174838c8750293b5b8c9adbeb9"),
-    ("classify", "delta11"): (0, "21319d4efcd9e43bf9e21563a533bb74d4b6dc4ac63365586534dab3577aff03"),
-    ("gram", "depth3"): (0, "48cda4cd3b30418cc7b4c8cba2a038266bb067563a1d2bbdc0857fc191b897e3"),
-    ("gram", "l12"): (0, "21955789b3d947968fe4dda15db4e58d77e924897e063aeb383d99d4a33d3bce"),
+    ("classify", "delta5"): (0, "afd54fd341f337eb018ffbe1952463704a271ad16ab2daeac34c80f5931612e4"),
+    ("classify", "delta11"): (0, "f554d567b3a3d32450e337b4d7db2eb13ed8866664a2f8782cebbc6db57d2973"),
+    ("gram", "depth3"): (0, "b84d86203259567b13552b7343c8a84e0a1f2783e73b876991c9a482977f6f71"),
+    ("gram", "l12"): (0, "8d6491967dae5ff9114a185f5d9734f3a8028af65eb54e44aa188eb741bd0cf7"),
     ("gram", "l100"): (0, "e9517693d8133d0f9d2a7af00c77fa626ef01b70beaec42117c7798bef23698c"),
-    ("gram", "delta5"): (0, "ae2e611d747e7da853f96c088a8b40d239bee4aa306565dea47f5db5b20b62fb"),
-    ("gram", "delta11"): (0, "3af9793c437cff5be7da381d18842ca94e01fd9739e250592a33fb8913c0b9a6"),
-    ("ybe", "depth3"): (0, "d8ecaf03bd446adebb2bfda6eb7a2151adc1f22d6fb1effe246f8b017b56243a"),
-    ("ybe", "l12"): (0, "f13cd95a90c467bb696b82d7ff82fa5279f9f3d77fdc07543ea967e1d4a6d92f"),
+    ("gram", "delta5"): (0, "d176ac79c82ec8d656f389e732bee747dbcdbee842f09d470766a7e2627145a5"),
+    ("gram", "delta11"): (0, "b0b0d4ea44ebc968c6149fc5974a0811c10d880856efa2397fd6226c8fd07887"),
+    ("ybe", "depth3"): (0, "7f34b6d21a3e8e4b8e228953bf03ad0c65525bbd2f682c5b6d432ecdef6533dc"),
+    ("ybe", "l12"): (0, "8c48804c9260867b3fa85b93d5aa6d8c2c5028b212c599738753744c4ecedb25"),
     ("ybe", "l100"): (0, "3a49a7b61ca9ed949ce7db6e9d9a757bed389e0c672cbbf43cc0f9492a95072b"),
-    ("ybe", "delta5"): (0, "7e74c5e7ea2fe9e847a15e782a93864ba9833635ca4d8349280604570a7a5282"),
-    ("ybe", "delta11"): (0, "7471d71aee5ff87c4e6bc994a247226e5fe57e3823e8c691125e5b7f5fe89851"),
-    ("ybe-perturbed", "depth3"): (1, "9a533f2928f957cfc2036cc94250db25ff205fb6dd781361c7f9674f175aeba1"),
-    ("ybe-perturbed", "l12"): (1, "e66cd9d57d551f13af28028966fdcdd9c3053a98c56fa0a577bc81b89ab16781"),
+    ("ybe", "delta5"): (0, "64a6c23562f6bd1af34b545c5f700d72e4ea7e84c246f388239cabace5000f2a"),
+    ("ybe", "delta11"): (0, "fe30d2891de6160d6df999d3499f7ad1765c4eb3681c2a2415acb08914321a4a"),
+    ("ybe-perturbed", "depth3"): (1, "ba5433b8216573e47b6516f945cfa34ce61a16fddd12c128d25cd9f43805636d"),
+    ("ybe-perturbed", "l12"): (1, "662de0cf55e90d807cc3f8eb091c7d111f98f6ff0876fe3c4528227627962acc"),
     ("ybe-perturbed", "l100"): (1, "60b106f54f043e5b7c6d7cfa05bc2d33251ae7d410bbee4da9b9a367d5781395"),
-    ("ybe-perturbed", "delta5"): (1, "c05db8a74558471b2de0a55f18afeca5defde4c0d4e9c7a2fed5183f524f43f3"),
-    ("ybe-perturbed", "delta11"): (1, "8966904d5a4e41e056cc4ec70d26b6f49019d95530ed7ba2fb26c48996796352"),
+    ("ybe-perturbed", "delta5"): (1, "3821bda0e101735d28542290b3bde414623dddbff5f2719c61a527b340671d4d"),
+    ("ybe-perturbed", "delta11"): (1, "4dc9e033dd5e349f10d24e50d0dc46d053ab3927bad116fbab0a0177b1437e7f"),
 }
 
 
@@ -121,12 +121,12 @@ def _write_diagram(path, d, generators):
 
 # (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
 GOLDEN_EVALUATE = {
-    "octahedron-tied": (0, "99d8c70f06191ec6eb6aa0822c7e65cb694e4f93096a6a36f2d34841fad1b453"),
-    "octahedron-mixed": (0, "59d8e0b52bf71c1112fcb7ea9b7d70ac9d9722c4d7ef19913b3c77c3cea3f06c"),
-    "square_pyramid-mixed": (0, "be3adcd3b3717c0cf4306d03ddac47739834128979ba9d261ad9d978b5155772"),
-    "triangular_prism-mixed": (0, "e63d57bf0e118e0e2d75d2421671a82d4b57e404770a59e7a5156e8fea896bfb"),
+    "octahedron-tied": (0, "f0b7bd7c057da25fde0a0c454df3a2e3755369dffd714fc6e8808ece96bbe68d"),
+    "octahedron-mixed": (0, "9e9ea9cd728189724736fcc4ff8d72c9d4babeea58778591e7e84027193cb5bc"),
+    "square_pyramid-mixed": (0, "cf315bfafda9dde72408ac73211a7ddbaf75228c22ae11afcd46404b98bc9848"),
+    "triangular_prism-mixed": (0, "31a32fec1eb2198966cad00522138330bdd8a8d5f34997827265eed1b7a884d9"),
     "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
-    "disconnected": (0, "250ddbbe5e9bb7d2a2b37597144fb033b98c1583b76b882986bce8d184e1b603"),
+    "disconnected": (0, "d395222ff921b4b8257e66d0a2f3dbb0cacca0026cd0e69012c2274a90dc3010"),
 }
 
 

@@ -34,10 +34,15 @@ from skeinlab import (
     mirror,
     triangle_pattern,
 )
-from skeinlab.errors import MalformedPairing, ShadingInconsistent, TriangleTableRequired
+from skeinlab.errors import (
+    MalformedPairing,
+    NonFiniteScalar,
+    ShadingInconsistent,
+    TriangleTableRequired,
+)
 from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import _plan, _replay
-from skeinlab.threebox import _braid_pattern, _closure_plan, closure
+from skeinlab.threebox import _basis_shapes, _braid_pattern, _closure_plan, closure
 from skeinlab.twobox import PLUS
 
 
@@ -94,6 +99,16 @@ def test_plan_drops_a_zero_coefficient_mid_reduction(model12):
     assert steps < evaluate_detailed(generic, model12)[1]
 
 
+def test_an_overflow_is_not_a_dropped_zero(model12):
+    # The 2-gon fusion of two labels near 1e200 overflows to inf, which
+    # the zero-drop refuses like a zero; both paths returned 0j.
+    d = coproduct_trace_closure((1e200, -3e200, 2e200), (1e200, 2e200, -1e200))
+    with pytest.raises(NonFiniteScalar):
+        _replay(_plan(d), labels(d), model12, DEFAULT_TOL)
+    with pytest.raises(NonFiniteScalar):
+        evaluate(d, model12)
+
+
 @pytest.mark.parametrize("delta", [DEPTH3_DELTA, delta_for_l(12), 5.0])
 def test_plan_matches_engine_on_classify_closures(delta):
     res = classify(delta)
@@ -124,16 +139,17 @@ def test_one_topology_different_labels(model12):
 
 
 def test_gram_across_loop_values_matches_engine():
+    """The first pair of each rotation orbit holds the engine's value on its
+    own closure, bit for bit, and every other pair of the orbit a copy."""
     for delta in (5.0, delta_for_l(12), 5.0):
         m = from_classification_data(delta, -1)
         basis = enumerate_basis(m)
-        want = np.array(
-            [
-                [evaluate(closure(x, y), m, chooser=find_small_face) for y in basis.diagrams]
-                for x in basis.diagrams
-            ]
-        )
-        assert gram(m, basis).entries.tobytes() == want.tobytes()
+        g = gram(m, basis).entries
+        for rows, cols in _basis_shapes()[1]:
+            x, y = basis.diagrams[rows[0]], basis.diagrams[cols[0]]
+            want = complex(evaluate(closure(x, y), m, chooser=find_small_face))
+            assert g[rows[0], cols[0]].tobytes() == np.complex128(want).tobytes()
+            assert g[rows, cols].tobytes() == np.full(len(rows), want).tobytes()
 
 
 def test_validation_is_not_memoised(model12):

@@ -39,6 +39,7 @@ from skeinlab import shapes, skein, threebox
 from skeinlab.errors import (
     InvariantViolation,
     MalformedPairing,
+    NonFiniteScalar,
     NonPlanar,
     ShadingInconsistent,
     TriangleTableRequired,
@@ -254,6 +255,22 @@ def test_formal_sum_dedup(model12):
     s = FormalSum([(1.0 + 0j, d1), (2.0 + 0j, d2)]).normalized()
     assert len(s.terms) == 1
     assert abs(s.terms[0][0] - 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0)])
+def test_formal_sum_refuses_a_non_finite_coefficient(bad):
+    # Not first in the sum, where max() over the sizes would not see a nan.
+    terms = [(1.0 + 0j, trace_closure((0.0, 1.0, 0.0))), (bad, trace_closure((1.0, 0.0, 0.0)))]
+    with pytest.raises(NonFiniteScalar):
+        FormalSum(terms).normalized()
+
+
+def test_an_overflow_is_not_evaluated_as_zero(model12, table12):
+    # Every label near 1e100: the 3-gon expansion overflows, and the terms
+    # that came out inf or nan were dropped as zeros, giving 0j.
+    d = octahedron_diagram([(1e100, -3e100, 2e100)] * 6)
+    with pytest.raises(NonFiniteScalar):
+        evaluate(d, model12, table12)
 
 
 def test_evaluation_multiplicative_over_components(model12):

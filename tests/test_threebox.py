@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from skeinlab import (
+    DEPTH3_DELTA,
     BraidPair,
     braid_pair,
+    delta_for_l,
     enumerate_basis,
     evaluate,
     from_classification_data,
@@ -18,8 +20,22 @@ from skeinlab import (
     triangle_pattern,
     ybe_residual,
 )
-from skeinlab.errors import InvariantViolation, MalformedPairing, SkeinlabError
-from skeinlab.threebox import Pattern, _braid_pattern, _two_vertex_patterns, closure, expand
+from skeinlab import threebox
+from skeinlab.errors import (
+    InternalEnumerationMismatch,
+    InvariantViolation,
+    MalformedPairing,
+    SkeinlabError,
+)
+from skeinlab.threebox import (
+    GramMatrix,
+    Pattern,
+    _basis_shapes,
+    _braid_pattern,
+    _two_vertex_patterns,
+    closure,
+    expand,
+)
 from skeinlab.skein import FormalSum, Vertex, reduce_once
 
 from helpers import reference_closure, same_wiring
@@ -58,6 +74,86 @@ def test_mirror_is_involution(model12):
         assert mirror(mirror(p)).key() == p.key()
 
 
+# -- the rotation map ----------------------------------------------------
+
+# Basis14 index of each basis pattern turned one click.
+TURN = [3, 2, 4, 0, 1, 6, 7, 8, 9, 10, 5, 12, 13, 11]
+
+
+def sweep_models():
+    """(name, model) at the depth-3 point, at even l from 12 to 200 and on a
+    log grid of 13 loop values in [4, 1e6]."""
+    yield "depth3", from_classification_data(DEPTH3_DELTA, +1)
+    for l in (12, 14, 20, 50, 100, 200):
+        yield f"l={l}", from_classification_data(delta_for_l(l), -1)
+    for delta in np.geomspace(4.0, 1e6, 13):
+        yield f"delta={delta:.6g}", from_classification_data(float(delta), -1)
+
+
+def test_rotation_permutes_the_basis(model12, model_depth3):
+    for m in (model12, model_depth3):
+        pats = enumerate_basis(m).diagrams
+        index = {p.key(): i for i, p in enumerate(pats)}
+        assert [index[p.rotated().key()] for p in pats] == TURN
+
+
+def test_six_turns_are_the_identity(model12, braid12):
+    tri = triangle_pattern(model12)
+    extra = [tri, mirror(tri), _braid_pattern(model12, braid12, "A")]
+    for p in list(enumerate_basis(model12).diagrams) + extra:
+        turned = p
+        for _ in range(6):
+            assert turned.vertices == p.vertices and turned.internal_edges == p.internal_edges
+            turned = turned.rotated()
+        assert turned == p
+
+
+def test_the_orbits_partition_the_index_pairs():
+    _, orbits = _basis_shapes()
+    assert len(orbits) == 40
+    pairs = [pair for rows, cols in orbits for pair in zip(rows, cols)]
+    assert sorted(pairs) == [(i, j) for i in range(14) for j in range(14)]
+    for rows, cols in orbits:
+        orbit = list(zip(rows, cols))
+        assert orbit[0] == min(orbit)  # the first pair in row-major order
+        assert {(TURN[i], TURN[j]) for i, j in orbit} == set(orbit)
+
+
+@pytest.fixture
+def fresh_basis_check():
+    """The basis check is cached per process; run it again here and leave
+    no result of a patched family behind."""
+    _basis_shapes.cache_clear()
+    yield
+    _basis_shapes.cache_clear()
+
+
+def test_a_basis_not_closed_under_rotation_is_refused(monkeypatch, fresh_basis_check):
+    # The last one-vertex pattern with its shading bit flipped: still 14
+    # distinct patterns, but the fifth turned one click is not among them.
+    one = threebox._one_vertex_patterns()
+    (vid, v), = one[-1].vertices
+    odd = Pattern(((vid, Vertex(v.coeffs, 1)),), (), one[-1].boundary)
+    monkeypatch.setattr(threebox, "_one_vertex_patterns", lambda: one[:-1] + [odd])
+    with pytest.raises(InternalEnumerationMismatch, match="not closed under rotation"):
+        _basis_shapes()
+
+
+def test_gram_from_orbits_matches_the_full_build():
+    """Every one of the 196 closures reduced on its own, against gram's one
+    closure per orbit."""
+    for name, m in sweep_models():
+        basis = enumerate_basis(m)
+        gm = gram(m, basis)
+        full = GramMatrix(
+            np.array([[inner(m, x, y) for y in basis.diagrams] for x in basis.diagrams])
+        )
+        size = np.sqrt(np.abs(np.outer(np.diag(full.entries), np.diag(full.entries))))
+        assert np.all(np.abs(gm.entries - full.entries) <= 1e-15 * size), name
+        assert gm.rank() == full.rank(), name
+        assert gm.hermiticity_defect() == full.hermiticity_defect(), name
+
+
 # -- inner products and the Gram matrix ---------------------------------
 
 
@@ -75,14 +171,14 @@ def test_identity_pairing_is_delta_cubed(model12):
 
 def test_gram_hermitian_psd_rank_14(model12, model_depth3, model_brauer):
     for m in (model12, model_depth3, model_brauer):
-        gm = gram(m)
+        gm = gram(m, enumerate_basis(m))
         assert gm.hermiticity_defect() < 1e-10
         assert gm.psd_defect() < 1e-8
         assert gm.rank() == 14
 
 
 def test_gram_real_at_real_locus(model12):
-    gm = gram(model12)
+    gm = gram(model12, enumerate_basis(model12))
     assert np.max(np.abs(gm.entries.imag)) < 1e-10
 
 
@@ -91,7 +187,6 @@ def test_gram_real_at_real_locus(model12):
 
 def test_triangle_residuals_small(table12):
     assert table12.residual_left < 1e-10
-    assert table12.residual_right < 1e-10
 
 
 def test_triangle_expansion_consistency(model12, table12):
@@ -138,13 +233,25 @@ def test_first_idempotent_triangle_null_when_rooted_at_legs(model12, table12):
     assert float(np.linalg.norm(v)) < 1e-8
 
 
-def test_triangle_table_right_is_mirror(model12, table12):
-    right = mirror(triangle_pattern(model12))
-    v = np.array(
-        [inner(model12, right, di) for di in table12.basis.diagrams], dtype=complex
-    )
-    w = table12.gram.entries.T @ table12.right_coeffs
-    assert np.max(np.abs(v - w)) < 1e-9 * max(1.0, float(np.max(np.abs(v))))
+def test_the_mirror_triangle_has_the_left_expansion():
+    """The right 3-gon (the mirror of the left) expands like the left one,
+    so the table keeps the left expansion only: at delta = 5 and 11 and at
+    every sweep point (the other fixture loci among them) where the Gram
+    rank is 14."""
+    loci = [from_classification_data(d, -1) for d in (5.0, 11.0)]
+    checked = 0
+    for m in loci + [m for _, m in sweep_models()]:
+        basis = enumerate_basis(m)
+        gm = gram(m, basis)
+        if gm.rank() < 14:
+            continue
+        checked += 1
+        table = solve_triangle(m, basis, gm)
+        right, residual = expand(m, mirror(triangle_pattern(m)), basis, gm)
+        assert residual < 1e-10
+        scale = float(np.max(np.abs(table.left_coeffs)))
+        assert np.max(np.abs(right - table.left_coeffs)) <= 1e-13 * scale, m.delta
+    assert checked >= 11  # depth 3, six l, delta = 4, 5, 11 and 11.3
 
 
 # -- Yang-Baxter and Reidemeister ---------------------------------------

@@ -1,7 +1,7 @@
 """Pins on the work one classification does.  Every inner product replays
 the plan of its closure shape, and each shape is validated once, when its
-plan is compiled; the right triangle table, which the pipeline never reads,
-is solved only on demand.  A PASS classification makes one SVD, of the
+plan is compiled, and the Gram matrix reduces one closure per rotation
+orbit of index pairs.  A PASS classification makes one SVD, of the
 Gram matrix, and a Gram report one eigendecomposition.  The FormalSum
 engine evaluates a diagram again without redoing the shape half of any
 rewrite, keys only the terms that can merge, and its connector walk asks
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from helpers import octahedron_diagram
-from skeinlab import classify, delta_for_l, shapes, skein, threebox
-from skeinlab.classify import Stages
+from skeinlab import classify, shapes, skein, threebox
 from skeinlab.cli import main
-from skeinlab.threebox import expand, mirror, triangle_pattern
 
-# 196 Gram entries, 14 for the left triangle table, 2 x 14 for the two
-# sides of the Yang-Baxter equation; each pairs a different closure shape.
-CLOSURES_PER_PASS = 196 + 14 + 2 * 14
+# 40 rotation orbits of Gram entries, 14 for the left triangle table,
+# 2 x 14 for the two sides of the Yang-Baxter equation; each pairs a
+# different closure shape.
+CLOSURES_PER_PASS = 40 + 14 + 2 * 14
 
 
 @pytest.fixture
@@ -120,23 +119,6 @@ def test_gram_report_computes_the_eigenvalues_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gram", "--l", "12"]) == 0
     assert calls == [(14, 14)]
-
-
-def test_right_table_is_solved_on_first_read(counted):
-    st = Stages(delta_for_l(12))
-    table = st.table
-    before = counted["inner"]
-    right, residual = table.right_coeffs, table.residual_right
-    assert counted["inner"] == before + 14
-    assert table.right_coeffs is right and table.residual_right == residual
-    assert counted["inner"] == before + 14
-
-    # The expansion the table used to solve eagerly, in solve_triangle.
-    right_pattern = mirror(triangle_pattern(st.model))
-    want, want_residual = expand(st.model, right_pattern, st.basis, st.gram, st.tol)
-    assert np.max(np.abs(right - want)) <= 1e-12 * np.max(np.abs(want))
-    assert abs(residual - want_residual) <= 1e-12
-    assert residual < 1e-10
 
 
 # On the warm corpus: the terms that enter FormalSum.normalized, and those
