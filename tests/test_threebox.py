@@ -233,6 +233,17 @@ def test_first_idempotent_triangle_null_when_rooted_at_legs(model12, table12):
     assert float(np.linalg.norm(v)) < 1e-8
 
 
+def test_triangle_table_right_is_mirror(model12, table12):
+    # The table's one expansion reproduces the pairings of the right
+    # (mirror) triangle with the basis.
+    right = mirror(triangle_pattern(model12))
+    v = np.array(
+        [inner(model12, right, di) for di in table12.basis.diagrams], dtype=complex
+    )
+    w = table12.gram.entries.T @ table12.left_coeffs
+    assert np.max(np.abs(v - w)) < 1e-9 * max(1.0, float(np.max(np.abs(v))))
+
+
 def test_the_mirror_triangle_has_the_left_expansion():
     """The right 3-gon (the mirror of the left) expands like the left one,
     so the table keeps the left expansion only: at delta = 5 and 11 and at

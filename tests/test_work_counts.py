@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from helpers import octahedron_diagram
-from skeinlab import classify, shapes, skein, threebox
+from skeinlab import classify, delta_for_l, shapes, skein, threebox
+from skeinlab.classify import Stages
 from skeinlab.cli import main
+from skeinlab.threebox import expand, mirror, triangle_pattern
 
 # 40 rotation orbits of Gram entries, 14 for the left triangle table,
 # 2 x 14 for the two sides of the Yang-Baxter equation; each pairs a
@@ -119,6 +121,26 @@ def test_gram_report_computes_the_eigenvalues_once(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gram", "--l", "12"]) == 0
     assert calls == [(14, 14)]
+
+
+def test_right_table_is_solved_on_first_read(counted):
+    """The table keeps one expansion, solved with the left triangle when
+    the table is built; it serves the right triangle too, so reading it
+    costs no further closure."""
+    st = Stages(delta_for_l(12))
+    table = st.table
+    before = counted["inner"]
+    coeffs, residual = table.left_coeffs, table.residual_left
+    assert table.left_coeffs is coeffs and table.residual_left == residual
+    assert counted["inner"] == before
+
+    # The expansion of the right (mirror) triangle, solved from scratch.
+    right_pattern = mirror(triangle_pattern(st.model))
+    want, want_residual = expand(st.model, right_pattern, st.basis, st.gram, st.tol)
+    assert counted["inner"] == before + 14
+    assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(residual - want_residual) <= 1e-12
+    assert residual < 1e-10
 
 
 # On the warm corpus: the terms that enter FormalSum.normalized, and those
