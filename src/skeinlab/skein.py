@@ -217,7 +217,8 @@ class FormalSum:
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
         """Merge the terms of equal canonical key, in first-seen order, then
         drop the terms that `_kept` refuses, raising NonFiniteScalar on an
-        inf or nan one.  Equal keys imply an equal
+        inf or nan one or one whose modulus is past the float range.  Equal
+        keys imply an equal
         invariant (free loops, vertex count, sum of the label keys' hashes),
         so a term whose invariant no other term shares merges with nothing:
         its bucket key is the invariant, which no canonical key (a tuple
@@ -238,7 +239,10 @@ class FormalSum:
                 buckets[key] = (prev + coeff, d0)
             else:
                 buckets[key] = (complex(coeff), diag)
-        sizes = [abs(c) for c, _ in buckets.values()]
+        try:
+            sizes = [abs(c) for c, _ in buckets.values()]
+        except OverflowError:  # finite parts, modulus past the float range
+            sizes = [math.inf]
         if not all(map(math.isfinite, sizes)):
             raise NonFiniteScalar("non-finite coefficient in a formal sum")
         scale = max(sizes, default=1.0)
@@ -577,8 +581,9 @@ def _plan(diag: Diagram) -> tuple:
 
 def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
     """Run a plan on `labels`, a map of vertex ids to coefficient triples,
-    with the engine's arithmetic, including its zero-drop of a single term.
-    Fused labels are written into `labels`."""
+    with the engine's arithmetic, including its zero-drop of a single term;
+    an inf or nan coefficient, or one whose modulus is past the float
+    range, raises NonFiniteScalar.  Fused labels are written into `labels`."""
     coeff = complex(1.0)
     for steps, (loops, op) in enumerate(plan, 1):
         if loops:
@@ -587,7 +592,11 @@ def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tu
             coeff, label = _number_step(model, coeff, op, labels)
             if label is not None:
                 labels[op[3]] = label
-        if not _kept(coeff, abs(coeff), tol):
+        try:
+            size = abs(coeff)
+        except OverflowError:  # finite parts, modulus past the float range
+            raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
+        if not _kept(coeff, size, tol):
             check_finite(coeff)  # `_kept` refuses an inf or nan too
             return complex(0.0), steps
     # FormalSum.scalar_value sums onto 0j, which fixes the signs of zeros.

@@ -19,6 +19,12 @@ compile is not cached and raises on every call.
 A one-click turn of the disk permutes the basis and keeps every closure,
 so `gram` reduces one closure per rotation orbit of index pairs (40 of
 196); the basis is checked to be closed under the turn once per process.
+The same turn does most of the other pairings with the basis: the 3-gon
+is fixed by two turns, so it pairs alike with every basis pattern of an
+orbit of two turns (6 closures of 14), and the second side of the
+Yang-Baxter equation is the first turned three clicks, so its pairings
+are the first side's in turned order (none of its own 14).  A
+classification reduces 40 + 6 + 14 = 60 closures.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import (
     GramRankDeficient,
     InternalEnumerationMismatch,
     InvariantViolation,
+    NonFiniteScalar,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .shapes import pattern_shape
@@ -55,6 +62,11 @@ class Pattern:
     def __post_init__(self):
         if len(self.boundary) != 6:
             raise InvariantViolation("a 3-box pattern has 6 boundary points")
+
+    @functools.cached_property
+    def shape(self) -> tuple:
+        """`pattern_shape(self)`, computed once."""
+        return pattern_shape(self)
 
     def wiring(self, off: int, point) -> tuple[dict[int, Vertex], list, list]:
         """The pattern placed in a diagram: its vertices with ids shifted by
@@ -178,7 +190,7 @@ def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
 
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
-    ids, plan = _closure_plan(pattern_shape(x), pattern_shape(y))
+    ids, plan = _closure_plan(x.shape, y.shape)
     labels = [v.coeffs for _, v in x.vertices]
     labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
     return _replay(plan, dict(zip(ids, labels)), model, tol)[0]
@@ -257,11 +269,12 @@ class Basis14:
 @functools.cache
 def _basis_shapes() -> tuple:
     """The label-free shapes of the 14 basis patterns, in the Basis14 order,
-    and the rotation orbits of ordered index pairs as (rows, cols), first
-    pair first; checked once per process: (5, 6, 3) patterns, pairwise
-    distinct under vertex renumbering, each turned one click again in the
-    basis.  Every vertex carries the same label, so the checks hold for the
-    labelled basis of any model."""
+    the rotation orbits of ordered index pairs as (rows, cols), first pair
+    first, and the turn: the index of each basis pattern turned one click.
+    Checked once per process: (5, 6, 3) patterns, pairwise distinct under
+    vertex renumbering, each turned one click again in the basis.  Every
+    vertex carries the same label, so the checks hold for the labelled
+    basis of any model."""
     families = (_tl_patterns(), _one_vertex_patterns(), _two_vertex_patterns())
     if (counts := tuple(map(len, families))) != (5, 6, 3):
         raise InternalEnumerationMismatch(f"basis counts {counts} != (5, 6, 3)")
@@ -278,7 +291,7 @@ def _basis_shapes() -> tuple:
         while (nxt := (turn[orbit[-1][0]], turn[orbit[-1][1]])) != pair:
             orbit.append(nxt)
         orbits.setdefault(frozenset(orbit), tuple(zip(*orbit)))
-    return tuple(map(pattern_shape, pats)), tuple(orbits.values())
+    return tuple(map(pattern_shape, pats)), tuple(orbits.values()), tuple(turn)
 
 
 def enumerate_basis(model: TwoBoxModel) -> Basis14:
@@ -350,14 +363,23 @@ def expand(
     v = np.array(
         [inner(model, pattern, di, tol) for di in basis.diagrams], dtype=complex
     )
+    return _expansion(gm, v, tol)
+
+
+def _solve(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """c with G^T c = v, one column of c per column of v: solved at full
+    rank, least squares below it."""
     gt = gm.entries.T
     if gm.rank(tol) < len(v):
-        c, *_ = np.linalg.lstsq(gt, v, rcond=tol.rank_tol)
-    else:
-        c = np.linalg.solve(gt, v)
+        return np.linalg.lstsq(gt, v, rcond=tol.rank_tol)[0]
+    return np.linalg.solve(gt, v)
+
+
+def _expansion(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """(c, normal-equation residual) for the pairings v of one pattern."""
+    c = _solve(gm, v, tol)
     scale = max(1.0, float(np.linalg.norm(v)))
-    residual = float(np.linalg.norm(gt @ c - v)) / scale
-    return c, residual
+    return c, float(np.linalg.norm(gm.entries.T @ c - v)) / scale
 
 
 # -- triangle patterns and the reduction table --------------------------
@@ -368,9 +390,14 @@ def triangle_pattern(model: TwoBoxModel, labels=None) -> Pattern:
     produces: face corners at dart 0 with face-orbit order u, v, w and
     edges u.1-v.0, v.1-w.0, w.1-u.0.  The orbit runs clockwise around the
     face, so the counterclockwise disk boundary is (u.2, u.3, w.2, w.3,
-    v.2, v.3)."""
-    t = model.uncappable().coeffs
-    labels = labels if labels is not None else [t, t, t]
+    v.2, v.3).  Every vertex carries the generator unless `labels` are
+    given."""
+    if labels is None:
+        labels = [model.uncappable().coeffs] * 3
+    return _triangle(labels)
+
+
+def _triangle(labels) -> Pattern:
     verts = tuple((i, Vertex(tuple(labels[i]))) for i in range(3))
     edges = (((0, 1), (1, 0)), ((1, 1), (2, 0)), ((2, 1), (0, 0)))
     bnd = []
@@ -397,12 +424,16 @@ def solve_triangle(
     gm: GramMatrix | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TriangleTable:
+    """The 3-gon's expansion, from one closure per orbit of two turns."""
     basis = basis or enumerate_basis(model)
     gm = gm or gram(model, basis, tol)
     rank = gm.rank(tol)
     if rank < 14:
         raise GramRankDeficient(f"Gram rank {rank} < 14; 3-box space degenerated")
-    cl, rl = expand(model, triangle_pattern(model), basis, gm, tol)
+    firsts, orbit_of, _ = _pairing_turns()
+    tri = triangle_pattern(model)
+    v = np.array([inner(model, tri, basis.diagrams[i], tol) for i in firsts], dtype=complex)
+    cl, rl = _expansion(gm, v[list(orbit_of)], tol)
     return TriangleTable(cl, rl, basis, gm)
 
 
@@ -418,14 +449,12 @@ def _braid_pattern(model: TwoBoxModel, braid: BraidPair, side: str, roots=(0, 0,
     by the per-vertex root offset (mod 2; two clicks act trivially on U).
     """
     u = braid.U
+    return _braid_wiring(side, roots, [(model.rotate(u) if k % 2 else u).coeffs for k in roots])
 
-    def label(k):
-        lab = u
-        if k % 2:
-            lab = model.rotate(lab)
-        return Vertex(lab.coeffs)
 
-    verts = tuple((i, label(roots[i])) for i in range(3))
+def _braid_wiring(side: str, roots, labels) -> Pattern:
+    """`_braid_pattern` with vertex i labelled labels[i]."""
+    verts = tuple((i, Vertex(labels[i])) for i in range(3))
 
     def leg(vid, which):
         # which in {dl, dr, ur, ul} -> dart slot with the root offset
@@ -468,28 +497,59 @@ def _braid_pattern(model: TwoBoxModel, braid: BraidPair, side: str, roots=(0, 0,
     return Pattern(verts, edges, tuple(bnd))
 
 
+@functools.cache
+def _pairing_turns() -> tuple:
+    """How the turn gives the 3-gon's and side B's pairings with the basis
+    from fewer closures, checked once per process with equal labels (a
+    failed check raises InternalEnumerationMismatch):
+
+    * two turns fix the 3-gon, so <T, D_j> = <T, D_turn²(j)>.  Returned
+      as the first index of each orbit of two turns (6 of 14) and, for each
+      j, the place of its orbit among them;
+    * side B with every vertex re-rooted by two clicks, which leaves a
+      braid label as it is (`TwoBoxModel.rotate_coeffs`), is side A turned
+      three clicks, so <B, D_j> = <A, D_turn³(j)>.  Returned as turn³."""
+    turn = _basis_shapes()[2]
+    tri = _triangle([ZERO] * 3)
+    if tri.rotated().rotated().key() != tri.key():
+        raise InternalEnumerationMismatch("the 3-gon is not fixed by two turns")
+    side_a = _braid_wiring("A", (0, 0, 0), [ZERO] * 3)
+    side_b = _braid_wiring("B", (2, 2, 2), [ZERO] * 3)
+    if side_a.rotated().rotated().rotated().key() != side_b.key():
+        raise InternalEnumerationMismatch("side B is not side A turned three clicks")
+    turn2 = [turn[turn[j]] for j in range(14)]
+    first = [min(j, turn2[j], turn2[turn2[j]]) for j in range(14)]
+    firsts = tuple(sorted(set(first)))
+    return firsts, tuple(firsts.index(f) for f in first), tuple(turn[k] for k in turn2)
+
+
 def ybe_residual(
     model: TwoBoxModel,
     braid: BraidPair,
     table: TriangleTable,
     tol: Tolerance = DEFAULT_TOL,
-    roots_a=(0, 0, 0),
-    roots_b=(0, 0, 0),
 ) -> float:
     """Gram-norm distance between the Basis14 expansions of the two sides
-    of the Yang-Baxter equation.
+    of the Yang-Baxter equation, relative to side A's Gram norm.
 
-    The per-vertex root offsets shift label and legs together, which is the
-    identity on the pattern; they are exposed only so tests can confirm the
-    rerooting invariance."""
-    pa = _braid_pattern(model, braid, "A", roots_a)
-    pb = _braid_pattern(model, braid, "B", roots_b)
-    ca, _ = expand(model, pa, table.basis, table.gram, tol)
-    cb, _ = expand(model, pb, table.basis, table.gram, tol)
-    d = ca - cb
-    val = complex(d.conj() @ table.gram.entries @ d)
-    norm_a = abs(complex(ca.conj() @ table.gram.entries @ ca))
-    scale = max(1.0, norm_a)
+    Side A alone is paired with the basis: side B's pairings are A's in
+    turn³ order (`_pairing_turns`), and one solve expands both.  A
+    quadratic form past the float range raises NonFiniteScalar."""
+    pa = _braid_pattern(model, braid, "A")
+    va = np.array([inner(model, pa, dj, tol) for dj in table.basis.diagrams], dtype=complex)
+    turn3 = list(_pairing_turns()[2])
+    ca, cb = _solve(table.gram, np.column_stack((va, va[turn3])), tol).T
+    g = table.gram.entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = ca - cb
+        val = d.conj() @ g @ d
+        norm_a = np.abs(ca.conj() @ g @ ca)
+    if not (np.isfinite(val) and np.isfinite(norm_a)):
+        raise NonFiniteScalar(
+            f"the Yang-Baxter residual overflowed: <A - B, A - B> = {complex(val)!r}, "
+            f"<A, A> = {float(norm_a)!r}"
+        )
+    scale = max(1.0, float(norm_a))
     return float(np.sqrt(max(val.real, 0.0)) / np.sqrt(scale))
 
 

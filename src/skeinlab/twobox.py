@@ -213,7 +213,8 @@ class TwoBoxModel:
         identity on these coordinates, so only the parity counts."""
         if clicks % 2 == 0:
             return tuple(coeffs)
-        return tuple(dot(row, coeffs) for row in self.rotation_rows)
+        r0, r1, r2 = self.rotation_rows
+        return (dot(r0, coeffs), dot(r1, coeffs), dot(r2, coeffs))
 
     def cap(self, x: BoxVec, pair: int) -> Scalar:
         """Scalar s with the box capped on darts (pair, pair+1) equal to s*strand.

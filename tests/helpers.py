@@ -14,7 +14,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.threebox import mirror
+from skeinlab.threebox import _braid_pattern, expand, mirror
 
 
 def trace_closure(coeffs):
@@ -508,3 +508,19 @@ def same_wiring(got, want):
         and got.edges == want.edges
         and got.free_loops == want.free_loops
     )
+
+
+def reference_ybe_residual(model, braid, table, roots_a=(0, 0, 0), roots_b=(0, 0, 0)):
+    """The Yang-Baxter residual with both sides built and each paired with
+    all 14 basis patterns and expanded on its own, as before side B's
+    pairings were read off side A's by the turn; the per-vertex root offsets
+    re-root the crossings of each side."""
+    pa = _braid_pattern(model, braid, "A", roots_a)
+    pb = _braid_pattern(model, braid, "B", roots_b)
+    ca, _ = expand(model, pa, table.basis, table.gram)
+    cb, _ = expand(model, pb, table.basis, table.gram)
+    d = ca - cb
+    g = table.gram.entries
+    val = complex(d.conj() @ g @ d)
+    scale = max(1.0, abs(complex(ca.conj() @ g @ ca)))
+    return float(np.sqrt(max(val.real, 0.0)) / np.sqrt(scale))

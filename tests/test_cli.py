@@ -304,6 +304,20 @@ def test_an_overflowing_braid_side_is_a_fail_report(capsys):
     assert report["outputs"]["notes"][-1].startswith("NonFiniteScalar: ")
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("factor", ["1e52", "1e60", "1e100", "1e108"])
+def test_an_overflowing_ybe_is_a_typed_fail_report(capsys, factor):
+    # At 1e52 ... 1e100 the quadratic forms of the residual overflowed with
+    # RuntimeWarnings on stderr and read "nan"; at 1e108 abs() of a
+    # coefficient overflowed and the run ended in a traceback.
+    code, out, err = run(capsys, "ybe", "--l", "12", "--perturb-q", factor)
+    assert (code, err) == (EXIT_FAIL, "")
+    report = strict(out)
+    assert report["verdict"] == "FAIL"
+    assert report["residuals"] == {}
+    assert report["outputs"]["notes"][-1].startswith("NonFiniteScalar: ")
+
+
 def test_gram_stage_fault_gives_fail_report(capsys, tmp_path):
     # delta ** 3 overflows in the first closure; gram printed only an error.
     path = tmp_path / "gram.json"

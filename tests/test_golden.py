@@ -42,26 +42,26 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) by (command, locus).
 GOLDEN = {
-    ("classify", "depth3"): (0, "4f70b35cae834e02199d34032c5867836b7ca7358e3430c66377453b9540f0d6"),
-    ("classify", "l12"): (0, "a0afe80c129c6ff2044ae5ea7745d2209162f0a1d80c295fda0b2807c5045891"),
-    ("classify", "l100"): (0, "2de0793a8cd28491b9bff1ae36d28fdf0d2c98a7e200c612ff59e5a8dfe5ad7f"),
-    ("classify", "delta5"): (0, "afd54fd341f337eb018ffbe1952463704a271ad16ab2daeac34c80f5931612e4"),
-    ("classify", "delta11"): (0, "f554d567b3a3d32450e337b4d7db2eb13ed8866664a2f8782cebbc6db57d2973"),
+    ("classify", "depth3"): (0, "65f2a84c3c06bc95e755d0a62fe190735ebd515a652e6ececbade371b0aefd0e"),
+    ("classify", "l12"): (0, "44cbc8dc9181463f86f4af20db6767a5ed54826811475c1466ab24fb268d0f74"),
+    ("classify", "l100"): (0, "49ef3155198e05a5f810e213a700eb572f23926f0a4a9c2d25f692036f4b7990"),
+    ("classify", "delta5"): (0, "65ec0eca7d478f32cd1498ea7add9f3257e9da6ffb5d1b6880f5b81a6bda184c"),
+    ("classify", "delta11"): (0, "650f1f241eb33784284a61b5bc3d117256d94cde06afd944f2169d0585fd30db"),
     ("gram", "depth3"): (0, "b84d86203259567b13552b7343c8a84e0a1f2783e73b876991c9a482977f6f71"),
     ("gram", "l12"): (0, "8d6491967dae5ff9114a185f5d9734f3a8028af65eb54e44aa188eb741bd0cf7"),
     ("gram", "l100"): (0, "e9517693d8133d0f9d2a7af00c77fa626ef01b70beaec42117c7798bef23698c"),
     ("gram", "delta5"): (0, "d176ac79c82ec8d656f389e732bee747dbcdbee842f09d470766a7e2627145a5"),
     ("gram", "delta11"): (0, "b0b0d4ea44ebc968c6149fc5974a0811c10d880856efa2397fd6226c8fd07887"),
-    ("ybe", "depth3"): (0, "7f34b6d21a3e8e4b8e228953bf03ad0c65525bbd2f682c5b6d432ecdef6533dc"),
-    ("ybe", "l12"): (0, "8c48804c9260867b3fa85b93d5aa6d8c2c5028b212c599738753744c4ecedb25"),
-    ("ybe", "l100"): (0, "3a49a7b61ca9ed949ce7db6e9d9a757bed389e0c672cbbf43cc0f9492a95072b"),
-    ("ybe", "delta5"): (0, "64a6c23562f6bd1af34b545c5f700d72e4ea7e84c246f388239cabace5000f2a"),
-    ("ybe", "delta11"): (0, "fe30d2891de6160d6df999d3499f7ad1765c4eb3681c2a2415acb08914321a4a"),
-    ("ybe-perturbed", "depth3"): (1, "ba5433b8216573e47b6516f945cfa34ce61a16fddd12c128d25cd9f43805636d"),
-    ("ybe-perturbed", "l12"): (1, "662de0cf55e90d807cc3f8eb091c7d111f98f6ff0876fe3c4528227627962acc"),
-    ("ybe-perturbed", "l100"): (1, "60b106f54f043e5b7c6d7cfa05bc2d33251ae7d410bbee4da9b9a367d5781395"),
-    ("ybe-perturbed", "delta5"): (1, "3821bda0e101735d28542290b3bde414623dddbff5f2719c61a527b340671d4d"),
-    ("ybe-perturbed", "delta11"): (1, "4dc9e033dd5e349f10d24e50d0dc46d053ab3927bad116fbab0a0177b1437e7f"),
+    ("ybe", "depth3"): (0, "7af7a088e71ad8c73af7f2c5a3d4f8ef48adf2927f5abea3933cafe811f4ac68"),
+    ("ybe", "l12"): (0, "4f07b201a957e51d62832e2226482a77b9308cab933d4f75795d63d1f0c2be10"),
+    ("ybe", "l100"): (0, "f78fd0e725463563d56db66f538f0f577e79f03933ee1147dce5e660532b423b"),
+    ("ybe", "delta5"): (0, "5d30075d8aa29790cfd66fc9d6541cd3ac38b0b8079d60578486288153a67b44"),
+    ("ybe", "delta11"): (0, "f00464418d32ac0c0f8da281c10bc3164f95d13c818ccdd2463a08be47ea7841"),
+    ("ybe-perturbed", "depth3"): (1, "f17422c0105606d0da3bd4d56eaa001819b00b8207bb3f2f3136b42528f875e3"),
+    ("ybe-perturbed", "l12"): (1, "e73f60e65a01d0f47968ec9e830beee4a6e06db6066276f33e3ab9557617d08b"),
+    ("ybe-perturbed", "l100"): (1, "2fae137090278e7326091779f9625664fcfcd4360eb90e4ebbb6e601305ef0cc"),
+    ("ybe-perturbed", "delta5"): (1, "87bf8c1010a7af454b79f0a6451bb39b08e4eb96801625bd39ef46611b0a778a"),
+    ("ybe-perturbed", "delta11"): (1, "4177db52ba84c4cf68315e0d19273e960ccb156a70a824c290b4cc908f4769d0"),
 }
 
 
@@ -121,12 +121,12 @@ def _write_diagram(path, d, generators):
 
 # (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
 GOLDEN_EVALUATE = {
-    "octahedron-tied": (0, "f0b7bd7c057da25fde0a0c454df3a2e3755369dffd714fc6e8808ece96bbe68d"),
-    "octahedron-mixed": (0, "9e9ea9cd728189724736fcc4ff8d72c9d4babeea58778591e7e84027193cb5bc"),
-    "square_pyramid-mixed": (0, "cf315bfafda9dde72408ac73211a7ddbaf75228c22ae11afcd46404b98bc9848"),
-    "triangular_prism-mixed": (0, "31a32fec1eb2198966cad00522138330bdd8a8d5f34997827265eed1b7a884d9"),
+    "octahedron-tied": (0, "5bda15644c265b575915727c3fd3e330b17b412193fe1b7358775feff9a243c2"),
+    "octahedron-mixed": (0, "3336e1653caf8c9a564e354cb40a0d1f7360c5e05c4cb31cdf5d0487e81a266b"),
+    "square_pyramid-mixed": (0, "be3adcd3b3717c0cf4306d03ddac47739834128979ba9d261ad9d978b5155772"),
+    "triangular_prism-mixed": (0, "8c132873e0d10eb132b4c0c7e2a2e8dae57bba9586c9063b50ec99b9873766bd"),
     "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
-    "disconnected": (0, "d395222ff921b4b8257e66d0a2f3dbb0cacca0026cd0e69012c2274a90dc3010"),
+    "disconnected": (0, "a21c71c698b7949cca4e4f30c67be5a0da0c36d9e1863c3c74585bd162b7ffaf"),
 }
 
 

@@ -13,6 +13,7 @@ from helpers import (
     octahedron_diagram,
     product_trace_closure,
     random_diagram_corpus,
+    trace_closure,
 )
 from skeinlab import (
     DEPTH3_DELTA,
@@ -105,6 +106,17 @@ def test_an_overflow_is_not_a_dropped_zero(model12):
     d = coproduct_trace_closure((1e200, -3e200, 2e200), (1e200, 2e200, -1e200))
     with pytest.raises(NonFiniteScalar):
         _replay(_plan(d), labels(d), model12, DEFAULT_TOL)
+    with pytest.raises(NonFiniteScalar):
+        evaluate(d, model12)
+
+
+def test_a_modulus_past_the_float_range_is_a_non_finite_scalar(model12):
+    # The cap and the loop leave (1.5e308 + 1.5e308j): both parts finite,
+    # but abs() of it raised an untyped OverflowError on both paths.
+    x = (1.5e308 + 1.5e308j, 0.0, 0.0)
+    d = trace_closure(x)
+    with pytest.raises(NonFiniteScalar):
+        _replay(_plan(d), {0: x}, model12, DEFAULT_TOL)
     with pytest.raises(NonFiniteScalar):
         evaluate(d, model12)
 

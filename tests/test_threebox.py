@@ -27,18 +27,20 @@ from skeinlab.errors import (
     MalformedPairing,
     SkeinlabError,
 )
+from skeinlab.classify import Stages
 from skeinlab.threebox import (
     GramMatrix,
     Pattern,
     _basis_shapes,
     _braid_pattern,
+    _pairing_turns,
     _two_vertex_patterns,
     closure,
     expand,
 )
 from skeinlab.skein import FormalSum, Vertex, reduce_once
 
-from helpers import reference_closure, same_wiring
+from helpers import reference_closure, reference_ybe_residual, same_wiring
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -76,8 +78,10 @@ def test_mirror_is_involution(model12):
 
 # -- the rotation map ----------------------------------------------------
 
-# Basis14 index of each basis pattern turned one click.
+# Basis14 index of each basis pattern turned one, two and three clicks.
 TURN = [3, 2, 4, 0, 1, 6, 7, 8, 9, 10, 5, 12, 13, 11]
+TURN2 = [TURN[TURN[j]] for j in range(14)]
+TURN3 = [TURN[j] for j in TURN2]
 
 
 def sweep_models():
@@ -109,7 +113,8 @@ def test_six_turns_are_the_identity(model12, braid12):
 
 
 def test_the_orbits_partition_the_index_pairs():
-    _, orbits = _basis_shapes()
+    _, orbits, turn = _basis_shapes()
+    assert list(turn) == TURN
     assert len(orbits) == 40
     pairs = [pair for rows, cols in orbits for pair in zip(rows, cols)]
     assert sorted(pairs) == [(i, j) for i in range(14) for j in range(14)]
@@ -285,14 +290,99 @@ def test_ybe_residual_small_at_real_locus():
     assert ybe_residual(m, bp, table) < 1e-8
 
 
+def pairings(model, pattern, basis):
+    """<pattern, D_j> for the 14 basis patterns, each closure reduced."""
+    return np.array([inner(model, pattern, dj) for dj in basis.diagrams], dtype=complex)
+
+
 def test_ybe_rerooting_invariance(model12, table12, braid12):
+    """Re-rooting the crossings of either side leaves its pairings with the
+    basis as they are, and side B's pairings are side A's turned by
+    turn³, so the residual needs side A alone."""
+    basis = table12.basis
+    va = pairings(model12, _braid_pattern(model12, braid12, "A"), basis)
+    vb = pairings(model12, _braid_pattern(model12, braid12, "B"), basis)
+    scale = float(np.max(np.abs(va)))
+    assert np.max(np.abs(vb - va[TURN3])) <= 1e-14 * scale
     rng = np.random.default_rng(13)
-    base = ybe_residual(model12, braid12, table12)
     for _ in range(5):
         ra = tuple(int(k) for k in rng.integers(0, 4, size=3))
         rb = tuple(int(k) for k in rng.integers(0, 4, size=3))
-        v = ybe_residual(model12, braid12, table12, roots_a=ra, roots_b=rb)
-        assert abs(v - base) < 1e-9
+        rerooted_a = pairings(model12, _braid_pattern(model12, braid12, "A", ra), basis)
+        rerooted_b = pairings(model12, _braid_pattern(model12, braid12, "B", rb), basis)
+        assert np.max(np.abs(rerooted_a - va)) <= 1e-14 * scale, ra
+        assert np.max(np.abs(rerooted_b - vb)) <= 1e-14 * scale, rb
+        assert np.max(np.abs(rerooted_b - rerooted_a[TURN3])) <= 1e-14 * scale, (ra, rb)
+
+
+def turn_cases():
+    """(name, model, table, braid) at the depth-3 point, at l = 12, 14,
+    100 and 200, and at delta = 4.5, 5, 11 and 15, each with its braid
+    generator and with q scaled by 1.01 and r by 1 + 1e-6."""
+    loci = [("depth3", DEPTH3_DELTA)]
+    loci += [(f"l={l}", delta_for_l(l)) for l in (12, 14, 100, 200)]
+    loci += [(f"delta={d}", d) for d in (4.5, 5.0, 11.0, 15.0)]
+    for name, delta in loci:
+        st = Stages(delta)
+        q, r = st.braid.q, st.braid.r
+        yield name, st.model, st.table, st.braid
+        yield f"{name}, q*1.01", st.model, st.table, BraidPair.from_qr(q * 1.01, r)
+        yield f"{name}, r*(1+1e-6)", st.model, st.table, BraidPair.from_qr(q, r * (1 + 1e-6))
+
+
+def test_the_turned_pairings_match_the_direct_ones():
+    """The 3-gon's 14 pairings against its 6 orbit pairings, and side B's
+    14 against side A's turned by turn³, each closure reduced on its own."""
+    firsts, orbit_of, turn3 = _pairing_turns()
+    assert list(turn3) == TURN3
+    assert [firsts[k] for k in orbit_of] == [min(j, TURN2[j], TURN2[TURN2[j]]) for j in range(14)]
+    for name, m, table, braid in turn_cases():
+        basis = table.basis
+        vt = pairings(m, triangle_pattern(m), basis)
+        orbit = vt[list(firsts)][list(orbit_of)]
+        assert np.max(np.abs(vt - orbit)) <= 1e-14 * np.max(np.abs(vt)), name
+        va = pairings(m, _braid_pattern(m, braid, "A"), basis)
+        vb = pairings(m, _braid_pattern(m, braid, "B"), basis)
+        assert np.max(np.abs(vb - va[TURN3])) <= 1e-14 * np.max(np.abs(vb)), name
+        direct, residual = expand(m, triangle_pattern(m), basis, table.gram)
+        assert residual < 1e-10 and table.residual_left < 1e-10, name
+        scale = float(np.max(np.abs(direct)))
+        assert np.max(np.abs(table.left_coeffs - direct)) <= 1e-13 * scale, name
+
+
+def test_ybe_residual_matches_the_two_sided_reference():
+    """Against both sides expanded apart: the pairings differ by rounding
+    (<= 1e-15 relative, above), which shows in the residual as absolute
+    noise below 1e-15 (2.9e-16 at most on these cases)."""
+    for name, m, table, braid in turn_cases():
+        got, want = ybe_residual(m, braid, table), reference_ybe_residual(m, braid, table)
+        assert abs(got - want) <= 1e-15, name
+
+
+@pytest.fixture
+def fresh_pairing_turns():
+    _pairing_turns.cache_clear()
+    yield
+    _pairing_turns.cache_clear()
+
+
+def test_pairing_turns_refuse_a_triangle_not_fixed_by_two_turns(monkeypatch, fresh_pairing_turns):
+    # Two legs of one corner swapped: two turns no longer fix the pattern.
+    tri = threebox._triangle([threebox.ZERO] * 3)
+    bnd = (tri.boundary[1], tri.boundary[0], *tri.boundary[2:])
+    monkeypatch.setattr(threebox, "_triangle", lambda labels: Pattern(tri.vertices, tri.internal_edges, bnd))
+    with pytest.raises(InternalEnumerationMismatch, match="not fixed by two turns"):
+        _pairing_turns()
+
+
+def test_pairing_turns_refuse_a_side_b_that_is_not_side_a_turned(monkeypatch, fresh_pairing_turns):
+    wiring = threebox._braid_wiring
+    # Roots taken mod 2: side B is built without its two-click re-rooting.
+    monkeypatch.setattr(
+        threebox, "_braid_wiring", lambda side, roots, labels: wiring(side, [k % 2 for k in roots], labels)
+    )
+    with pytest.raises(InternalEnumerationMismatch, match="not side A turned three clicks"):
+        _pairing_turns()
 
 
 def test_ybe_perturbed_q_fails(model12, table12, braid12):

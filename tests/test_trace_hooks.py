@@ -61,7 +61,7 @@ def test_traced_classify_records_the_hot_path(tracer_module):
         tracer.uninstall()
     assert result.verdict == "PASS"
     calls = {name: agg[0] for name, agg in tracer.totals().items()}
-    assert calls["threebox.inner"] == 82
+    assert calls["threebox.inner"] == 60
     assert "skein.evaluate" not in calls  # inner replays plans, not the engine
     assert calls["threebox.gram"] == calls["threebox.solve_triangle"] == 1
     assert calls["twobox.product"] == 1  # the r2 residual only

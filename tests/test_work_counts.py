@@ -1,11 +1,12 @@
 """Pins on the work one classification does.  Every inner product replays
 the plan of its closure shape, and each shape is validated once, when its
-plan is compiled, and the Gram matrix reduces one closure per rotation
-orbit of index pairs.  A PASS classification makes one SVD, of the
-Gram matrix, and a Gram report one eigendecomposition.  The FormalSum
-engine evaluates a diagram again without redoing the shape half of any
-rewrite, keys only the terms that can merge, and its connector walk asks
-once per node whether the node is a connector."""
+plan is compiled.  The Gram matrix reduces one closure per rotation orbit
+of index pairs, the 3-gon one per orbit of two turns, and the Yang-Baxter
+residual pairs only side A with the basis.  A PASS classification makes
+one SVD, of the Gram matrix, and a Gram report one eigendecomposition.
+The FormalSum engine evaluates a diagram again without redoing the shape
+half of any rewrite, keys only the terms that can merge, and its
+connector walk asks once per node whether the node is a connector."""
 
 import contextlib
 import io
@@ -20,10 +21,11 @@ from skeinlab.classify import Stages
 from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
-# 40 rotation orbits of Gram entries, 14 for the left triangle table,
-# 2 x 14 for the two sides of the Yang-Baxter equation; each pairs a
-# different closure shape.
-CLOSURES_PER_PASS = 40 + 14 + 2 * 14
+# 40 rotation orbits of Gram entries, 6 orbits of two turns for the
+# triangle table, 14 for side A of the Yang-Baxter equation (side B's
+# pairings are side A's turned three clicks); each pairs a different
+# closure shape.
+CLOSURES_PER_PASS = 40 + 6 + 14
 
 
 @pytest.fixture
@@ -94,6 +96,16 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
     calls.update(dict.fromkeys(calls, 0))
     assert skein.evaluate_detailed(d, model12, table12) == first
     assert calls == {"delta": 0, "find_small_face": 0, "faces": 1, "infer_shading": 0}
+
+
+def test_the_table_and_the_braid_sides_take_20_closures(counted):
+    st = Stages(5.0)
+    st.gram
+    before = counted["inner"]
+    st.table
+    assert counted["inner"] == before + 6
+    st.braid_residuals(st.braid)
+    assert counted["inner"] == before + 6 + 14
 
 
 def test_classify_computes_one_svd(monkeypatch):
