@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DegenerateDenominator,
     InadmissibleDelta,
@@ -185,13 +183,13 @@ class PrincipalGraphPrefix:
 _BASIS_NAMES = ("e", "P1", "P2")
 
 
-def _support(coeffs: np.ndarray, tol: Tolerance) -> tuple[str, ...]:
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
+def _support(coeffs, tol: Tolerance) -> tuple[str, ...]:
+    scale = max(1.0, *map(abs, coeffs))
     lo = tol.eq_tol * scale
     hi = tol.SUPPORT_BAND * lo
     out = []
     for name, c in zip(_BASIS_NAMES, coeffs):
-        mag = abs(complex(c))
+        mag = abs(c)
         if mag < lo:
             continue
         if mag < hi:
@@ -208,9 +206,9 @@ def principal_graph_prefix(
     """Depth-3 prefix inferred from the coproduct supports."""
     cop = model.coproduct_table
     supports = {
-        "P1*P1": _support(cop[1, 1], tol),
-        "P1*P2": _support(cop[1, 2], tol),
-        "P2*P2": _support(cop[2, 2], tol),
+        "P1*P1": _support(cop[1][1], tol),
+        "P1*P2": _support(cop[1][2], tol),
+        "P2*P2": _support(cop[2][2], tol),
     }
     expected = {
         "P1*P1": ("e", "P2"),

@@ -58,14 +58,6 @@ class DegenerateParameters(SkeinlabError):
     """BMW trace formulas evaluated at q in {+-1, +-i} or r = 0."""
 
 
-class NoSolution(SkeinlabError):
-    """No sign candidate satisfies the closure equation."""
-
-
-class MultipleSolutions(SkeinlabError):
-    """More than one sign candidate satisfies the closure equation."""
-
-
 class DegenerateDenominator(SkeinlabError):
     """Parameter recovery hit a vanishing denominator."""
 

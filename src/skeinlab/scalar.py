@@ -51,10 +51,8 @@ class Tolerance:
     limits: Mapping[str, float] = field(init=False, repr=False, compare=False)
     """PASS limit per residual: 1e-8, and eq_tol for qr_roundtrip."""
     match_tol: float = field(init=False, repr=False, compare=False)
-    """Agreement of the BMW traces of (q, r) with the model, and the q^4 = 1,
-    Brauer delta = 4 and unit-modulus r checks: 1e-6."""
-    closure_tol: float = field(init=False, repr=False, compare=False)
-    """Residual of a sign candidate in `unique_braid_check`: 1e-7."""
+    """Agreement of the BMW traces of (q, r) with the model, and the Brauer
+    delta = 4 and unit-modulus r checks: 1e-6."""
     drop_tol: float = field(init=False, repr=False, compare=False)
     """Formal-sum terms up to this times the largest (floored at 1) drop."""
 
@@ -106,7 +104,6 @@ class Tolerance:
         limits["qr_roundtrip"] = self.eq_tol
         object.__setattr__(self, "limits", limits)
         object.__setattr__(self, "match_tol", 1e-6 * ratio)
-        object.__setattr__(self, "closure_tol", 1e-7 * ratio)
         object.__setattr__(self, "drop_tol", self.eq_tol * 1e-3)
 
     @classmethod

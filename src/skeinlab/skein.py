@@ -262,11 +262,12 @@ class FormalSum:
 
 
 def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, Scalar]:
-    m = np.array(
-        [[1.0, 1.0, 0.0], [1.0, 0.0, model.b], [1.0, 0.0, -model.a]], dtype=complex
-    )
-    sol = np.linalg.solve(m, np.array([complex(c) for c in coeffs]))
-    return tuple(sol)
+    """(alpha, beta, gamma) with coeffs = alpha id + beta e + gamma T over
+    (e, P1, P2), where id = (1, 1, 1), e = (1, 0, 0) and T = (0, b, -a)."""
+    c0, c1, c2 = coeffs
+    gamma = (c1 - c2) / (model.a + model.b)
+    alpha = c2 + model.a * gamma
+    return alpha, c0 - alpha, gamma
 
 
 # -- 1-gon and 2-gon rewrites, split into shape and numbers ---------------
@@ -482,7 +483,7 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
         child = _rebuild(diag, removed, new, code, 1)
         if nodes is not None:
             child._shape = (nodes, i)
-        out.append((coeff * c_i, child))
+        out.append((coeff * complex(c_i), child))
     return out
 
 

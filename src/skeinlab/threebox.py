@@ -45,7 +45,7 @@ from .errors import (
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .shapes import pattern_shape
 from .skein import _plan, _replay, walk_connections
-from .twobox import BraidPair, TwoBoxModel
+from .twobox import BoxVec, BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
 Attachment = tuple  # ("v", vid, slot) or ("b", j)
@@ -554,10 +554,15 @@ def ybe_residual(
 
 
 def reidemeister_residuals(model: TwoBoxModel, braid: BraidPair) -> tuple[float, float, float]:
-    """(r1, r2, quad): twist, inverse, and quadratic relation defects.
+    """(r1, r2, quad): twist, planar Reidemeister II, and quadratic
+    relation defects.
 
-    r1 compares both cap-twists of U against (sigma*r, 1/r); r2 is
-    ||U V - id||; quad is ||U - V - (q - 1/q)(id - sigma*delta*e)||.
+    r1 compares both cap-twists of U against (sigma*r, 1/r).  r2 is
+    ||rotate(U) - sigma V|| / max(1, ||U||): turning the crossing one click
+    gives sigma times its inverse (the rotation flips the shading, so the
+    coefficients are compared).  It tests (q, r) against the model's
+    rotation, which depends on (delta, a, b, sigma).  quad is
+    ||U - V - (q - 1/q)(id - sigma*delta*e)||.
     """
     u, v = braid.U, braid.V
     q, r = braid.q, braid.r
@@ -566,7 +571,8 @@ def reidemeister_residuals(model: TwoBoxModel, braid: BraidPair) -> tuple[float,
         abs(model.cap(u, 0) - model.sigma * r),
         abs(model.cap(u, 1) - 1.0 / r),
     )
-    r2 = (model.product(u, v) - model.identity()).norm()
+    turned = BoxVec(v.side, model.rotate(u).coeffs)
+    r2 = (turned - model.sigma * v).norm() / max(1.0, u.norm())
     quad_rhs = (q - 1.0 / q) * (model.identity() - (model.sigma * d) * model.e())
     quad = ((u - v) - quad_rhs).norm()
     return float(r1), float(r2), float(quad)

@@ -2,9 +2,10 @@
 
 Basis order is (e, P1, P2) with tr(P1) <= tr(P2); the other shading
 (ebar, Q1, Q2) carries identical structure constants, so a BoxVec only
-needs a side tag to police rotation bookkeeping.  The coproduct tables,
-the rotation matrix and the chirality identity are all functions of
-(delta, a, b, sigma) alone.
+needs a side tag to police rotation bookkeeping.  The coproduct table,
+the rotation and the caps are functions of (delta, a, b, sigma) alone,
+kept once as tuples of plain numbers; every 2-box operation, on a BoxVec
+or on a bare coefficient triple, reads them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from .errors import (
     ChiralityMismatch,
     DegenerateParameters,
     InadmissibleDelta,
-    MultipleSolutions,
     NoPositiveRoot,
-    NoSolution,
     ParameterMismatch,
     SideMismatch,
 )
@@ -68,12 +67,8 @@ class BoxVec:
     def __neg__(self) -> "BoxVec":
         return (-1.0) * self
 
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
-
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return float(np.linalg.norm(self.coeffs))
 
 
 def _trace_ratio(delta: float, sigma: int, tol: Tolerance) -> float:
@@ -117,56 +112,45 @@ def product_coeffs(x_side: str, x, y_side: str, y) -> tuple:
 
 @dataclass(frozen=True)
 class TwoBoxModel:
-    """Structure constants of the 2-box spaces at one classification point."""
+    """Structure constants of the 2-box spaces at one classification point.
+
+    `coproduct_table[i][j]` is the coproduct of basis elements i and j,
+    `rotation_rows` are the rows of the one-click rotation, and
+    dot(cap_rows[k], x) is the trace of x rotated k clicks (k = 0, 1).
+    """
 
     delta: float
     a: float
     b: float
     sigma: int
-    coproduct_table: np.ndarray = field(init=False, repr=False, compare=False)
-    trace_vec: np.ndarray = field(init=False, repr=False, compare=False)
-    rotation: np.ndarray = field(init=False, repr=False, compare=False)
+    coproduct_table: tuple = field(init=False, repr=False, compare=False)
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
     cap_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (+1, -1):
             raise ValueError("sigma must be +1 or -1")
-        d, a, b = self.delta, self.a, self.b
+        d, a, b, sg = self.delta, self.a, self.b, self.sigma
 
-        cop = np.zeros((3, 3, 3), dtype=complex)
-        cop[0, 0] = (1.0 / d, 0.0, 0.0)
-        cop[0, 1] = cop[1, 0] = (0.0, 1.0 / d, 0.0)
-        cop[0, 2] = cop[2, 0] = (0.0, 0.0, 1.0 / d)
-        cop[1, 1] = (a / d, 0.0, (a * a - a) / (d * b))
-        cop[1, 2] = cop[2, 1] = (0.0, (a - 1.0) / d, (a * b - a * a + a) / (d * b))
-        cop[2, 2] = (
-            b / d,
-            (b - a + 1.0) / d,
-            (b * b - b - a * b + a * a - a) / (d * b),
+        e_p1 = (0.0, 1.0 / d, 0.0)
+        e_p2 = (0.0, 0.0, 1.0 / d)
+        p1_p2 = (0.0, (a - 1.0) / d, (a * b - a * a + a) / (d * b))
+        cop = (
+            ((1.0 / d, 0.0, 0.0), e_p1, e_p2),
+            (e_p1, (a / d, 0.0, (a * a - a) / (d * b)), p1_p2),
+            (e_p2, p1_p2, (b / d, (b - a + 1.0) / d, (b * b - b - a * b + a * a - a) / (d * b))),
         )
 
         s = a + b
-        rot = np.array(
-            [
-                [1.0 / d, a * (d - 1.0 / d) / s, b * (d - 1.0 / d) / s],
-                [1.0 / d, (-a / d + self.sigma * b) / s, (-b / d - self.sigma * b) / s],
-                [1.0 / d, (-a / d - self.sigma * a) / s, (-b / d + self.sigma * a) / s],
-            ],
-            dtype=complex,
+        rot = (
+            (1.0 / d, a * (d - 1.0 / d) / s, b * (d - 1.0 / d) / s),
+            (1.0 / d, (-a / d + sg * b) / s, (-b / d - sg * b) / s),
+            (1.0 / d, (-a / d - sg * a) / s, (-b / d + sg * a) / s),
         )
-
-        trace_vec = np.array([1.0, a, b], dtype=complex)
+        trace_row = (1.0, a, b)
         object.__setattr__(self, "coproduct_table", cop)
-        object.__setattr__(self, "trace_vec", trace_vec)
-        object.__setattr__(self, "rotation", rot)
-        # The rotation and the trace as rows of Python complex numbers, for
-        # the skein engine's per-step arithmetic on coefficient triples;
-        # dot(cap_rows[k], x) is the trace of x rotated k clicks (k = 0, 1).
-        object.__setattr__(self, "rotation_rows", tuple(tuple(map(complex, row)) for row in rot))
-        object.__setattr__(
-            self, "cap_rows", (tuple(map(complex, trace_vec)), tuple(map(complex, trace_vec @ rot)))
-        )
+        object.__setattr__(self, "rotation_rows", rot)
+        object.__setattr__(self, "cap_rows", (trace_row, tuple(dot(trace_row, col) for col in zip(*rot))))
 
     # -- basis elements -------------------------------------------------
 
@@ -186,9 +170,6 @@ class TwoBoxModel:
         """bP1 - aP2, the line killed by all four cap functionals."""
         return BoxVec(side, (0.0, self.b, -self.a))
 
-    def basis(self, side: str = PLUS) -> list[BoxVec]:
-        return [self.e(side), self.p1(side), self.p2(side)]
-
     # -- structure operations -------------------------------------------
 
     def product(self, x: BoxVec, y: BoxVec) -> BoxVec:
@@ -197,15 +178,17 @@ class TwoBoxModel:
     def coproduct(self, x: BoxVec, y: BoxVec) -> BoxVec:
         if x.side != y.side:
             raise SideMismatch("operands live on different shadings")
-        out = np.einsum("i,j,ijk->k", x.vec, y.vec, self.coproduct_table)
-        return BoxVec(x.side, tuple(out))
+        terms = [
+            (xi * yj, c) for xi, row in zip(x.coeffs, self.coproduct_table) for yj, c in zip(y.coeffs, row)
+        ]
+        return BoxVec(x.side, tuple(sum((xy * c[k] for xy, c in terms), 0j) for k in range(3)))
 
     def trace(self, x: BoxVec) -> Scalar:
-        return complex(self.trace_vec @ x.vec)
+        return dot(self.cap_rows[0], x.coeffs)
 
     def rotate(self, x: BoxVec) -> BoxVec:
         """1-click rotation; flips the shading."""
-        return BoxVec(other_side(x.side), tuple(self.rotation @ x.vec))
+        return BoxVec(other_side(x.side), self.rotate_coeffs(x.coeffs, 1))
 
     def rotate_coeffs(self, coeffs, clicks: int) -> tuple:
         """Coefficients of a box rotated by `clicks`, e.g. re-rooted so that
@@ -298,28 +281,6 @@ def bmw_two_box_traces(
     tr1 = (r * q - ri * qi + q * q - qi * qi) * (r - ri) / denom
     tr2 = (r * qi - ri * q + q * q - qi * qi) * (r - ri) / denom
     return dp, tr1, tr2
-
-
-def unique_braid_check(
-    q: Scalar, r: Scalar, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Scalar, Scalar]:
-    """The unique (c1, c2) in {q, -1/q}^2 solving the closure equation."""
-    q, r = complex(q), complex(r)
-    if abs(q * q - 1.0) <= tol.match_tol or abs(q * q + 1.0) <= tol.match_tol:
-        raise MultipleSolutions("sign candidates coincide at q^4 = 1")
-    dp, tr1, tr2 = bmw_two_box_traces(q, r, tol)
-    target = dp * r - 1.0 / r
-    scale = max(1.0, abs(target), abs(tr1), abs(tr2))
-    hits = []
-    for c1 in (q, -1.0 / q):
-        for c2 in (q, -1.0 / q):
-            if abs(c1 * tr1 + c2 * tr2 - target) <= tol.closure_tol * scale:
-                hits.append((c1, c2))
-    if not hits:
-        raise NoSolution(f"no closure solution at q={q}, r={r}")
-    if len(hits) > 1:
-        raise MultipleSolutions(f"{len(hits)} closure solutions at q={q}, r={r}")
-    return hits[0]
 
 
 def braid_pair(

@@ -17,6 +17,56 @@ from skeinlab.errors import (
 from skeinlab.threebox import _braid_pattern, expand, mirror
 
 
+# -- the 2-box structure constants as numpy arrays -------------------------
+#
+# The paper's formulas over the basis (e, P1, P2), written out again as
+# arrays: references for the tuples `TwoBoxModel` keeps.
+
+
+def rotation_matrix(model):
+    """The one-click rotation: rotation_matrix(m) @ x is the coefficient
+    triple of x turned one click."""
+    d, a, b, sg = model.delta, model.a, model.b, model.sigma
+    s = a + b
+    return np.array(
+        [
+            [1.0 / d, a * (d - 1.0 / d) / s, b * (d - 1.0 / d) / s],
+            [1.0 / d, (-a / d + sg * b) / s, (-b / d - sg * b) / s],
+            [1.0 / d, (-a / d - sg * a) / s, (-b / d + sg * a) / s],
+        ]
+    )
+
+
+def trace_vector(model):
+    """tr(x) = trace_vector(m) @ x: tr(e) = 1, tr(P1) = a, tr(P2) = b."""
+    return np.array([1.0, model.a, model.b])
+
+
+def coproduct_tensor(model):
+    """cop[i, j] is the coproduct of basis elements i and j: delta^-1 times
+    the unit on e, and the depth-3 fusion rules on (P1, P2)."""
+    d, a, b = model.delta, model.a, model.b
+    cop = np.zeros((3, 3, 3))
+    cop[0, 0] = (1.0 / d, 0.0, 0.0)
+    cop[0, 1] = cop[1, 0] = (0.0, 1.0 / d, 0.0)
+    cop[0, 2] = cop[2, 0] = (0.0, 0.0, 1.0 / d)
+    cop[1, 1] = (a / d, 0.0, (a * a - a) / (d * b))
+    cop[1, 2] = cop[2, 1] = (0.0, (a - 1.0) / d, (a * b - a * a + a) / (d * b))
+    cop[2, 2] = (b / d, (b - a + 1.0) / d, (b * b - b - a * b + a * a - a) / (d * b))
+    return cop
+
+
+def reference_id_e_t_decomposition(model, coeffs):
+    """`skein._id_e_t_decomposition` as a 3x3 solve, kept as a test oracle:
+    (alpha, beta, gamma) with coeffs = alpha id + beta e + gamma T, where
+    T = bP1 - aP2."""
+    m = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, model.b], [1.0, 0.0, -model.a]], dtype=complex)
+    return tuple(np.linalg.solve(m, np.array(coeffs, dtype=complex)))
+
+
+# -- closed diagrams ------------------------------------------------------
+
+
 def trace_closure(coeffs):
     """Single vertex with darts (0,1) and (2,3) capped; evaluates to tr(x)."""
     d = Diagram({0: Vertex(tuple(coeffs))}, {})

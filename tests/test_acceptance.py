@@ -96,7 +96,7 @@ def test_criterion_3_brauer_point():
         and abs(res.a - 5.0) < 1e-9
         and abs(res.b - 10.0) < 1e-9
         and abs(c - 2.0) < 1e-9
-        and np.allclose(bp.U.vec, [1.0, 1.0, -1.0])
+        and np.allclose(bp.U.coeffs, [1.0, 1.0, -1.0])
         and (u2 - m.identity()).norm() < 1e-10
     )
     _report("criterion 3 (Brauer point delta=4)", ok)

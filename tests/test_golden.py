@@ -42,26 +42,26 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) by (command, locus).
 GOLDEN = {
-    ("classify", "depth3"): (0, "65f2a84c3c06bc95e755d0a62fe190735ebd515a652e6ececbade371b0aefd0e"),
-    ("classify", "l12"): (0, "44cbc8dc9181463f86f4af20db6767a5ed54826811475c1466ab24fb268d0f74"),
-    ("classify", "l100"): (0, "49ef3155198e05a5f810e213a700eb572f23926f0a4a9c2d25f692036f4b7990"),
-    ("classify", "delta5"): (0, "65ec0eca7d478f32cd1498ea7add9f3257e9da6ffb5d1b6880f5b81a6bda184c"),
-    ("classify", "delta11"): (0, "650f1f241eb33784284a61b5bc3d117256d94cde06afd944f2169d0585fd30db"),
+    ("classify", "depth3"): (0, "e92bb4e6265b91cc3adbc7793382a8304bdcdabffa5b5f5a52fd053e5c4da7db"),
+    ("classify", "l12"): (0, "ba6c61a57b5a53422a79cb86b2d6f12fcebe493ede9b3268bd678b7a0e964917"),
+    ("classify", "l100"): (0, "1fee89046e2120f8f627af2ca83933f79afb7915fa04dd874ed4d8d594157f68"),
+    ("classify", "delta5"): (0, "a162fe698d2f2d98383c11fcb6ae5a3e232a6a5460be9e033b5142cd89f9035a"),
+    ("classify", "delta11"): (0, "25240d7639333dcad826c2b9445ed7478d4e4b7bccb47b07ed43c6835caf8016"),
     ("gram", "depth3"): (0, "b84d86203259567b13552b7343c8a84e0a1f2783e73b876991c9a482977f6f71"),
     ("gram", "l12"): (0, "8d6491967dae5ff9114a185f5d9734f3a8028af65eb54e44aa188eb741bd0cf7"),
     ("gram", "l100"): (0, "e9517693d8133d0f9d2a7af00c77fa626ef01b70beaec42117c7798bef23698c"),
     ("gram", "delta5"): (0, "d176ac79c82ec8d656f389e732bee747dbcdbee842f09d470766a7e2627145a5"),
     ("gram", "delta11"): (0, "b0b0d4ea44ebc968c6149fc5974a0811c10d880856efa2397fd6226c8fd07887"),
-    ("ybe", "depth3"): (0, "7af7a088e71ad8c73af7f2c5a3d4f8ef48adf2927f5abea3933cafe811f4ac68"),
-    ("ybe", "l12"): (0, "4f07b201a957e51d62832e2226482a77b9308cab933d4f75795d63d1f0c2be10"),
-    ("ybe", "l100"): (0, "f78fd0e725463563d56db66f538f0f577e79f03933ee1147dce5e660532b423b"),
-    ("ybe", "delta5"): (0, "5d30075d8aa29790cfd66fc9d6541cd3ac38b0b8079d60578486288153a67b44"),
-    ("ybe", "delta11"): (0, "f00464418d32ac0c0f8da281c10bc3164f95d13c818ccdd2463a08be47ea7841"),
-    ("ybe-perturbed", "depth3"): (1, "f17422c0105606d0da3bd4d56eaa001819b00b8207bb3f2f3136b42528f875e3"),
-    ("ybe-perturbed", "l12"): (1, "e73f60e65a01d0f47968ec9e830beee4a6e06db6066276f33e3ab9557617d08b"),
-    ("ybe-perturbed", "l100"): (1, "2fae137090278e7326091779f9625664fcfcd4360eb90e4ebbb6e601305ef0cc"),
-    ("ybe-perturbed", "delta5"): (1, "87bf8c1010a7af454b79f0a6451bb39b08e4eb96801625bd39ef46611b0a778a"),
-    ("ybe-perturbed", "delta11"): (1, "4177db52ba84c4cf68315e0d19273e960ccb156a70a824c290b4cc908f4769d0"),
+    ("ybe", "depth3"): (0, "68b6cbc11332cb678c91c3d18c6e917ad981e6f4fd541baa5d51fddc40863ffe"),
+    ("ybe", "l12"): (0, "6cdb29e7864f8a527766fcf929fc36eabc72b5f5d234ea0a17e4d851142c1178"),
+    ("ybe", "l100"): (0, "9bd270ae5fcd8e734aa841626c5f073675364b008fdc34e9b8f684303c2579e8"),
+    ("ybe", "delta5"): (0, "5857db7eb3304a9363a690866c5b5f5e57885e8e4a466030bc1a0d1d2a8debbd"),
+    ("ybe", "delta11"): (0, "3df211dc689af60a0c729dfe671c590cedf2b0e81e34e938c203bade5596c80d"),
+    ("ybe-perturbed", "depth3"): (1, "632f9a11c1abea923feb7e1f196e6706515c8c320d0a51fdd4d8acf05442182f"),
+    ("ybe-perturbed", "l12"): (1, "95841804f90f0e37f8ab3d7a80b16fa12a3c1ecd017deec4b9ba7cf85a3e1f1c"),
+    ("ybe-perturbed", "l100"): (1, "fdfc77be1fb0b8a8dd7cdd76d95ae7871377c167d132fb95a28d469b68db4df5"),
+    ("ybe-perturbed", "delta5"): (1, "74801ee2317cb0fb4368c928093f864ed87c7f9c081b94ae4af9cadbfefd4947"),
+    ("ybe-perturbed", "delta11"): (1, "e6f792da46aa33d7542a81b7790f5405fca1149b587e30810a05a15d7ef1b866"),
 }
 
 
@@ -122,9 +122,9 @@ def _write_diagram(path, d, generators):
 # (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
 GOLDEN_EVALUATE = {
     "octahedron-tied": (0, "5bda15644c265b575915727c3fd3e330b17b412193fe1b7358775feff9a243c2"),
-    "octahedron-mixed": (0, "3336e1653caf8c9a564e354cb40a0d1f7360c5e05c4cb31cdf5d0487e81a266b"),
-    "square_pyramid-mixed": (0, "be3adcd3b3717c0cf4306d03ddac47739834128979ba9d261ad9d978b5155772"),
-    "triangular_prism-mixed": (0, "8c132873e0d10eb132b4c0c7e2a2e8dae57bba9586c9063b50ec99b9873766bd"),
+    "octahedron-mixed": (0, "59d8e0b52bf71c1112fcb7ea9b7d70ac9d9722c4d7ef19913b3c77c3cea3f06c"),
+    "square_pyramid-mixed": (0, "b0e2ac09298ba6ef05611090efd5683ab7369b9191ce3429664a0748778506cf"),
+    "triangular_prism-mixed": (0, "947358d9379d5bb6d1c8a1372cbb1e0d75b4488de44b7aca0573968b0283b5db"),
     "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
     "disconnected": (0, "a21c71c698b7949cca4e4f30c67be5a0da0c36d9e1863c3c74585bd162b7ffaf"),
 }

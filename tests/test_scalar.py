@@ -135,7 +135,7 @@ def test_tolerance_env_that_does_not_parse(monkeypatch):
 
 # Each derived threshold and its value at the default eq_tol = 1e-9, which
 # is the literal it replaced in the pipeline.
-DERIVED = {"match_tol": 1e-6, "closure_tol": 1e-7, "drop_tol": 1e-9 * 1e-3}
+DERIVED = {"match_tol": 1e-6, "drop_tol": 1e-9 * 1e-3}
 FIXED = {
     "DEPTH3_WINDOW": 1e-6,
     "L_WINDOW": 1e-6,

@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     coproduct_product_trace_closure,
@@ -13,6 +16,7 @@ from helpers import (
     random_diagram_corpus,
     reference_canonical_key,
     reference_faces,
+    reference_id_e_t_decomposition,
     reference_normalized,
     reference_substitute_triangle,
     reference_surgery,
@@ -23,6 +27,7 @@ from helpers import (
     trace_closure,
 )
 from skeinlab import (
+    DEPTH3_DELTA,
     BoxVec,
     Diagram,
     FormalSum,
@@ -44,6 +49,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     TriangleTableRequired,
 )
+from skeinlab.classify import Stages
 from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import small_faces
 from skeinlab.twobox import PLUS
@@ -193,6 +199,44 @@ def test_three_gon_requires_table(model12):
     d = octahedron_diagram([rng.normal(size=3) for _ in range(6)])
     with pytest.raises(TriangleTableRequired):
         evaluate(d, model12)
+
+
+# -- the id/e/T split of a 3-gon corner ---------------------------------
+
+_LOCI = st.one_of(
+    st.just(DEPTH3_DELTA),
+    st.integers(6, 100).map(lambda k: delta_for_l(2 * k)),
+    st.floats(4.0, 1e6),
+)
+# Coefficients on a grid of 2^-53 scaled by 2^k, so that no label is so
+# small that (c1 - c2)/(a + b) underflows.
+_PART = st.integers(-(2**53), 2**53).map(lambda n: n / 2.0**53)
+_LABEL = st.tuples(
+    st.tuples(*[st.builds(complex, _PART, _PART)] * 3), st.integers(-100, 100)
+).map(lambda t: tuple(c * 2.0**t[1] for c in t[0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(delta=_LOCI, label=_LABEL)
+def test_id_e_t_split_reproduces_the_label(delta, label):
+    """The closed form alpha id + beta e + gamma T, T = bP1 - aP2, summed
+    exactly, gives the label back within 8 ulp of its largest coefficient:
+    rounding bounds the P1 coordinate by 3u|c1 - c2| from gamma, u a|gamma|
+    from a gamma and u|alpha| from alpha (u = 2^-53, a <= b, |c1 - c2| <= 2
+    scale).  It agrees with the 3x3 solve it replaced within 4e-15 of the
+    scale."""
+    model = Stages(delta).model
+    alpha, beta, gamma = skein._id_e_t_decomposition(model, label)
+    scale = max(map(abs, label))
+    a, b = Fraction(model.a), Fraction(model.b)
+    for part in (lambda z: z.real, lambda z: z.imag):
+        x, y, z = (Fraction(part(w)) for w in (alpha, beta, gamma))
+        c0, c1, c2 = (Fraction(part(w)) for w in label)
+        worst = max(abs(x + y - c0), abs(x + b * z - c1), abs(x - a * z - c2))
+        assert worst <= 8 * Fraction(math.ulp(scale))
+    ra, rb, rg = reference_id_e_t_decomposition(model, label)
+    diff = max(abs(alpha - ra), abs(beta - rb), (model.a + model.b) * abs(gamma - rg))
+    assert diff <= 4e-15 * scale
 
 
 # -- confluence and invariance ------------------------------------------
@@ -387,17 +431,17 @@ def test_delta_refuses_a_kept_dart_that_is_still_paired():
 
 # evaluate() on the diagrams above at l = 12, (re, im) as hex floats, as the
 # all-starts canonical key and the full-scan surgery computed them with
-# exact label keys.
+# exact label keys and the closed-form id/e/T split of each 3-gon corner.
 PINNED = {
     "octahedron-tied": ("-0x1.6e34391a336e9p+13", "0x0.0p+0"),
     "square_pyramid-tied": ("-0x1.136ab2b276bd4p+14", "0x0.0p+0"),
-    "octahedron-mixed": ("-0x1.f5aa3528510b8p+1", "0x0.0p+0"),
-    "square_pyramid-mixed": ("-0x1.8b593d637a0e6p+6", "0x0.0p+0"),
-    "octahedron-generic": ("0x1.1d411d65197dcp-1", "0x0.0p+0"),
-    "square_pyramid-generic": ("0x1.fc220d6199789p-1", "0x0.0p+0"),
+    "octahedron-mixed": ("-0x1.f5aa3528510a0p+1", "0x0.0p+0"),
+    "square_pyramid-mixed": ("-0x1.8b593d637a0e9p+6", "0x0.0p+0"),
+    "octahedron-generic": ("0x1.1d411d65197dep-1", "0x0.0p+0"),
+    "square_pyramid-generic": ("0x1.fc220d619978ap-1", "0x0.0p+0"),
     "triangular_prism-tied": ("-0x1.66e77396b4c26p+15", "0x0.0p+0"),
-    "triangular_prism-mixed": ("-0x1.747cafa8737e4p+8", "0x0.0p+0"),
-    "tetrahedron-mixed": ("-0x1.80e35e76dc5bcp+6", "0x0.0p+0"),
+    "triangular_prism-mixed": ("-0x1.747cafa8737e6p+8", "0x0.0p+0"),
+    "tetrahedron-mixed": ("-0x1.80e35e76dc5b9p+6", "0x0.0p+0"),
     "self-loops": ("-0x1.68bbb44a4ce5fp+7", "0x0.0p+0"),
     "disconnected": ("-0x1.88125951e336ap+20", "0x0.0p+0"),
 }

@@ -425,6 +425,29 @@ def test_reidemeister_negative_control(model12, braid12):
     assert r1 > 1e-3
 
 
+# The loci of the golden reports.
+R2_LOCI = {
+    "depth3": DEPTH3_DELTA,
+    "l12": delta_for_l(12),
+    "l100": delta_for_l(100),
+    "delta5": 5.0,
+    "delta11": 11.0,
+}
+
+
+@pytest.mark.parametrize("locus", list(R2_LOCI))
+def test_r2_catches_a_perturbed_q_or_r(locus):
+    """r2 is the planar Reidemeister II residual, rotate(U) = sigma V: at
+    float noise on the locus, and over its limit once q or r is off by a
+    relative 1e-7."""
+    st = Stages(R2_LOCI[locus])
+    limit = st.tol.limits["r2"]
+    q, r = st.braid.q, st.braid.r
+    assert reidemeister_residuals(st.model, st.braid)[1] < 4e-15
+    for bad in (BraidPair.from_qr(q * (1.0 + 1e-7), r), BraidPair.from_qr(q, r * (1.0 + 1e-7))):
+        assert reidemeister_residuals(st.model, bad)[1] > limit
+
+
 def test_braid_pattern_sides_differ_as_patterns(model12, braid12):
     pa = _braid_pattern(model12, braid12, "A")
     pb = _braid_pattern(model12, braid12, "B")

@@ -64,4 +64,5 @@ def test_traced_classify_records_the_hot_path(tracer_module):
     assert calls["threebox.inner"] == 60
     assert "skein.evaluate" not in calls  # inner replays plans, not the engine
     assert calls["threebox.gram"] == calls["threebox.solve_triangle"] == 1
-    assert calls["twobox.product"] == 1  # the r2 residual only
+    assert calls["twobox.rotate"] == 1  # the r2 residual only
+    assert "twobox.product" not in calls
