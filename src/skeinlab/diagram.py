@@ -90,11 +90,6 @@ class Diagram:
     def copy(self) -> "Diagram":
         return Diagram(dict(self.vertices), dict(self.edges), self.free_loops)
 
-    def darts(self):
-        for v in self.vertices:
-            for slot in range(4):
-                yield (v, slot)
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

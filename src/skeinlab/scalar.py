@@ -36,10 +36,11 @@ _EQ_TOL = 1e-9
 class Tolerance:
     """Every threshold the pipeline compares against.
 
-    Two values are set: eq_tol, the relative tolerance of `close` and
-    `is_real`, and rank_tol, a ratio to the largest singular value of the
-    Gram matrix.  Both must be finite and positive, and eq_tol at most
-    EQ_TOL_MAX; anything else raises InvalidTolerance.  The fields derived
+    Two values are set: eq_tol, the relative tolerance of `is_real`, and
+    rank_tol, a ratio to the largest |eigenvalue| of D·G·D, the Gram
+    matrix G equilibrated by D = |diag G|^-1/2.  Both must be finite and
+    positive, and eq_tol at most EQ_TOL_MAX; anything else raises
+    InvalidTolerance.  The fields derived
     from eq_tol judge agreement up to float error, so they move with it
     (`--tol`, `SKEINLAB_TOL`).  The class constants identify points of the
     locus or guard against float noise, and stay fixed.
@@ -136,13 +137,6 @@ def check_finite(*values: Scalar) -> None:
         c = complex(v)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise NonFiniteScalar(f"non-finite scalar {c!r}")
-
-
-def close(x: Scalar, y: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Relative comparison: |x - y| <= eq_tol * max(1, |x|, |y|)."""
-    x, y = complex(x), complex(y)
-    scale = max(1.0, abs(x), abs(y))
-    return abs(x - y) <= tol.eq_tol * scale
 
 
 def is_real(x: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -305,34 +305,42 @@ def enumerate_basis(model: TwoBoxModel) -> Basis14:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """G[i, j] = <D_i, D_j> over the Basis14 order."""
+    """G[i, j] = <D_i, D_j> over the Basis14 order.  Rank, PSD defect and
+    every solve read D·G·D, D = |diag G|^-1/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 7.3): cond(G) is 3.1e4 at delta = 5
+    and 8.8e20 at 1e3, cond(D·G·D) 5.4 and 1.1."""
 
     entries: np.ndarray
 
     @functools.cached_property
-    def singular_values(self) -> np.ndarray:
-        """In descending order, computed once."""
-        return np.linalg.svd(self.entries, compute_uv=False)
+    def scale(self) -> np.ndarray:
+        """The diagonal of D: |G_ii|^-1/2, and 1 where G_ii is 0."""
+        d = np.abs(np.diagonal(self.entries))
+        return 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
 
     @functools.cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
+    def _scaled(self) -> np.ndarray:
+        return self.scale[:, None] * self.entries * self.scale
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Of the Hermitian part of D·G·D, in ascending order."""
+        return np.linalg.eigvalsh(0.5 * (self._scaled + self._scaled.conj().T))
 
     def eigenvalues(self) -> np.ndarray:
-        """Of the Hermitian part, in ascending order, computed once."""
-        return self._eigenvalues
+        """Of the Hermitian part of the raw G, in ascending order."""
+        return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
 
     def psd_defect(self) -> float:
-        """Most negative eigenvalue relative to the largest; 0 when PSD."""
-        evals = self.eigenvalues()
+        """Most negative eigenvalue of D·G·D relative to the largest; 0 if PSD."""
+        evals = self._spectrum
         lam_max = max(float(evals[-1]), Tolerance.EIG_FLOOR)
         return max(0.0, -float(evals[0]) / lam_max)
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        s = self.singular_values
-        if len(s) == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s >= tol.rank_tol * s[0]))
+        """Eigenvalues of D·G·D at least rank_tol times the largest in modulus."""
+        s = np.abs(self._spectrum)
+        return int(np.sum(s >= tol.rank_tol * s.max())) if s.any() else 0
 
     def hermiticity_defect(self) -> float:
         g = self.entries
@@ -367,12 +375,12 @@ def expand(
 
 
 def _solve(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """c with G^T c = v, one column of c per column of v: solved at full
-    rank, least squares below it."""
-    gt = gm.entries.T
-    if gm.rank(tol) < len(v):
-        return np.linalg.lstsq(gt, v, rcond=tol.rank_tol)[0]
-    return np.linalg.solve(gt, v)
+    """c with G^T c = v, one column of c per column of v: c = D y with
+    (D G^T D) y = D v.  Below full rank raises GramRankDeficient."""
+    if (rank := gm.rank(tol)) < len(gm.entries):
+        raise GramRankDeficient(f"Gram rank {rank} < {len(gm.entries)}; 3-box space degenerated")
+    d = gm.scale.reshape((-1,) + (1,) * (v.ndim - 1))
+    return d * np.linalg.solve(gm._scaled.T, d * v)
 
 
 def _expansion(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
@@ -427,9 +435,6 @@ def solve_triangle(
     """The 3-gon's expansion, from one closure per orbit of two turns."""
     basis = basis or enumerate_basis(model)
     gm = gm or gram(model, basis, tol)
-    rank = gm.rank(tol)
-    if rank < 14:
-        raise GramRankDeficient(f"Gram rank {rank} < 14; 3-box space degenerated")
     firsts, orbit_of, _ = _pairing_turns()
     tri = triangle_pattern(model)
     v = np.array([inner(model, tri, basis.diagrams[i], tol) for i in firsts], dtype=complex)

@@ -249,6 +249,21 @@ def test_classify_real_continuum_passes():
     assert res.q.imag == 0.0 and res.q.real > 1.0
 
 
+def test_classify_passes_with_full_gram_rank_up_the_continuum():
+    """From delta = 15.73 up, singular values of the raw Gram matrix fall
+    under rank_tol; the equilibrated D·G·D has rank 14 and every residual
+    passes.  `quad` is an absolute norm of quantities of the size of U,
+    judged against 1e-8 however large U grows (from delta = 135.49 it can
+    reach that limit), so it is held here relative to U."""
+    for delta in np.geomspace(15.73, 150.0, 24):
+        st = Stages(float(delta))
+        assert st.gram.rank() == 14, delta
+        res = classify(float(delta))
+        assert not st.tol.over_limits({k: v for k, v in res.residuals.items() if k != "quad"})
+        assert res.residuals["quad"] < 1e-8 * max(1.0, st.braid.U.norm()), delta
+        assert res.verdict == "PASS" or res.notes[-1] == "residuals over tolerance: quad", delta
+
+
 @pytest.mark.parametrize("delta", [1e78, sys.float_info.max])
 def test_classify_fails_with_a_note_at_huge_delta(delta):
     res = classify(delta)

@@ -213,19 +213,19 @@ def test_load_diagram_keeps_consistent_shading_and_infers_the_rest(tmp_path, mod
 
 def test_evaluate_table_fault_gives_fail_report(capsys, tmp_path):
     # The octahedron is all 3-gons, so evaluate needs the triangle table,
-    # whose Gram matrix has rank 9 at delta = 30.
+    # whose Gram closures overflow at delta = 1e150.
     octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
     doc = {
         "vertices": [{"id": v, "label": "G"} for v in octa.vertices],
         "edges": [[list(a), list(b)] for a, b in octa.edges.items() if a < b],
     }
     path = write_diagram(tmp_path, doc)
-    code, out, err = run(capsys, "evaluate", "--diagram", path, "--delta", "30")
+    code, out, err = run(capsys, "evaluate", "--diagram", path, "--delta", "1e150")
     assert code == EXIT_FAIL
     assert err == ""
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
-    assert report["outputs"]["notes"][0].startswith("GramRankDeficient: ")
+    assert report["outputs"]["notes"] == ["NonFiniteScalar: non-finite scalar delta ** 3"]
 
 
 # -- gram and ybe --------------------------------------------------------
@@ -333,23 +333,25 @@ def test_gram_stage_fault_gives_fail_report(capsys, tmp_path):
 
 
 def test_ybe_stage_fault_gives_fail_report(capsys, tmp_path):
-    # At delta = 30 the Gram matrix has rank 9, so the triangle table the
-    # Yang-Baxter residual needs cannot be solved; classify and gram FAIL
-    # there too.
-    code, out, err = run(capsys, "ybe", "--delta", "30")
+    # At delta = 1e150 the (q, r) the Yang-Baxter residual needs overflows;
+    # classify FAILs there too.
+    code, out, err = run(capsys, "ybe", "--delta", "1e150")
     assert code == EXIT_FAIL
     assert err == ""
     report = json.loads(out)
     assert report["verdict"] == "FAIL"
-    note = "GramRankDeficient: Gram rank 9 < 14; 3-box space degenerated"
+    note = "NonFiniteScalar: (delta'-1)^2 or (b-a)^2 overflows at delta=1e+150"
     assert report["outputs"]["notes"] == [note]
     assert report["residuals"] == {}
-    assert run(capsys, "classify", "--delta", "30")[0] == EXIT_FAIL
+    assert run(capsys, "classify", "--delta", "1e150")[0] == EXIT_FAIL
     path = tmp_path / "ybe.json"
-    code, out, _ = run(capsys, "ybe", "--delta", "30", "--out", str(path))
+    code, out, _ = run(capsys, "ybe", "--delta", "1e150", "--out", str(path))
     assert code == EXIT_FAIL
-    assert out.startswith("FAIL: GramRankDeficient")
+    assert out.startswith("FAIL: NonFiniteScalar")
     assert json.loads(path.read_text())["verdict"] == "FAIL"
+    # delta = 30 needs the equilibrated Gram matrix: only 9 singular values
+    # of the raw one clear rank_tol.
+    assert run(capsys, "classify", "--delta", "30")[0] == EXIT_PASS
 
 
 def test_subcommands_reject_off_locus(capsys, tmp_path):

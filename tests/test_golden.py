@@ -42,26 +42,26 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) by (command, locus).
 GOLDEN = {
-    ("classify", "depth3"): (0, "e92bb4e6265b91cc3adbc7793382a8304bdcdabffa5b5f5a52fd053e5c4da7db"),
-    ("classify", "l12"): (0, "ba6c61a57b5a53422a79cb86b2d6f12fcebe493ede9b3268bd678b7a0e964917"),
-    ("classify", "l100"): (0, "1fee89046e2120f8f627af2ca83933f79afb7915fa04dd874ed4d8d594157f68"),
-    ("classify", "delta5"): (0, "a162fe698d2f2d98383c11fcb6ae5a3e232a6a5460be9e033b5142cd89f9035a"),
-    ("classify", "delta11"): (0, "25240d7639333dcad826c2b9445ed7478d4e4b7bccb47b07ed43c6835caf8016"),
+    ("classify", "depth3"): (0, "41f042c2dfce1c9ad2e6a077ffe6ac987dbb46ed117e05997c8bc71d01eb4726"),
+    ("classify", "l12"): (0, "dc89f92bcd64629e0a34d3dd575d4349fbff3cc84e4a8ab9ee7c8ab25692f2c0"),
+    ("classify", "l100"): (0, "45e45d467764ef497e828a07cc699911a275f47b2a4373025e84d77963f34611"),
+    ("classify", "delta5"): (0, "9e71e9d470b2c33dafd56effea07fb47ea8906fc829b1558156628f318ffce9a"),
+    ("classify", "delta11"): (0, "e9c254b28b516960b693713b2061e7ab6b34e589468e5e7f1fffe16b046595a3"),
     ("gram", "depth3"): (0, "b84d86203259567b13552b7343c8a84e0a1f2783e73b876991c9a482977f6f71"),
     ("gram", "l12"): (0, "8d6491967dae5ff9114a185f5d9734f3a8028af65eb54e44aa188eb741bd0cf7"),
     ("gram", "l100"): (0, "e9517693d8133d0f9d2a7af00c77fa626ef01b70beaec42117c7798bef23698c"),
     ("gram", "delta5"): (0, "d176ac79c82ec8d656f389e732bee747dbcdbee842f09d470766a7e2627145a5"),
     ("gram", "delta11"): (0, "b0b0d4ea44ebc968c6149fc5974a0811c10d880856efa2397fd6226c8fd07887"),
-    ("ybe", "depth3"): (0, "68b6cbc11332cb678c91c3d18c6e917ad981e6f4fd541baa5d51fddc40863ffe"),
-    ("ybe", "l12"): (0, "6cdb29e7864f8a527766fcf929fc36eabc72b5f5d234ea0a17e4d851142c1178"),
-    ("ybe", "l100"): (0, "9bd270ae5fcd8e734aa841626c5f073675364b008fdc34e9b8f684303c2579e8"),
-    ("ybe", "delta5"): (0, "5857db7eb3304a9363a690866c5b5f5e57885e8e4a466030bc1a0d1d2a8debbd"),
-    ("ybe", "delta11"): (0, "3df211dc689af60a0c729dfe671c590cedf2b0e81e34e938c203bade5596c80d"),
-    ("ybe-perturbed", "depth3"): (1, "632f9a11c1abea923feb7e1f196e6706515c8c320d0a51fdd4d8acf05442182f"),
-    ("ybe-perturbed", "l12"): (1, "95841804f90f0e37f8ab3d7a80b16fa12a3c1ecd017deec4b9ba7cf85a3e1f1c"),
-    ("ybe-perturbed", "l100"): (1, "fdfc77be1fb0b8a8dd7cdd76d95ae7871377c167d132fb95a28d469b68db4df5"),
-    ("ybe-perturbed", "delta5"): (1, "74801ee2317cb0fb4368c928093f864ed87c7f9c081b94ae4af9cadbfefd4947"),
-    ("ybe-perturbed", "delta11"): (1, "e6f792da46aa33d7542a81b7790f5405fca1149b587e30810a05a15d7ef1b866"),
+    ("ybe", "depth3"): (0, "e885ca9d04328c441efd4588a70f0ae6140be3fe2076cc5fd468b51443d23e22"),
+    ("ybe", "l12"): (0, "731292ed9897fc6f1cee8e14966217c0489615e305bc7ab82d35361bbc9dd96d"),
+    ("ybe", "l100"): (0, "22bb033566801994f57b051991a93e8625f4536f3271201742f9c258f063f14a"),
+    ("ybe", "delta5"): (0, "bda006f6ca387e196c327c1c651879507154c440cc372362fa417ca558a08e96"),
+    ("ybe", "delta11"): (0, "72f9f1cbded85ee17f9321902a9e21fb0c29ffa6145585b84156c34c71ba00e8"),
+    ("ybe-perturbed", "depth3"): (1, "bab36d00a5fe8f6089896d6fd98744a92fb4fdcc8e39e73746a54b06229a8d85"),
+    ("ybe-perturbed", "l12"): (1, "a55e4e52d20aea193653e958342e2160a96efe15695919b0f5113a5641c2339c"),
+    ("ybe-perturbed", "l100"): (1, "6734d2086b4e393ab8e5156b41f6508332bc7f860c2de5193631bc53b8ab9ac1"),
+    ("ybe-perturbed", "delta5"): (1, "810b5b575477ad46155d5104cf7661a1fcaa79fe35402c1481e356cb8a9d2309"),
+    ("ybe-perturbed", "delta11"): (1, "25b6eb97262f038dc6408238084f5558e0f6cdc48332a0b7fe19af226bd54fdb"),
 }
 
 
@@ -121,12 +121,12 @@ def _write_diagram(path, d, generators):
 
 # (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
 GOLDEN_EVALUATE = {
-    "octahedron-tied": (0, "5bda15644c265b575915727c3fd3e330b17b412193fe1b7358775feff9a243c2"),
+    "octahedron-tied": (0, "96fd179ae953f1da254fb0fd285987f149e67f2c9eff837cfe522eb41d5c68d5"),
     "octahedron-mixed": (0, "59d8e0b52bf71c1112fcb7ea9b7d70ac9d9722c4d7ef19913b3c77c3cea3f06c"),
-    "square_pyramid-mixed": (0, "b0e2ac09298ba6ef05611090efd5683ab7369b9191ce3429664a0748778506cf"),
-    "triangular_prism-mixed": (0, "947358d9379d5bb6d1c8a1372cbb1e0d75b4488de44b7aca0573968b0283b5db"),
+    "square_pyramid-mixed": (0, "c1ed95d52b5234761e1cc0f9d7ed338b639474d4c77af6d9f133f22b19bd90bd"),
+    "triangular_prism-mixed": (0, "e63d57bf0e118e0e2d75d2421671a82d4b57e404770a59e7a5156e8fea896bfb"),
     "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
-    "disconnected": (0, "a21c71c698b7949cca4e4f30c67be5a0da0c36d9e1863c3c74585bd162b7ffaf"),
+    "disconnected": (0, "1ba4f7b01515aa4db32fafc8d1a9424089e62b2c0721762d289c0e9affe3c459"),
 }
 
 

@@ -13,7 +13,7 @@ from skeinlab.errors import (
     NonFiniteScalar,
     NonRealInput,
 )
-from skeinlab.scalar import check_finite, close, is_real
+from skeinlab.scalar import check_finite, is_real
 
 
 def test_quadratic_simple_roots():
@@ -76,12 +76,6 @@ def test_check_finite():
     with pytest.raises(NonFiniteScalar):
         check_finite(1.0, complex(float("inf"), 0.0))
     check_finite(0.0, 1.0 + 2.0j)
-
-
-def test_close_is_relative():
-    assert close(1e12, 1e12 + 1.0)
-    assert not close(1.0, 1.0 + 1e-6)
-    assert close(0.0, 1e-10)
 
 
 def test_is_real():

@@ -7,6 +7,7 @@ import pytest
 from skeinlab import (
     DEPTH3_DELTA,
     BraidPair,
+    TwoBoxModel,
     braid_pair,
     delta_for_l,
     enumerate_basis,
@@ -22,6 +23,7 @@ from skeinlab import (
 )
 from skeinlab import threebox
 from skeinlab.errors import (
+    GramRankDeficient,
     InternalEnumerationMismatch,
     InvariantViolation,
     MalformedPairing,
@@ -38,6 +40,7 @@ from skeinlab.threebox import (
     closure,
     expand,
 )
+from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import FormalSum, Vertex, reduce_once
 
 from helpers import reference_closure, reference_ybe_residual, same_wiring
@@ -180,6 +183,50 @@ def test_gram_hermitian_psd_rank_14(model12, model_depth3, model_brauer):
         assert gm.hermiticity_defect() < 1e-10
         assert gm.psd_defect() < 1e-8
         assert gm.rank() == 14
+
+
+@pytest.mark.parametrize("delta", [16.0, 1e3, 1e4, 1e6])
+def test_gram_has_full_rank_and_is_psd_far_up_the_continuum(delta):
+    """Raw cond(G) is 1.3e8 at delta = 16 and 1.0e42 at 1e6, so the raw
+    singular values give ranks 10 down to 3 here; D·G·D has cond <= 2.2."""
+    m = from_classification_data(delta, -1)
+    gm = gram(m, enumerate_basis(m))
+    assert gm.rank() == 14
+    assert gm.psd_defect() == 0.0
+    assert np.linalg.cond(gm.scale[:, None] * gm.entries * gm.scale) < 2.5
+
+
+def test_a_rank_deficient_gram_raises_in_every_solve(model12):
+    """Every solve checks the rank, and below 14 raises GramRankDeficient:
+    never LinAlgError, nor a least-squares answer."""
+    basis = enumerate_basis(model12)
+    g = gram(model12, basis).entries.copy()
+    g[13], g[:, 13] = g[12], g[:, 12]  # D_13 paired as D_12: exactly singular
+    tri = triangle_pattern(model12)
+    for gm in (GramMatrix(g), GramMatrix(np.zeros((14, 14), dtype=complex))):
+        assert gm.rank() < 14
+        with pytest.raises(GramRankDeficient, match=r"Gram rank \d+ < 14"):
+            expand(model12, tri, basis, gm)
+        with pytest.raises(GramRankDeficient):
+            threebox._solve(gm, np.ones((14, 2), dtype=complex), DEFAULT_TOL)
+        with pytest.raises(GramRankDeficient):
+            solve_triangle(model12, basis, gm)
+
+
+def test_the_psd_key_can_fail():
+    """With b tripled the 2-box constants no longer come from a planar
+    algebra, and the Gram matrix of the 3-box basis is not PSD."""
+    models = {
+        "depth3": from_classification_data(DEPTH3_DELTA, +1),
+        "l12": from_classification_data(delta_for_l(12), -1),
+        "delta5": from_classification_data(5.0, -1),
+    }
+    want = {"depth3": 7.9e-2, "l12": 2.6e-1, "delta5": 1.1e-1}
+    for name, m in models.items():
+        bad = TwoBoxModel(m.delta, m.a, 3.0 * m.b, m.sigma)
+        defect = gram(bad, enumerate_basis(bad)).psd_defect()
+        assert defect == pytest.approx(want[name], rel=0.05), name
+        assert DEFAULT_TOL.over_limits({"gram_psd_min_eigenvalue": defect})
 
 
 def test_gram_real_at_real_locus(model12):

@@ -108,31 +108,32 @@ def test_the_table_and_the_braid_sides_take_20_closures(counted):
     assert counted["inner"] == before + 6 + 14
 
 
-def test_classify_computes_one_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+def _count_linalg(monkeypatch, names):
+    """Shapes of the first argument of each call to np.linalg.<name>."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(args[0].shape)
+            return _fn(*args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+
+def test_classify_computes_one_eigendecomposition(monkeypatch):
+    calls = _count_linalg(monkeypatch, ("svd", "lstsq", "eigvalsh", "solve"))
     assert classify(5.0).verdict == "PASS"
-    assert calls == [(14, 14)]
+    # One solve for the 3-gon's table, one for both Yang-Baxter sides.
+    assert calls == {"svd": [], "lstsq": [], "eigvalsh": [(14, 14)], "solve": [(14, 14)] * 2}
 
 
 def test_gram_report_computes_the_eigenvalues_once(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    """Each spectrum once: the scaled one for rank and PSD defect, the raw
+    one for the report's eigenvalues."""
+    calls = _count_linalg(monkeypatch, ("svd", "eigvalsh"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["gram", "--l", "12"]) == 0
-    assert calls == [(14, 14)]
+    assert calls == {"svd": [], "eigvalsh": [(14, 14), (14, 14)]}
 
 
 def test_right_table_is_solved_on_first_read(counted):
