@@ -46,6 +46,10 @@ def delta_for_l(l: int) -> float:
     return 2.0 * math.cos(2.0 * math.pi / l) + 2.0 * math.cos(4.0 * math.pi / l)
 
 
+# (l, delta_for_l(l)) for the even l searched, in ascending l.
+_L_SERIES = tuple((l, delta_for_l(l)) for l in range(L_SERIES_MIN, L_SERIES_MAX + 1, 2))
+
+
 @dataclass(frozen=True)
 class Admissibility:
     case: str  # "Depth3" | "Sp4" | "Rejected"
@@ -62,8 +66,8 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
         return Admissibility("Depth3", note="cubic depth-3 loop value")
     if delta >= 4.0 - tol.eq_tol:
         return Admissibility("Sp4", note="real continuum, q >= 1")
-    for l in range(L_SERIES_MIN, L_SERIES_MAX + 1, 2):
-        if abs(delta - delta_for_l(l)) < tol.L_WINDOW:
+    for l, delta_l in _L_SERIES:
+        if abs(delta - delta_l) < tol.L_WINDOW:
             return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
     return Admissibility(
         "Rejected",

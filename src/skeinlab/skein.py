@@ -50,7 +50,9 @@ its plan, that depends only on its shape (vertex ids, shading bits, dart
 pairing, free loops).  `_plan` compiles it from a valid diagram with the
 shape half, and `_replay` runs it on a map of labels with the number half
 and the engine's zero-drop of a single term; `threebox.inner` keeps one
-plan per closure shape.
+plan per closure shape.  `_compile` turns plans whose vertices share a few
+labels into one straight-line program, and `_run` evaluates it with the
+same number half, each distinct cap, rotation and fusion once.
 """
 
 from __future__ import annotations
@@ -59,12 +61,19 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import shapes
 from .diagram import Dart, Diagram, Vertex
-from .errors import InvariantViolation, MalformedPairing, NonFiniteScalar, TriangleTableRequired
+from .errors import (
+    InvariantViolation,
+    MalformedPairing,
+    NonFiniteScalar,
+    SideMismatch,
+    TriangleTableRequired,
+)
 from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
 from .twobox import PLUS, TwoBoxModel, product_coeffs
 
@@ -580,11 +589,24 @@ def _plan(diag: Diagram) -> tuple:
     return tuple(plan)
 
 
+def _survives(coeff: Scalar, tol: Tolerance) -> bool:
+    """The engine's zero-drop of a single term: whether `coeff` is kept.
+    An inf or nan coefficient, or one whose modulus is past the float
+    range, raises NonFiniteScalar."""
+    try:
+        size = abs(coeff)
+    except OverflowError:  # finite parts, modulus past the float range
+        raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
+    if _kept(coeff, size, tol):
+        return True
+    check_finite(coeff)  # `_kept` refuses an inf or nan too
+    return False
+
+
 def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
     """Run a plan on `labels`, a map of vertex ids to coefficient triples,
-    with the engine's arithmetic, including its zero-drop of a single term;
-    an inf or nan coefficient, or one whose modulus is past the float
-    range, raises NonFiniteScalar.  Fused labels are written into `labels`."""
+    with the engine's arithmetic, including its zero-drop of a single term
+    (`_survives`).  Fused labels are written into `labels`."""
     coeff = complex(1.0)
     for steps, (loops, op) in enumerate(plan, 1):
         if loops:
@@ -593,15 +615,83 @@ def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tu
             coeff, label = _number_step(model, coeff, op, labels)
             if label is not None:
                 labels[op[3]] = label
-        try:
-            size = abs(coeff)
-        except OverflowError:  # finite parts, modulus past the float range
-            raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
-        if not _kept(coeff, size, tol):
-            check_finite(coeff)  # `_kept` refuses an inf or nan too
+        if not _survives(coeff, tol):
             return complex(0.0), steps
     # FormalSum.scalar_value sums onto 0j, which fixes the signs of zeros.
     return complex(0.0) + coeff, len(plan)
+
+
+# -- straight-line programs ----------------------------------------------
+
+
+class Program(NamedTuple):
+    """Plans whose vertices carry a few shared labels, the leaves, compiled
+    to compute each of their caps, rotations and fusions once.  Registers
+    hold the leaves, then the nodes in order; a node is ("rotate", reg),
+    ("cap", reg, pair parity) or ("fuse", reg, reg, side).  A chain per
+    plan keeps the plan's steps that change its coefficient, as (loops,
+    cap register or None)."""
+
+    nodes: tuple
+    chains: tuple
+
+
+def _compile(closures, leaves: int) -> Program:
+    """The program of `closures`, (plan, {vertex id: leaf}) pairs whose
+    leaves number `leaves`; equal nodes are kept once.  A fusion whose
+    sides differ raises SideMismatch, as its replay does on reaching it."""
+    nodes: dict[tuple, int] = {}
+
+    def node(key: tuple) -> int:
+        return nodes.setdefault(key, leaves + len(nodes))
+
+    chains = []
+    for plan, leaf in closures:
+        reg = dict(leaf)
+        chain = []
+        for loops, op in plan:
+            cap = None
+            if op is not None and op[0] == "cap":
+                _, u, pair = op
+                cap = node(("cap", reg[u], pair % 2))
+            elif op is not None:
+                _, u, v, nid, ku, kv, su, sv = op
+                if su != sv:
+                    raise SideMismatch(f"fusion of vertices {u} and {v} joins different shadings")
+                x = node(("rotate", reg[u])) if ku % 2 else reg[u]
+                y = node(("rotate", reg[v])) if kv % 2 else reg[v]
+                reg[nid] = node(("fuse", x, y, su))
+            if loops or cap is not None:
+                chain.append((loops, cap))
+        chains.append(tuple(chain))
+    return Program(tuple(nodes), tuple(chains))
+
+
+def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list[Scalar]:
+    """The value of each plan of `program` on the leaf labels `leaves`,
+    bit for bit what `_replay` gives, raising as it does in plan order."""
+    regs = list(leaves)
+    for op in program.nodes:
+        if op[0] == "cap":
+            regs.append(model.cap_coeffs(regs[op[1]], op[2]))
+        elif op[0] == "rotate":
+            regs.append(model.rotate_coeffs(regs[op[1]], 1))
+        else:
+            regs.append(product_coeffs(op[3], regs[op[1]], op[3], regs[op[2]]))
+    values = []
+    for chain in program.chains:
+        coeff = complex(1.0)
+        for loops, cap in chain:
+            if loops:
+                coeff = coeff * _loop_factor(model, loops)
+            if cap is not None:
+                coeff = coeff * regs[cap]
+            if not _survives(coeff, tol):
+                values.append(complex(0.0))
+                break
+        else:
+            values.append(complex(0.0) + coeff)
+    return values
 
 
 def evaluate_detailed(

@@ -25,6 +25,14 @@ orbit of two turns (6 closures of 14), and the second side of the
 Yang-Baxter equation is the first turned three clicks, so its pairings
 are the first side's in turned order (none of its own 14).  A
 classification reduces 40 + 6 + 14 = 60 closures.
+
+Every vertex of the basis and of the 3-gon carries the generator, so the
+46 closures of the Gram matrix and the 3-gon are fixed functions of the
+model: their plans are compiled once per process into two straight-line
+programs (`skein._compile`), whose leaves are the generator on x's
+vertices and its conjugate on mirror(y)'s, and each run computes every
+distinct cap, rotation and fusion once.  Side A's labels come from the
+caller's braid, so its 14 pairings stay `inner` calls.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .errors import (
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .shapes import pattern_shape
-from .skein import _plan, _replay, walk_connections
+from .skein import Program, _compile, _plan, _replay, _run, walk_connections
 from .twobox import BoxVec, BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -249,9 +257,10 @@ def _two_vertex_patterns() -> list[Pattern]:
 @dataclass(frozen=True)
 class Basis14:
     """The 14 face-free 3-box diagrams: 5 Temperley-Lieb, 6 one-vertex,
-    3 two-vertex, in that order."""
+    3 two-vertex, in that order, with every vertex labelled `generator`."""
 
     diagrams: tuple[Pattern, ...]
+    generator: tuple
 
     @property
     def tl(self):
@@ -297,7 +306,27 @@ def _basis_shapes() -> tuple:
 def enumerate_basis(model: TwoBoxModel) -> Basis14:
     """The basis shapes with every vertex labelled by the generator."""
     t = model.uncappable().coeffs
-    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()[0]))
+    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()[0]), t)
+
+
+def _program(pairs) -> Program:
+    """The program of the closures of (x shape, y shape) pairs, from their
+    cached plans: x's vertices carry leaf 0, mirror(y)'s leaf 1."""
+    closures = []
+    for x_shape, y_shape in pairs:
+        ids, plan = _closure_plan(x_shape, y_shape)
+        n = len(x_shape[0])
+        closures.append((plan, {v: int(k >= n) for k, v in enumerate(ids)}))
+    return _compile(closures, 2)
+
+
+def _pairings(built: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance) -> np.ndarray:
+    """The values of a (program, index) pair gathered by the index, with
+    x_label on leaf 0 and the conjugate of y_label on leaf 1, as `inner`
+    labels mirror(y)."""
+    program, index = built
+    y_bar = tuple(c.conjugate() for c in y_label)
+    return np.array(_run(program, (x_label, y_bar), model, tol), dtype=complex)[index]
 
 
 # -- Gram matrix ---------------------------------------------------------
@@ -348,15 +377,27 @@ class GramMatrix:
         return float(np.max(np.abs(g - g.conj().T))) / scale
 
 
+@functools.cache
+def _gram_program() -> tuple:
+    """The program of one closure per rotation orbit of basis pairs, and
+    the orbit of each entry of G in row-major order."""
+    shapes, orbits, _ = _basis_shapes()
+    n = len(shapes)
+    entry_orbit = np.empty(n * n, dtype=np.intp)
+    for k, (rows, cols) in enumerate(orbits):
+        entry_orbit[np.multiply(rows, n) + cols] = k
+    return _program([(shapes[rows[0]], shapes[cols[0]]) for rows, cols in orbits]), entry_orbit
+
+
 def gram(model: TwoBoxModel, basis: Basis14, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
-    """One closure per rotation orbit of ordered pairs: but for the orbits
-    of (0, 3) and (5, 8), (i, j) and (j, i) are reduced apart and
-    `hermiticity_defect` compares two computations."""
-    d = basis.diagrams
-    g = np.zeros((len(d), len(d)), dtype=complex)
-    for rows, cols in _basis_shapes()[1]:
-        g[rows, cols] = inner(model, d[rows[0]], d[cols[0]], tol)
-    return GramMatrix(g)
+    """One closure per rotation orbit of ordered pairs (40 of 196), run as
+    one program, and each entry of G read from its orbit's value: but for
+    the orbits of (0, 3) and (5, 8), (i, j) and (j, i) are reduced apart
+    and `hermiticity_defect` compares two computations.  Every value is
+    the one `inner` gives, bit for bit."""
+    n = len(basis.diagrams)
+    t = basis.generator
+    return GramMatrix(_pairings(_gram_program(), model, t, t, tol).reshape(n, n))
 
 
 def expand(
@@ -426,19 +467,29 @@ class TriangleTable:
     gram: GramMatrix
 
 
+@functools.cache
+def _triangle_program() -> tuple:
+    """The program of the 3-gon's closure with the first basis pattern of
+    each orbit of two turns, and the orbit of each basis pattern."""
+    shapes = _basis_shapes()[0]
+    firsts, orbit_of, _ = _pairing_turns()
+    tri = _triangle([ZERO] * 3).shape
+    return _program([(tri, shapes[i]) for i in firsts]), np.array(orbit_of, dtype=np.intp)
+
+
 def solve_triangle(
     model: TwoBoxModel,
     basis: Basis14 | None = None,
     gm: GramMatrix | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TriangleTable:
-    """The 3-gon's expansion, from one closure per orbit of two turns."""
+    """The 3-gon's expansion, from one closure per orbit of two turns (6
+    of 14), run as one program: every pairing is the one `inner` gives
+    with `triangle_pattern(model)`, bit for bit."""
     basis = basis or enumerate_basis(model)
     gm = gm or gram(model, basis, tol)
-    firsts, orbit_of, _ = _pairing_turns()
-    tri = triangle_pattern(model)
-    v = np.array([inner(model, tri, basis.diagrams[i], tol) for i in firsts], dtype=complex)
-    cl, rl = _expansion(gm, v[list(orbit_of)], tol)
+    v = _pairings(_triangle_program(), model, model.uncappable().coeffs, basis.generator, tol)
+    cl, rl = _expansion(gm, v, tol)
     return TriangleTable(cl, rl, basis, gm)
 
 

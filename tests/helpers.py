@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from skeinlab import Diagram, Vertex
+from skeinlab import DEPTH3_DELTA, Diagram, Vertex, delta_for_l
 from skeinlab.errors import (
     InvariantViolation,
     MalformedPairing,
@@ -15,6 +15,26 @@ from skeinlab.errors import (
     SkeinlabError,
 )
 from skeinlab.threebox import _braid_pattern, expand, mirror
+
+
+# -- the loci of the golden reports, and residuals pushed off them ---------
+
+FIXTURE_LOCI = {
+    "depth3": DEPTH3_DELTA,
+    "l12": delta_for_l(12),
+    "l100": delta_for_l(100),
+    "delta5": 5.0,
+    "delta11": 11.0,
+}
+
+# Relative perturbations of a parameter, smallest first, up to 1e-6.
+PERTURBATIONS = [10.0**-k for k in range(13, 5, -1)]
+
+
+def first_over(limit, residual):
+    """The smallest perturbation eps whose residual(eps) is at or over
+    limit, or None."""
+    return next((eps for eps in PERTURBATIONS if not residual(eps) < limit), None)
 
 
 # -- the 2-box structure constants as numpy arrays -------------------------

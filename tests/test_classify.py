@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 import sys
 
@@ -24,6 +25,12 @@ from skeinlab.errors import (
     NoCanonicalRepresentative,
     NonFiniteScalar,
 )
+from skeinlab.scalar import DEFAULT_TOL
+
+from helpers import FIXTURE_LOCI, first_over
+
+# skeinlab.classify is the function; the module is only in sys.modules.
+classify_mod = importlib.import_module("skeinlab.classify")
 
 
 # -- admissibility -------------------------------------------------------
@@ -269,6 +276,31 @@ def test_classify_fails_with_a_note_at_huge_delta(delta):
     res = classify(delta)
     assert (res.case, res.verdict) == ("Sp4", "FAIL")
     assert res.notes[-1].startswith("NonFiniteScalar: ")
+
+
+@pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
+def test_qr_roundtrip_catches_a_perturbed_q(locus, monkeypatch):
+    """qr_roundtrip compares the BMW traces of the recovered (q, r) with
+    (delta, a, b): under its limit on the locus, and over it once q is off
+    by a relative 1e-6 or less, before braid_pair refuses that q."""
+    recover = classify_mod.recover_qr
+    perturbation = [0.0]
+
+    def perturbed(*args, **kwargs):
+        q, r = recover(*args, **kwargs)
+        return q * (1.0 + perturbation[0]), r
+
+    monkeypatch.setattr(classify_mod, "recover_qr", perturbed)
+
+    def roundtrip(eps):
+        perturbation[0] = eps
+        return classify(FIXTURE_LOCI[locus]).residuals["qr_roundtrip"]
+
+    limit = DEFAULT_TOL.limits["qr_roundtrip"]
+    assert roundtrip(0.0) < limit
+    assert first_over(limit, roundtrip) is not None
+    res = classify(FIXTURE_LOCI[locus])
+    assert res.verdict == "FAIL" and "qr_roundtrip" in res.notes[-1]
 
 
 def test_classify_rejects():

@@ -1,7 +1,8 @@
 """Every name a skeinlab module imports is used in that module, every
-module-level private name is used somewhere in the package, and no module
-but `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
-more).
+module-level private name is used somewhere in the package, no module but
+`scalar` writes a threshold-sized float literal (or a factor of 1e3 or
+more), and every import is relative, of the standard library or of numpy,
+the one runtime dependency.
 
 No linter ships with the project, so these stdlib `ast` checks stand in
 for unused-import and unused-definition rules and for the tolerance
@@ -11,6 +12,7 @@ re-exports) are exempt from the first.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,34 @@ def test_checker_flags_a_threshold_literal():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"], ids=lambda p: p.name)
 def test_no_threshold_literals_outside_scalar(path):
     assert threshold_literals(path.read_text()) == []
+
+
+RUNTIME_DEPENDENCIES = sys.stdlib_module_names | {"numpy"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of a top-level package outside the standard library
+    and numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{n} (line {node.lineno})" for n in names if n.split(".")[0] not in RUNTIME_DEPENDENCIES]
+    return sorted(found)
+
+
+def test_checker_flags_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport scipy\nfrom sympy import S\n"
+        "import numpy.linalg, os.path\nfrom . import shapes\nfrom .twobox import PLUS\n"
+    )
+    assert foreign_imports(source) == ["scipy (line 2)", "sympy (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_and_numpy_are_imported(path):
+    assert foreign_imports(path.read_text()) == []

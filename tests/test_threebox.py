@@ -27,6 +27,8 @@ from skeinlab.errors import (
     InternalEnumerationMismatch,
     InvariantViolation,
     MalformedPairing,
+    NonFiniteScalar,
+    SideMismatch,
     SkeinlabError,
 )
 from skeinlab.classify import Stages
@@ -41,9 +43,10 @@ from skeinlab.threebox import (
     expand,
 )
 from skeinlab.scalar import DEFAULT_TOL
-from skeinlab.skein import FormalSum, Vertex, reduce_once
+from skeinlab.twobox import other_side
+from skeinlab.skein import FormalSum, Vertex, _replay, reduce_once
 
-from helpers import reference_closure, reference_ybe_residual, same_wiring
+from helpers import FIXTURE_LOCI, first_over, reference_closure, reference_ybe_residual, same_wiring
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -160,6 +163,80 @@ def test_gram_from_orbits_matches_the_full_build():
         assert np.all(np.abs(gm.entries - full.entries) <= 1e-15 * size), name
         assert gm.rank() == full.rank(), name
         assert gm.hermiticity_defect() == full.hermiticity_defect(), name
+
+
+# -- the Gram and 3-gon programs against inner ----------------------------
+
+
+def inner_built(m, basis):
+    """G and the 3-gon's pairings from one inner call per orbit, first pair
+    first: the programs' reference."""
+    d = basis.diagrams
+    g = np.zeros((14, 14), dtype=complex)
+    for rows, cols in _basis_shapes()[1]:
+        g[rows, cols] = inner(m, d[rows[0]], d[cols[0]])
+    firsts, orbit_of, _ = _pairing_turns()
+    tri = triangle_pattern(m)
+    v = np.array([inner(m, tri, d[i]) for i in firsts], dtype=complex)
+    return g, v[list(orbit_of)]
+
+
+PARITY_DELTAS = [DEPTH3_DELTA, *map(delta_for_l, range(12, 201, 2)), *np.geomspace(4.0, 1e6, 40)]
+
+
+def test_the_programs_match_inner_byte_for_byte():
+    for delta in PARITY_DELTAS:
+        m = from_classification_data(delta, +1 if delta == DEPTH3_DELTA else -1)
+        basis = enumerate_basis(m)
+        g, v = inner_built(m, basis)
+        gm = gram(m, basis)
+        assert gm.entries.tobytes() == g.tobytes(), delta
+        t = m.uncappable().coeffs
+        pairings = threebox._pairings(threebox._triangle_program(), m, t, basis.generator, DEFAULT_TOL)
+        assert pairings.tobytes() == v.tobytes(), delta
+        table = solve_triangle(m, basis, gm)
+        coeffs, residual = threebox._expansion(GramMatrix(g), v, DEFAULT_TOL)
+        assert table.left_coeffs.tobytes() == coeffs.tobytes(), delta
+        assert np.float64(table.residual_left).tobytes() == np.float64(residual).tobytes(), delta
+
+
+@pytest.mark.parametrize("delta, value", [(1e40, "(inf+0j)"), (1e77, "(nan+nanj)")])
+def test_an_overflowing_gram_raises_as_inner_does(delta, value):
+    m = from_classification_data(delta, -1)
+    basis = enumerate_basis(m)
+    with pytest.raises(NonFiniteScalar) as want:
+        inner_built(m, basis)
+    with pytest.raises(NonFiniteScalar) as got:
+        gram(m, basis)
+    assert str(got.value) == str(want.value) == f"non-finite scalar {value}"
+
+
+def test_a_fusion_across_shadings_raises_on_every_call(monkeypatch, model12):
+    """The first fusion of each Gram closure's plan given sides that
+    differ: its replay raises SideMismatch, and so does every gram call,
+    with no program cached."""
+    plan_of = threebox._closure_plan
+    flipped = []
+
+    def mixed(x_shape, y_shape):
+        ids, plan = plan_of(x_shape, y_shape)
+        for k, (loops, op) in enumerate(plan):
+            if op is not None and op[0] == "fuse":
+                plan = plan[:k] + ((loops, (*op[:7], other_side(op[7]))),) + plan[k + 1 :]
+                flipped.append((ids, plan))
+                break
+        return ids, plan
+
+    monkeypatch.setattr(threebox, "_closure_plan", mixed)
+    threebox._gram_program.cache_clear()
+    basis = enumerate_basis(model12)
+    for _ in range(2):
+        with pytest.raises(SideMismatch):
+            gram(model12, basis)
+        assert threebox._gram_program.cache_info().currsize == 0
+    ids, plan = flipped[0]
+    with pytest.raises(SideMismatch):
+        _replay(plan, dict.fromkeys(ids, basis.generator), model12, DEFAULT_TOL)
 
 
 # -- inner products and the Gram matrix ---------------------------------
@@ -472,27 +549,45 @@ def test_reidemeister_negative_control(model12, braid12):
     assert r1 > 1e-3
 
 
-# The loci of the golden reports.
-R2_LOCI = {
-    "depth3": DEPTH3_DELTA,
-    "l12": delta_for_l(12),
-    "l100": delta_for_l(100),
-    "delta5": 5.0,
-    "delta11": 11.0,
-}
-
-
-@pytest.mark.parametrize("locus", list(R2_LOCI))
+@pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
 def test_r2_catches_a_perturbed_q_or_r(locus):
     """r2 is the planar Reidemeister II residual, rotate(U) = sigma V: at
     float noise on the locus, and over its limit once q or r is off by a
     relative 1e-7."""
-    st = Stages(R2_LOCI[locus])
+    st = Stages(FIXTURE_LOCI[locus])
     limit = st.tol.limits["r2"]
     q, r = st.braid.q, st.braid.r
     assert reidemeister_residuals(st.model, st.braid)[1] < 4e-15
     for bad in (BraidPair.from_qr(q * (1.0 + 1e-7), r), BraidPair.from_qr(q, r * (1.0 + 1e-7))):
         assert reidemeister_residuals(st.model, bad)[1] > limit
+
+
+@pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
+def test_r1_catches_a_perturbed_r(locus):
+    """r1 compares both cap-twists of U with (sigma r, 1/r): under its
+    limit on the locus, over it once r is off by a relative 1e-6 or less."""
+    st = Stages(FIXTURE_LOCI[locus])
+    q, r = st.braid.q, st.braid.r
+
+    def r1(eps):
+        return reidemeister_residuals(st.model, BraidPair.from_qr(q, r * (1.0 + eps)))[0]
+
+    assert r1(0.0) < st.tol.limits["r1"]
+    assert first_over(st.tol.limits["r1"], r1) is not None
+
+
+@pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
+def test_quad_catches_a_perturbed_q(locus):
+    """quad is the quadratic relation's defect: under its limit on the
+    locus, over it once q is off by a relative 1e-6 or less."""
+    st = Stages(FIXTURE_LOCI[locus])
+    q, r = st.braid.q, st.braid.r
+
+    def quad(eps):
+        return reidemeister_residuals(st.model, BraidPair.from_qr(q * (1.0 + eps), r))[2]
+
+    assert quad(0.0) < st.tol.limits["quad"]
+    assert first_over(st.tol.limits["quad"], quad) is not None
 
 
 def test_braid_pattern_sides_differ_as_patterns(model12, braid12):

@@ -7,6 +7,7 @@ import pytest
 from skeinlab import (
     DEPTH3_DELTA,
     BoxVec,
+    Stages,
     TwoBoxModel,
     bmw_two_box_traces,
     braid_pair,
@@ -22,7 +23,7 @@ from skeinlab.errors import (
     ParameterMismatch,
     SideMismatch,
 )
-from helpers import coproduct_tensor, rotation_matrix, trace_vector
+from helpers import FIXTURE_LOCI, coproduct_tensor, first_over, rotation_matrix, trace_vector
 from skeinlab.twobox import MINUS, PLUS, product_coeffs
 
 LOCI = [
@@ -208,6 +209,20 @@ def test_chirality_residual_on_and_off_locus():
     m = models()[1]
     off = TwoBoxModel(m.delta, m.a + 1e-2, m.b - 1e-2, m.sigma)
     assert off.chirality_residual() > 1e-3
+
+
+@pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
+def test_chirality_catches_a_perturbed_b(locus):
+    """Under its limit on the locus, over it once b is off by a relative
+    1e-6 or less."""
+    st = Stages(FIXTURE_LOCI[locus])
+    m = st.model
+
+    def chirality(eps):
+        return TwoBoxModel(m.delta, m.a, m.b * (1.0 + eps), m.sigma).chirality_residual()
+
+    assert chirality(0.0) < st.tol.limits["chirality"]
+    assert first_over(st.tol.limits["chirality"], chirality) is not None
 
 
 def test_side_mismatch_raises():

@@ -1,8 +1,9 @@
-"""Pins on the work one classification does.  Every inner product replays
-the plan of its closure shape, and each shape is validated once, when its
-plan is compiled.  The Gram matrix reduces one closure per rotation orbit
-of index pairs, the 3-gon one per orbit of two turns, and the Yang-Baxter
-residual pairs only side A with the basis.  A PASS classification makes
+"""Pins on the work one classification does.  Every closure shape is
+validated once, when its plan is compiled.  The Gram matrix reduces one
+closure per rotation orbit of index pairs and the 3-gon one per orbit of
+two turns, each set run as one program that computes every distinct cap,
+rotation and fusion once; the Yang-Baxter residual pairs only side A with
+the basis, through `inner`, which replays the plans.  A PASS classification makes
 one SVD, of the Gram matrix, and a Gram report one eigendecomposition.
 The FormalSum engine evaluates a diagram again without redoing the shape
 half of any rewrite, keys only the terms that can merge, and its
@@ -21,11 +22,26 @@ from skeinlab.classify import Stages
 from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
-# 40 rotation orbits of Gram entries, 6 orbits of two turns for the
-# triangle table, 14 for side A of the Yang-Baxter equation (side B's
-# pairings are side A's turned three clicks); each pairs a different
-# closure shape.
-CLOSURES_PER_PASS = 40 + 6 + 14
+# 40 rotation orbits of Gram entries and 6 orbits of two turns for the
+# triangle table, run as programs, and 14 inner calls for side A of the
+# Yang-Baxter equation (side B's pairings are side A's turned three
+# clicks); each pairs a different closure shape.
+GRAM_CLOSURES, TRIANGLE_CLOSURES, SIDE_A_CLOSURES = 40, 6, 14
+CLOSURES_PER_PASS = GRAM_CLOSURES + TRIANGLE_CLOSURES + SIDE_A_CLOSURES
+
+# (nodes, chain steps) of each program.  The 46 closures' plans make 57
+# caps, 33 fusions and 44 odd rotations, 134 operations of which the 52
+# nodes are the distinct ones; the chains keep the 104 plan steps that
+# change a coefficient, by a cap or a loop factor.
+GRAM_PROGRAM = (31, 88)
+TRIANGLE_PROGRAM = (21, 16)
+
+
+def cold_closures():
+    """Drop every compiled closure plan and the programs built from them."""
+    threebox._closure_plan.cache_clear()
+    threebox._gram_program.cache_clear()
+    threebox._triangle_program.cache_clear()
 
 
 @pytest.fixture
@@ -56,20 +72,40 @@ def counted(monkeypatch):
     return seen
 
 
+def programs_built():
+    return [f.cache_info().misses for f in (threebox._gram_program, threebox._triangle_program)]
+
+
 def test_classify_validates_every_evaluated_diagram_once(counted):
-    threebox._closure_plan.cache_clear()
+    cold_closures()
     res = classify(5.0)
     assert res.verdict == "PASS"
-    assert counted["inner"] == len(counted["shapes"]) == CLOSURES_PER_PASS
+    assert counted["inner"] == len(counted["shapes"]) == SIDE_A_CLOSURES
     assert counted["evaluated"] == []
     assert len(counted["validated"]) == CLOSURES_PER_PASS
-    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
+    plans = threebox._closure_plan.cache_info()
+    assert plans.misses == plans.currsize == CLOSURES_PER_PASS
+    assert programs_built() == [1, 1]
 
-    # A second classification replays the cached plans and validates nothing.
+    # A second classification runs the cached programs, replays the cached
+    # plans of side A, and compiles and validates nothing.
     counted["validated"].clear()
     assert classify(5.0).verdict == "PASS"
-    assert counted["inner"] == 2 * CLOSURES_PER_PASS
+    assert counted["inner"] == 2 * SIDE_A_CLOSURES
     assert counted["evaluated"] == counted["validated"] == []
+    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
+    assert programs_built() == [1, 1]
+
+
+def test_the_programs_keep_each_cap_rotation_and_fusion_once():
+    for build, closures, size in (
+        (threebox._gram_program, GRAM_CLOSURES, GRAM_PROGRAM),
+        (threebox._triangle_program, TRIANGLE_CLOSURES, TRIANGLE_PROGRAM),
+    ):
+        program = build()[0]
+        assert len(program.chains) == closures
+        assert len(set(program.nodes)) == len(program.nodes)
+        assert (len(program.nodes), sum(map(len, program.chains))) == size
 
 
 def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch):
@@ -99,13 +135,18 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
 
 
 def test_the_table_and_the_braid_sides_take_20_closures(counted):
+    """On cold caches the table compiles the 6 closure shapes of its
+    program and makes no inner call; the braid sides make 14."""
+    cold_closures()
     st = Stages(5.0)
     st.gram
-    before = counted["inner"]
+    assert threebox._closure_plan.cache_info().misses == GRAM_CLOSURES
     st.table
-    assert counted["inner"] == before + 6
+    assert counted["inner"] == 0
+    assert threebox._closure_plan.cache_info().misses == GRAM_CLOSURES + TRIANGLE_CLOSURES
     st.braid_residuals(st.braid)
-    assert counted["inner"] == before + 6 + 14
+    assert counted["inner"] == SIDE_A_CLOSURES
+    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
 
 
 def _count_linalg(monkeypatch, names):
