@@ -47,12 +47,13 @@ and a call with a `chooser` neither reads nor writes it.
 
 A diagram whose reduction never meets a 3-gon has a fixed op sequence,
 its plan, that depends only on its shape (vertex ids, shading bits, dart
-pairing, free loops).  `_plan` compiles it from a valid diagram with the
-shape half, and `_replay` runs it on a map of labels with the number half
-and the engine's zero-drop of a single term; `threebox.inner` keeps one
-plan per closure shape.  `_compile` turns plans whose vertices share a few
-labels into one straight-line program, and `_run` evaluates it with the
-same number half, each distinct cap, rotation and fusion once.
+pairing, free loops).  `_plan` takes it from a valid diagram with the
+shape half.  `_compile` turns plans, each vertex mapped to one of a few
+leaf labels, into one straight-line program, and `_run` evaluates it with
+the number half and the engine's zero-drop of a single term, each
+distinct cap, rotation and fusion once.  It is the one evaluator of
+triangle-free closures: `threebox.inner` keeps a one-closure program per
+pair of pattern shapes, with a leaf per vertex.
 """
 
 from __future__ import annotations
@@ -570,8 +571,8 @@ def _plan(diag: Diagram) -> tuple:
     rewrite step, taken with the engine's face order and shape half.  It
     depends on the diagram's shape only, not on its labels.  Like the
     engine without a triangle table, it raises TriangleTableRequired at a
-    3-gon; a fusion whose sides differ raises SideMismatch when replayed,
-    in the number half the engine shares."""
+    3-gon; a fusion whose sides differ raises SideMismatch when compiled
+    (`_compile`), as the engine's number half does on reaching it."""
     plan = []
     while diag.n_vertices or diag.free_loops:
         loops, op = diag.free_loops, None
@@ -603,24 +604,6 @@ def _survives(coeff: Scalar, tol: Tolerance) -> bool:
     return False
 
 
-def _replay(plan: tuple, labels: dict, model: TwoBoxModel, tol: Tolerance) -> tuple[Scalar, int]:
-    """Run a plan on `labels`, a map of vertex ids to coefficient triples,
-    with the engine's arithmetic, including its zero-drop of a single term
-    (`_survives`).  Fused labels are written into `labels`."""
-    coeff = complex(1.0)
-    for steps, (loops, op) in enumerate(plan, 1):
-        if loops:
-            coeff = coeff * _loop_factor(model, loops)
-        if op is not None:
-            coeff, label = _number_step(model, coeff, op, labels)
-            if label is not None:
-                labels[op[3]] = label
-        if not _survives(coeff, tol):
-            return complex(0.0), steps
-    # FormalSum.scalar_value sums onto 0j, which fixes the signs of zeros.
-    return complex(0.0) + coeff, len(plan)
-
-
 # -- straight-line programs ----------------------------------------------
 
 
@@ -639,7 +622,7 @@ class Program(NamedTuple):
 def _compile(closures, leaves: int) -> Program:
     """The program of `closures`, (plan, {vertex id: leaf}) pairs whose
     leaves number `leaves`; equal nodes are kept once.  A fusion whose
-    sides differ raises SideMismatch, as its replay does on reaching it."""
+    sides differ raises SideMismatch."""
     nodes: dict[tuple, int] = {}
 
     def node(key: tuple) -> int:
@@ -669,7 +652,9 @@ def _compile(closures, leaves: int) -> Program:
 
 def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list[Scalar]:
     """The value of each plan of `program` on the leaf labels `leaves`,
-    bit for bit what `_replay` gives, raising as it does in plan order."""
+    bit for bit what the engine gives on the plan's diagram: a chain stops
+    at the first coefficient that `_survives` drops, and a non-finite one
+    raises NonFiniteScalar, chain by chain in plan order."""
     regs = list(leaves)
     for op in program.nodes:
         if op[0] == "cap":

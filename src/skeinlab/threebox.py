@@ -11,9 +11,10 @@ All inner products reduce to closed diagrams with at most 5 vertices, which
 the skein engine evaluates without a triangle table (Euler counting leaves a
 face with at most 2 sides at every step).  The closure's shape depends only
 on the two patterns' shapes, so `inner` builds and validates it once per
-pair of pattern shapes, compiles its reduction plan (`skein._plan`), keeps
-both in a bounded LRU cache, and on each call replays the plan on the
-patterns' labels (`skein._replay`).  A shape that fails to validate or to
+pair of pattern shapes, takes its reduction plan (`skein._plan`), compiles
+that into a one-closure program with a leaf per vertex (`skein._compile`),
+keeps them in a bounded LRU cache, and on each call runs the program on
+the patterns' labels (`skein._run`).  A shape that fails to validate or to
 compile is not cached and raises on every call.
 
 A one-click turn of the disk permutes the basis and keeps every closure,
@@ -27,12 +28,12 @@ are the first side's in turned order (none of its own 14).  A
 classification reduces 40 + 6 + 14 = 60 closures.
 
 Every vertex of the basis and of the 3-gon carries the generator, so the
-46 closures of the Gram matrix and the 3-gon are fixed functions of the
-model: their plans are compiled once per process into two straight-line
-programs (`skein._compile`), whose leaves are the generator on x's
-vertices and its conjugate on mirror(y)'s, and each run computes every
-distinct cap, rotation and fusion once.  Side A's labels come from the
-caller's braid, so its 14 pairings stay `inner` calls.
+46 closures of the Gram matrix and the 3-gon share two leaves: their plans
+are compiled once per process into two programs, whose leaves are the
+generator on x's vertices and its conjugate on mirror(y)'s, and each run
+computes every distinct cap, rotation and fusion of the 46 once.  Side
+A's labels come from the caller's braid, so its 14 pairings stay `inner`
+calls.  Every closure is evaluated by `skein._run`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .shapes import pattern_shape
-from .skein import Program, _compile, _plan, _replay, _run, walk_connections
+from .skein import Program, _compile, _plan, _run, walk_connections
 from .twobox import BoxVec, BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -190,18 +191,20 @@ def _labelled(shape: tuple, coeffs) -> Pattern:
 
 @functools.lru_cache(maxsize=CLOSURE_CACHE_SIZE)
 def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
-    """The vertex ids (x's, then mirror(y)'s) and the reduction plan of
-    closure(x, y), which depend on the patterns' shapes only."""
+    """The vertex ids (x's, then mirror(y)'s), the reduction plan and its
+    one-closure program, with leaf k on the k-th vertex, of closure(x, y),
+    which depend on the patterns' shapes only."""
     d = closure(_labelled(x_shape, ZERO), _labelled(y_shape, ZERO))
-    return tuple(d.vertices), _plan(d)
+    ids, plan = tuple(d.vertices), _plan(d)
+    return ids, plan, _compile([(plan, {v: k for k, v in enumerate(ids)})], len(ids))
 
 
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
-    ids, plan = _closure_plan(x.shape, y.shape)
+    program = _closure_plan(x.shape, y.shape)[2]
     labels = [v.coeffs for _, v in x.vertices]
     labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
-    return _replay(plan, dict(zip(ids, labels)), model, tol)[0]
+    return _run(program, labels, model, tol)[0]
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -314,7 +317,7 @@ def _program(pairs) -> Program:
     cached plans: x's vertices carry leaf 0, mirror(y)'s leaf 1."""
     closures = []
     for x_shape, y_shape in pairs:
-        ids, plan = _closure_plan(x_shape, y_shape)
+        ids, plan, _ = _closure_plan(x_shape, y_shape)
         n = len(x_shape[0])
         closures.append((plan, {v: int(k >= n) for k, v in enumerate(ids)}))
     return _compile(closures, 2)
@@ -434,19 +437,17 @@ def _expansion(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> tuple[np.ndarra
 # -- triangle patterns and the reduction table --------------------------
 
 
-def triangle_pattern(model: TwoBoxModel, labels=None) -> Pattern:
+def triangle_pattern(model: TwoBoxModel) -> Pattern:
+    """`_triangle` with every vertex labelled by the generator."""
+    return _triangle([model.uncappable().coeffs] * 3)
+
+
+def _triangle(labels) -> Pattern:
     """Three labeled vertices around a 3-gon, in the frame the reducer
     produces: face corners at dart 0 with face-orbit order u, v, w and
     edges u.1-v.0, v.1-w.0, w.1-u.0.  The orbit runs clockwise around the
     face, so the counterclockwise disk boundary is (u.2, u.3, w.2, w.3,
-    v.2, v.3).  Every vertex carries the generator unless `labels` are
-    given."""
-    if labels is None:
-        labels = [model.uncappable().coeffs] * 3
-    return _triangle(labels)
-
-
-def _triangle(labels) -> Pattern:
+    v.2, v.3); vertex i is labelled labels[i]."""
     verts = tuple((i, Vertex(tuple(labels[i]))) for i in range(3))
     edges = (((0, 1), (1, 0)), ((1, 1), (2, 0)), ((2, 1), (0, 0)))
     bnd = []

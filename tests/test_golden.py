@@ -1,8 +1,8 @@
 """Golden reports: the sha256 of stdout and the exit code of each command.
 
 `classify`, `gram` and `ybe` at the fixture loci take the plan path: they
-reduce every closed diagram through `skein._plan`/`_replay`, which read no
-label keys, so a change to the FormalSum engine's keys or merging must
+reduce every closed diagram through `skein._plan`/`_compile`/`_run`,
+which read no label keys, so a change to the FormalSum engine's keys or merging must
 leave these bytes as they are.  `evaluate --l 12` on 3-gon-rich diagram
 files takes the engine path: 3-gon expansion, triangle-table substitution
 and the shape graph, so a change to how the engine builds its terms must

@@ -1,8 +1,9 @@
 """Every name a skeinlab module imports is used in that module, every
 module-level private name is used somewhere in the package, no module but
 `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
-more), and every import is relative, of the standard library or of numpy,
-the one runtime dependency.
+more), every import is relative, of the standard library or of numpy,
+the one runtime dependency, and every private `_name` or dotted
+`module.name` a docstring puts in backticks names something that exists.
 
 No linter ships with the project, so these stdlib `ast` checks stand in
 for unused-import and unused-definition rules and for the tolerance
@@ -12,6 +13,9 @@ re-exports) are exempt from the first.
 """
 
 import ast
+import dataclasses
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -136,3 +140,64 @@ def test_checker_flags_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_standard_library_and_numpy_are_imported(path):
     assert foreign_imports(path.read_text()) == []
+
+
+PACKAGE = {p.stem: importlib.import_module(f"skeinlab.{p.stem}") for p in MODULES}
+BACKTICKED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)*)`")
+
+
+def resolves(name: str, namespace: dict) -> bool:
+    """Whether a dotted name reads an attribute path from `namespace`, or
+    from a skeinlab module named by its first part.  A dataclass field set
+    in __post_init__ (`field(init=False)`) has no class attribute, and
+    counts as its last part."""
+    first, *rest = name.split(".")
+    if first not in namespace and first not in PACKAGE:
+        return False
+    obj = namespace.get(first, PACKAGE.get(first))
+    for k, part in enumerate(rest, 1):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif not (
+            k == len(rest)
+            and dataclasses.is_dataclass(obj)
+            and part in {f.name for f in dataclasses.fields(obj)}
+        ):
+            return False
+    return True
+
+
+def stale_names(source: str, namespace: dict) -> list[str]:
+    """The private `_name`s and dotted names in backticks in the source's
+    docstrings that do not resolve in `namespace`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for name in BACKTICKED.findall(ast.get_docstring(node, clean=False) or ""):
+                private = name.startswith("_") and not name.startswith("__")
+                if (private or "." in name) and not resolves(name, namespace):
+                    found.add(name)
+    return sorted(found)
+
+
+def test_checker_flags_a_stale_docstring_name():
+    from skeinlab.scalar import Tolerance
+
+    source = (
+        '"""`_gone`, `skein._missing`, `skein._run`, `_here`, `Tolerance.limits`,\n'
+        '`Tolerance.limits.x`, `math.pi`, `plain`, `__init__` and `a + b`."""\n'
+        "def f():\n    \"\"\"`twobox.nowhere`\"\"\"\n"
+    )
+    namespace = {"_here": 1, "Tolerance": Tolerance, "math": __import__("math")}
+    assert stale_names(source, namespace) == [
+        "Tolerance.limits.x",
+        "_gone",
+        "skein._missing",
+        "twobox.nowhere",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_docstrings_name_what_exists(path):
+    module = PACKAGE.get(path.stem) or importlib.import_module("skeinlab")
+    assert stale_names(path.read_text(), vars(module)) == []

@@ -1,9 +1,10 @@
-"""Reduction plans compiled from a diagram and replayed on its labels,
-against the FormalSum engine.
+"""Reduction plans taken from a diagram, compiled into a one-closure
+program with a leaf per vertex and run on its labels, against the
+FormalSum engine.
 
 Passing chooser=find_small_face makes evaluate_detailed pick faces in the
-same order as the plan, so a replay must agree with the engine exactly,
-in the value's bits (signed zeros included) and in step count."""
+same order as the plan, so a run must agree with the engine exactly, in
+the value's bits, signed zeros included."""
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from skeinlab import (
     mirror,
     triangle_pattern,
 )
+from skeinlab import skein
 from skeinlab.errors import (
     MalformedPairing,
     NonFiniteScalar,
@@ -42,34 +44,37 @@ from skeinlab.errors import (
     TriangleTableRequired,
 )
 from skeinlab.scalar import DEFAULT_TOL
-from skeinlab.skein import _plan, _replay
+from skeinlab.skein import _compile, _plan, _run
 from skeinlab.threebox import _basis_shapes, _braid_pattern, _closure_plan, closure
 from skeinlab.twobox import PLUS
 
 
-def exact(result):
-    value, steps = result
-    return np.complex128(value).tobytes(), steps
+def exact(value):
+    return np.complex128(value).tobytes()
 
 
 def engine(d, m, table=None):
-    return exact(evaluate_detailed(d, m, table, chooser=find_small_face))
+    return exact(evaluate_detailed(d, m, table, chooser=find_small_face)[0])
 
 
-def labels(d):
-    return {v: vert.coeffs for v, vert in d.vertices.items()}
+def program(d, plan=None):
+    """The one-closure program of a plan, by default d's, with leaf k on
+    the k-th vertex of d."""
+    plan = plan if plan is not None else _plan(d)
+    return _compile([(plan, {v: k for k, v in enumerate(d.vertices)})], len(d.vertices))
 
 
-def replayed(d, m, plan=None):
-    """d's labels run through a plan, by default the one compiled from d."""
-    return exact(_replay(plan if plan is not None else _plan(d), labels(d), m, DEFAULT_TOL))
+def run(d, m, plan=None):
+    """d's labels run through the program of a plan, by default d's."""
+    labels = [vert.coeffs for vert in d.vertices.values()]
+    return exact(_run(program(d, plan), labels, m, DEFAULT_TOL)[0])
 
 
 def test_plan_matches_engine_on_random_corpus(model12):
     rng = np.random.default_rng(11)
     for d in random_diagram_corpus(rng, 60, max_vertices=5):
         # Five vertices or fewer always leave a face with at most 2 sides.
-        assert replayed(d, model12) == engine(d, model12)
+        assert run(d, model12) == engine(d, model12)
 
 
 def test_three_gon_diagrams_have_no_plan(model12, table12):
@@ -79,25 +84,38 @@ def test_three_gon_diagrams_have_no_plan(model12, table12):
         _plan(d)
     with pytest.raises(TriangleTableRequired):
         evaluate(d, model12)
-    assert exact(evaluate_detailed(d, model12, table12)) == engine(d, model12, table12)
+    value, steps = evaluate_detailed(d, model12, table12)
+    want, want_steps = evaluate_detailed(d, model12, table12, chooser=find_small_face)
+    assert (exact(value), steps) == (exact(want), want_steps)
 
 
 def test_plan_keeps_the_engines_signed_zeros(model12):
     d = coproduct_trace_closure((1j, -1j, 0.0), (1j, -1j, 0.0))
     value, _ = evaluate_detailed(d, model12)
     assert value.imag == 0
-    assert replayed(d, model12) == engine(d, model12)
+    assert run(d, model12) == engine(d, model12)
 
 
-def test_plan_drops_a_zero_coefficient_mid_reduction(model12):
+def test_plan_drops_a_zero_coefficient_mid_reduction(model12, monkeypatch):
     generator = model12.uncappable().coeffs
     capped = coproduct_trace_closure(generator, (0.3, -1.2, 0.7))
     generic = coproduct_trace_closure((0.5, 0.4, -0.9), (0.3, -1.2, 0.7))
     assert _plan(capped) == _plan(generic)
     value, steps = evaluate_detailed(capped, model12)
-    assert replayed(capped, model12) == engine(capped, model12)
     assert value == 0
     assert steps < evaluate_detailed(generic, model12)[1]
+
+    # Like the engine, the run stops early: at the step that leaves the
+    # zero coefficient, before the end of its chain.
+    checked = []
+    survives = skein._survives
+    monkeypatch.setattr(skein, "_survives", lambda c, tol: checked.append(c) or survives(c, tol))
+    assert run(capped, model12) == engine(capped, model12)
+    assert not survives(checked[-1], DEFAULT_TOL)
+    assert len(checked) < len(program(capped).chains[0])
+    checked.clear()
+    run(generic, model12)
+    assert len(checked) == len(program(generic).chains[0])
 
 
 def test_an_overflow_is_not_a_dropped_zero(model12):
@@ -105,7 +123,7 @@ def test_an_overflow_is_not_a_dropped_zero(model12):
     # the zero-drop refuses like a zero; both paths returned 0j.
     d = coproduct_trace_closure((1e200, -3e200, 2e200), (1e200, 2e200, -1e200))
     with pytest.raises(NonFiniteScalar):
-        _replay(_plan(d), labels(d), model12, DEFAULT_TOL)
+        run(d, model12)
     with pytest.raises(NonFiniteScalar):
         evaluate(d, model12)
 
@@ -116,7 +134,7 @@ def test_a_modulus_past_the_float_range_is_a_non_finite_scalar(model12):
     x = (1.5e308 + 1.5e308j, 0.0, 0.0)
     d = trace_closure(x)
     with pytest.raises(NonFiniteScalar):
-        _replay(_plan(d), {0: x}, model12, DEFAULT_TOL)
+        run(d, model12)
     with pytest.raises(NonFiniteScalar):
         evaluate(d, model12)
 
@@ -133,8 +151,8 @@ def test_plan_matches_engine_on_classify_closures(delta):
         for y in basis.diagrams:
             d = closure(x, y)
             want = engine(d, m)
-            assert replayed(d, m) == want
-            assert exact((inner(m, x, y), want[1])) == want
+            assert run(d, m) == want
+            assert exact(inner(m, x, y)) == want
 
 
 def test_one_topology_different_labels(model12):
@@ -147,7 +165,7 @@ def test_one_topology_different_labels(model12):
     for (cx, cy), d, v in zip(pairs, diagrams, values):
         want = model12.trace(model12.product(BoxVec(PLUS, cx), BoxVec(PLUS, cy)))
         assert abs(v - want) < 1e-10 * max(1.0, abs(want))
-        assert replayed(d, model12, plan) == engine(d, model12)
+        assert run(d, model12, plan) == engine(d, model12)
 
 
 def test_gram_across_loop_values_matches_engine():

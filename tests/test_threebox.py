@@ -44,7 +44,7 @@ from skeinlab.threebox import (
 )
 from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.twobox import other_side
-from skeinlab.skein import FormalSum, Vertex, _replay, reduce_once
+from skeinlab.skein import FormalSum, Vertex, reduce_once
 
 from helpers import FIXTURE_LOCI, first_over, reference_closure, reference_ybe_residual, same_wiring
 
@@ -211,32 +211,40 @@ def test_an_overflowing_gram_raises_as_inner_does(delta, value):
     assert str(got.value) == str(want.value) == f"non-finite scalar {value}"
 
 
-def test_a_fusion_across_shadings_raises_on_every_call(monkeypatch, model12):
-    """The first fusion of each Gram closure's plan given sides that
-    differ: its replay raises SideMismatch, and so does every gram call,
-    with no program cached."""
-    plan_of = threebox._closure_plan
-    flipped = []
+@pytest.fixture
+def crossed_fusions(monkeypatch):
+    """Every closure plan taken with its first fusion given sides that
+    differ, on cold closure caches; a plan without a fusion is kept."""
+    plan_of = threebox._plan
 
-    def mixed(x_shape, y_shape):
-        ids, plan = plan_of(x_shape, y_shape)
+    def crossed(d):
+        plan = plan_of(d)
         for k, (loops, op) in enumerate(plan):
             if op is not None and op[0] == "fuse":
-                plan = plan[:k] + ((loops, (*op[:7], other_side(op[7]))),) + plan[k + 1 :]
-                flipped.append((ids, plan))
-                break
-        return ids, plan
+                return plan[:k] + ((loops, (*op[:7], other_side(op[7]))),) + plan[k + 1 :]
+        return plan
 
-    monkeypatch.setattr(threebox, "_closure_plan", mixed)
+    monkeypatch.setattr(threebox, "_plan", crossed)
+    threebox._closure_plan.cache_clear()
     threebox._gram_program.cache_clear()
+
+
+def test_a_fusion_across_shadings_raises_on_every_call(crossed_fusions, model12):
+    """Every gram call raises SideMismatch, with no program cached."""
     basis = enumerate_basis(model12)
     for _ in range(2):
         with pytest.raises(SideMismatch):
             gram(model12, basis)
         assert threebox._gram_program.cache_info().currsize == 0
-    ids, plan = flipped[0]
-    with pytest.raises(SideMismatch):
-        _replay(plan, dict.fromkeys(ids, basis.generator), model12, DEFAULT_TOL)
+
+
+def test_a_fusion_across_shadings_raises_on_every_inner_call(crossed_fusions, model12):
+    two = enumerate_basis(model12).two_vertex[0]
+    cached = threebox._closure_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SideMismatch):
+            inner(model12, two, two)
+        assert threebox._closure_plan.cache_info().currsize == cached
 
 
 # -- inner products and the Gram matrix ---------------------------------
@@ -355,7 +363,7 @@ def test_first_idempotent_triangle_null_when_rooted_at_legs(model12, table12):
     # with each corner label rotated one click (distinguished region on the
     # external leg) the triangle of first idempotents is the zero 3-box
     fp1 = model12.rotate(model12.p1())
-    p = triangle_pattern(model12, labels=[fp1.coeffs] * 3)
+    p = threebox._triangle([fp1.coeffs] * 3)
     v = np.array(
         [inner(model12, p, di) for di in table12.basis.diagrams], dtype=complex
     )

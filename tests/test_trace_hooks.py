@@ -64,7 +64,7 @@ def test_traced_classify_records_the_hot_path(tracer_module):
     # Side A of the Yang-Baxter equation; the Gram matrix and the 3-gon's
     # pairings run as programs.
     assert calls["threebox.inner"] == 14
-    assert "skein.evaluate" not in calls  # inner replays plans, not the engine
+    assert "skein.evaluate" not in calls  # inner runs programs, not the engine
     assert calls["threebox.gram"] == calls["threebox.solve_triangle"] == 1
     assert calls["twobox.rotate"] == 1  # the r2 residual only
     assert "twobox.product" not in calls

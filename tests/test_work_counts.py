@@ -3,8 +3,9 @@ validated once, when its plan is compiled.  The Gram matrix reduces one
 closure per rotation orbit of index pairs and the 3-gon one per orbit of
 two turns, each set run as one program that computes every distinct cap,
 rotation and fusion once; the Yang-Baxter residual pairs only side A with
-the basis, through `inner`, which replays the plans.  A PASS classification makes
-one SVD, of the Gram matrix, and a Gram report one eigendecomposition.
+the basis, through `inner`, which runs one-closure programs.  A PASS
+classification makes one eigendecomposition, of the scaled Gram matrix,
+and a Gram report two, the scaled and the raw spectrum.
 The FormalSum engine evaluates a diagram again without redoing the shape
 half of any rewrite, keys only the terms that can merge, and its
 connector walk asks once per node whether the node is a connector."""
@@ -38,7 +39,8 @@ TRIANGLE_PROGRAM = (21, 16)
 
 
 def cold_closures():
-    """Drop every compiled closure plan and the programs built from them."""
+    """Drop the one closure cache (each shape pair's plan and one-closure
+    program) and the two programs built from its plans."""
     threebox._closure_plan.cache_clear()
     threebox._gram_program.cache_clear()
     threebox._triangle_program.cache_clear()
@@ -87,8 +89,8 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert plans.misses == plans.currsize == CLOSURES_PER_PASS
     assert programs_built() == [1, 1]
 
-    # A second classification runs the cached programs, replays the cached
-    # plans of side A, and compiles and validates nothing.
+    # A second classification runs the cached programs, those of side A's
+    # closures too, and compiles and validates nothing.
     counted["validated"].clear()
     assert classify(5.0).verdict == "PASS"
     assert counted["inner"] == 2 * SIDE_A_CLOSURES
