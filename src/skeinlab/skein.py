@@ -52,8 +52,8 @@ shape half.  `_compile` turns plans, each vertex mapped to one of a few
 leaf labels, into one straight-line program, and `_run` evaluates it with
 the number half and the engine's zero-drop of a single term, each
 distinct cap, rotation and fusion once.  It is the one evaluator of
-triangle-free closures: `threebox.inner` keeps a one-closure program per
-pair of pattern shapes, with a leaf per vertex.
+triangle-free closures: threebox pairs the basis in three programs of 14
+to 40 closures, and `threebox.inner` runs one per pair of pattern shapes.
 """
 
 from __future__ import annotations

@@ -27,13 +27,11 @@ Yang-Baxter equation is the first turned three clicks, so its pairings
 are the first side's in turned order (none of its own 14).  A
 classification reduces 40 + 6 + 14 = 60 closures.
 
-Every vertex of the basis and of the 3-gon carries the generator, so the
-46 closures of the Gram matrix and the 3-gon share two leaves: their plans
-are compiled once per process into two programs, whose leaves are the
-generator on x's vertices and its conjugate on mirror(y)'s, and each run
-computes every distinct cap, rotation and fusion of the 46 once.  Side
-A's labels come from the caller's braid, so its 14 pairings stay `inner`
-calls.  Every closure is evaluated by `skein._run`.
+Every vertex of the basis and of the 3-gon carries the generator, and
+each of side A's the braid label U, so the 60 closures' plans are compiled
+once per process into three programs, with the generator or U on x's
+vertices and the generator's conjugate on mirror(y)'s; a run computes each
+distinct cap, rotation and fusion once.  `skein._run` runs every program.
 """
 
 from __future__ import annotations
@@ -260,10 +258,14 @@ def _two_vertex_patterns() -> list[Pattern]:
 @dataclass(frozen=True)
 class Basis14:
     """The 14 face-free 3-box diagrams: 5 Temperley-Lieb, 6 one-vertex,
-    3 two-vertex, in that order, with every vertex labelled `generator`."""
+    3 two-vertex, in that order, with every vertex labelled `generator`:
+    `diagrams` builds them on first read, which no pipeline stage makes."""
 
-    diagrams: tuple[Pattern, ...]
     generator: tuple
+
+    @functools.cached_property
+    def diagrams(self) -> tuple[Pattern, ...]:
+        return tuple(_labelled(shape, self.generator) for shape in _basis_shapes()[0])
 
     @property
     def tl(self):
@@ -307,9 +309,9 @@ def _basis_shapes() -> tuple:
 
 
 def enumerate_basis(model: TwoBoxModel) -> Basis14:
-    """The basis shapes with every vertex labelled by the generator."""
-    t = model.uncappable().coeffs
-    return Basis14(tuple(_labelled(shape, t) for shape in _basis_shapes()[0]), t)
+    """The basis of the model's generator, its shapes checked once."""
+    _basis_shapes()
+    return Basis14(model.uncappable().coeffs)
 
 
 def _program(pairs) -> Program:
@@ -398,9 +400,8 @@ def gram(model: TwoBoxModel, basis: Basis14, tol: Tolerance = DEFAULT_TOL) -> Gr
     the orbits of (0, 3) and (5, 8), (i, j) and (j, i) are reduced apart
     and `hermiticity_defect` compares two computations.  Every value is
     the one `inner` gives, bit for bit."""
-    n = len(basis.diagrams)
     t = basis.generator
-    return GramMatrix(_pairings(_gram_program(), model, t, t, tol).reshape(n, n))
+    return GramMatrix(_pairings(_gram_program(), model, t, t, tol).reshape(14, 14))
 
 
 def expand(
@@ -473,7 +474,7 @@ def _triangle_program() -> tuple:
     """The program of the 3-gon's closure with the first basis pattern of
     each orbit of two turns, and the orbit of each basis pattern."""
     shapes = _basis_shapes()[0]
-    firsts, orbit_of, _ = _pairing_turns()
+    firsts, orbit_of = _pairing_turns()
     tri = _triangle([ZERO] * 3).shape
     return _program([(tri, shapes[i]) for i in firsts]), np.array(orbit_of, dtype=np.intp)
 
@@ -497,20 +498,11 @@ def solve_triangle(
 # -- braid relation residuals -------------------------------------------
 
 
-def _braid_pattern(model: TwoBoxModel, braid: BraidPair, side: str, roots=(0, 0, 0)) -> Pattern:
-    """One side of the Yang-Baxter equation as a 3-box pattern.
-
-    Side "A" composes the crossings (1-2, 2-3, 1-2) bottom to top, side "B"
-    composes (2-3, 1-2, 2-3).  Each crossing is a U-labeled vertex with legs
-    (down-left, down-right, up-right, up-left) at darts (0, 1, 2, 3) shifted
-    by the per-vertex root offset (mod 2; two clicks act trivially on U).
-    """
-    u = braid.U
-    return _braid_wiring(side, roots, [(model.rotate(u) if k % 2 else u).coeffs for k in roots])
-
-
 def _braid_wiring(side: str, roots, labels) -> Pattern:
-    """`_braid_pattern` with vertex i labelled labels[i]."""
+    """One side of the Yang-Baxter equation, vertex i labelled labels[i]:
+    side "A" composes the crossings (1-2, 2-3, 1-2) bottom to top, side "B"
+    (2-3, 1-2, 2-3).  Each crossing's legs (down-left, down-right, up-right,
+    up-left) are at darts (0, 1, 2, 3) shifted by its root offset."""
     verts = tuple((i, Vertex(labels[i])) for i in range(3))
 
     def leg(vid, which):
@@ -556,28 +548,36 @@ def _braid_wiring(side: str, roots, labels) -> Pattern:
 
 @functools.cache
 def _pairing_turns() -> tuple:
-    """How the turn gives the 3-gon's and side B's pairings with the basis
-    from fewer closures, checked once per process with equal labels (a
-    failed check raises InternalEnumerationMismatch):
-
-    * two turns fix the 3-gon, so <T, D_j> = <T, D_turn²(j)>.  Returned
-      as the first index of each orbit of two turns (6 of 14) and, for each
-      j, the place of its orbit among them;
-    * side B with every vertex re-rooted by two clicks, which leaves a
-      braid label as it is (`TwoBoxModel.rotate_coeffs`), is side A turned
-      three clicks, so <B, D_j> = <A, D_turn³(j)>.  Returned as turn³."""
+    """How two turns give the 3-gon's pairings with the basis from fewer
+    closures, checked once per process (InternalEnumerationMismatch if
+    not): they fix the 3-gon, so <T, D_j> = <T, D_turn²(j)>.  Returned as
+    the first index of each orbit of two turns (6 of 14) and, for each j,
+    the place of its orbit among them."""
     turn = _basis_shapes()[2]
     tri = _triangle([ZERO] * 3)
     if tri.rotated().rotated().key() != tri.key():
         raise InternalEnumerationMismatch("the 3-gon is not fixed by two turns")
+    turn2 = [turn[turn[j]] for j in range(14)]
+    first = [min(j, turn2[j], turn2[turn2[j]]) for j in range(14)]
+    firsts = tuple(sorted(set(first)))
+    return firsts, tuple(firsts.index(f) for f in first)
+
+
+@functools.cache
+def _side_a_program() -> tuple:
+    """The program of side A's closure with each basis pattern, and the
+    index that reads side A's pairings, then side B's.  Side B with every
+    vertex re-rooted by two clicks, which leaves a braid label as it is
+    (`TwoBoxModel.rotate_coeffs`), is side A turned three clicks, so
+    <B, D_j> = <A, D_turn³(j)>: checked once per process, with equal
+    labels (InternalEnumerationMismatch if not)."""
+    shapes, _, turn = _basis_shapes()
     side_a = _braid_wiring("A", (0, 0, 0), [ZERO] * 3)
     side_b = _braid_wiring("B", (2, 2, 2), [ZERO] * 3)
     if side_a.rotated().rotated().rotated().key() != side_b.key():
         raise InternalEnumerationMismatch("side B is not side A turned three clicks")
-    turn2 = [turn[turn[j]] for j in range(14)]
-    first = [min(j, turn2[j], turn2[turn2[j]]) for j in range(14)]
-    firsts = tuple(sorted(set(first)))
-    return firsts, tuple(firsts.index(f) for f in first), tuple(turn[k] for k in turn2)
+    index = [*range(14), *(turn[turn[turn[j]]] for j in range(14))]
+    return _program([(side_a.shape, y) for y in shapes]), np.array(index, dtype=np.intp)
 
 
 def ybe_residual(
@@ -589,13 +589,12 @@ def ybe_residual(
     """Gram-norm distance between the Basis14 expansions of the two sides
     of the Yang-Baxter equation, relative to side A's Gram norm.
 
-    Side A alone is paired with the basis: side B's pairings are A's in
-    turn³ order (`_pairing_turns`), and one solve expands both.  A
-    quadratic form past the float range raises NonFiniteScalar."""
-    pa = _braid_pattern(model, braid, "A")
-    va = np.array([inner(model, pa, dj, tol) for dj in table.basis.diagrams], dtype=complex)
-    turn3 = list(_pairing_turns()[2])
-    ca, cb = _solve(table.gram, np.column_stack((va, va[turn3])), tol).T
+    Side A alone is paired with the basis, as one program with U as a leaf,
+    bit for bit as `inner`; side B's pairings are A's in turn³ order
+    (`_side_a_program`), and one solve expands both.  A quadratic form past
+    the float range raises NonFiniteScalar."""
+    v = _pairings(_side_a_program(), model, braid.U.coeffs, table.basis.generator, tol)
+    ca, cb = _solve(table.gram, v.reshape(2, -1).T, tol).T
     g = table.gram.entries
     with np.errstate(over="ignore", invalid="ignore"):
         d = ca - cb

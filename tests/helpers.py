@@ -14,7 +14,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.threebox import _braid_pattern, expand, mirror
+from skeinlab.threebox import _braid_wiring, expand, mirror
 
 
 # -- the loci of the golden reports, and residuals pushed off them ---------
@@ -580,13 +580,21 @@ def same_wiring(got, want):
     )
 
 
+def braid_pattern(model, braid, side, roots=(0, 0, 0)):
+    """Side "A" or "B" of the Yang-Baxter equation with the braid label U on
+    every crossing, re-rooted by roots[i] clicks at vertex i: an odd root
+    carries rotate(U), as two clicks leave U as it is."""
+    u = braid.U
+    return _braid_wiring(side, roots, [(model.rotate(u) if k % 2 else u).coeffs for k in roots])
+
+
 def reference_ybe_residual(model, braid, table, roots_a=(0, 0, 0), roots_b=(0, 0, 0)):
     """The Yang-Baxter residual with both sides built and each paired with
     all 14 basis patterns and expanded on its own, as before side B's
     pairings were read off side A's by the turn; the per-vertex root offsets
     re-root the crossings of each side."""
-    pa = _braid_pattern(model, braid, "A", roots_a)
-    pb = _braid_pattern(model, braid, "B", roots_b)
+    pa = braid_pattern(model, braid, "A", roots_a)
+    pb = braid_pattern(model, braid, "B", roots_b)
     ca, _ = expand(model, pa, table.basis, table.gram)
     cb, _ = expand(model, pb, table.basis, table.gram)
     d = ca - cb

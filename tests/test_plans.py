@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    braid_pattern,
     coproduct_trace_closure,
     octahedron_diagram,
     product_trace_closure,
@@ -45,7 +46,7 @@ from skeinlab.errors import (
 )
 from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import _compile, _plan, _run
-from skeinlab.threebox import _basis_shapes, _braid_pattern, _closure_plan, closure
+from skeinlab.threebox import _basis_shapes, _closure_plan, closure
 from skeinlab.twobox import PLUS
 
 
@@ -146,7 +147,7 @@ def test_plan_matches_engine_on_classify_closures(delta):
     basis = enumerate_basis(m)
     braid = braid_pair(m, res.q, res.r)
     left = triangle_pattern(m)
-    expanded = [left, mirror(left), _braid_pattern(m, braid, "A"), _braid_pattern(m, braid, "B")]
+    expanded = [left, mirror(left), braid_pattern(m, braid, "A"), braid_pattern(m, braid, "B")]
     for x in list(basis.diagrams) + expanded:
         for y in basis.diagrams:
             d = closure(x, y)

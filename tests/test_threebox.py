@@ -36,7 +36,6 @@ from skeinlab.threebox import (
     GramMatrix,
     Pattern,
     _basis_shapes,
-    _braid_pattern,
     _pairing_turns,
     _two_vertex_patterns,
     closure,
@@ -46,7 +45,15 @@ from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.twobox import other_side
 from skeinlab.skein import FormalSum, Vertex, reduce_once
 
-from helpers import FIXTURE_LOCI, first_over, reference_closure, reference_ybe_residual, same_wiring
+from helpers import (
+    FIXTURE_LOCI,
+    PERTURBATIONS,
+    braid_pattern,
+    first_over,
+    reference_closure,
+    reference_ybe_residual,
+    same_wiring,
+)
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -109,7 +116,7 @@ def test_rotation_permutes_the_basis(model12, model_depth3):
 
 def test_six_turns_are_the_identity(model12, braid12):
     tri = triangle_pattern(model12)
-    extra = [tri, mirror(tri), _braid_pattern(model12, braid12, "A")]
+    extra = [tri, mirror(tri), braid_pattern(model12, braid12, "A")]
     for p in list(enumerate_basis(model12).diagrams) + extra:
         turned = p
         for _ in range(6):
@@ -175,7 +182,7 @@ def inner_built(m, basis):
     g = np.zeros((14, 14), dtype=complex)
     for rows, cols in _basis_shapes()[1]:
         g[rows, cols] = inner(m, d[rows[0]], d[cols[0]])
-    firsts, orbit_of, _ = _pairing_turns()
+    firsts, orbit_of = _pairing_turns()
     tri = triangle_pattern(m)
     v = np.array([inner(m, tri, d[i]) for i in firsts], dtype=complex)
     return g, v[list(orbit_of)]
@@ -192,12 +199,24 @@ def test_the_programs_match_inner_byte_for_byte():
         gm = gram(m, basis)
         assert gm.entries.tobytes() == g.tobytes(), delta
         t = m.uncappable().coeffs
-        pairings = threebox._pairings(threebox._triangle_program(), m, t, basis.generator, DEFAULT_TOL)
-        assert pairings.tobytes() == v.tobytes(), delta
+        vt = threebox._pairings(threebox._triangle_program(), m, t, basis.generator, DEFAULT_TOL)
+        assert vt.tobytes() == v.tobytes(), delta
         table = solve_triangle(m, basis, gm)
         coeffs, residual = threebox._expansion(GramMatrix(g), v, DEFAULT_TOL)
         assert table.left_coeffs.tobytes() == coeffs.tobytes(), delta
         assert np.float64(table.residual_left).tobytes() == np.float64(residual).tobytes(), delta
+    # Side A's program against one inner call per basis pattern, with U as
+    # it is and with q perturbed; the second half reads side B's pairings.
+    for name, delta in FIXTURE_LOCI.items():
+        st = Stages(delta)
+        q, r = st.braid.q, st.braid.r
+        for eps in [0.0, *PERTURBATIONS]:
+            braid = BraidPair.from_qr(q * (1.0 + eps), r)
+            va = pairings(st.model, braid_pattern(st.model, braid, "A"), st.basis)
+            got = threebox._pairings(
+                threebox._side_a_program(), st.model, braid.U.coeffs, st.basis.generator, DEFAULT_TOL
+            )
+            assert got.tobytes() == np.concatenate((va, va[TURN3])).tobytes(), (name, eps)
 
 
 @pytest.mark.parametrize("delta, value", [(1e40, "(inf+0j)"), (1e77, "(nan+nanj)")])
@@ -432,16 +451,16 @@ def test_ybe_rerooting_invariance(model12, table12, braid12):
     basis as they are, and side B's pairings are side A's turned by
     turn³, so the residual needs side A alone."""
     basis = table12.basis
-    va = pairings(model12, _braid_pattern(model12, braid12, "A"), basis)
-    vb = pairings(model12, _braid_pattern(model12, braid12, "B"), basis)
+    va = pairings(model12, braid_pattern(model12, braid12, "A"), basis)
+    vb = pairings(model12, braid_pattern(model12, braid12, "B"), basis)
     scale = float(np.max(np.abs(va)))
     assert np.max(np.abs(vb - va[TURN3])) <= 1e-14 * scale
     rng = np.random.default_rng(13)
     for _ in range(5):
         ra = tuple(int(k) for k in rng.integers(0, 4, size=3))
         rb = tuple(int(k) for k in rng.integers(0, 4, size=3))
-        rerooted_a = pairings(model12, _braid_pattern(model12, braid12, "A", ra), basis)
-        rerooted_b = pairings(model12, _braid_pattern(model12, braid12, "B", rb), basis)
+        rerooted_a = pairings(model12, braid_pattern(model12, braid12, "A", ra), basis)
+        rerooted_b = pairings(model12, braid_pattern(model12, braid12, "B", rb), basis)
         assert np.max(np.abs(rerooted_a - va)) <= 1e-14 * scale, ra
         assert np.max(np.abs(rerooted_b - vb)) <= 1e-14 * scale, rb
         assert np.max(np.abs(rerooted_b - rerooted_a[TURN3])) <= 1e-14 * scale, (ra, rb)
@@ -465,16 +484,16 @@ def turn_cases():
 def test_the_turned_pairings_match_the_direct_ones():
     """The 3-gon's 14 pairings against its 6 orbit pairings, and side B's
     14 against side A's turned by turn³, each closure reduced on its own."""
-    firsts, orbit_of, turn3 = _pairing_turns()
-    assert list(turn3) == TURN3
+    firsts, orbit_of = _pairing_turns()
+    assert list(threebox._side_a_program()[1]) == list(range(14)) + TURN3
     assert [firsts[k] for k in orbit_of] == [min(j, TURN2[j], TURN2[TURN2[j]]) for j in range(14)]
     for name, m, table, braid in turn_cases():
         basis = table.basis
         vt = pairings(m, triangle_pattern(m), basis)
         orbit = vt[list(firsts)][list(orbit_of)]
         assert np.max(np.abs(vt - orbit)) <= 1e-14 * np.max(np.abs(vt)), name
-        va = pairings(m, _braid_pattern(m, braid, "A"), basis)
-        vb = pairings(m, _braid_pattern(m, braid, "B"), basis)
+        va = pairings(m, braid_pattern(m, braid, "A"), basis)
+        vb = pairings(m, braid_pattern(m, braid, "B"), basis)
         assert np.max(np.abs(vb - va[TURN3])) <= 1e-14 * np.max(np.abs(vb)), name
         direct, residual = expand(m, triangle_pattern(m), basis, table.gram)
         assert residual < 1e-10 and table.residual_left < 1e-10, name
@@ -494,8 +513,10 @@ def test_ybe_residual_matches_the_two_sided_reference():
 @pytest.fixture
 def fresh_pairing_turns():
     _pairing_turns.cache_clear()
+    threebox._side_a_program.cache_clear()
     yield
     _pairing_turns.cache_clear()
+    threebox._side_a_program.cache_clear()
 
 
 def test_pairing_turns_refuse_a_triangle_not_fixed_by_two_turns(monkeypatch, fresh_pairing_turns):
@@ -507,14 +528,16 @@ def test_pairing_turns_refuse_a_triangle_not_fixed_by_two_turns(monkeypatch, fre
         _pairing_turns()
 
 
-def test_pairing_turns_refuse_a_side_b_that_is_not_side_a_turned(monkeypatch, fresh_pairing_turns):
+def test_the_side_a_program_refuses_a_side_b_that_is_not_side_a_turned(monkeypatch, fresh_pairing_turns):
     wiring = threebox._braid_wiring
     # Roots taken mod 2: side B is built without its two-click re-rooting.
     monkeypatch.setattr(
         threebox, "_braid_wiring", lambda side, roots, labels: wiring(side, [k % 2 for k in roots], labels)
     )
-    with pytest.raises(InternalEnumerationMismatch, match="not side A turned three clicks"):
-        _pairing_turns()
+    for _ in range(2):
+        with pytest.raises(InternalEnumerationMismatch, match="not side A turned three clicks"):
+            threebox._side_a_program()
+        assert threebox._side_a_program.cache_info().currsize == 0
 
 
 def test_ybe_perturbed_q_fails(model12, table12, braid12):
@@ -599,14 +622,14 @@ def test_quad_catches_a_perturbed_q(locus):
 
 
 def test_braid_pattern_sides_differ_as_patterns(model12, braid12):
-    pa = _braid_pattern(model12, braid12, "A")
-    pb = _braid_pattern(model12, braid12, "B")
+    pa = braid_pattern(model12, braid12, "A")
+    pb = braid_pattern(model12, braid12, "B")
     assert pa.key() != pb.key()
 
 
 def test_braid_pattern_rejects_bad_side(model12, braid12):
     with pytest.raises(ValueError):
-        _braid_pattern(model12, braid12, "C")
+        braid_pattern(model12, braid12, "C")
 
 
 # -- closure wiring ------------------------------------------------------
@@ -639,8 +662,8 @@ def test_closure_matches_the_reference_wiring(model12, braid12):
     extra = [
         tri,
         mirror(tri),
-        _braid_pattern(model12, braid12, "A"),
-        _braid_pattern(model12, braid12, "B"),
+        braid_pattern(model12, braid12, "A"),
+        braid_pattern(model12, braid12, "B"),
     ]
     pats = list(basis.diagrams) + extra
     pairs = [(x, y) for x in pats for y in basis.diagrams]

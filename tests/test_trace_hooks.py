@@ -61,10 +61,10 @@ def test_traced_classify_records_the_hot_path(tracer_module):
         tracer.uninstall()
     assert result.verdict == "PASS"
     calls = {name: agg[0] for name, agg in tracer.totals().items()}
-    # Side A of the Yang-Baxter equation; the Gram matrix and the 3-gon's
-    # pairings run as programs.
-    assert calls["threebox.inner"] == 14
-    assert "skein.evaluate" not in calls  # inner runs programs, not the engine
+    # The Gram matrix, the 3-gon's and side A's pairings run as programs,
+    # not through inner or the engine.
+    assert "threebox.inner" not in calls
+    assert "skein.evaluate" not in calls
     assert calls["threebox.gram"] == calls["threebox.solve_triangle"] == 1
     assert calls["twobox.rotate"] == 1  # the r2 residual only
     assert "twobox.product" not in calls

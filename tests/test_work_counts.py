@@ -1,16 +1,17 @@
 """Pins on the work one classification does.  Every closure shape is
 validated once, when its plan is compiled.  The Gram matrix reduces one
 closure per rotation orbit of index pairs and the 3-gon one per orbit of
-two turns, each set run as one program that computes every distinct cap,
-rotation and fusion once; the Yang-Baxter residual pairs only side A with
-the basis, through `inner`, which runs one-closure programs.  A PASS
-classification makes one eigendecomposition, of the scaled Gram matrix,
-and a Gram report two, the scaled and the raw spectrum.
+two turns and the Yang-Baxter residual side A alone, each set run as one
+program that computes every distinct cap, rotation and fusion once, so
+a classification makes no `inner` call and labels no basis pattern.  A
+PASS classification makes one eigendecomposition, of the scaled Gram
+matrix, and a Gram report two, the scaled and the raw spectrum.
 The FormalSum engine evaluates a diagram again without redoing the shape
 half of any rewrite, keys only the terms that can merge, and its
 connector walk asks once per node whether the node is a connector."""
 
 import contextlib
+import functools
 import io
 from collections import Counter
 
@@ -18,39 +19,43 @@ import numpy as np
 import pytest
 
 from helpers import octahedron_diagram
-from skeinlab import classify, delta_for_l, shapes, skein, threebox
+from skeinlab import classify, delta_for_l, skein, threebox
 from skeinlab.classify import Stages
 from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
-# 40 rotation orbits of Gram entries and 6 orbits of two turns for the
-# triangle table, run as programs, and 14 inner calls for side A of the
-# Yang-Baxter equation (side B's pairings are side A's turned three
-# clicks); each pairs a different closure shape.
+# 40 rotation orbits of Gram entries, 6 orbits of two turns for the
+# triangle table and 14 basis patterns for side A of the Yang-Baxter
+# equation (side B's pairings are side A's turned three clicks), run as
+# three programs; each pairs a different closure shape.
 GRAM_CLOSURES, TRIANGLE_CLOSURES, SIDE_A_CLOSURES = 40, 6, 14
 CLOSURES_PER_PASS = GRAM_CLOSURES + TRIANGLE_CLOSURES + SIDE_A_CLOSURES
 
-# (nodes, chain steps) of each program.  The 46 closures' plans make 57
-# caps, 33 fusions and 44 odd rotations, 134 operations of which the 52
-# nodes are the distinct ones; the chains keep the 104 plan steps that
-# change a coefficient, by a cap or a loop factor.
+# (nodes, chain steps) of each program.  The plans of the Gram matrix's
+# and the 3-gon's 46 closures make 57 caps, 33 fusions and 44 odd
+# rotations, 134 operations of which the 52 nodes are the distinct ones,
+# and side A's 14 make 22, 32 and 43, 97 operations in 52 nodes; the
+# chains keep the 104 and 36 plan steps that change a coefficient, by a
+# cap or a loop factor.
 GRAM_PROGRAM = (31, 88)
 TRIANGLE_PROGRAM = (21, 16)
+SIDE_A_PROGRAM = (52, 36)
+PROGRAMS = (threebox._gram_program, threebox._triangle_program, threebox._side_a_program)
 
 
 def cold_closures():
     """Drop the one closure cache (each shape pair's plan and one-closure
-    program) and the two programs built from its plans."""
+    program) and the three programs built from its plans."""
     threebox._closure_plan.cache_clear()
-    threebox._gram_program.cache_clear()
-    threebox._triangle_program.cache_clear()
+    for build in PROGRAMS:
+        build.cache_clear()
 
 
 @pytest.fixture
 def counted(monkeypatch):
     """Records the diagrams handed to evaluate_detailed and validate, and
-    counts inner calls and the pattern-shape pairs they ask for."""
-    seen = {"evaluated": [], "validated": [], "inner": 0, "shapes": set()}
+    counts inner calls and the builds of a basis's labelled patterns."""
+    seen = {"evaluated": [], "validated": [], "inner": 0, "patterns": 0}
     evaluate_detailed = skein.evaluate_detailed
     validate = skein.Diagram.validate
     inner = threebox.inner
@@ -65,9 +70,16 @@ def counted(monkeypatch):
 
     def counting_inner(model, x, y, *args, **kwargs):
         seen["inner"] += 1
-        seen["shapes"].add((shapes.pattern_shape(x), shapes.pattern_shape(y)))
         return inner(model, x, y, *args, **kwargs)
 
+    def counting_diagrams(basis):
+        seen["patterns"] += 1
+        return diagrams(basis)
+
+    diagrams = threebox.Basis14.diagrams.func
+    prop = functools.cached_property(counting_diagrams)
+    prop.__set_name__(threebox.Basis14, "diagrams")
+    monkeypatch.setattr(threebox.Basis14, "diagrams", prop)
     monkeypatch.setattr(skein, "evaluate_detailed", counting_evaluate)
     monkeypatch.setattr(skein.Diagram, "validate", counting_validate)
     monkeypatch.setattr(threebox, "inner", counting_inner)
@@ -75,34 +87,47 @@ def counted(monkeypatch):
 
 
 def programs_built():
-    return [f.cache_info().misses for f in (threebox._gram_program, threebox._triangle_program)]
+    return [f.cache_info().misses for f in PROGRAMS]
 
 
 def test_classify_validates_every_evaluated_diagram_once(counted):
     cold_closures()
     res = classify(5.0)
     assert res.verdict == "PASS"
-    assert counted["inner"] == len(counted["shapes"]) == SIDE_A_CLOSURES
+    assert counted["inner"] == counted["patterns"] == 0
     assert counted["evaluated"] == []
     assert len(counted["validated"]) == CLOSURES_PER_PASS
     plans = threebox._closure_plan.cache_info()
     assert plans.misses == plans.currsize == CLOSURES_PER_PASS
-    assert programs_built() == [1, 1]
+    assert programs_built() == [1, 1, 1]
 
-    # A second classification runs the cached programs, those of side A's
-    # closures too, and compiles and validates nothing.
+    # A second classification runs the cached programs and compiles and
+    # validates nothing.
     counted["validated"].clear()
     assert classify(5.0).verdict == "PASS"
-    assert counted["inner"] == 2 * SIDE_A_CLOSURES
+    assert counted["inner"] == counted["patterns"] == 0
     assert counted["evaluated"] == counted["validated"] == []
     assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
-    assert programs_built() == [1, 1]
+    assert programs_built() == [1, 1, 1]
+
+
+def test_evaluate_labels_the_basis_patterns_once(counted, triangle_rich):
+    """The 3-gon substitution reads the table's labelled basis, built on
+    its first read and kept."""
+    st = Stages(delta_for_l(12))
+    table = st.table
+    assert counted["patterns"] == 0
+    for d in triangle_rich.values():
+        skein.evaluate(d, st.model, table)
+    assert counted["patterns"] == 1
+    assert len(table.basis.diagrams) == 14
 
 
 def test_the_programs_keep_each_cap_rotation_and_fusion_once():
     for build, closures, size in (
         (threebox._gram_program, GRAM_CLOSURES, GRAM_PROGRAM),
         (threebox._triangle_program, TRIANGLE_CLOSURES, TRIANGLE_PROGRAM),
+        (threebox._side_a_program, SIDE_A_CLOSURES, SIDE_A_PROGRAM),
     ):
         program = build()[0]
         assert len(program.chains) == closures
@@ -138,7 +163,8 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
 
 def test_the_table_and_the_braid_sides_take_20_closures(counted):
     """On cold caches the table compiles the 6 closure shapes of its
-    program and makes no inner call; the braid sides make 14."""
+    program and the braid sides the 14 of theirs; neither makes an inner
+    call."""
     cold_closures()
     st = Stages(5.0)
     st.gram
@@ -147,7 +173,7 @@ def test_the_table_and_the_braid_sides_take_20_closures(counted):
     assert counted["inner"] == 0
     assert threebox._closure_plan.cache_info().misses == GRAM_CLOSURES + TRIANGLE_CLOSURES
     st.braid_residuals(st.braid)
-    assert counted["inner"] == SIDE_A_CLOSURES
+    assert counted["inner"] == 0
     assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
 
 
