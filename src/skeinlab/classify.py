@@ -60,8 +60,9 @@ class Admissibility:
 def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibility:
     """Locate delta on the classification locus, or reject it."""
     delta = float(delta)
-    if not delta > 0:
-        return Admissibility("Rejected", note=f"delta = {delta} is not positive")
+    if not 0 < delta < math.inf:
+        note = "is not finite" if delta == math.inf else "is not positive"
+        return Admissibility("Rejected", note=f"delta = {delta} {note}")
     if abs(delta - DEPTH3_DELTA) < tol.DEPTH3_WINDOW:
         return Admissibility("Depth3", note="cubic depth-3 loop value")
     if delta >= 4.0 - tol.eq_tol:

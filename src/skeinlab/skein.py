@@ -213,9 +213,9 @@ def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> D
 # -- formal sums ---------------------------------------------------------
 
 
-def _kept(coeff: Scalar, scale: float, tol: Tolerance) -> bool:
-    """Whether a term survives normalization next to terms of size `scale`."""
-    return abs(coeff) > tol.drop_tol * max(1.0, scale)
+def _kept(size: float, scale: float, tol: Tolerance) -> bool:
+    """Whether a term of modulus `size` survives next to terms of size `scale`."""
+    return size > tol.drop_tol * max(1.0, scale)
 
 
 @dataclass
@@ -256,7 +256,7 @@ class FormalSum:
         if not all(map(math.isfinite, sizes)):
             raise NonFiniteScalar("non-finite coefficient in a formal sum")
         scale = max(sizes, default=1.0)
-        return FormalSum([(c, d) for c, d in buckets.values() if _kept(c, scale, tol)])
+        return FormalSum([t for t, size in zip(buckets.values(), sizes) if _kept(size, scale, tol)])
 
     @property
     def is_scalar(self) -> bool:
@@ -598,7 +598,7 @@ def _survives(coeff: Scalar, tol: Tolerance) -> bool:
         size = abs(coeff)
     except OverflowError:  # finite parts, modulus past the float range
         raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
-    if _kept(coeff, size, tol):
+    if _kept(size, size, tol):
         return True
     check_finite(coeff)  # `_kept` refuses an inf or nan too
     return False

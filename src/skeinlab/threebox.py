@@ -17,21 +17,18 @@ keeps them in a bounded LRU cache, and on each call runs the program on
 the patterns' labels (`skein._run`).  A shape that fails to validate or to
 compile is not cached and raises on every call.
 
-A one-click turn of the disk permutes the basis and keeps every closure,
-so `gram` reduces one closure per rotation orbit of index pairs (40 of
-196); the basis is checked to be closed under the turn once per process.
-The same turn does most of the other pairings with the basis: the 3-gon
-is fixed by two turns, so it pairs alike with every basis pattern of an
-orbit of two turns (6 closures of 14), and the second side of the
-Yang-Baxter equation is the first turned three clicks, so its pairings
-are the first side's in turned order (none of its own 14).  A
-classification reduces 40 + 6 + 14 = 60 closures.
+A one-click turn of the disk keeps every closure and permutes the basis,
+which is checked once per process.  `_pairing_program` pairs any x-side
+shapes with the basis: it closes them under the turn, compiles one closure
+per rotation orbit of pairs (x, D_j) from its first pair, and indexes each
+pair by its orbit.  So `gram` reduces 40 closures for its 196 entries; the
+3-gon, fixed by two turns, 6 for its 14 pairings; and the two sides of the
+Yang-Baxter equation 14 for their 28, as side B is side A turned three
+clicks.  A classification reduces 40 + 6 + 14 = 60 closures.
 
-Every vertex of the basis and of the 3-gon carries the generator, and
-each of side A's the braid label U, so the 60 closures' plans are compiled
-once per process into three programs, with the generator or U on x's
-vertices and the generator's conjugate on mirror(y)'s; a run computes each
-distinct cap, rotation and fusion once.  `skein._run` runs every program.
+Each program has two leaves: the generator, or U on the braid sides, on
+x's vertices and the generator's conjugate on mirror(D_j)'s.  A run
+computes each distinct cap, rotation and fusion once (`skein._run`).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .errors import (
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
 from .shapes import pattern_shape
-from .skein import Program, _compile, _plan, _run, walk_connections
+from .skein import _compile, _plan, _run, walk_connections
 from .twobox import BoxVec, BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -267,24 +264,11 @@ class Basis14:
     def diagrams(self) -> tuple[Pattern, ...]:
         return tuple(_labelled(shape, self.generator) for shape in _basis_shapes()[0])
 
-    @property
-    def tl(self):
-        return self.diagrams[:5]
-
-    @property
-    def one_vertex(self):
-        return self.diagrams[5:11]
-
-    @property
-    def two_vertex(self):
-        return self.diagrams[11:]
-
 
 @functools.cache
 def _basis_shapes() -> tuple:
     """The label-free shapes of the 14 basis patterns, in the Basis14 order,
-    the rotation orbits of ordered index pairs as (rows, cols), first pair
-    first, and the turn: the index of each basis pattern turned one click.
+    and the turn: the index of each basis pattern turned one click.
     Checked once per process: (5, 6, 3) patterns, pairwise distinct under
     vertex renumbering, each turned one click again in the basis.  Every
     vertex carries the same label, so the checks hold for the labelled
@@ -299,13 +283,7 @@ def _basis_shapes() -> tuple:
     turn = [index.get(p.rotated().key()) for p in pats]
     if None in turn:
         raise InternalEnumerationMismatch("the basis is not closed under rotation")
-    orbits = {}  # keyed by the set of pairs: the first pair seen stays first
-    for pair in itertools.product(range(14), repeat=2):
-        orbit = [pair]
-        while (nxt := (turn[orbit[-1][0]], turn[orbit[-1][1]])) != pair:
-            orbit.append(nxt)
-        orbits.setdefault(frozenset(orbit), tuple(zip(*orbit)))
-    return tuple(map(pattern_shape, pats)), tuple(orbits.values()), tuple(turn)
+    return tuple(map(pattern_shape, pats)), tuple(turn)
 
 
 def enumerate_basis(model: TwoBoxModel) -> Basis14:
@@ -314,22 +292,43 @@ def enumerate_basis(model: TwoBoxModel) -> Basis14:
     return Basis14(model.uncappable().coeffs)
 
 
-def _program(pairs) -> Program:
-    """The program of the closures of (x shape, y shape) pairs, from their
-    cached plans: x's vertices carry leaf 0, mirror(y)'s leaf 1."""
-    closures = []
-    for x_shape, y_shape in pairs:
-        ids, plan, _ = _closure_plan(x_shape, y_shape)
-        n = len(x_shape[0])
-        closures.append((plan, {v: int(k >= n) for k, v in enumerate(ids)}))
-    return _compile(closures, 2)
+@functools.cache
+def _pairing_program(xs: tuple) -> tuple:
+    """The program of one closure per rotation orbit of the pairs (x, D_j)
+    of x-side shapes `xs` and basis patterns, and the orbit of each pair in
+    row-major order.  `xs` is closed under the turn, turned patterns matched
+    by `Pattern.key`; an orbit is compiled from its first pair, x's vertices
+    on leaf 0 and mirror(D_j)'s on leaf 1."""
+    shapes, turn = _basis_shapes()
+    pats, place = [], {}  # the closed patterns, and each one's place by key
+
+    def row(p: Pattern) -> int:
+        if (key := p.key()) not in place:
+            place[key] = len(pats)
+            pats.append(p)
+        return place[key]
+
+    first = [row(_labelled(x, ZERO)) for x in xs]
+    turned = [row(p.rotated()) for p in pats]  # pats grows while it is walked
+    orbit: dict[tuple, int] = {}  # (row, j) -> the place of its orbit's closure
+    closures, index = [], []
+    for x, j in itertools.product(range(len(xs)), range(len(shapes))):
+        if (pair := (first[x], j)) not in orbit:
+            ids, plan, _ = _closure_plan(xs[x], shapes[j])
+            closures.append((plan, {v: int(k >= len(xs[x][0])) for k, v in enumerate(ids)}))
+            at = pair
+            while at not in orbit:
+                orbit[at] = len(closures) - 1
+                at = (turned[at[0]], turn[at[1]])
+        index.append(orbit[pair])
+    return _compile(closures, 2), np.array(index, dtype=np.intp)
 
 
-def _pairings(built: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance) -> np.ndarray:
-    """The values of a (program, index) pair gathered by the index, with
-    x_label on leaf 0 and the conjugate of y_label on leaf 1, as `inner`
-    labels mirror(y)."""
-    program, index = built
+def _pairings(xs: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance) -> np.ndarray:
+    """<x, D_j> for the shapes x of `xs` labelled x_label and the basis
+    labelled y_label, in row-major order, from `_pairing_program(xs)`: bit
+    for bit what `inner` gives on each orbit's first pair."""
+    program, index = _pairing_program(xs)
     y_bar = tuple(c.conjugate() for c in y_label)
     return np.array(_run(program, (x_label, y_bar), model, tol), dtype=complex)[index]
 
@@ -339,10 +338,11 @@ def _pairings(built: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """G[i, j] = <D_i, D_j> over the Basis14 order.  Rank, PSD defect and
-    every solve read D·G·D, D = |diag G|^-1/2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 7.3): cond(G) is 3.1e4 at delta = 5
-    and 8.8e20 at 1e3, cond(D·G·D) 5.4 and 1.1."""
+    """G[i, j] = <D_i, D_j> over the Basis14 order, one value per rotation
+    orbit of (i, j) (`gram`).  Rank, PSD defect and every solve read
+    D·G·D, D = |diag G|^-1/2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 7.3): cond(G) is 3.1e4 at delta = 5 and 8.8e20 at 1e3,
+    cond(D·G·D) 5.4 and 1.1."""
 
     entries: np.ndarray
 
@@ -382,26 +382,13 @@ class GramMatrix:
         return float(np.max(np.abs(g - g.conj().T))) / scale
 
 
-@functools.cache
-def _gram_program() -> tuple:
-    """The program of one closure per rotation orbit of basis pairs, and
-    the orbit of each entry of G in row-major order."""
-    shapes, orbits, _ = _basis_shapes()
-    n = len(shapes)
-    entry_orbit = np.empty(n * n, dtype=np.intp)
-    for k, (rows, cols) in enumerate(orbits):
-        entry_orbit[np.multiply(rows, n) + cols] = k
-    return _program([(shapes[rows[0]], shapes[cols[0]]) for rows, cols in orbits]), entry_orbit
-
-
 def gram(model: TwoBoxModel, basis: Basis14, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
-    """One closure per rotation orbit of ordered pairs (40 of 196), run as
-    one program, and each entry of G read from its orbit's value: but for
-    the orbits of (0, 3) and (5, 8), (i, j) and (j, i) are reduced apart
-    and `hermiticity_defect` compares two computations.  Every value is
-    the one `inner` gives, bit for bit."""
+    """G from `_pairings` of the basis with itself, 40 closures for 196
+    entries, each bit for bit `inner`'s.  But for the orbits of (0, 3) and
+    (5, 8), (i, j) and (j, i) are reduced apart, so `hermiticity_defect`
+    compares two computations."""
     t = basis.generator
-    return GramMatrix(_pairings(_gram_program(), model, t, t, tol).reshape(14, 14))
+    return GramMatrix(_pairings(_basis_shapes()[0], model, t, t, tol).reshape(14, 14))
 
 
 def expand(
@@ -469,28 +456,18 @@ class TriangleTable:
     gram: GramMatrix
 
 
-@functools.cache
-def _triangle_program() -> tuple:
-    """The program of the 3-gon's closure with the first basis pattern of
-    each orbit of two turns, and the orbit of each basis pattern."""
-    shapes = _basis_shapes()[0]
-    firsts, orbit_of = _pairing_turns()
-    tri = _triangle([ZERO] * 3).shape
-    return _program([(tri, shapes[i]) for i in firsts]), np.array(orbit_of, dtype=np.intp)
-
-
 def solve_triangle(
     model: TwoBoxModel,
     basis: Basis14 | None = None,
     gm: GramMatrix | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TriangleTable:
-    """The 3-gon's expansion, from one closure per orbit of two turns (6
-    of 14), run as one program: every pairing is the one `inner` gives
-    with `triangle_pattern(model)`, bit for bit."""
+    """The 3-gon's expansion from its `_pairings` with the basis, bit for
+    bit `inner`'s with `triangle_pattern(model)`: two turns fix the 3-gon,
+    so it takes 6 closures for the 14."""
     basis = basis or enumerate_basis(model)
     gm = gm or gram(model, basis, tol)
-    v = _pairings(_triangle_program(), model, model.uncappable().coeffs, basis.generator, tol)
+    v = _pairings(_TRIANGLE_SHAPES, model, model.uncappable().coeffs, basis.generator, tol)
     cl, rl = _expansion(gm, v, tol)
     return TriangleTable(cl, rl, basis, gm)
 
@@ -498,86 +475,47 @@ def solve_triangle(
 # -- braid relation residuals -------------------------------------------
 
 
+# Each side's legs on boundary points 0..5 and internal edges, as (vertex,
+# leg); vertices 0, 1, 2 are the bottom, middle and top crossings.
+DL, DR, UR, UL = range(4)
+_BRAID_SIDES = {
+    "A": (
+        ((0, DL), (0, DR), (1, DR), (1, UR), (2, UR), (2, UL)),
+        (((0, UR), (1, DL)), ((1, UL), (2, DR)), ((0, UL), (2, DL))),
+    ),
+    "B": (
+        ((1, DL), (0, DL), (0, DR), (2, UR), (2, UL), (1, UL)),
+        (((0, UL), (1, DR)), ((1, UR), (2, DL)), ((0, UR), (2, DR))),
+    ),
+}
+
+
 def _braid_wiring(side: str, roots, labels) -> Pattern:
     """One side of the Yang-Baxter equation, vertex i labelled labels[i]:
     side "A" composes the crossings (1-2, 2-3, 1-2) bottom to top, side "B"
     (2-3, 1-2, 2-3).  Each crossing's legs (down-left, down-right, up-right,
     up-left) are at darts (0, 1, 2, 3) shifted by its root offset."""
-    verts = tuple((i, Vertex(labels[i])) for i in range(3))
-
-    def leg(vid, which):
-        # which in {dl, dr, ur, ul} -> dart slot with the root offset
-        slot = {"dl": 0, "dr": 1, "ur": 2, "ul": 3}[which]
-        return ("v", vid, (slot - roots[vid]) % 4)
-
-    def dart(vid, which):
-        att = leg(vid, which)
-        return (att[1], att[2])
-
-    bnd: list[Attachment] = [None] * 6
-    if side == "A":
-        # vertices: 0 = bottom 1-2 crossing, 1 = middle 2-3, 2 = top 1-2
-        bnd[0] = leg(0, "dl")
-        bnd[1] = leg(0, "dr")
-        bnd[2] = leg(1, "dr")
-        bnd[3] = leg(1, "ur")
-        bnd[4] = leg(2, "ur")
-        bnd[5] = leg(2, "ul")
-        edges = (
-            (dart(0, "ur"), dart(1, "dl")),
-            (dart(1, "ul"), dart(2, "dr")),
-            (dart(0, "ul"), dart(2, "dl")),
-        )
-    elif side == "B":
-        # vertices: 0 = bottom 2-3 crossing, 1 = middle 1-2, 2 = top 2-3
-        bnd[0] = leg(1, "dl")
-        bnd[1] = leg(0, "dl")
-        bnd[2] = leg(0, "dr")
-        bnd[3] = leg(2, "ur")
-        bnd[4] = leg(2, "ul")
-        bnd[5] = leg(1, "ul")
-        edges = (
-            (dart(0, "ul"), dart(1, "dr")),
-            (dart(1, "ur"), dart(2, "dl")),
-            (dart(0, "ur"), dart(2, "dr")),
-        )
-    else:
+    if side not in _BRAID_SIDES:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return Pattern(verts, edges, tuple(bnd))
+    legs, edges = _BRAID_SIDES[side]
+
+    def dart(vid: int, leg: int) -> Dart:
+        return vid, (leg - roots[vid]) % 4
+
+    return Pattern(
+        tuple((i, Vertex(labels[i])) for i in range(3)),
+        tuple((dart(*a), dart(*b)) for a, b in edges),
+        tuple(("v", *dart(*leg)) for leg in legs),
+    )
 
 
-@functools.cache
-def _pairing_turns() -> tuple:
-    """How two turns give the 3-gon's pairings with the basis from fewer
-    closures, checked once per process (InternalEnumerationMismatch if
-    not): they fix the 3-gon, so <T, D_j> = <T, D_turn²(j)>.  Returned as
-    the first index of each orbit of two turns (6 of 14) and, for each j,
-    the place of its orbit among them."""
-    turn = _basis_shapes()[2]
-    tri = _triangle([ZERO] * 3)
-    if tri.rotated().rotated().key() != tri.key():
-        raise InternalEnumerationMismatch("the 3-gon is not fixed by two turns")
-    turn2 = [turn[turn[j]] for j in range(14)]
-    first = [min(j, turn2[j], turn2[turn2[j]]) for j in range(14)]
-    firsts = tuple(sorted(set(first)))
-    return firsts, tuple(firsts.index(f) for f in first)
-
-
-@functools.cache
-def _side_a_program() -> tuple:
-    """The program of side A's closure with each basis pattern, and the
-    index that reads side A's pairings, then side B's.  Side B with every
-    vertex re-rooted by two clicks, which leaves a braid label as it is
-    (`TwoBoxModel.rotate_coeffs`), is side A turned three clicks, so
-    <B, D_j> = <A, D_turn³(j)>: checked once per process, with equal
-    labels (InternalEnumerationMismatch if not)."""
-    shapes, _, turn = _basis_shapes()
-    side_a = _braid_wiring("A", (0, 0, 0), [ZERO] * 3)
-    side_b = _braid_wiring("B", (2, 2, 2), [ZERO] * 3)
-    if side_a.rotated().rotated().rotated().key() != side_b.key():
-        raise InternalEnumerationMismatch("side B is not side A turned three clicks")
-    index = [*range(14), *(turn[turn[turn[j]]] for j in range(14))]
-    return _program([(side_a.shape, y) for y in shapes]), np.array(index, dtype=np.intp)
+# The x-side shapes of the 3-gon and the Yang-Baxter sides.  Side B re-rooted
+# by two clicks, which keeps a braid label, is side A turned three clicks.
+_TRIANGLE_SHAPES = (_triangle([ZERO] * 3).shape,)
+_BRAID_SHAPES = (
+    _braid_wiring("A", (0, 0, 0), [ZERO] * 3).shape,
+    _braid_wiring("B", (2, 2, 2), [ZERO] * 3).shape,
+)
 
 
 def ybe_residual(
@@ -589,11 +527,11 @@ def ybe_residual(
     """Gram-norm distance between the Basis14 expansions of the two sides
     of the Yang-Baxter equation, relative to side A's Gram norm.
 
-    Side A alone is paired with the basis, as one program with U as a leaf,
-    bit for bit as `inner`; side B's pairings are A's in turn³ order
-    (`_side_a_program`), and one solve expands both.  A quadratic form past
-    the float range raises NonFiniteScalar."""
-    v = _pairings(_side_a_program(), model, braid.U.coeffs, table.basis.generator, tol)
+    Both sides are paired with the basis by `_pairings`, with U as the
+    x-side label; side B is side A turned three clicks, so its pairings
+    are read from side A's 14 closures, and one solve expands both.  A
+    quadratic form past the float range raises NonFiniteScalar."""
+    v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs, table.basis.generator, tol)
     ca, cb = _solve(table.gram, v.reshape(2, -1).T, tol).T
     g = table.gram.entries
     with np.errstate(over="ignore", invalid="ignore"):

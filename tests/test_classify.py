@@ -73,6 +73,16 @@ def test_rejected_stages_are_not_built():
         st.model
 
 
+@pytest.mark.parametrize("delta, note", [(math.inf, "is not finite"), (-math.inf, "is not positive")])
+def test_an_infinite_delta_is_rejected_before_any_stage(delta, note, monkeypatch):
+    # +inf gave FAIL with NonFiniteScalar from the trace split.
+    monkeypatch.setattr(Stages, "split", property(lambda self: pytest.fail("a stage was built")))
+    res = classify(delta)
+    assert res.verdict == "REJECTED"
+    assert res.case == "Rejected" and res.notes == [f"delta = {delta} {note}"]
+    assert res.residuals == {}
+
+
 def test_delta_for_l_monotone_toward_four():
     vals = [delta_for_l(l) for l in range(12, 201, 2)]
     assert all(x < y for x, y in zip(vals, vals[1:]))

@@ -63,6 +63,16 @@ def test_classify_rejected(capsys):
     assert json.loads(out)["verdict"] == "REJECTED"
 
 
+def test_classify_rejects_an_infinite_delta(capsys):
+    # +inf gave a FAIL report with a NonFiniteScalar note.
+    code, out, err = run(capsys, "classify", "--delta", "inf")
+    assert (code, err) == (EXIT_REJECTED, "")
+    report = strict(out)
+    assert report["verdict"] == "REJECTED"
+    assert report["outputs"]["notes"] == ["delta = inf is not finite"]
+    assert report["residuals"] == {}
+
+
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "classify")[0] == EXIT_USAGE
     assert run(capsys, "classify", "--delta", "3", "--l", "12")[0] == EXIT_USAGE

@@ -2,8 +2,9 @@
 module-level private name is used somewhere in the package, no module but
 `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
 more), every import is relative, of the standard library or of numpy,
-the one runtime dependency, and every private `_name` or dotted
-`module.name` a docstring puts in backticks names something that exists.
+the one runtime dependency, every private `_name` or dotted
+`module.name` a docstring puts in backticks names something that exists,
+and so does every backticked README name with a private part.
 
 No linter ships with the project, so these stdlib `ast` checks stand in
 for unused-import and unused-definition rules and for the tolerance
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skeinlab"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -201,3 +203,27 @@ def test_checker_flags_a_stale_docstring_name():
 def test_docstrings_name_what_exists(path):
     module = PACKAGE.get(path.stem) or importlib.import_module("skeinlab")
     assert stale_names(path.read_text(), vars(module)) == []
+
+
+def stale_readme_names(text: str, namespace: dict) -> list[str]:
+    """The backticked names in `text` with a private part, a leading
+    `skeinlab.` dropped, that do not resolve in `namespace`."""
+    found = set()
+    for name in BACKTICKED.findall(text):
+        name = name.removeprefix("skeinlab.")
+        private = any(p.startswith("_") and not p.startswith("__") for p in name.split("."))
+        if private and not resolves(name, namespace):
+            found.add(name)
+    return sorted(found)
+
+
+def test_checker_flags_a_stale_readme_name():
+    text = "`_gone`, `skein._run`, `skeinlab.skein._missing`, `_here`, `twobox.nowhere`, `__init__`"
+    assert stale_readme_names(text, {"_here": 1}) == ["_gone", "skein._missing"]
+
+
+def test_the_readme_names_what_exists():
+    """A bare private name resolves in any skeinlab module, a dotted one
+    from the module that it names."""
+    namespace = {k: v for module in PACKAGE.values() for k, v in vars(module).items()}
+    assert stale_readme_names(README.read_text(), namespace) == []

@@ -46,7 +46,7 @@ from skeinlab.errors import (
 )
 from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import _compile, _plan, _run
-from skeinlab.threebox import _basis_shapes, _closure_plan, closure
+from skeinlab.threebox import _basis_shapes, _closure_plan, _pairing_program, closure
 from skeinlab.twobox import PLUS
 
 
@@ -175,12 +175,13 @@ def test_gram_across_loop_values_matches_engine():
     for delta in (5.0, delta_for_l(12), 5.0):
         m = from_classification_data(delta, -1)
         basis = enumerate_basis(m)
-        g = gram(m, basis).entries
-        for rows, cols in _basis_shapes()[1]:
-            x, y = basis.diagrams[rows[0]], basis.diagrams[cols[0]]
+        g = gram(m, basis).entries.ravel()
+        index = _pairing_program(_basis_shapes()[0])[1]
+        for k in range(max(index) + 1):
+            (orbit,) = np.nonzero(index == k)
+            x, y = basis.diagrams[orbit[0] // 14], basis.diagrams[orbit[0] % 14]
             want = complex(evaluate(closure(x, y), m, chooser=find_small_face))
-            assert g[rows[0], cols[0]].tobytes() == np.complex128(want).tobytes()
-            assert g[rows, cols].tobytes() == np.full(len(rows), want).tobytes()
+            assert g[orbit].tobytes() == np.full(len(orbit), want).tobytes()
 
 
 def test_validation_is_not_memoised(model12):

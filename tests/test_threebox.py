@@ -36,7 +36,7 @@ from skeinlab.threebox import (
     GramMatrix,
     Pattern,
     _basis_shapes,
-    _pairing_turns,
+    _pairing_program,
     _two_vertex_patterns,
     closure,
     expand,
@@ -61,9 +61,6 @@ from helpers import (
 
 def test_basis_counts(model12):
     basis = enumerate_basis(model12)
-    assert len(basis.tl) == 5
-    assert len(basis.one_vertex) == 6
-    assert len(basis.two_vertex) == 3
     assert len(basis.diagrams) == 14
 
 
@@ -75,12 +72,10 @@ def test_basis_keys_distinct(model12):
 
 def test_tl_patterns_have_no_vertices(model12):
     basis = enumerate_basis(model12)
-    for p in basis.tl:
-        assert len(p.vertices) == 0
-    for p in basis.one_vertex:
-        assert len(p.vertices) == 1
-    for p in basis.two_vertex:
-        assert len(p.vertices) == 2
+    tl, one, two = basis.diagrams[:5], basis.diagrams[5:11], basis.diagrams[11:]
+    assert {len(p.vertices) for p in tl} == {0}
+    assert {len(p.vertices) for p in one} == {1}
+    assert {len(p.vertices) for p in two} == {2}
 
 
 def test_mirror_is_involution(model12):
@@ -125,16 +120,28 @@ def test_six_turns_are_the_identity(model12, braid12):
         assert turned == p
 
 
+def orbit_firsts(index):
+    """The first place of each orbit of a program's index, in orbit order."""
+    index = list(index)
+    return [index.index(k) for k in range(max(index) + 1)]
+
+
 def test_the_orbits_partition_the_index_pairs():
-    _, orbits, turn = _basis_shapes()
-    assert list(turn) == TURN
-    assert len(orbits) == 40
-    pairs = [pair for rows, cols in orbits for pair in zip(rows, cols)]
-    assert sorted(pairs) == [(i, j) for i in range(14) for j in range(14)]
-    for rows, cols in orbits:
-        orbit = list(zip(rows, cols))
-        assert orbit[0] == min(orbit)  # the first pair in row-major order
-        assert {(TURN[i], TURN[j]) for i, j in orbit} == set(orbit)
+    assert list(_basis_shapes()[1]) == TURN
+    program, index = _pairing_program(_basis_shapes()[0])
+    orbit = index.reshape(14, 14)
+    # Orbits are numbered by their first pair in row-major order, and each
+    # is closed under the turn: 40 orbits, as many as the turn has on the
+    # 196 pairs.
+    assert orbit_firsts(index) == sorted(orbit_firsts(index))
+    assert all(orbit[TURN[i], TURN[j]] == orbit[i, j] for i in range(14) for j in range(14))
+    seen, orbits = set(), 0
+    for pair in np.ndindex(14, 14):
+        orbits += pair not in seen
+        for _ in range(6):
+            seen.add(pair)
+            pair = (TURN[pair[0]], TURN[pair[1]])
+    assert len(program.chains) == max(index) + 1 == orbits == 40
 
 
 @pytest.fixture
@@ -175,17 +182,19 @@ def test_gram_from_orbits_matches_the_full_build():
 # -- the Gram and 3-gon programs against inner ----------------------------
 
 
+def orbit_built(m, xs, patterns, basis):
+    """The pairings of `patterns`, whose shapes are `xs`, with the basis,
+    from one inner call per orbit of `_pairing_program(xs)`, at its first
+    pair, in row-major order: the programs' reference."""
+    index = _pairing_program(xs)[1]
+    v = [inner(m, patterns[p // 14], basis.diagrams[p % 14]) for p in orbit_firsts(index)]
+    return np.array(v, dtype=complex)[index]
+
+
 def inner_built(m, basis):
-    """G and the 3-gon's pairings from one inner call per orbit, first pair
-    first: the programs' reference."""
-    d = basis.diagrams
-    g = np.zeros((14, 14), dtype=complex)
-    for rows, cols in _basis_shapes()[1]:
-        g[rows, cols] = inner(m, d[rows[0]], d[cols[0]])
-    firsts, orbit_of = _pairing_turns()
-    tri = triangle_pattern(m)
-    v = np.array([inner(m, tri, d[i]) for i in firsts], dtype=complex)
-    return g, v[list(orbit_of)]
+    """G and the 3-gon's pairings from one inner call per orbit."""
+    g = orbit_built(m, _basis_shapes()[0], basis.diagrams, basis).reshape(14, 14)
+    return g, orbit_built(m, threebox._TRIANGLE_SHAPES, [triangle_pattern(m)], basis)
 
 
 PARITY_DELTAS = [DEPTH3_DELTA, *map(delta_for_l, range(12, 201, 2)), *np.geomspace(4.0, 1e6, 40)]
@@ -199,14 +208,15 @@ def test_the_programs_match_inner_byte_for_byte():
         gm = gram(m, basis)
         assert gm.entries.tobytes() == g.tobytes(), delta
         t = m.uncappable().coeffs
-        vt = threebox._pairings(threebox._triangle_program(), m, t, basis.generator, DEFAULT_TOL)
+        vt = threebox._pairings(threebox._TRIANGLE_SHAPES, m, t, basis.generator, DEFAULT_TOL)
         assert vt.tobytes() == v.tobytes(), delta
         table = solve_triangle(m, basis, gm)
         coeffs, residual = threebox._expansion(GramMatrix(g), v, DEFAULT_TOL)
         assert table.left_coeffs.tobytes() == coeffs.tobytes(), delta
         assert np.float64(table.residual_left).tobytes() == np.float64(residual).tobytes(), delta
-    # Side A's program against one inner call per basis pattern, with U as
-    # it is and with q perturbed; the second half reads side B's pairings.
+    # The braid sides' program against one inner call per basis pattern
+    # with side A, with U as it is and with q perturbed; the second half
+    # reads side B's pairings.
     for name, delta in FIXTURE_LOCI.items():
         st = Stages(delta)
         q, r = st.braid.q, st.braid.r
@@ -214,7 +224,7 @@ def test_the_programs_match_inner_byte_for_byte():
             braid = BraidPair.from_qr(q * (1.0 + eps), r)
             va = pairings(st.model, braid_pattern(st.model, braid, "A"), st.basis)
             got = threebox._pairings(
-                threebox._side_a_program(), st.model, braid.U.coeffs, st.basis.generator, DEFAULT_TOL
+                threebox._BRAID_SHAPES, st.model, braid.U.coeffs, st.basis.generator, DEFAULT_TOL
             )
             assert got.tobytes() == np.concatenate((va, va[TURN3])).tobytes(), (name, eps)
 
@@ -245,7 +255,7 @@ def crossed_fusions(monkeypatch):
 
     monkeypatch.setattr(threebox, "_plan", crossed)
     threebox._closure_plan.cache_clear()
-    threebox._gram_program.cache_clear()
+    _pairing_program.cache_clear()
 
 
 def test_a_fusion_across_shadings_raises_on_every_call(crossed_fusions, model12):
@@ -254,11 +264,11 @@ def test_a_fusion_across_shadings_raises_on_every_call(crossed_fusions, model12)
     for _ in range(2):
         with pytest.raises(SideMismatch):
             gram(model12, basis)
-        assert threebox._gram_program.cache_info().currsize == 0
+        assert _pairing_program.cache_info().currsize == 0
 
 
 def test_a_fusion_across_shadings_raises_on_every_inner_call(crossed_fusions, model12):
-    two = enumerate_basis(model12).two_vertex[0]
+    two = enumerate_basis(model12).diagrams[11]
     cached = threebox._closure_plan.cache_info().currsize
     for _ in range(2):
         with pytest.raises(SideMismatch):
@@ -274,7 +284,7 @@ def test_identity_pairing_is_delta_cubed(model12):
     # the through-strand TL pattern pairs with itself to a 3-circle closure
     id3 = next(
         p
-        for p in basis.tl
+        for p in basis.diagrams[:5]
         if p.boundary == (("b", 5), ("b", 4), ("b", 3), ("b", 2), ("b", 1), ("b", 0))
     )
     v = inner(model12, id3, id3)
@@ -484,13 +494,14 @@ def turn_cases():
 def test_the_turned_pairings_match_the_direct_ones():
     """The 3-gon's 14 pairings against its 6 orbit pairings, and side B's
     14 against side A's turned by turn³, each closure reduced on its own."""
-    firsts, orbit_of = _pairing_turns()
-    assert list(threebox._side_a_program()[1]) == list(range(14)) + TURN3
+    assert list(_pairing_program(threebox._BRAID_SHAPES)[1]) == list(range(14)) + TURN3
+    orbit_of = _pairing_program(threebox._TRIANGLE_SHAPES)[1]
+    firsts = orbit_firsts(orbit_of)
     assert [firsts[k] for k in orbit_of] == [min(j, TURN2[j], TURN2[TURN2[j]]) for j in range(14)]
     for name, m, table, braid in turn_cases():
         basis = table.basis
         vt = pairings(m, triangle_pattern(m), basis)
-        orbit = vt[list(firsts)][list(orbit_of)]
+        orbit = vt[firsts][orbit_of]
         assert np.max(np.abs(vt - orbit)) <= 1e-14 * np.max(np.abs(vt)), name
         va = pairings(m, braid_pattern(m, braid, "A"), basis)
         vb = pairings(m, braid_pattern(m, braid, "B"), basis)
@@ -510,34 +521,21 @@ def test_ybe_residual_matches_the_two_sided_reference():
         assert abs(got - want) <= 1e-15, name
 
 
-@pytest.fixture
-def fresh_pairing_turns():
-    _pairing_turns.cache_clear()
-    threebox._side_a_program.cache_clear()
-    yield
-    _pairing_turns.cache_clear()
-    threebox._side_a_program.cache_clear()
-
-
-def test_pairing_turns_refuse_a_triangle_not_fixed_by_two_turns(monkeypatch, fresh_pairing_turns):
-    # Two legs of one corner swapped: two turns no longer fix the pattern.
-    tri = threebox._triangle([threebox.ZERO] * 3)
-    bnd = (tri.boundary[1], tri.boundary[0], *tri.boundary[2:])
-    monkeypatch.setattr(threebox, "_triangle", lambda labels: Pattern(tri.vertices, tri.internal_edges, bnd))
-    with pytest.raises(InternalEnumerationMismatch, match="not fixed by two turns"):
-        _pairing_turns()
-
-
-def test_the_side_a_program_refuses_a_side_b_that_is_not_side_a_turned(monkeypatch, fresh_pairing_turns):
-    wiring = threebox._braid_wiring
-    # Roots taken mod 2: side B is built without its two-click re-rooting.
-    monkeypatch.setattr(
-        threebox, "_braid_wiring", lambda side, roots, labels: wiring(side, [k % 2 for k in roots], labels)
-    )
-    for _ in range(2):
-        with pytest.raises(InternalEnumerationMismatch, match="not side A turned three clicks"):
-            threebox._side_a_program()
-        assert threebox._side_a_program.cache_info().currsize == 0
+def test_an_x_side_shape_that_is_no_turn_of_another_gets_its_own_closures():
+    """Side B with its crossings as rooted is not side A turned, so the
+    program of the two compiles 28 closures; B's row is inner's, bit for
+    bit, and side A's turned three clicks up to rounding."""
+    side_b = threebox._braid_wiring("B", (0, 0, 0), [threebox.ZERO] * 3).shape
+    xs = (threebox._BRAID_SHAPES[0], side_b)
+    program, index = _pairing_program(xs)
+    assert len(program.chains) == 28 and list(index) == list(range(28))
+    for name, delta in [*FIXTURE_LOCI.items(), ("delta=1e3", 1e3)]:
+        st = Stages(delta)
+        u = st.braid.U.coeffs
+        va, vb = threebox._pairings(xs, st.model, u, st.basis.generator, DEFAULT_TOL).reshape(2, 14)
+        want = pairings(st.model, threebox._braid_wiring("B", (0, 0, 0), [u] * 3), st.basis)
+        assert vb.tobytes() == want.tobytes(), name
+        assert np.max(np.abs(vb - va[TURN3])) <= 1e-12 * np.max(np.abs(vb)), name
 
 
 def test_ybe_perturbed_q_fails(model12, table12, braid12):
@@ -650,7 +648,7 @@ def test_two_vertex_patterns_are_the_distinct_rotations():
 
 
 def test_pattern_key_carries_the_shading_bit(model12):
-    p = enumerate_basis(model12).one_vertex[0]
+    p = enumerate_basis(model12).diagrams[5]
     (vid, v), = p.vertices
     flipped = Pattern(((vid, Vertex(v.coeffs, 1)),), p.internal_edges, p.boundary)
     assert flipped.key() != p.key()
@@ -674,7 +672,7 @@ def test_closure_matches_the_reference_wiring(model12, braid12):
 
 def _malformed_patterns(model):
     basis = enumerate_basis(model)
-    one, two = basis.one_vertex[0], basis.two_vertex[0]
+    one, two = basis.diagrams[5], basis.diagrams[11]
     return {
         # A leg on a vertex the pattern does not have.
         "unknown vertex": Pattern(
@@ -712,7 +710,7 @@ def _malformed_patterns(model):
 def test_closure_rejects_malformed_patterns(model12, name, want):
     bad = _malformed_patterns(model12)[name]
     basis = enumerate_basis(model12)
-    for y in (basis.tl[0], basis.one_vertex[0], basis.two_vertex[0], bad):
+    for y in (basis.diagrams[0], basis.diagrams[5], basis.diagrams[11], bad):
         for args in ((bad, y), (y, bad)):
             for build in (closure, reference_closure):
                 with pytest.raises(SkeinlabError) as info:

@@ -1,8 +1,8 @@
 """Pins on the work one classification does.  Every closure shape is
-validated once, when its plan is compiled.  The Gram matrix reduces one
-closure per rotation orbit of index pairs and the 3-gon one per orbit of
-two turns and the Yang-Baxter residual side A alone, each set run as one
-program that computes every distinct cap, rotation and fusion once, so
+validated once, when its plan is compiled.  The Gram matrix, the 3-gon
+and the two sides of the Yang-Baxter equation are each paired with the
+basis by one program of one closure per rotation orbit of pairs (40, 6
+and 14), which computes every distinct cap, rotation and fusion once, so
 a classification makes no `inner` call and labels no basis pattern.  A
 PASS classification makes one eigendecomposition, of the scaled Gram
 matrix, and a Gram report two, the scaled and the raw spectrum.
@@ -40,15 +40,16 @@ CLOSURES_PER_PASS = GRAM_CLOSURES + TRIANGLE_CLOSURES + SIDE_A_CLOSURES
 GRAM_PROGRAM = (31, 88)
 TRIANGLE_PROGRAM = (21, 16)
 SIDE_A_PROGRAM = (52, 36)
-PROGRAMS = (threebox._gram_program, threebox._triangle_program, threebox._side_a_program)
+# The x-side shapes of the three programs: the basis, the 3-gon, and the
+# two sides of the Yang-Baxter equation.
+PROGRAMS = (threebox._basis_shapes()[0], threebox._TRIANGLE_SHAPES, threebox._BRAID_SHAPES)
 
 
 def cold_closures():
     """Drop the one closure cache (each shape pair's plan and one-closure
-    program) and the three programs built from its plans."""
+    program) and the programs built from its plans."""
     threebox._closure_plan.cache_clear()
-    for build in PROGRAMS:
-        build.cache_clear()
+    threebox._pairing_program.cache_clear()
 
 
 @pytest.fixture
@@ -87,7 +88,7 @@ def counted(monkeypatch):
 
 
 def programs_built():
-    return [f.cache_info().misses for f in PROGRAMS]
+    return threebox._pairing_program.cache_info().misses
 
 
 def test_classify_validates_every_evaluated_diagram_once(counted):
@@ -99,7 +100,7 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert len(counted["validated"]) == CLOSURES_PER_PASS
     plans = threebox._closure_plan.cache_info()
     assert plans.misses == plans.currsize == CLOSURES_PER_PASS
-    assert programs_built() == [1, 1, 1]
+    assert programs_built() == len(PROGRAMS)
 
     # A second classification runs the cached programs and compiles and
     # validates nothing.
@@ -108,7 +109,7 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert counted["inner"] == counted["patterns"] == 0
     assert counted["evaluated"] == counted["validated"] == []
     assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
-    assert programs_built() == [1, 1, 1]
+    assert programs_built() == len(PROGRAMS)
 
 
 def test_evaluate_labels_the_basis_patterns_once(counted, triangle_rich):
@@ -124,12 +125,12 @@ def test_evaluate_labels_the_basis_patterns_once(counted, triangle_rich):
 
 
 def test_the_programs_keep_each_cap_rotation_and_fusion_once():
-    for build, closures, size in (
-        (threebox._gram_program, GRAM_CLOSURES, GRAM_PROGRAM),
-        (threebox._triangle_program, TRIANGLE_CLOSURES, TRIANGLE_PROGRAM),
-        (threebox._side_a_program, SIDE_A_CLOSURES, SIDE_A_PROGRAM),
+    for xs, closures, size in zip(
+        PROGRAMS,
+        (GRAM_CLOSURES, TRIANGLE_CLOSURES, SIDE_A_CLOSURES),
+        (GRAM_PROGRAM, TRIANGLE_PROGRAM, SIDE_A_PROGRAM),
     ):
-        program = build()[0]
+        program = threebox._pairing_program(xs)[0]
         assert len(program.chains) == closures
         assert len(set(program.nodes)) == len(program.nodes)
         assert (len(program.nodes), sum(map(len, program.chains))) == size
