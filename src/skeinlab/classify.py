@@ -26,7 +26,7 @@ from .errors import (
     SupportAmbiguous,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance, is_real, principal_q_from_c
-from .threebox import enumerate_basis, gram, reidemeister_residuals, solve_triangle, ybe_residual
+from .threebox import gram, reidemeister_residuals, solve_triangle, ybe_residual
 from .twobox import (
     DEPTH3_DELTA,
     BraidPair,
@@ -276,16 +276,12 @@ class Stages:
         return braid_pair(self.model, q, r, self.tol)
 
     @cached_property
-    def basis(self):
-        return enumerate_basis(self.model)
-
-    @cached_property
     def gram(self):
-        return gram(self.model, self.basis, self.tol)
+        return gram(self.model, self.tol)
 
     @cached_property
     def table(self):
-        return solve_triangle(self.model, self.basis, self.gram, self.tol)
+        return solve_triangle(self.model, self.gram, self.tol)
 
     def perturbed_braid(self, factor: float) -> BraidPair:
         """The braid generator with q scaled by factor (r kept); any factor

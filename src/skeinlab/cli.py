@@ -213,7 +213,7 @@ def cmd_gram(args) -> int:
     except SkeinlabError as exc:
         return _fail(args, inputs, exc)
     evals = gm.eigenvalues()
-    rank = gm.rank(st.tol)
+    rank = gm.rank()
     # A rank deficit fails the pipeline too (GramRankDeficient in classify).
     judged = {"gram_psd_min_eigenvalue": gm.psd_defect()}
     verdict = "FAIL" if rank < len(gm.entries) or st.tol.over_limits(judged) else "PASS"
@@ -230,7 +230,7 @@ def cmd_gram(args) -> int:
         inputs=inputs,
         outputs=outputs,
         residuals={"hermiticity": _num(gm.hermiticity_defect()), **{k: _num(v) for k, v in judged.items()}},
-        tolerances={"rank_tol": _num(st.tol.rank_tol), **{k: _num(st.tol.limits[k]) for k in judged}},
+        tolerances={"rank_tol": _num(st.tol.RANK_TOL), **{k: _num(st.tol.limits[k]) for k in judged}},
         verdict=verdict,
     )
 

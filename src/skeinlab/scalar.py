@@ -36,18 +36,14 @@ _EQ_TOL = 1e-9
 class Tolerance:
     """Every threshold the pipeline compares against.
 
-    Two values are set: eq_tol, the relative tolerance of `is_real`, and
-    rank_tol, a ratio to the largest |eigenvalue| of D·G·D, the Gram
-    matrix G equilibrated by D = |diag G|^-1/2.  Both must be finite and
-    positive, and eq_tol at most EQ_TOL_MAX; anything else raises
-    InvalidTolerance.  The fields derived
-    from eq_tol judge agreement up to float error, so they move with it
-    (`--tol`, `SKEINLAB_TOL`).  The class constants identify points of the
+    One value is set: eq_tol, the relative tolerance of `is_real`.  It
+    must be finite, positive and at most EQ_TOL_MAX; anything else raises
+    InvalidTolerance.  The fields derived from eq_tol judge agreement up to
+    float error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class constants identify points of the
     locus or guard against float noise, and stay fixed.
     """
 
     eq_tol: float = _EQ_TOL
-    rank_tol: float = 1e-8
 
     limits: Mapping[str, float] = field(init=False, repr=False, compare=False)
     """PASS limit per residual: 1e-8, and eq_tol for qr_roundtrip."""
@@ -68,6 +64,10 @@ class Tolerance:
     SUPPORT_BAND * eq_tol must stay below it: at eq_tol = 1e-4 it is 0.1, and
     the depth-3 point FAILs.  Looser tolerances also let the perturbed-q
     negative control pass (`ybe --l 12 --perturb-q 1.01 --tol 1e-2`)."""
+    RANK_TOL: ClassVar[float] = 1e-8
+    """Gram rank threshold, a ratio to the largest |eigenvalue| of D·G·D,
+    the Gram matrix G equilibrated by D = |diag G|^-1/2.  Fixed: on the
+    locus cond(D·G·D) is at most 146, so every ratio is above 6e-3."""
     DEPTH3_WINDOW: ClassVar[float] = 1e-6
     """Window of the depth-3 point.  Fixed: the next admissible loop value
     is 0.49 away, and a window that shrank with --tol would miss a depth-3
@@ -93,10 +93,8 @@ class Tolerance:
     only keeps a zero matrix from dividing by zero."""
 
     def __post_init__(self):
-        for name in ("eq_tol", "rank_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidTolerance(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.eq_tol) and self.eq_tol > 0):
+            raise InvalidTolerance(f"eq_tol must be finite and positive, got {self.eq_tol!r}")
         if self.eq_tol > self.EQ_TOL_MAX:
             raise InvalidTolerance(f"eq_tol must be at most {self.EQ_TOL_MAX:g}, got {self.eq_tol!r}")
         ratio = self.eq_tol / _EQ_TOL

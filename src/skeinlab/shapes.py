@@ -9,9 +9,10 @@ it, a record and the child's node:
 
   * `Small`, a 1-gon or 2-gon face: one record, headed by the op;
   * `Gon3`, a 3-gon on three vertices: its corners, one record per id/e/T
-    choice but (T, T, T), and for that one, under the table's pattern
-    wiring, one record per pattern, headed by the inferred shading bits of
-    the pattern's vertices (bit j for the j-th).
+    choice but (T, T, T), and for that one, one record per basis pattern
+    wired into the hole, headed by the inferred shading bits of the
+    pattern's vertices (bit j for the j-th).  The basis shapes are the same
+    for every triangle table, so these records serve every table.
 
 A record is `pack([*head, *delta])`, where the delta `skein._delta`
 computes is [loops, a0, b0, a1, b1, ...]: the free loops the rewrite
@@ -37,9 +38,9 @@ from collections import namedtuple
 from .errors import InvariantViolation
 from .twobox import MINUS, PLUS
 
-# Shape nodes made before the whole graph is dropped, as CLOSURE_CACHE_SIZE
-# bounds threebox's closure plans: about twice the ~4,600 nodes that the
-# 3-gon-rich medial diagrams of 6-12 vertices fill, at ~130 bytes a node.
+# Shape nodes made before the whole graph is dropped: about twice the ~4,600
+# nodes that the 3-gon-rich medial diagrams of 6-12 vertices fill, at ~130
+# bytes a node.
 SHAPE_CACHE_NODES = 10_000
 
 ALL_T = 26  # the index of the 3-gon choice (T, T, T) in itertools.product order
@@ -77,7 +78,7 @@ class Small:
 class Gon3:
     """A shape whose engine face is a 3-gon on three vertices: its corners
     as dart codes, a record and a child node per id/e/T choice but (T, T, T),
-    and for that one, (pattern wiring, records, child nodes) per pattern."""
+    and for that one, (records, child nodes) per basis pattern."""
 
     __slots__ = ("corners", "codes", "nodes", "table")
     SIDES = 3
@@ -87,12 +88,6 @@ class Gon3:
         self.codes = [None] * ALL_T
         self.nodes = [None] * ALL_T
         self.table = None
-
-
-def pattern_shape(p) -> tuple:
-    """A 3-box pattern's label-free wiring: vertex ids with shading bits,
-    internal edges, boundary."""
-    return tuple((vid, v.shading0) for vid, v in p.vertices), p.internal_edges, p.boundary
 
 
 def node_at(slot):
@@ -108,7 +103,6 @@ class ShapeGraph:
     the counters."""
 
     def __init__(self):
-        self._patterns = self._pattern_key = None
         self.cache_clear()
 
     def cache_info(self) -> ShapeCacheInfo:
@@ -117,12 +111,6 @@ class ShapeGraph:
     def cache_clear(self) -> None:
         self.roots: dict[tuple, Small | Gon3 | None] = {}
         self.nodes = self.hits = self.misses = 0
-
-    def pattern_key(self, patterns: tuple) -> tuple:
-        """The wiring of a table's patterns, kept for the last table seen."""
-        if patterns is not self._patterns:
-            self._patterns, self._pattern_key = patterns, tuple(map(pattern_shape, patterns))
-        return self._pattern_key
 
     def root_slot(self, diag) -> tuple:
         """The slot of a diagram's shape among the roots."""

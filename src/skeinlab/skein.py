@@ -23,8 +23,10 @@ parities and sides), then the edge delta of `_delta`, which visits only
 the darts of the removed vertices and returns the loops closed and the
 dart pairs its connector walk made; `walk_connections` classifies each
 node of the walk once.  A 3-gon has a record per id/e/T
-choice and per triangle-table pattern, the last headed by the shading
-bits that inference gives the pattern's vertices.  The number half
+choice and per basis pattern wired into its hole, the last headed by the
+shading bits that inference gives the pattern's vertices; the basis
+shapes are `threebox._basis_shapes`, the same for every table, whose
+generator labels each new vertex.  The number half
 applies an op to labels, held as plain tuples of three complex
 coefficients: the cap scalar, or the product label, from the model's
 rotation and cap rows and the elementwise product of
@@ -51,9 +53,9 @@ pairing, free loops).  `_plan` takes it from a valid diagram with the
 shape half.  `_compile` turns plans, each vertex mapped to one of a few
 leaf labels, into one straight-line program, and `_run` evaluates it with
 the number half and the engine's zero-drop of a single term, each
-distinct cap, rotation and fusion once.  It is the one evaluator of
-triangle-free closures: threebox pairs the basis in three programs of 14
-to 40 closures, and `threebox.inner` runs one per pair of pattern shapes.
+distinct cap, rotation and fusion once: threebox pairs the basis in three
+programs of 14 to 40 closures.  `_size` raises the same NonFiniteScalar,
+in the same words, on both evaluators; `threebox.inner` is the engine.
 """
 
 from __future__ import annotations
@@ -213,6 +215,18 @@ def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> D
 # -- formal sums ---------------------------------------------------------
 
 
+def _size(coeff: Scalar) -> float:
+    """|coeff|; an inf or nan coefficient, or one whose modulus is past the
+    float range, raises NonFiniteScalar in the words of both evaluators."""
+    try:
+        size = abs(coeff)
+    except OverflowError:  # finite parts, modulus past the float range
+        raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
+    if not math.isfinite(size):
+        check_finite(coeff)
+    return size
+
+
 def _kept(size: float, scale: float, tol: Tolerance) -> bool:
     """Whether a term of modulus `size` survives next to terms of size `scale`."""
     return size > tol.drop_tol * max(1.0, scale)
@@ -226,13 +240,13 @@ class FormalSum:
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
         """Merge the terms of equal canonical key, in first-seen order, then
-        drop the terms that `_kept` refuses, raising NonFiniteScalar on an
-        inf or nan one or one whose modulus is past the float range.  Equal
-        keys imply an equal
-        invariant (free loops, vertex count, sum of the label keys' hashes),
-        so a term whose invariant no other term shares merges with nothing:
-        its bucket key is the invariant, which no canonical key (a tuple
-        headed by a str) can equal, and only the other terms are keyed."""
+        drop the terms that `_kept` refuses; the first merged coefficient
+        that is inf or nan, or whose modulus is past the float range, raises
+        NonFiniteScalar (`_size`).  Equal keys imply an equal invariant
+        (free loops, vertex count, sum of the label keys' hashes), so a term
+        whose invariant no other term shares merges with nothing: its bucket
+        key is the invariant, which no canonical key (a tuple headed by a
+        str) can equal, and only the other terms are keyed."""
         terms = self.terms
         invariants = [
             (d.free_loops, len(d.vertices), sum([hash(v.key) for v in d.vertices.values()]))
@@ -249,12 +263,7 @@ class FormalSum:
                 buckets[key] = (prev + coeff, d0)
             else:
                 buckets[key] = (complex(coeff), diag)
-        try:
-            sizes = [abs(c) for c, _ in buckets.values()]
-        except OverflowError:  # finite parts, modulus past the float range
-            sizes = [math.inf]
-        if not all(map(math.isfinite, sizes)):
-            raise NonFiniteScalar("non-finite coefficient in a formal sum")
+        sizes = [_size(c) for c, _ in buckets.values()]
         scale = max(sizes, default=1.0)
         return FormalSum([t for t, size in zip(buckets.values(), sizes) if _kept(size, scale, tol)])
 
@@ -445,10 +454,13 @@ def _table_floor(tol: Tolerance, triangle) -> float:
 
 
 def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
-    """Replace an all-generator 3-gon by the triangle table expansion.  A
-    pattern's record, from `node` or computed (and stored there), is headed
-    by the shading bits of its vertices, which a miss takes from the
-    inferred shading of the child."""
+    """Replace an all-generator 3-gon by the triangle table expansion: the
+    basis shapes wired into the hole, each new vertex labelled by the
+    table's generator.  A shape's record, from `node` or computed (and
+    stored there) for every table, is headed by the shading bits of its
+    vertices, which a miss takes from the inferred shading of the child."""
+    from .threebox import _basis_shapes, wiring  # threebox imports this module
+
     # The face orbit lists corners clockwise around the 3-gon, so the
     # counterclockwise hole boundary visits them in reversed vertex order
     # (first corner, then the third, then the second).
@@ -458,38 +470,39 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
         ext.append((u, (d + 3) % 4))
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
-    patterns = triangle.basis.diagrams
+    basis = _basis_shapes()[0]
     codes = nodes = None
     if node is not None:
-        key = shapes.graph.pattern_key(patterns)
-        if node.table is None or node.table[0] != key:
-            node.table = (key, [None] * len(patterns), [None] * len(patterns))
-        _, codes, nodes = node.table
+        if node.table is None:
+            node.table = ([None] * len(basis), [None] * len(basis))
+        codes, nodes = node.table
 
     floor = _table_floor(tol, triangle)
+    t = triangle.generator
 
     out = []
-    for i, (c_i, pattern) in enumerate(zip(triangle.left_coeffs, patterns)):
+    for i, (c_i, shape) in enumerate(zip(triangle.left_coeffs, basis)):
         if abs(c_i) < floor:
             continue
         code = codes[i] if codes is not None else None
         if code is None:
-            new_vertices, inner, legs = pattern.wiring(nid0, ext.__getitem__)
+            inner, legs = wiring(shape, nid0, ext.__getitem__)
             delta = _delta(diag, removed, [], inner + legs)
             # Pattern vertices arrive with placeholder shading bits.  The
             # inference roots each component at its least id, a kept one,
             # so on a consistent parent no kept vertex changes its bit.
+            new_vertices = {nid0 + vid: Vertex(t, s0) for vid, s0 in shape[0]}
             shaded = _rebuild(diag, removed, new_vertices, delta).infer_shading().vertices
             if any(shaded[v].shading0 != x.shading0 for v, x in diag.vertices.items() if v not in removed):
                 raise InvariantViolation("triangle substitution moved a kept shading bit")
-            bits = sum(shaded[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(pattern.vertices))
+            bits = sum(shaded[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(shape[0]))
             code = shapes.pack([bits, *delta])
             if codes is not None:
                 codes[i] = code
                 shapes.graph.misses += 1
         else:
             shapes.graph.hits += 1
-        new = {nid0 + vid: Vertex(v.coeffs, code[0] >> j & 1) for j, (vid, v) in enumerate(pattern.vertices)}
+        new = {nid0 + vid: Vertex(t, code[0] >> j & 1) for j, (vid, _) in enumerate(shape[0])}
         child = _rebuild(diag, removed, new, code, 1)
         if nodes is not None:
             child._shape = (nodes, i)
@@ -592,16 +605,9 @@ def _plan(diag: Diagram) -> tuple:
 
 def _survives(coeff: Scalar, tol: Tolerance) -> bool:
     """The engine's zero-drop of a single term: whether `coeff` is kept.
-    An inf or nan coefficient, or one whose modulus is past the float
-    range, raises NonFiniteScalar."""
-    try:
-        size = abs(coeff)
-    except OverflowError:  # finite parts, modulus past the float range
-        raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
-    if _kept(size, size, tol):
-        return True
-    check_finite(coeff)  # `_kept` refuses an inf or nan too
-    return False
+    A non-finite coefficient raises NonFiniteScalar (`_size`)."""
+    size = _size(coeff)
+    return _kept(size, size, tol)
 
 
 # -- straight-line programs ----------------------------------------------

@@ -7,24 +7,24 @@ bottom of the box and 3,4,5 the top (right to left), so the adjoint is the
 top-bottom reflection i -> 5-i and the trace closure of Y*X glues
 X.i <-> mirror(Y).(5-i) for every i.
 
-All inner products reduce to closed diagrams with at most 5 vertices, which
-the skein engine evaluates without a triangle table (Euler counting leaves a
-face with at most 2 sides at every step).  The closure's shape depends only
-on the two patterns' shapes, so `inner` builds and validates it once per
-pair of pattern shapes, takes its reduction plan (`skein._plan`), compiles
-that into a one-closure program with a leaf per vertex (`skein._compile`),
-keeps them in a bounded LRU cache, and on each call runs the program on
-the patterns' labels (`skein._run`).  A shape that fails to validate or to
-compile is not cached and raises on every call.
+The algebra is singly generated: the basis is the 14 face-free diagrams,
+every vertex labelled by the model's uncappable generator, so one set of
+label-free shapes (`_basis_shapes`) serves every model.  All inner
+products reduce to closed diagrams with at most 5 vertices, which the
+skein engine evaluates without a triangle table (Euler counting leaves a
+face with at most 2 sides at every step); `inner` is `skein.evaluate` on
+the closure.
 
 A one-click turn of the disk keeps every closure and permutes the basis,
 which is checked once per process.  `_pairing_program` pairs any x-side
-shapes with the basis: it closes them under the turn, compiles one closure
-per rotation orbit of pairs (x, D_j) from its first pair, and indexes each
-pair by its orbit.  So `gram` reduces 40 closures for its 196 entries; the
-3-gon, fixed by two turns, 6 for its 14 pairings; and the two sides of the
-Yang-Baxter equation 14 for their 28, as side B is side A turned three
-clicks.  A classification reduces 40 + 6 + 14 = 60 closures.
+shapes with the basis: it closes them under the turn, builds and plans one
+closure per rotation orbit of pairs (x, D_j) from its first pair, compiles
+them into one program (`skein._compile`), and indexes each pair by its
+orbit; a shape that fails to validate or to compile raises on every
+call.  So `gram` reduces 40 closures for its 196 entries; the 3-gon, fixed
+by two turns, 6 for its 14 pairings; and the two sides of the Yang-Baxter
+equation 14 for their 28, as side B is side A turned three clicks.  A
+classification reduces 40 + 6 + 14 = 60 closures.
 
 Each program has two leaves: the generator, or U on the braid sides, on
 x's vertices and the generator's conjugate on mirror(D_j)'s.  A run
@@ -47,8 +47,7 @@ from .errors import (
     NonFiniteScalar,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance
-from .shapes import pattern_shape
-from .skein import _compile, _plan, _run, walk_connections
+from .skein import _compile, _plan, _run, evaluate, walk_connections
 from .twobox import BoxVec, BraidPair, TwoBoxModel
 
 Dart = tuple[int, int]
@@ -69,24 +68,9 @@ class Pattern:
 
     @functools.cached_property
     def shape(self) -> tuple:
-        """`pattern_shape(self)`, computed once."""
-        return pattern_shape(self)
-
-    def wiring(self, off: int, point) -> tuple[dict[int, Vertex], list, list]:
-        """The pattern placed in a diagram: its vertices with ids shifted by
-        `off`, its internal edges, and the legs that join boundary point i to
-        `point(i)`, an arc i-j giving the leg point(i)-point(j) once."""
-        vertices = {vid + off: v for vid, v in self.vertices}
-        inner = [((a + off, sa), (b + off, sb)) for (a, sa), (b, sb) in self.internal_edges]
-        legs = []
-        arcs = set()
-        for i, att in enumerate(self.boundary):
-            if att[0] == "v":
-                legs.append((point(i), (att[1] + off, att[2])))
-            elif (arc := tuple(sorted((i, att[1])))) not in arcs:
-                arcs.add(arc)
-                legs.append((point(i), point(att[1])))
-        return vertices, inner, legs
+        """The label-free wiring, computed once: vertex ids with shading
+        bits, internal edges, boundary."""
+        return tuple((vid, v.shading0) for vid, v in self.vertices), self.internal_edges, self.boundary
 
     def key(self):
         """Canonical form under vertex renumbering (boundary points are
@@ -155,15 +139,35 @@ def mirror(p: Pattern) -> Pattern:
     return Pattern(verts, edges, tuple(bnd))
 
 
+def wiring(shape: tuple, off: int, point) -> tuple[list, list]:
+    """A pattern placed in a diagram, from its shape (`Pattern.shape`): its
+    internal edges with vertex ids shifted by `off`, and the legs that join
+    boundary point i to `point(i)`, an arc i-j giving the leg
+    point(i)-point(j) once.  Shared by the closure and the triangle
+    substitution."""
+    _, edges, boundary = shape
+    inner = [((a + off, sa), (b + off, sb)) for (a, sa), (b, sb) in edges]
+    legs = []
+    arcs = set()
+    for i, att in enumerate(boundary):
+        if att[0] == "v":
+            legs.append((point(i), (att[1] + off, att[2])))
+        elif (arc := tuple(sorted((i, att[1])))) not in arcs:
+            arcs.add(arc)
+            legs.append((point(i), point(att[1])))
+    return inner, legs
+
+
 def closure(x: Pattern, y: Pattern) -> Diagram:
     """The closed diagram of tr_3(y* x): glue x with the mirror of y."""
     off = max((vid for vid, _ in x.vertices), default=-1) + 1
-    x_verts, x_inner, x_legs = x.wiring(0, lambda i: ("g", i))
+    y = mirror(y)
+    x_inner, x_legs = wiring(x.shape, 0, lambda i: ("g", i))
     # mirror(y)'s boundary point p sits on glue point 5 - p.
-    y_verts, y_inner, y_legs = mirror(y).wiring(off, lambda p: ("g", 5 - p))
+    y_inner, y_legs = wiring(y.shape, off, lambda p: ("g", 5 - p))
     pairs, loops = walk_connections(x_legs + y_legs, lambda n: n[0] == "g")
 
-    d = Diagram({**x_verts, **y_verts}, {}, loops)
+    d = Diagram(dict(x.vertices) | {vid + off: v for vid, v in y.vertices}, {}, loops)
     for a, b in x_inner + y_inner + pairs:
         d.add_edge(a, b)
     # The inferred shading is consistent on every valid planar map, so the
@@ -172,34 +176,20 @@ def closure(x: Pattern, y: Pattern) -> Diagram:
     return d.infer_shading()
 
 
-CLOSURE_CACHE_SIZE = 1024
-
 ZERO = (0.0, 0.0, 0.0)
 
 
 def _labelled(shape: tuple, coeffs) -> Pattern:
-    """The pattern of a label-free shape (`pattern_shape`) with every
+    """The pattern of a label-free shape (`Pattern.shape`) with every
     vertex labelled by `coeffs`."""
     verts, edges, boundary = shape
     return Pattern(tuple((vid, Vertex(coeffs, s0)) for vid, s0 in verts), edges, boundary)
 
 
-@functools.lru_cache(maxsize=CLOSURE_CACHE_SIZE)
-def _closure_plan(x_shape: tuple, y_shape: tuple) -> tuple:
-    """The vertex ids (x's, then mirror(y)'s), the reduction plan and its
-    one-closure program, with leaf k on the k-th vertex, of closure(x, y),
-    which depend on the patterns' shapes only."""
-    d = closure(_labelled(x_shape, ZERO), _labelled(y_shape, ZERO))
-    ids, plan = tuple(d.vertices), _plan(d)
-    return ids, plan, _compile([(plan, {v: k for k, v in enumerate(ids)})], len(ids))
-
-
 def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
-    """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y."""
-    program = _closure_plan(x.shape, y.shape)[2]
-    labels = [v.coeffs for _, v in x.vertices]
-    labels += [tuple(c.conjugate() for c in v.coeffs) for _, v in y.vertices]
-    return _run(program, labels, model, tol)[0]
+    """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y: the
+    FormalSum engine on the closure."""
+    return evaluate(closure(x, y), model, None, tol)
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -252,27 +242,15 @@ def _two_vertex_patterns() -> list[Pattern]:
     return _turns(Pattern(((0, t), (1, t)), (((0, 3), (1, 3)),), bnd), 3)
 
 
-@dataclass(frozen=True)
-class Basis14:
-    """The 14 face-free 3-box diagrams: 5 Temperley-Lieb, 6 one-vertex,
-    3 two-vertex, in that order, with every vertex labelled `generator`:
-    `diagrams` builds them on first read, which no pipeline stage makes."""
-
-    generator: tuple
-
-    @functools.cached_property
-    def diagrams(self) -> tuple[Pattern, ...]:
-        return tuple(_labelled(shape, self.generator) for shape in _basis_shapes()[0])
-
-
 @functools.cache
 def _basis_shapes() -> tuple:
-    """The label-free shapes of the 14 basis patterns, in the Basis14 order,
-    and the turn: the index of each basis pattern turned one click.
-    Checked once per process: (5, 6, 3) patterns, pairwise distinct under
-    vertex renumbering, each turned one click again in the basis.  Every
-    vertex carries the same label, so the checks hold for the labelled
-    basis of any model."""
+    """The label-free shapes of the 14 face-free 3-box diagrams, 5
+    Temperley-Lieb, 6 one-vertex and 3 two-vertex in that order, and the
+    turn: the index of each basis pattern turned one click.  Checked once
+    per process: (5, 6, 3) patterns, pairwise distinct under vertex
+    renumbering, each turned one click again in the basis.  Every vertex
+    carries the same label, so the checks hold for the labelled basis of
+    any model and for the shapes that the 3-gon substitution wires."""
     families = (_tl_patterns(), _one_vertex_patterns(), _two_vertex_patterns())
     if (counts := tuple(map(len, families))) != (5, 6, 3):
         raise InternalEnumerationMismatch(f"basis counts {counts} != (5, 6, 3)")
@@ -283,13 +261,14 @@ def _basis_shapes() -> tuple:
     turn = [index.get(p.rotated().key()) for p in pats]
     if None in turn:
         raise InternalEnumerationMismatch("the basis is not closed under rotation")
-    return tuple(map(pattern_shape, pats)), tuple(turn)
+    return tuple(p.shape for p in pats), tuple(turn)
 
 
-def enumerate_basis(model: TwoBoxModel) -> Basis14:
-    """The basis of the model's generator, its shapes checked once."""
-    _basis_shapes()
-    return Basis14(model.uncappable().coeffs)
+def enumerate_basis(model: TwoBoxModel) -> tuple[Pattern, ...]:
+    """The 14 basis patterns, every vertex labelled by the model's
+    generator.  No pipeline stage labels them: `expand` and tests do."""
+    t = model.uncappable().coeffs
+    return tuple(_labelled(shape, t) for shape in _basis_shapes()[0])
 
 
 @functools.cache
@@ -297,8 +276,9 @@ def _pairing_program(xs: tuple) -> tuple:
     """The program of one closure per rotation orbit of the pairs (x, D_j)
     of x-side shapes `xs` and basis patterns, and the orbit of each pair in
     row-major order.  `xs` is closed under the turn, turned patterns matched
-    by `Pattern.key`; an orbit is compiled from its first pair, x's vertices
-    on leaf 0 and mirror(D_j)'s on leaf 1."""
+    by `Pattern.key`; an orbit's closure is built, planned and compiled
+    from its first pair, x's vertices on leaf 0 and mirror(D_j)'s on leaf
+    1.  This cache is the only one of compiled closures."""
     shapes, turn = _basis_shapes()
     pats, place = [], {}  # the closed patterns, and each one's place by key
 
@@ -314,8 +294,9 @@ def _pairing_program(xs: tuple) -> tuple:
     closures, index = [], []
     for x, j in itertools.product(range(len(xs)), range(len(shapes))):
         if (pair := (first[x], j)) not in orbit:
-            ids, plan, _ = _closure_plan(xs[x], shapes[j])
-            closures.append((plan, {v: int(k >= len(xs[x][0])) for k, v in enumerate(ids)}))
+            d = closure(_labelled(xs[x], ZERO), _labelled(shapes[j], ZERO))
+            leaf = {v: int(k >= len(xs[x][0])) for k, v in enumerate(d.vertices)}
+            closures.append((_plan(d), leaf))
             at = pair
             while at not in orbit:
                 orbit[at] = len(closures) - 1
@@ -324,12 +305,12 @@ def _pairing_program(xs: tuple) -> tuple:
     return _compile(closures, 2), np.array(index, dtype=np.intp)
 
 
-def _pairings(xs: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance) -> np.ndarray:
-    """<x, D_j> for the shapes x of `xs` labelled x_label and the basis
-    labelled y_label, in row-major order, from `_pairing_program(xs)`: bit
-    for bit what `inner` gives on each orbit's first pair."""
+def _pairings(xs: tuple, model: TwoBoxModel, x_label, tol: Tolerance) -> np.ndarray:
+    """<x, D_j> for the shapes x of `xs` labelled x_label and the model's
+    basis, in row-major order, from `_pairing_program(xs)`: bit for bit
+    what `inner` gives on each orbit's first pair."""
     program, index = _pairing_program(xs)
-    y_bar = tuple(c.conjugate() for c in y_label)
+    y_bar = tuple(c.conjugate() for c in model.uncappable().coeffs)
     return np.array(_run(program, (x_label, y_bar), model, tol), dtype=complex)[index]
 
 
@@ -338,7 +319,7 @@ def _pairings(xs: tuple, model: TwoBoxModel, x_label, y_label, tol: Tolerance) -
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """G[i, j] = <D_i, D_j> over the Basis14 order, one value per rotation
+    """G[i, j] = <D_i, D_j> over the basis order, one value per rotation
     orbit of (i, j) (`gram`).  Rank, PSD defect and every solve read
     D·G·D, D = |diag G|^-1/2 (Higham, Accuracy and Stability of Numerical
     Algorithms, 7.3): cond(G) is 3.1e4 at delta = 5 and 8.8e20 at 1e3,
@@ -371,10 +352,10 @@ class GramMatrix:
         lam_max = max(float(evals[-1]), Tolerance.EIG_FLOOR)
         return max(0.0, -float(evals[0]) / lam_max)
 
-    def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        """Eigenvalues of D·G·D at least rank_tol times the largest in modulus."""
+    def rank(self) -> int:
+        """Eigenvalues of D·G·D at least RANK_TOL times the largest in modulus."""
         s = np.abs(self._spectrum)
-        return int(np.sum(s >= tol.rank_tol * s.max())) if s.any() else 0
+        return int(np.sum(s >= Tolerance.RANK_TOL * s.max())) if s.any() else 0
 
     def hermiticity_defect(self) -> float:
         g = self.entries
@@ -382,42 +363,39 @@ class GramMatrix:
         return float(np.max(np.abs(g - g.conj().T))) / scale
 
 
-def gram(model: TwoBoxModel, basis: Basis14, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
+def gram(model: TwoBoxModel, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
     """G from `_pairings` of the basis with itself, 40 closures for 196
     entries, each bit for bit `inner`'s.  But for the orbits of (0, 3) and
     (5, 8), (i, j) and (j, i) are reduced apart, so `hermiticity_defect`
     compares two computations."""
-    t = basis.generator
-    return GramMatrix(_pairings(_basis_shapes()[0], model, t, t, tol).reshape(14, 14))
+    t = model.uncappable().coeffs
+    return GramMatrix(_pairings(_basis_shapes()[0], model, t, tol).reshape(14, 14))
 
 
 def expand(
     model: TwoBoxModel,
     pattern: Pattern,
-    basis: Basis14,
     gm: GramMatrix,
     tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
     """Coefficients c with pattern = sum_j c_j D_j, solved from
     <pattern, D_i> = (G^T c)_i; returns (c, normal-equation residual)."""
-    v = np.array(
-        [inner(model, pattern, di, tol) for di in basis.diagrams], dtype=complex
-    )
-    return _expansion(gm, v, tol)
+    v = np.array([inner(model, pattern, di, tol) for di in enumerate_basis(model)], dtype=complex)
+    return _expansion(gm, v)
 
 
-def _solve(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _solve(gm: GramMatrix, v: np.ndarray) -> np.ndarray:
     """c with G^T c = v, one column of c per column of v: c = D y with
     (D G^T D) y = D v.  Below full rank raises GramRankDeficient."""
-    if (rank := gm.rank(tol)) < len(gm.entries):
+    if (rank := gm.rank()) < len(gm.entries):
         raise GramRankDeficient(f"Gram rank {rank} < {len(gm.entries)}; 3-box space degenerated")
     d = gm.scale.reshape((-1,) + (1,) * (v.ndim - 1))
     return d * np.linalg.solve(gm._scaled.T, d * v)
 
 
-def _expansion(gm: GramMatrix, v: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float]:
+def _expansion(gm: GramMatrix, v: np.ndarray) -> tuple[np.ndarray, float]:
     """(c, normal-equation residual) for the pairings v of one pattern."""
-    c = _solve(gm, v, tol)
+    c = _solve(gm, v)
     scale = max(1.0, float(np.linalg.norm(v)))
     return c, float(np.linalg.norm(gm.entries.T @ c - v)) / scale
 
@@ -447,29 +425,28 @@ def _triangle(labels) -> Pattern:
 
 @dataclass(frozen=True)
 class TriangleTable:
-    """The expansion of the 3-gon over Basis14, in the "left" frame that
-    the skein reducer meets by construction."""
+    """The expansion of the 3-gon over the basis, in the "left" frame that
+    the skein reducer meets by construction, and the generator that labels
+    the basis and the 3-gon."""
 
     left_coeffs: np.ndarray
     residual_left: float
-    basis: Basis14
+    generator: tuple
     gram: GramMatrix
 
 
 def solve_triangle(
     model: TwoBoxModel,
-    basis: Basis14 | None = None,
     gm: GramMatrix | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TriangleTable:
     """The 3-gon's expansion from its `_pairings` with the basis, bit for
     bit `inner`'s with `triangle_pattern(model)`: two turns fix the 3-gon,
     so it takes 6 closures for the 14."""
-    basis = basis or enumerate_basis(model)
-    gm = gm or gram(model, basis, tol)
-    v = _pairings(_TRIANGLE_SHAPES, model, model.uncappable().coeffs, basis.generator, tol)
-    cl, rl = _expansion(gm, v, tol)
-    return TriangleTable(cl, rl, basis, gm)
+    gm = gm or gram(model, tol)
+    t = model.uncappable().coeffs
+    cl, rl = _expansion(gm, _pairings(_TRIANGLE_SHAPES, model, t, tol))
+    return TriangleTable(cl, rl, t, gm)
 
 
 # -- braid relation residuals -------------------------------------------
@@ -524,15 +501,15 @@ def ybe_residual(
     table: TriangleTable,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Gram-norm distance between the Basis14 expansions of the two sides
+    """Gram-norm distance between the basis expansions of the two sides
     of the Yang-Baxter equation, relative to side A's Gram norm.
 
     Both sides are paired with the basis by `_pairings`, with U as the
     x-side label; side B is side A turned three clicks, so its pairings
     are read from side A's 14 closures, and one solve expands both.  A
     quadratic form past the float range raises NonFiniteScalar."""
-    v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs, table.basis.generator, tol)
-    ca, cb = _solve(table.gram, v.reshape(2, -1).T, tol).T
+    v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs, tol)
+    ca, cb = _solve(table.gram, v.reshape(2, -1).T).T
     g = table.gram.entries
     with np.errstate(over="ignore", invalid="ignore"):
         d = ca - cb

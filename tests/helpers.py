@@ -14,7 +14,7 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.threebox import _braid_wiring, expand, mirror
+from skeinlab.threebox import _basis_shapes, _braid_wiring, _labelled, expand, mirror
 
 
 # -- the loci of the golden reports, and residuals pushed off them ---------
@@ -494,7 +494,7 @@ def reference_validate(d, check_shading=True):
 
 def reference_closure(x, y):
     """`threebox.closure` as it wired the two patterns before
-    `Pattern.wiring`, kept as a test oracle: glue point by glue point, each
+    `threebox.wiring`, kept as a test oracle: glue point by glue point, each
     side with its own arc dedup."""
     ym = mirror(y)
     off = max((vid for vid, _ in x.vertices), default=-1) + 1
@@ -534,7 +534,7 @@ def reference_closure(x, y):
 
 def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
     """`skein._substitute_triangle` as it wired each table pattern into the
-    3-gon's hole before `Pattern.wiring`, with the full-scan surgery and
+    3-gon's hole before `threebox.wiring`, with the full-scan surgery and
     shading inference of each child, kept as a test oracle."""
     ext = []
     for u, d in (corners[0], corners[2], corners[1]):
@@ -544,7 +544,8 @@ def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
     floor = tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
     out = []
-    for c_i, pattern in zip(triangle.left_coeffs, triangle.basis.diagrams):
+    patterns = [_labelled(shape, triangle.generator) for shape in _basis_shapes()[0]]
+    for c_i, pattern in zip(triangle.left_coeffs, patterns):
         if abs(c_i) < floor:
             continue
         new_vertices = {}
@@ -595,8 +596,8 @@ def reference_ybe_residual(model, braid, table, roots_a=(0, 0, 0), roots_b=(0, 0
     re-root the crossings of each side."""
     pa = braid_pattern(model, braid, "A", roots_a)
     pb = braid_pattern(model, braid, "B", roots_b)
-    ca, _ = expand(model, pa, table.basis, table.gram)
-    cb, _ = expand(model, pb, table.basis, table.gram)
+    ca, _ = expand(model, pa, table.gram)
+    cb, _ = expand(model, pb, table.gram)
     d = ca - cb
     g = table.gram.entries
     val = complex(d.conj() @ g @ d)

@@ -21,7 +21,6 @@ from skeinlab import (
     braid_pair,
     classify,
     delta_for_l,
-    enumerate_basis,
     evaluate,
     from_classification_data,
     gram,
@@ -62,7 +61,7 @@ def test_criterion_2_sp4_l12():
     rn, qn = normalize_bmw_params(res.r, res.q)
     rn0, qn0 = normalize_bmw_params(q0 ** -5, q0)
     m = from_classification_data(1.0 + math.sqrt(3.0), -1)
-    gm = gram(m, enumerate_basis(m))
+    gm = gram(m)
     eig = gm.eigenvalues()
     ok = (
         res.verdict == "PASS"

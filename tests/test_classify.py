@@ -268,8 +268,8 @@ def test_classify_real_continuum_passes():
 
 def test_classify_passes_with_full_gram_rank_up_the_continuum():
     """From delta = 15.73 up, singular values of the raw Gram matrix fall
-    under rank_tol; the equilibrated D·G·D has rank 14 and every residual
-    passes.  `quad` is an absolute norm of quantities of the size of U,
+    under `Tolerance.RANK_TOL`; the equilibrated D·G·D has rank 14 and
+    every residual passes.  `quad` is an absolute norm of quantities of the size of U,
     judged against 1e-8 however large U grows (from delta = 135.49 it can
     reach that limit), so it is held here relative to U."""
     for delta in np.geomspace(15.73, 150.0, 24):

@@ -103,8 +103,6 @@ def test_tolerance_positive():
         {"eq_tol": math.nan},
         {"eq_tol": math.inf},
         {"eq_tol": 1e-4},
-        {"rank_tol": 0.0},
-        {"rank_tol": math.nan},
     ],
 )
 def test_tolerance_refuses_bad_values(kwargs):
@@ -131,6 +129,7 @@ def test_tolerance_env_that_does_not_parse(monkeypatch):
 # is the literal it replaced in the pipeline.
 DERIVED = {"match_tol": 1e-6, "drop_tol": 1e-9 * 1e-3}
 FIXED = {
+    "RANK_TOL": 1e-8,
     "DEPTH3_WINDOW": 1e-6,
     "L_WINDOW": 1e-6,
     "BRAUER_WINDOW": 1e-9,
@@ -154,7 +153,7 @@ LIMITS = {
 
 def test_tolerance_defaults_equal_the_old_literals():
     tol = Tolerance()
-    assert (tol.eq_tol, tol.rank_tol) == (1e-9, 1e-8)
+    assert tol.eq_tol == 1e-9
     assert {name: getattr(tol, name) for name in DERIVED} == DERIVED
     assert {name: getattr(tol, name) for name in FIXED} == FIXED
     assert tol.limits == LIMITS
@@ -166,8 +165,8 @@ def test_tolerance_round_trips_through_pickle():
     assert back == tol and back.limits == tol.limits and back.match_tol == tol.match_tol
 
 
-def test_tolerance_has_two_settable_fields():
-    assert [f.name for f in dataclasses.fields(Tolerance) if f.init] == ["eq_tol", "rank_tol"]
+def test_tolerance_has_one_settable_field():
+    assert [f.name for f in dataclasses.fields(Tolerance) if f.init] == ["eq_tol"]
     with pytest.raises(TypeError):
         Tolerance(match_tol=1e-3)
 
@@ -181,7 +180,6 @@ def test_derived_thresholds_scale_with_eq_tol(eq_tol):
     for key, default in LIMITS.items():
         assert tol.limits[key] == pytest.approx(default * ratio, rel=1e-12), key
     assert {name: getattr(tol, name) for name in FIXED} == FIXED
-    assert tol.rank_tol == 1e-8
 
 
 def test_over_limits_is_at_or_over():

@@ -3,15 +3,16 @@ validated once, when its plan is compiled.  The Gram matrix, the 3-gon
 and the two sides of the Yang-Baxter equation are each paired with the
 basis by one program of one closure per rotation orbit of pairs (40, 6
 and 14), which computes every distinct cap, rotation and fusion once, so
-a classification makes no `inner` call and labels no basis pattern.  A
+a classification makes no `inner` call and labels no basis pattern, and
+builds each closure once, when its program is compiled.  A
 PASS classification makes one eigendecomposition, of the scaled Gram
 matrix, and a Gram report two, the scaled and the raw spectrum.
 The FormalSum engine evaluates a diagram again without redoing the shape
-half of any rewrite, keys only the terms that can merge, and its
-connector walk asks once per node whether the node is a connector."""
+half of any rewrite, under any triangle table, keys only the terms that
+can merge, and its connector walk asks once per node whether the node is
+a connector."""
 
 import contextlib
-import functools
 import io
 from collections import Counter
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import octahedron_diagram
-from skeinlab import classify, delta_for_l, skein, threebox
+from skeinlab import classify, delta_for_l, shapes, skein, threebox
 from skeinlab.classify import Stages
 from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
@@ -45,21 +46,15 @@ SIDE_A_PROGRAM = (52, 36)
 PROGRAMS = (threebox._basis_shapes()[0], threebox._TRIANGLE_SHAPES, threebox._BRAID_SHAPES)
 
 
-def cold_closures():
-    """Drop the one closure cache (each shape pair's plan and one-closure
-    program) and the programs built from its plans."""
-    threebox._closure_plan.cache_clear()
-    threebox._pairing_program.cache_clear()
-
-
 @pytest.fixture
 def counted(monkeypatch):
     """Records the diagrams handed to evaluate_detailed and validate, and
-    counts inner calls and the builds of a basis's labelled patterns."""
-    seen = {"evaluated": [], "validated": [], "inner": 0, "patterns": 0}
+    counts inner calls, closures built and patterns labelled by anything
+    but the placeholder label."""
+    seen = {"evaluated": [], "validated": [], "inner": 0, "closures": 0, "labelled": 0}
     evaluate_detailed = skein.evaluate_detailed
     validate = skein.Diagram.validate
-    inner = threebox.inner
+    inner, closure, labelled = threebox.inner, threebox.closure, threebox._labelled
 
     def counting_evaluate(d, *args, **kwargs):
         seen["evaluated"].append(d)
@@ -73,17 +68,19 @@ def counted(monkeypatch):
         seen["inner"] += 1
         return inner(model, x, y, *args, **kwargs)
 
-    def counting_diagrams(basis):
-        seen["patterns"] += 1
-        return diagrams(basis)
+    def counting_closure(x, y):
+        seen["closures"] += 1
+        return closure(x, y)
 
-    diagrams = threebox.Basis14.diagrams.func
-    prop = functools.cached_property(counting_diagrams)
-    prop.__set_name__(threebox.Basis14, "diagrams")
-    monkeypatch.setattr(threebox.Basis14, "diagrams", prop)
+    def counting_labelled(shape, coeffs):
+        seen["labelled"] += coeffs != threebox.ZERO
+        return labelled(shape, coeffs)
+
     monkeypatch.setattr(skein, "evaluate_detailed", counting_evaluate)
     monkeypatch.setattr(skein.Diagram, "validate", counting_validate)
     monkeypatch.setattr(threebox, "inner", counting_inner)
+    monkeypatch.setattr(threebox, "closure", counting_closure)
+    monkeypatch.setattr(threebox, "_labelled", counting_labelled)
     return seen
 
 
@@ -92,36 +89,77 @@ def programs_built():
 
 
 def test_classify_validates_every_evaluated_diagram_once(counted):
-    cold_closures()
+    threebox._pairing_program.cache_clear()
     res = classify(5.0)
     assert res.verdict == "PASS"
-    assert counted["inner"] == counted["patterns"] == 0
+    assert counted["inner"] == counted["labelled"] == 0
     assert counted["evaluated"] == []
-    assert len(counted["validated"]) == CLOSURES_PER_PASS
-    plans = threebox._closure_plan.cache_info()
-    assert plans.misses == plans.currsize == CLOSURES_PER_PASS
+    assert counted["closures"] == len(counted["validated"]) == CLOSURES_PER_PASS
     assert programs_built() == len(PROGRAMS)
 
-    # A second classification runs the cached programs and compiles and
-    # validates nothing.
+    # A second classification runs the cached programs and builds,
+    # compiles and validates nothing.
     counted["validated"].clear()
     assert classify(5.0).verdict == "PASS"
-    assert counted["inner"] == counted["patterns"] == 0
+    assert counted["inner"] == counted["labelled"] == 0
     assert counted["evaluated"] == counted["validated"] == []
-    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
+    assert counted["closures"] == CLOSURES_PER_PASS
     assert programs_built() == len(PROGRAMS)
 
 
-def test_evaluate_labels_the_basis_patterns_once(counted, triangle_rich):
-    """The 3-gon substitution reads the table's labelled basis, built on
-    its first read and kept."""
+def test_evaluate_labels_no_basis_pattern(counted, triangle_rich):
+    """The 3-gon substitution wires the label-free basis shapes and labels
+    each new vertex with the table's generator."""
     st = Stages(delta_for_l(12))
     table = st.table
-    assert counted["patterns"] == 0
     for d in triangle_rich.values():
         skein.evaluate(d, st.model, table)
-    assert counted["patterns"] == 1
-    assert len(table.basis.diagrams) == 14
+    assert counted["labelled"] == 0
+    assert shapes.graph.cache_info().misses > 0
+
+
+def stored_records() -> set:
+    """Where each record of the shape graph sits: the root's shape, then the
+    rewrite taken at each node on the way (a 1-gon or 2-gon, a 3-gon choice
+    k, or the table pattern i of the all-T choice)."""
+    out, stack = set(), [((shape,), node) for shape, node in shapes.graph.roots.items()]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, shapes.Small):
+            slots = [("small", node.step, node.next)]
+        elif node is not None:
+            slots = [(k, *kid) for k, kid in enumerate(zip(node.codes, node.nodes))]
+            slots += [("pattern", i, *kid) for i, kid in enumerate(zip(*node.table or ((), ())))]
+        else:
+            slots = []
+        for *at, record, child in slots:
+            if record is not None:
+                out.add(path + tuple(at))
+                stack.append((path + tuple(at), child))
+    return out
+
+
+def test_one_shape_graph_serves_every_triangle_table(triangle_rich):
+    """The 3-gon-rich corpus evaluated with the l = 12 table and then with
+    the delta = 5 table: the second pass stores a record only where the
+    first stored none, and its values are bit for bit those of a cold
+    graph.  The delta = 5 values reach rewrites that the l = 12 pass never
+    takes (its tied labels are pure T, and terms cancel), so some records
+    are new; the 3-gon records of every shared node are reused."""
+    l12, delta5 = Stages(delta_for_l(12)), Stages(5.0)
+    corpus = list(triangle_rich.values())
+    for d in corpus:
+        skein.evaluate(d, l12.model, l12.table)
+    first, stored = stored_records(), shapes.graph.cache_info().misses
+    assert len(first) == stored
+    warm = [skein.evaluate(d, delta5.model, delta5.table) for d in corpus]
+    new = shapes.graph.cache_info().misses - stored
+    shapes.graph.cache_clear()
+    cold = [skein.evaluate(d, delta5.model, delta5.table) for d in corpus]
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()
+    reused = stored_records() & first
+    assert new == shapes.graph.cache_info().misses - len(reused)
+    assert any(path[-2] == "pattern" for path in reused)
 
 
 def test_the_programs_keep_each_cap_rotation_and_fusion_once():
@@ -163,19 +201,19 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
 
 
 def test_the_table_and_the_braid_sides_take_20_closures(counted):
-    """On cold caches the table compiles the 6 closure shapes of its
+    """On a cold program cache the table builds the 6 closures of its
     program and the braid sides the 14 of theirs; neither makes an inner
     call."""
-    cold_closures()
+    threebox._pairing_program.cache_clear()
     st = Stages(5.0)
     st.gram
-    assert threebox._closure_plan.cache_info().misses == GRAM_CLOSURES
+    assert counted["closures"] == GRAM_CLOSURES
     st.table
     assert counted["inner"] == 0
-    assert threebox._closure_plan.cache_info().misses == GRAM_CLOSURES + TRIANGLE_CLOSURES
+    assert counted["closures"] == GRAM_CLOSURES + TRIANGLE_CLOSURES
     st.braid_residuals(st.braid)
     assert counted["inner"] == 0
-    assert threebox._closure_plan.cache_info().misses == CLOSURES_PER_PASS
+    assert counted["closures"] == CLOSURES_PER_PASS
 
 
 def _count_linalg(monkeypatch, names):
@@ -219,7 +257,7 @@ def test_right_table_is_solved_on_first_read(counted):
 
     # The expansion of the right (mirror) triangle, solved from scratch.
     right_pattern = mirror(triangle_pattern(st.model))
-    want, want_residual = expand(st.model, right_pattern, st.basis, st.gram, st.tol)
+    want, want_residual = expand(st.model, right_pattern, st.gram, st.tol)
     assert counted["inner"] == before + 14
     assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(residual - want_residual) <= 1e-12
