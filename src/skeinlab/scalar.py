@@ -1,11 +1,11 @@
 """Complex scalar arithmetic and the tolerance policy.
 
-All algebra in the library is done over plain Python complex numbers.
-`Tolerance` holds every threshold the other modules compare against:
-relative equality, the limits derived from it, which move with `--tol`,
-and the fixed locus windows and float-noise guards.  The root solvers are
-a stable quadratic and the principal branch Re q >= 0, Im q >= 0 of
-q^2 + q^-2 = c, used to recover the braid parameter.
+The pipeline computes over Python complex numbers (the 2-box model and
+`skein._run` also over exact rationals and arrays).  `Tolerance` holds
+every threshold the other modules compare against: relative equality,
+the limits derived from it, which move with `--tol`, and the fixed locus
+windows and float-noise guards.  The root solvers, a stable quadratic and
+the principal branch Re q >= 0, Im q >= 0 of q^2 + q^-2 = c, recover q.
 """
 
 from __future__ import annotations

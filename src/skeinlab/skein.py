@@ -27,7 +27,7 @@ choice and per basis pattern wired into its hole, the last headed by the
 shading bits that inference gives the pattern's vertices; the basis
 shapes are `threebox._basis_shapes`, the same for every table, whose
 generator labels each new vertex.  The number half
-applies an op to labels, held as plain tuples of three complex
+applies an op to labels, held as plain tuples of three
 coefficients: the cap scalar, or the product label, from the model's
 rotation and cap rows and the elementwise product of
 `twobox.product_coeffs`.  `_rebuild` makes every child term from its
@@ -47,19 +47,20 @@ input's content after validating it and attaches nothing to it.  The
 graph is dropped whole when it reaches `shapes.SHAPE_CACHE_NODES` nodes,
 and a call with a `chooser` neither reads nor writes it.
 
-A diagram whose reduction never meets a 3-gon has a fixed op sequence,
-its plan, that depends only on its shape (vertex ids, shading bits, dart
+A diagram whose reduction never meets a 3-gon has a fixed op sequence, its
+plan, that depends only on its shape (vertex ids, shading bits, dart
 pairing, free loops).  `_plan` takes it from a valid diagram with the
 shape half.  `_compile` turns plans, each vertex mapped to one of a few
 leaf labels, into one straight-line program, and `_run` evaluates it with
-the number half and the engine's zero-drop of a single term, each
-distinct cap, rotation and fusion once: threebox pairs the basis in three
-programs of 14 to 40 closures.  `_size` raises the same NonFiniteScalar,
-in the same words, on both evaluators; `threebox.inner` is the engine.
+the number half, each distinct cap, rotation and fusion once, in the
+number type of the model's delta; over floats only, it drops as the engine
+does.  `_size` raises the same NonFiniteScalar, in the same words, on both
+evaluators; `threebox.inner` is the engine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import defaultdict
@@ -656,32 +657,37 @@ def _compile(closures, leaves: int) -> Program:
     return Program(tuple(nodes), tuple(chains))
 
 
-def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list[Scalar]:
-    """The value of each plan of `program` on the leaf labels `leaves`,
-    bit for bit what the engine gives on the plan's diagram: a chain stops
-    at the first coefficient that `_survives` drops, and a non-finite one
-    raises NonFiniteScalar, chain by chain in plan order."""
-    regs = list(leaves)
-    for op in program.nodes:
-        if op[0] == "cap":
-            regs.append(model.cap_coeffs(regs[op[1]], op[2]))
-        elif op[0] == "rotate":
-            regs.append(model.rotate_coeffs(regs[op[1]], 1))
-        else:
-            regs.append(product_coeffs(op[3], regs[op[1]], op[3], regs[op[2]]))
-    values = []
-    for chain in program.chains:
-        coeff = complex(1.0)
-        for loops, cap in chain:
-            if loops:
-                coeff = coeff * _loop_factor(model, loops)
-            if cap is not None:
-                coeff = coeff * regs[cap]
-            if not _survives(coeff, tol):
-                values.append(complex(0.0))
-                break
-        else:
-            values.append(complex(0.0) + coeff)
+def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list:
+    """The value of each plan of `program` on the leaf labels `leaves`.  At
+    a float delta a chain stops at the first coefficient that `_survives`
+    drops, and a non-finite one raises NonFiniteScalar, chain by chain in
+    plan order.  At a `Fraction` or an `ndarray` nothing is dropped, and
+    an array run under `np.errstate` raises it after any non-finite value."""
+    drop = isinstance(model.delta, (float, np.floating))
+    with contextlib.nullcontext() if drop else np.errstate(all="ignore"):
+        regs = list(leaves)
+        for op in program.nodes:
+            if op[0] == "cap":
+                regs.append(model.cap_coeffs(regs[op[1]], op[2]))
+            elif op[0] == "rotate":
+                regs.append(model.rotate_coeffs(regs[op[1]], 1))
+            else:
+                regs.append(product_coeffs(op[3], regs[op[1]], op[3], regs[op[2]]))
+        one = model.delta**0  # 1.0, Fraction(1) or an array of ones
+        values = []
+        for chain in program.chains:
+            coeff = one
+            for loops, cap in chain:
+                if loops:
+                    coeff = coeff * _loop_factor(model, loops)
+                if cap is not None:
+                    coeff = coeff * regs[cap]
+                if drop and not _survives(coeff, tol):
+                    coeff = 0.0
+                    break
+            values.append(complex(0.0) + coeff if drop else coeff)
+    if not drop and isinstance(model.delta, np.ndarray) and not np.isfinite(values).all():
+        raise NonFiniteScalar(f"non-finite scalar in a run over {model.delta.size} loop values")
     return values
 
 

@@ -21,14 +21,11 @@ shapes with the basis: it closes them under the turn, builds and plans one
 closure per rotation orbit of pairs (x, D_j) from its first pair, compiles
 them into one program (`skein._compile`), and indexes each pair by its
 orbit; a shape that fails to validate or to compile raises on every
-call.  So `gram` reduces 40 closures for its 196 entries; the 3-gon, fixed
-by two turns, 6 for its 14 pairings; and the two sides of the Yang-Baxter
-equation 14 for their 28, as side B is side A turned three clicks.  A
-classification reduces 40 + 6 + 14 = 60 closures.
-
-Each program has two leaves: the generator, or U on the braid sides, on
-x's vertices and the generator's conjugate on mirror(D_j)'s.  A run
-computes each distinct cap, rotation and fusion once (`skein._run`).
+call.  A classification reduces 60 closures: 40 for the Gram matrix, 6
+for the 3-gon and 14 for the two sides of the Yang-Baxter equation.  Each
+program has two leaves, the generator (or U on the braid sides) on x's
+vertices and the generator's conjugate on mirror(D_j)'s, as complex
+triples; `skein._run` also runs a program on exact or array leaves.
 """
 
 from __future__ import annotations

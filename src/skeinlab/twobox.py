@@ -64,9 +64,6 @@ class BoxVec:
     def __rmul__(self, s: Scalar) -> "BoxVec":
         return BoxVec(self.side, tuple(complex(s) * c for c in self.coeffs))
 
-    def __neg__(self) -> "BoxVec":
-        return (-1.0) * self
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -132,22 +129,22 @@ class TwoBoxModel:
             raise ValueError("sigma must be +1 or -1")
         d, a, b, sg = self.delta, self.a, self.b, self.sigma
 
-        e_p1 = (0.0, 1.0 / d, 0.0)
-        e_p2 = (0.0, 0.0, 1.0 / d)
-        p1_p2 = (0.0, (a - 1.0) / d, (a * b - a * a + a) / (d * b))
+        e_p1 = (0, 1 / d, 0)
+        e_p2 = (0, 0, 1 / d)
+        p1_p2 = (0, (a - 1) / d, (a * b - a * a + a) / (d * b))
         cop = (
-            ((1.0 / d, 0.0, 0.0), e_p1, e_p2),
-            (e_p1, (a / d, 0.0, (a * a - a) / (d * b)), p1_p2),
-            (e_p2, p1_p2, (b / d, (b - a + 1.0) / d, (b * b - b - a * b + a * a - a) / (d * b))),
+            ((1 / d, 0, 0), e_p1, e_p2),
+            (e_p1, (a / d, 0, (a * a - a) / (d * b)), p1_p2),
+            (e_p2, p1_p2, (b / d, (b - a + 1) / d, (b * b - b - a * b + a * a - a) / (d * b))),
         )
 
         s = a + b
         rot = (
-            (1.0 / d, a * (d - 1.0 / d) / s, b * (d - 1.0 / d) / s),
-            (1.0 / d, (-a / d + sg * b) / s, (-b / d - sg * b) / s),
-            (1.0 / d, (-a / d - sg * a) / s, (-b / d + sg * a) / s),
+            (1 / d, a * (d - 1 / d) / s, b * (d - 1 / d) / s),
+            (1 / d, (-a / d + sg * b) / s, (-b / d - sg * b) / s),
+            (1 / d, (-a / d - sg * a) / s, (-b / d + sg * a) / s),
         )
-        trace_row = (1.0, a, b)
+        trace_row = (1, a, b)
         object.__setattr__(self, "coproduct_table", cop)
         object.__setattr__(self, "rotation_rows", rot)
         object.__setattr__(self, "cap_rows", (trace_row, tuple(dot(trace_row, col) for col in zip(*rot))))

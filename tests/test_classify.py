@@ -318,3 +318,49 @@ def test_classify_rejects():
         res = classify(delta)
         assert res.verdict == "REJECTED"
         assert res.case == "Rejected"
+
+
+# -- known wrong verdicts on the locus --------------------------------------
+#
+# Each test states the right verdict and fails today; the reason gives what
+# classify returns instead.  A fix of the defect turns its test into an
+# XPASS, which strict=True reports as a failure until the mark goes.
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FAIL: DegenerateParameters: r must be nonzero (|r| ~ 1e-10 < eq_tol)",
+)
+def test_the_continuum_passes_at_delta_1e8():
+    assert classify(1e8).verdict == "PASS"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FAIL on quad, the first FAIL of np.geomspace(4, 1e6, 600)",
+)
+def test_the_continuum_passes_at_the_first_fail_of_the_log_grid():
+    assert classify(144.89865952837502).verdict == "PASS"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FAIL on qr_roundtrip, which divides by q - 1/q near the Brauer point",
+)
+def test_the_continuum_passes_next_to_the_brauer_point():
+    assert classify(4.0 + 1e-12).verdict == "PASS"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="REJECTED: the even-l series is searched up to l = 200 only",
+)
+@pytest.mark.parametrize("l", [202, 1000])
+def test_even_l_past_200_is_found_as_itself(l):
+    # Raising L_SERIES_MAX is no fix: l = 1000 then came back as l = 998.
+    res = classify(delta_for_l(l))
+    assert (res.case, res.l, res.verdict) == ("Sp4", l, "PASS")
