@@ -61,7 +61,7 @@ def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibilit
     """Locate delta on the classification locus, or reject it."""
     delta = float(delta)
     if not 0 < delta < math.inf:
-        note = "is not finite" if delta == math.inf else "is not positive"
+        note = "is not positive" if delta <= 0 else "is not finite"
         return Admissibility("Rejected", note=f"delta = {delta} {note}")
     if abs(delta - DEPTH3_DELTA) < tol.DEPTH3_WINDOW:
         return Admissibility("Depth3", note="cubic depth-3 loop value")

@@ -7,36 +7,37 @@ the shape half of every rewrite depend on the shape alone.  A node stands
 for one shape and holds its engine face and, for each rewrite taken from
 it, a record and the child's node:
 
-  * `Small`, a 1-gon or 2-gon face: one record, headed by the op;
+  * `Small`, a 1-gon or 2-gon face: its one record, made with the node,
+    as two slots: the op that `skein._number_step` reads, and the delta;
   * `Gon3`, a 3-gon on three vertices: its corners, one record per id/e/T
     choice but (T, T, T), and for that one, one record per basis pattern
     wired into the hole, headed by the inferred shading bits of the
     pattern's vertices (bit j for the j-th).  The basis shapes are the same
     for every triangle table, so these records serve every table.
 
-A record is `pack([*head, *delta])`, where the delta `skein._delta`
-computes is [loops, a0, b0, a1, b1, ...]: the free loops the rewrite
-closes, and the dart pairs (codes 4 * vertex + slot) its connector walk
-made, which are the pairs that differ from the parent's edge map.  The
-darts of the removed vertices drop out, and which vertices go, come or
-are relabelled follows from the op or the 3-gon choice, so
+A delta is `pack(skein._delta(...))`, [loops, a0, b0, a1, b1, ...]: the
+free loops the rewrite closes, and the dart pairs (codes 4 * vertex +
+slot) its connector walk made, which are the pairs that differ from the
+parent's edge map; a 3-gon record is a delta, or `pack([bits, *delta])`.
+The darts of the removed vertices drop out, and which vertices go, come
+or are relabelled follows from the op or the 3-gon choice, so
 `skein._rebuild` makes the child from the parent term and the record
 alone, whether the record was just computed or stored before.
 
 A term's diagram links to the slot its node goes in, (holder, key): a
 `Small` and None, a list of child nodes and an index, or the root table
-and the shape.  The node is made on the term's first visit; a child that
-is never visited, such as one with no vertices, gets none.  The engine
-looks each input up by content among the roots.  The graph is dropped
-whole when it reaches `SHAPE_CACHE_NODES` nodes.
+and the shape.  `skein._node` makes the node on the term's first visit,
+and `settle` puts it in its slot; a child that is never visited, such as
+one with no vertices, gets none.  The engine looks each input up by
+content among the roots.  The graph is dropped whole when it reaches
+`SHAPE_CACHE_NODES` nodes.  A chooser run makes a fresh node for each
+rewrite and counts into a graph of its own, so it neither reads nor
+writes `graph`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-
-from .errors import InvariantViolation
-from .twobox import MINUS, PLUS
 
 # Shape nodes made before the whole graph is dropped: about twice the ~4,600
 # nodes that the 3-gon-rich medial diagrams of 6-12 vertices fill, at ~130
@@ -56,23 +57,15 @@ def pack(codes: list[int]):
         return tuple(codes)
 
 
-def decode_op(step) -> tuple[tuple, int]:
-    """The op at the head of a record, and where the rest starts."""
-    if step[0] == 0:
-        return ("cap", step[1], step[2]), 3
-    _, u, v, nid, ku, kv, su, sv = step[:8]
-    return ("fuse", u, v, nid, ku, kv, MINUS if su else PLUS, MINUS if sv else PLUS), 8
-
-
 class Small:
     """A shape whose engine face is a 1-gon or 2-gon: the record of its one
-    rewrite, and the child's node."""
+    rewrite, as its op and its delta, and the child's node."""
 
-    __slots__ = ("step", "next")
+    __slots__ = ("op", "delta", "next")
     SIDES = 2
 
-    def __init__(self):
-        self.step = self.next = None
+    def __init__(self, op: tuple, delta):
+        self.op, self.delta, self.next = op, delta, None
 
 
 class Gon3:
@@ -123,21 +116,15 @@ class ShapeGraph:
         self.roots.setdefault(shape, None)
         return self.roots, shape
 
-    def settle(self, slot, face):
-        """Make the node of a shape with this engine face and put it in its
-        slot.  The engine's face is never a 3-gon that revisits a vertex:
-        such a 3-gon comes from a self-loop, whose 1-gon or 2-gon the face
-        order prefers."""
-        if len(face) <= 2:
-            node = Small()
-        elif len({u for u, _ in face}) == 3:
-            node = Gon3(pack([4 * u + d for u, d in face]))
-        else:
-            raise InvariantViolation(f"engine face {face} is a 3-gon that revisits a vertex")
+    def settle(self, slot, node):
+        """Put a made node in its empty slot; a `Small`'s record, made with
+        it, counts as a miss."""
         if self.nodes >= SHAPE_CACHE_NODES:
             self.roots.clear()
             self.nodes = 0
         self.nodes += 1
+        if node.SIDES == 2:
+            self.misses += 1
         holder, key = slot
         if key is None:
             holder.next = node

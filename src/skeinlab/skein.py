@@ -19,7 +19,7 @@ invariant of their own and skip the key's BFS.
 Every rewrite comes in two halves.  The shape half picks the face and
 computes the rewrite's record: for a 1-gon or 2-gon an op (cap vertex u
 on a dart pair, or fuse u and v into a new vertex, with the re-root
-parities and sides), then the edge delta of `_delta`, which visits only
+parities and sides) and the edge delta of `_delta`, which visits only
 the darts of the removed vertices and returns the loops closed and the
 dart pairs its connector walk made; `walk_connections` classifies each
 node of the walk once.  A 3-gon has a record per id/e/T
@@ -41,11 +41,13 @@ once, and none is left on the caller's vertices.  The engine keeps the
 records in the process-wide graph of `shapes`: a node per label-free
 shape (vertex ids in order, their shading bits, the dart pairing) holds
 its engine face and, for each rewrite taken from it, the record and the
-child node.  A rewrite taken again reuses its record, with no delta, face
-walk or shading inference.  `evaluate` looks the root node up by the
-input's content after validating it and attaches nothing to it.  The
-graph is dropped whole when it reaches `shapes.SHAPE_CACHE_NODES` nodes,
-and a call with a `chooser` neither reads nor writes it.
+child node.  Every rewrite reads its record from a node, which `_node`
+makes from a face.  A rewrite taken again reuses its record, with no
+delta, face walk or shading inference.  `evaluate` looks the root node up
+by the input's content after validating it and attaches nothing to it.
+The graph is dropped whole when it reaches `shapes.SHAPE_CACHE_NODES`
+nodes.  A call with a `chooser` makes a fresh node of each face it picks
+and neither reads nor writes the graph.
 
 A diagram whose reduction never meets a 3-gon has a fixed op sequence, its
 plan, that depends only on its shape (vertex ids, shading bits, dart
@@ -79,7 +81,7 @@ from .errors import (
     TriangleTableRequired,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
-from .twobox import PLUS, TwoBoxModel, product_coeffs
+from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
 
 # -- edge deltas ---------------------------------------------------------
 
@@ -300,9 +302,9 @@ def _id_e_t_decomposition(model: TwoBoxModel, coeffs) -> tuple[Scalar, Scalar, S
 #                                          ku on side su and v at kv on sv
 
 
-def _small_step(diag: Diagram, face: list[Dart]):
-    """The record of a 1-gon or 2-gon rewrite: its op as `shapes.decode_op`
-    reads it, then its edge delta."""
+def _small_step(diag: Diagram, face: list[Dart]) -> tuple[tuple, object]:
+    """The record of a 1-gon or 2-gon rewrite: its op and its packed edge
+    delta."""
     if len(face) == 2:
         (u, d), (v, dp) = face
         if u == v:
@@ -317,23 +319,23 @@ def _small_step(diag: Diagram, face: list[Dart]):
                 ((v, (dp + 3) % 4), (nid, 2)),
                 ((u, (d + 2) % 4), (nid, 3)),
             ]
-            # Each side is stored as a bit, 1 for MINUS: the parity of the
-            # region before dart d+3 of u, or dart dp+1 of v.  The side of u
-            # is the fused vertex's shading bit.
-            su = (diag.vertices[u].shading0 + d + 3) % 2
-            sv = (diag.vertices[v].shading0 + dp + 1) % 2
-            head = [1, u, v, nid, (d + 3) % 2, (dp + 1) % 2, su, sv]
-            return shapes.pack(head + _delta(diag, {u, v}, [], legs))
+            # Each side is MINUS where the region before dart d+3 of u, or
+            # dart dp+1 of v, has odd parity.  The side of u is the fused
+            # vertex's shading bit.
+            su = MINUS if (diag.vertices[u].shading0 + d + 3) % 2 else PLUS
+            sv = MINUS if (diag.vertices[v].shading0 + dp + 1) % 2 else PLUS
+            op = ("fuse", u, v, nid, (d + 3) % 2, (dp + 1) % 2, su, sv)
+            return op, shapes.pack(_delta(diag, {u, v}, [], legs))
     u, d = face[0]
-    return shapes.pack([0, u, d] + _delta(diag, {u}, [((u, (d + 2) % 4), (u, (d + 3) % 4))]))
+    return ("cap", u, d), shapes.pack(_delta(diag, {u}, [((u, (d + 2) % 4), (u, (d + 3) % 4))]))
 
 
-def _small_child(diag: Diagram, op: tuple, step, at: int, label) -> Diagram:
+def _small_child(diag: Diagram, op: tuple, delta, label) -> Diagram:
     """The child of a 1-gon or 2-gon rewrite from its record, a fused
     vertex labelled `label`."""
     if op[0] == "cap":
-        return _rebuild(diag, op[1:2], {}, step, at)
-    return _rebuild(diag, op[1:3], {op[3]: Vertex(label, 0 if op[6] == PLUS else 1)}, step, at)
+        return _rebuild(diag, op[1:2], {}, delta)
+    return _rebuild(diag, op[1:3], {op[3]: Vertex(label, 0 if op[6] == PLUS else 1)}, delta)
 
 
 def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
@@ -348,25 +350,14 @@ def _number_step(model: TwoBoxModel, coeff: Scalar, op: tuple, labels):
     return coeff, product_coeffs(su, x, sv, y)
 
 
-def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, face, node=None):
-    """A 1-gon or 2-gon rewrite of one term: the record from `node`, or
-    computed (and stored there), then the numbers and the rebuilt child."""
-    step = node.step if node is not None else None
-    if step is None:
-        if face is None:  # the node's first rewrite raised
-            face = find_small_face(diag)
-        step = _small_step(diag, face)
-        if node is not None:
-            node.step = step
-            shapes.graph.misses += 1
-    else:
-        shapes.graph.hits += 1
-    op, at = shapes.decode_op(step)
+def _apply_small(model: TwoBoxModel, coeff: Scalar, diag: Diagram, node):
+    """A 1-gon or 2-gon rewrite of one term: the numbers of the op in
+    `node`, and the child rebuilt from its delta."""
+    op = node.op
     gone = op[1:3] if op[0] == "fuse" else op[1:2]
     coeff, label = _number_step(model, coeff, op, {w: diag.vertices[w].coeffs for w in gone})
-    out = _small_child(diag, op, step, at, label)
-    if node is not None:
-        out._shape = (node, None)
+    out = _small_child(diag, op, node.delta, label)
+    out._shape = (node, None)
     return [(coeff, out)]
 
 
@@ -378,34 +369,19 @@ E_ARCS = ((3, 0), (1, 2))
 
 
 def _apply_3gon(
-    model: TwoBoxModel,
-    coeff: Scalar,
-    diag: Diagram,
-    face,
-    triangle,
-    tol: Tolerance,
-    node=None,
+    model: TwoBoxModel, coeff: Scalar, diag: Diagram, node, graph, triangle, tol: Tolerance
 ):
+    """A 3-gon rewrite of one term: each record from `node`, or computed
+    and stored there, counted in `graph`."""
     if triangle is None:
         raise TriangleTableRequired("met a 3-gon face with no triangle table")
-    if node is not None:
-        corners = [(c >> 2, c & 3) for c in node.corners]
-    else:
-        corners = list(face)
-        if len({u for u, _ in corners}) != 3:
-            # A 3-gon revisiting a vertex comes from a self-loop; it always
-            # coexists with a smaller reducible face, so rewrite that instead.
-            alt = find_small_face(diag)
-            if len(alt) <= 2:
-                return _apply_small(model, coeff, diag, alt)
-            raise InvariantViolation("degenerate 3-gon with no smaller face")
-
+    corners = [(c >> 2, c & 3) for c in node.corners]
     decomp = []
     for u, d in corners:
         rerooted = model.rotate_coeffs(diag.vertices[u].coeffs, d)
         decomp.append(_id_e_t_decomposition(model, rerooted))
 
-    codes = node.codes if node is not None else None
+    codes = node.codes
     out_terms = []
     for k, choice in enumerate(itertools.product(range(3), repeat=3)):  # 0=id, 1=e, 2=T
         w = coeff
@@ -415,7 +391,7 @@ def _apply_3gon(
             continue
 
         if k == shapes.ALL_T:
-            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle, node))
+            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle, node, graph))
             continue
 
         removed = set()
@@ -428,7 +404,7 @@ def _apply_3gon(
             removed.add(u)
             if c == 1:
                 w /= model.delta
-        code = codes[k] if codes is not None else None
+        code = codes[k]
         if code is None:
             inner = [
                 ((u, (a + d) % 4), (u, (b + d) % 4))
@@ -436,15 +412,12 @@ def _apply_3gon(
                 if c < 2
                 for a, b in (ID_ARCS, E_ARCS)[c]
             ]
-            code = shapes.pack(_delta(diag, removed, inner))
-            if codes is not None:
-                codes[k] = code
-                shapes.graph.misses += 1
+            code = codes[k] = shapes.pack(_delta(diag, removed, inner))
+            graph.misses += 1
         else:
-            shapes.graph.hits += 1
+            graph.hits += 1
         reduced = _rebuild(diag, removed, relabel, code)
-        if codes is not None:
-            reduced._shape = (node.nodes, k)
+        reduced._shape = (node.nodes, k)
         out_terms.append((w, reduced))
     return out_terms
 
@@ -454,12 +427,13 @@ def _table_floor(tol: Tolerance, triangle) -> float:
     return tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
 
 
-def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
+def _substitute_triangle(tol, coeff, diag, corners, triangle, node, graph):
     """Replace an all-generator 3-gon by the triangle table expansion: the
     basis shapes wired into the hole, each new vertex labelled by the
-    table's generator.  A shape's record, from `node` or computed (and
-    stored there) for every table, is headed by the shading bits of its
-    vertices, which a miss takes from the inferred shading of the child."""
+    table's generator.  A shape's record, from `node` or computed and
+    stored there for every table, counted in `graph`, is headed by the
+    shading bits of its vertices, which a miss takes from the inferred
+    shading of the child."""
     from .threebox import _basis_shapes, wiring  # threebox imports this module
 
     # The face orbit lists corners clockwise around the 3-gon, so the
@@ -472,11 +446,9 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
     basis = _basis_shapes()[0]
-    codes = nodes = None
-    if node is not None:
-        if node.table is None:
-            node.table = ([None] * len(basis), [None] * len(basis))
-        codes, nodes = node.table
+    if node.table is None:
+        node.table = ([None] * len(basis), [None] * len(basis))
+    codes, nodes = node.table
 
     floor = _table_floor(tol, triangle)
     t = triangle.generator
@@ -485,7 +457,7 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
     for i, (c_i, shape) in enumerate(zip(triangle.left_coeffs, basis)):
         if abs(c_i) < floor:
             continue
-        code = codes[i] if codes is not None else None
+        code = codes[i]
         if code is None:
             inner, legs = wiring(shape, nid0, ext.__getitem__)
             delta = _delta(diag, removed, [], inner + legs)
@@ -497,16 +469,13 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node=None):
             if any(shaded[v].shading0 != x.shading0 for v, x in diag.vertices.items() if v not in removed):
                 raise InvariantViolation("triangle substitution moved a kept shading bit")
             bits = sum(shaded[nid0 + vid].shading0 << j for j, (vid, _) in enumerate(shape[0]))
-            code = shapes.pack([bits, *delta])
-            if codes is not None:
-                codes[i] = code
-                shapes.graph.misses += 1
+            code = codes[i] = shapes.pack([bits, *delta])
+            graph.misses += 1
         else:
-            shapes.graph.hits += 1
+            graph.hits += 1
         new = {nid0 + vid: Vertex(t, code[0] >> j & 1) for j, (vid, _) in enumerate(shape[0])}
         child = _rebuild(diag, removed, new, code, 1)
-        if nodes is not None:
-            child._shape = (nodes, i)
+        child._shape = (nodes, i)
         out.append((coeff * complex(c_i), child))
     return out
 
@@ -530,6 +499,20 @@ def find_small_face(d: Diagram) -> list[Dart]:
     return faces[0]
 
 
+def _node(diag: Diagram, face: list[Dart]):
+    """The shape node that rewrites `diag` at `face`: a `shapes.Small` that
+    holds its record, or a `shapes.Gon3` of its corners."""
+    if len(face) == 3 and len({u for u, _ in face}) < 3:
+        # A 3-gon revisiting a vertex comes from a self-loop, whose 1-gon
+        # the engine's face order prefers; rewrite that instead.
+        face = find_small_face(diag)
+    if len(face) in (1, 2):
+        return shapes.Small(*_small_step(diag, face))
+    if len(face) == 3 and len({u for u, _ in face}) == 3:
+        return shapes.Gon3(shapes.pack([4 * u + d for u, d in face]))
+    raise InvariantViolation(f"face of size {len(face)} is not reducible")
+
+
 def _loop_factor(model: TwoBoxModel, loops: int) -> Scalar:
     """delta ** loops; a power past the float range raises NonFiniteScalar."""
     try:
@@ -545,11 +528,14 @@ def reduce_once(
     tol: Tolerance = DEFAULT_TOL,
     chooser=None,
 ) -> FormalSum:
-    """One rewrite on every term that still has vertices or loops.  Without
-    a chooser the shape half of each rewrite comes from the shape graph,
-    and the diagrams of the returned terms link to their nodes, so they are
-    not to be changed in place (edit a `copy()`).  A chooser picks each face
-    itself; such a call neither reads nor writes the graph."""
+    """One rewrite on every term that still has vertices or loops, each
+    from the shape node of its face; the diagrams of the returned terms
+    link to their nodes, so they are not to be changed in place (edit a
+    `copy()`).  Without a chooser the node comes from the shape graph.  A
+    chooser picks each face itself, and its nodes are made fresh and count
+    into a graph of this call's own: such a call neither reads nor writes
+    `shapes.graph`."""
+    graph = shapes.graph if chooser is None else shapes.ShapeGraph()
     out = []
     for coeff, diag in s.terms:
         link = diag._shape
@@ -559,21 +545,19 @@ def reduce_once(
         if diag.n_vertices == 0:
             out.append((coeff, diag))
             continue
-        if chooser is None:
-            slot = link or shapes.graph.root_slot(diag)
-            node, face = shapes.node_at(slot), None
+        if chooser is not None:
+            node = _node(diag, chooser(diag))
+        else:
+            slot = link or graph.root_slot(diag)
+            node = shapes.node_at(slot)
             if node is None:
-                face = find_small_face(diag)
-                node = shapes.graph.settle(slot, face)
+                node = graph.settle(slot, _node(diag, find_small_face(diag)))
+            elif node.SIDES == 2:
+                graph.hits += 1
+        if node.SIDES == 2:
+            out.extend(_apply_small(model, coeff, diag, node))
         else:
-            node, face = None, chooser(diag)
-        sides = len(face) if face is not None else node.SIDES
-        if sides in (1, 2):
-            out.extend(_apply_small(model, coeff, diag, face, node))
-        elif sides == 3:
-            out.extend(_apply_3gon(model, coeff, diag, face, triangle, tol, node))
-        else:
-            raise InvariantViolation(f"face of size {len(face)} is not reducible")
+            out.extend(_apply_3gon(model, coeff, diag, node, graph, triangle, tol))
     return FormalSum(out).normalized(tol)
 
 
@@ -596,10 +580,9 @@ def _plan(diag: Diagram) -> tuple:
             face = find_small_face(diag)
             if len(face) > 2:
                 raise TriangleTableRequired("met a 3-gon face with no triangle table")
-            step = _small_step(diag, face)
-            op, at = shapes.decode_op(step)
+            op, delta = _small_step(diag, face)
             # The plan reads no labels: a fused vertex carries a zero one.
-            diag = _small_child(diag, op, step, at, (0.0, 0.0, 0.0))
+            diag = _small_child(diag, op, delta, (0.0, 0.0, 0.0))
         plan.append((loops, op))
     return tuple(plan)
 

@@ -250,8 +250,6 @@ class BraidPair:
     V: BoxVec
     q: Scalar
     r: Scalar
-    z1: Scalar
-    z2: Scalar
 
     @classmethod
     def from_qr(cls, q: Scalar, r: Scalar) -> "BraidPair":
@@ -259,7 +257,7 @@ class BraidPair:
         z1 = 1.0 / r
         U = BoxVec(PLUS, (z1, q, -1.0 / q))
         V = BoxVec(PLUS, (1.0 / z1, 1.0 / q, -q))
-        return cls(U=U, V=V, q=q, r=r, z1=z1, z2=-r)
+        return cls(U=U, V=V, q=q, r=r)
 
 
 def bmw_two_box_traces(

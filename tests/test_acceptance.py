@@ -181,11 +181,7 @@ def test_criterion_7_negative_controls(model12, table12, braid12):
     qp = braid12.q * 1.01
     from skeinlab.twobox import BraidPair
 
-    perturbed = BraidPair(
-        U=BoxVec(PLUS, (braid12.z1, qp, -1.0 / qp)),
-        V=BoxVec(PLUS, (1.0 / braid12.z1, 1.0 / qp, -qp)),
-        q=qp, r=braid12.r, z1=braid12.z1, z2=braid12.z2,
-    )
+    perturbed = BraidPair.from_qr(qp, braid12.r)
     ybe = ybe_residual(m, perturbed, table12)
     ok = chir > 1e-3 and ybe > 1e-3
     _report("criterion 7 (negative controls)", ok)

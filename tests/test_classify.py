@@ -9,6 +9,7 @@ import pytest
 from skeinlab import (
     DEPTH3_DELTA,
     Stages,
+    TwoBoxModel,
     admissible_check,
     bmw_two_box_traces,
     classify,
@@ -24,6 +25,8 @@ from skeinlab.errors import (
     InadmissibleDelta,
     NoCanonicalRepresentative,
     NonFiniteScalar,
+    SkeinlabError,
+    SupportAmbiguous,
 )
 from skeinlab.scalar import DEFAULT_TOL
 
@@ -73,7 +76,9 @@ def test_rejected_stages_are_not_built():
         st.model
 
 
-@pytest.mark.parametrize("delta, note", [(math.inf, "is not finite"), (-math.inf, "is not positive")])
+@pytest.mark.parametrize(
+    "delta, note", [(math.inf, "is not finite"), (-math.inf, "is not positive"), (math.nan, "is not finite")]
+)
 def test_an_infinite_delta_is_rejected_before_any_stage(delta, note, monkeypatch):
     # +inf gave FAIL with NonFiniteScalar from the trace split.
     monkeypatch.setattr(Stages, "split", property(lambda self: pytest.fail("a stage was built")))
@@ -227,6 +232,18 @@ def test_principal_graph_prefix_hat_shape(delta, sigma):
     assert g.depth3_neighbors == {"w1": ("P1", "P2"), "w2": ("P2",)}
     assert g.depth2_weights["P1"] == pytest.approx(m.a)
     assert g.depth2_weights["P2"] == pytest.approx(m.b)
+
+
+@pytest.mark.parametrize(
+    "a, error, match",
+    [(1.0, SkeinlabError, "off the classification pattern"), (1.0 + 1e-7, SupportAmbiguous, "ambiguity band")],
+)
+def test_principal_graph_prefix_refuses_supports_off_the_pattern(a, error, match):
+    # At a = 1 the coefficient of P1 in P1 * P1 vanishes; 1e-7 off, it is
+    # 2e-8, inside the band where present and absent cannot be told apart.
+    with pytest.raises(SkeinlabError, match=match) as info:
+        principal_graph_prefix(TwoBoxModel(5.0, a, 23.0, -1))
+    assert type(info.value) is error
 
 
 # -- end-to-end ----------------------------------------------------------

@@ -79,6 +79,10 @@ def test_self_paired_dart_rejected():
     d = Diagram({0: Vertex((1.0, 0.0, 0.0))}, {})
     with pytest.raises(MalformedPairing):
         d.add_edge((0, 0), (0, 0))
+    # An edge map built directly, past add_edge's check.
+    d.edges.update({(0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 1), (0, 3): (0, 3)})
+    with pytest.raises(MalformedPairing, match="self-paired dart"):
+        d.validate()
 
 
 def test_nonplanar_pairing_rejected():
@@ -108,6 +112,8 @@ def test_shading_inconsistency_detected():
 def test_find_small_face_prefers_smallest():
     d = trace_closure((1.0, 1.0, 1.0))
     assert len(find_small_face(d)) == 1
+    with pytest.raises(InvariantViolation, match="no vertices"):
+        find_small_face(Diagram())
 
 
 def test_theta_diagram_has_a_two_gon(model12):
@@ -459,8 +465,8 @@ def test_triangle_substitution_matches_the_reference_wiring(model12, table12, tr
     wired = skein._substitute_triangle
     calls = []
 
-    def checked(tol, coeff, diag, corners, triangle, node=None):
-        got = wired(tol, coeff, diag, corners, triangle, node)
+    def checked(tol, coeff, diag, corners, triangle, node, graph):
+        got = wired(tol, coeff, diag, corners, triangle, node, graph)
         want = reference_substitute_triangle(tol, coeff, diag, corners, triangle)
         assert [c for c, _ in got] == [c for c, _ in want]
         assert all(same_wiring(g, w) for (_, g), (_, w) in zip(got, want))
@@ -478,13 +484,18 @@ def test_triangle_substitution_refuses_an_inconsistently_shaded_parent(model12, 
     each child would move it back, so no record can hold the child."""
     d = octahedron_diagram([model12.uncappable().coeffs] * 6)
     corners = next(f for f in small_faces(d) if len(f) == 3 and 5 not in {u for u, _ in f})
-    assert skein._substitute_triangle(DEFAULT_TOL, 1.0, d, corners, table12)
+
+    def substitute(diag):
+        node, graph = skein._node(diag, corners), shapes.ShapeGraph()
+        return skein._substitute_triangle(DEFAULT_TOL, 1.0, diag, corners, table12, node, graph)
+
+    assert substitute(d)
     bad = d.copy()
     bad.vertices[5] = Vertex(d.vertices[5].coeffs, 1 - d.vertices[5].shading0)
     with pytest.raises(ShadingInconsistent):
         bad.validate()
     with pytest.raises(InvariantViolation, match="kept shading bit"):
-        skein._substitute_triangle(DEFAULT_TOL, 1.0, bad, corners, table12)
+        substitute(bad)
 
 
 # -- the shape graph -----------------------------------------------------
@@ -560,11 +571,68 @@ def test_a_changed_diagram_is_evaluated_afresh(model12, table12):
     assert evaluate(d, model12, table12) == evaluate(d, model12, table12, chooser=find_small_face) != value
 
 
-def test_no_node_settles_on_a_3gon_that_revisits_a_vertex():
-    d = coproduct_trace_closure((1.0, 0.5, -0.25), (0.3, -1.0, 2.0))
-    with pytest.raises(InvariantViolation, match="revisits a vertex"):
-        shapes.graph.settle(shapes.graph.root_slot(d), [(0, 1), (0, 2), (1, 0)])
+# The first diagram of the seeded corpus of
+# `test_confluence_fifty_diagrams_ten_orders`: vertices 0 and 1 each carry a
+# self-loop, and are joined twice.  The chooser of its trial 2 picks the
+# 3-gon REVISITING, which meets vertex 0 twice, on the input itself.
+REVISITING = [(0, 0), (0, 2), (1, 0)]
+
+
+def _two_self_loops(x, y):
+    d = Diagram({0: Vertex(x), 1: Vertex(y)}, {})
+    for a, b in [((0, 1), (0, 2)), ((1, 2), (1, 3)), ((0, 3), (1, 0)), ((0, 0), (1, 1))]:
+        d.add_edge(a, b)
+    return d.infer_shading()
+
+
+def test_the_node_of_a_3gon_that_revisits_a_vertex_rewrites_the_engine_face():
+    d = _two_self_loops((1.0, 0.5, -0.25), (0.3, -1.0, 2.0))
+    assert REVISITING in small_faces(d) and find_small_face(d) == [(0, 1)]
+    node, engine = skein._node(d, REVISITING), skein._node(d, [(0, 1)])
+    assert isinstance(node, shapes.Small)
+    assert (node.op, node.delta) == (engine.op, engine.delta) == (("cap", 0, 1), bytes([0, 5, 4]))
     assert shapes.graph.cache_info().nodes == 0
+
+
+def test_a_chooser_pick_of_a_3gon_that_revisits_a_vertex_gets_the_engine_value(model12, table12):
+    """The pick is rewritten as the engine's face, the 1-gon at (0, 1), so
+    the run takes the engine's faces and needs no triangle table."""
+    d = _two_self_loops((1.0, 0.5, -0.25), (0.3, -1.0, 2.0))
+
+    def chooser(diag):
+        return REVISITING if REVISITING in diag.faces() else find_small_face(diag)
+
+    value = evaluate(d, model12, table12)
+    assert value != 0
+    assert evaluate(d, model12, table12, chooser=chooser) == value
+    assert evaluate(d, model12, chooser=chooser) == evaluate(d, model12) == value
+
+
+def test_a_chooser_pick_of_four_or_more_sides_is_refused(model12, table12, triangle_rich):
+    def chooser(diag):
+        return max(diag.faces(), key=len)
+
+    with pytest.raises(InvariantViolation, match="face of size 4 is not reducible"):
+        evaluate(triangle_rich["square_pyramid-mixed"], model12, table12, chooser=chooser)
+
+
+def test_a_rewrite_that_raises_settles_no_node(model12, table12, triangle_rich, monkeypatch):
+    """A node is settled with its record, so a 1-gon whose edge delta raises
+    leaves the graph as it was, and the next call makes the node afresh."""
+    d = triangle_rich["self-loops"]
+    delta = skein._delta
+
+    def raising(*args):
+        monkeypatch.setattr(skein, "_delta", delta)
+        raise InvariantViolation("delta raised")
+
+    monkeypatch.setattr(skein, "_delta", raising)
+    before = shapes.graph.cache_info()
+    with pytest.raises(InvariantViolation, match="delta raised"):
+        evaluate(d, model12, table12)
+    assert shapes.graph.cache_info() == before
+    re, im = PINNED["self-loops"]
+    assert evaluate(d, model12, table12) == complex(float.fromhex(re), float.fromhex(im))
 
 
 def test_a_small_node_bound_keeps_the_values_and_holds(model12, table12, triangle_rich, monkeypatch):
@@ -572,8 +640,8 @@ def test_a_small_node_bound_keeps_the_values_and_holds(model12, table12, triangl
     settle = shapes.ShapeGraph.settle
     nodes = []
 
-    def counted(self, slot, face):
-        node = settle(self, slot, face)
+    def counted(self, slot, node):
+        settle(self, slot, node)
         nodes.append(self.nodes)
         return node
 

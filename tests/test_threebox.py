@@ -528,14 +528,6 @@ def test_an_x_side_shape_that_is_no_turn_of_another_gets_its_own_closures():
 
 def test_ybe_perturbed_q_fails(model12, table12, braid12):
     q = braid12.q * 1.01
-    perturbed = BraidPair(
-        q=q,
-        r=braid12.r,
-        z1=braid12.z1,
-        z2=braid12.z2,
-        U=braid12.U,
-        V=braid12.V,
-    )
     # rebuild U, V from the perturbed q directly
     m = model12
     from skeinlab.twobox import BoxVec, PLUS
@@ -543,7 +535,7 @@ def test_ybe_perturbed_q_fails(model12, table12, braid12):
     r = braid12.r
     u = BoxVec(PLUS, (1.0 / r, q, -1.0 / q))
     v = BoxVec(PLUS, (r, 1.0 / q, -q))
-    perturbed = BraidPair(q=q, r=r, z1=1.0 / r, z2=-r, U=u, V=v)
+    perturbed = BraidPair(q=q, r=r, U=u, V=v)
     assert ybe_residual(m, perturbed, table12) > 1e-3
 
 
@@ -561,7 +553,7 @@ def test_reidemeister_negative_control(model12, braid12):
     q, r = braid12.q, -braid12.r
     u = BoxVec(PLUS, (1.0 / r, q, -1.0 / q))
     v = BoxVec(PLUS, (r, 1.0 / q, -q))
-    bad = BraidPair(q=q, r=r, z1=1.0 / r, z2=-r, U=u, V=v)
+    bad = BraidPair(q=q, r=r, U=u, V=v)
     r1, _, _ = reidemeister_residuals(model12, bad)
     assert r1 > 1e-3
 
@@ -633,6 +625,11 @@ def test_two_vertex_patterns_are_the_distinct_rotations():
             bnd[(j + 3 + slot) % 6] = ("v", 0, slot)
             bnd[(j + slot) % 6] = ("v", 1, slot)
         assert Pattern(p.vertices, p.internal_edges, tuple(bnd)).key() == p.key()
+
+
+def test_a_pattern_needs_six_boundary_points():
+    with pytest.raises(InvariantViolation, match="6 boundary points"):
+        Pattern((), (), (("b", 1), ("b", 0)))
 
 
 def test_pattern_key_carries_the_shading_bit(model12):

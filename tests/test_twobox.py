@@ -20,6 +20,7 @@ from skeinlab.errors import (
     ChiralityMismatch,
     DegenerateParameters,
     InadmissibleDelta,
+    NoPositiveRoot,
     ParameterMismatch,
     SideMismatch,
 )
@@ -75,6 +76,11 @@ def test_sigma_plus_infeasible_above_nine_quarters():
     for delta in (2.3, 3.0, 4.0, 7.5):
         with pytest.raises(ChiralityInfeasible):
             trace_split(delta, +1)
+
+
+def test_sigma_minus_has_no_positive_trace_ratio_below_one():
+    with pytest.raises(NoPositiveRoot):
+        trace_split(0.5, -1)
 
 
 def test_from_classification_data_guards():
@@ -230,7 +236,16 @@ def test_side_mismatch_raises():
     with pytest.raises(SideMismatch):
         m.product(m.p1(PLUS), m.p1(MINUS))
     with pytest.raises(SideMismatch):
+        m.coproduct(m.p1(PLUS), m.p1(MINUS))
+    with pytest.raises(SideMismatch):
         m.p1(PLUS) + m.p1(MINUS)
+
+
+def test_a_bad_side_or_sigma_is_refused():
+    with pytest.raises(ValueError, match="bad side"):
+        BoxVec("x", (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="sigma must be"):
+        TwoBoxModel(5.0, 1.0, 23.0, 0)
 
 
 # -- BMW braid elements --------------------------------------------------
@@ -275,11 +290,11 @@ def test_braid_pair_relations():
 
 
 def test_braid_pair_sp4_coefficient_identities():
-    # z1 + z2 = (delta+1)(q - 1/q) holds on the sigma = -1 branch.
+    # r^-1 - r = (delta+1)(q - 1/q) holds on the sigma = -1 branch.
     m = from_classification_data(1.0 + math.sqrt(3.0), -1)
     q = cmath.exp(1j * math.pi / 12.0)
     bp = braid_pair(m, q, q ** -5)
-    assert abs((bp.z1 + bp.z2) - (m.delta + 1.0) * (q - 1.0 / q)) < 1e-9
+    assert abs((1.0 / bp.r - bp.r) - (m.delta + 1.0) * (q - 1.0 / q)) < 1e-9
 
 
 def test_braid_pair_brauer_limit():
@@ -295,3 +310,5 @@ def test_braid_pair_rejects_mismatched_parameters():
     m = from_classification_data(1.0 + math.sqrt(3.0), -1)
     with pytest.raises(ParameterMismatch):
         braid_pair(m, cmath.exp(1j * math.pi / 14.0), cmath.exp(-5j * math.pi / 14.0))
+    with pytest.raises(ParameterMismatch, match="Brauer braid needs delta = 4"):
+        braid_pair(Stages(5.0).model, 1.0, 1.0)

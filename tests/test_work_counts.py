@@ -126,7 +126,7 @@ def stored_records() -> set:
     while stack:
         path, node = stack.pop()
         if isinstance(node, shapes.Small):
-            slots = [("small", node.step, node.next)]
+            slots = [("small", node.delta, node.next)]
         elif node is not None:
             slots = [(k, *kid) for k, kid in enumerate(zip(node.codes, node.nodes))]
             slots += [("pattern", i, *kid) for i, kid in enumerate(zip(*node.table or ((), ())))]

@@ -15,8 +15,10 @@ It prints two lines, each `<inputs> <sha256>`:
     locus, `evaluate` with the triangle table on the medial graphs of
     `perfbench/diagrams.py` (every vertex labelled by the generator, then
     the four of at most 9 vertices with the generator on even vertices
-    and seeded normal labels on odd ones), `inner` on every pair of basis
-    patterns, and `expand(triangle_pattern)`.
+    and seeded normal labels on odd ones, each of these four also with
+    `chooser=find_small_face`, which runs on nodes of its own and not on
+    the shape graph), `inner` on every pair of basis patterns, and
+    `expand(triangle_pattern)`.
 
 Equal hashes on two commits mean equal verdicts, residuals, notes and raw
 float bits at every input.
@@ -43,6 +45,7 @@ from skeinlab import (  # noqa: E402
     delta_for_l,
     enumerate_basis,
     evaluate,
+    find_small_face,
     inner,
     triangle_pattern,
 )
@@ -106,7 +109,9 @@ def engine_hash(deltas=ENGINE_DELTAS) -> tuple[int, str]:
         for n, pairs in maps:
             if n <= MIXED_MAX_VERTICES:
                 labels = [g if v % 2 == 0 else tuple(rng.normal(size=3)) for v in range(n)]
-                put(evaluate(_medial(n, pairs, labels), model, table))
+                d = _medial(n, pairs, labels)
+                put(evaluate(d, model, table))
+                put(evaluate(d, model, table, chooser=find_small_face))
         basis = enumerate_basis(model)
         put([[inner(model, x, y) for y in basis] for x in basis])
         c, residual = expand(model, triangle_pattern(model), st.gram)
