@@ -241,8 +241,9 @@ def principal_graph_prefix(
 
 class Stages:
     """The pipeline at one loop value.  The locus (case, sigma, depth-3 snap)
-    is found up front; each later stage is computed on first read.  A
-    rejected loop value has no stages: reading one raises InadmissibleDelta."""
+    is found up front; each later stage is computed on first read (the
+    triangle table only by `evaluate` at a 3-gon).  A rejected loop value
+    has no stages: reading one raises InadmissibleDelta."""
 
     def __init__(self, delta: float, tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
@@ -289,8 +290,8 @@ class Stages:
         return BraidPair.from_qr(self.braid.q * factor, self.braid.r)
 
     def braid_residuals(self, braid: BraidPair) -> dict[str, float]:
-        """Yang-Baxter and Reidemeister residuals of braid."""
-        ybe = ybe_residual(self.model, braid, self.table, self.tol)
+        """Yang-Baxter and Reidemeister residuals of braid; no triangle table."""
+        ybe = ybe_residual(self.model, braid, self.gram, self.tol)
         r1, r2, quad = reidemeister_residuals(self.model, braid)
         return {"ybe": ybe, "r1": r1, "r2": r2, "quad": quad}
 

@@ -115,19 +115,25 @@ def _fail(args, inputs: dict, exc: SkeinlabError, **outputs) -> int:
 
 def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
     """Parse a DiagramFile: {"free_loops", "vertices", "edges"}; the label
-    "G" stands for the uncappable generator b*P1 - a*P2.  Shading bits are
-    optional: once the pairing and planarity check out, they are inferred
-    from the least vertex id of each component, so consistent bits stay."""
+    "G" stands for the uncappable generator b*P1 - a*P2, any other is three
+    JSON numbers or [re, im] pairs, and ids, slots, loops and shading bits
+    are JSON integers.  Shading bits (0 or 1) are optional: once the pairing
+    and planarity check out, they are inferred from the least vertex id of
+    each component, so consistent bits stay."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SkeinlabError(f"{path}: cannot read diagram file: {exc}") from exc
 
+    def typed(x, kinds=(int,)):
+        if type(x) not in kinds:  # JSON true and false are bools, not ints
+            raise TypeError(f"{x!r} is not a JSON {'number' if float in kinds else 'integer'}")
+        return x
+
     def coeff(c):
-        if isinstance(c, list):
-            return complex(c[0], c[1])
-        return complex(c)
+        re, im = c if isinstance(c, list) else (c, 0)  # [re, im] exactly, or ValueError
+        return complex(typed(re, (int, float)), typed(im, (int, float)))
 
     try:
         vertices = {}
@@ -138,13 +144,15 @@ def load_diagram(path: str, model: TwoBoxModel) -> Diagram:
             else:
                 e, p1, p2 = (coeff(c) for c in label)  # exactly three, or ValueError
                 coeffs = (e, p1, p2)
-            vid = int(entry["id"])
+            vid = typed(entry["id"])
             if vid in vertices:
                 raise SkeinlabError(f"{path}: malformed diagram file: vertex id {vid} appears twice")
-            vertices[vid] = Vertex(coeffs, int(entry.get("shading0", 0)))
-        d = Diagram(vertices, {}, int(doc.get("free_loops", 0)))
+            if (s0 := typed(entry.get("shading0", 0))) not in (0, 1):
+                raise ValueError(f"shading0 {s0} is not 0 or 1")
+            vertices[vid] = Vertex(coeffs, s0)
+        d = Diagram(vertices, {}, typed(doc.get("free_loops", 0)))
         for (a, sa), (b, sb) in doc.get("edges", []):
-            d.add_edge((int(a), int(sa)), (int(b), int(sb)))
+            d.add_edge((typed(a), typed(sa)), (typed(b), typed(sb)))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SkeinlabError(f"{path}: malformed diagram file: {type(exc).__name__}: {exc}") from exc
     d.validate(check_shading=False)
@@ -158,18 +166,9 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     delta = _resolve_locus(args)
     res = classify(delta, tol)
-    outputs = {
-        "case": res.case,
-        "l": res.l,
-        "sigma": res.sigma,
-        "delta": _num(res.delta),
-        "y": None if res.y is None else _num(res.y),
-        "a": None if res.a is None else _num(res.a),
-        "b": None if res.b is None else _num(res.b),
-        "q": None if res.q is None else _cnum(res.q),
-        "r": None if res.r is None else _cnum(res.r),
-        "notes": res.notes,
-    }
+    outputs = {"case": res.case, "l": res.l, "sigma": res.sigma, "delta": _num(res.delta), "notes": res.notes}
+    for key, fmt in (("y", _num), ("a", _num), ("b", _num), ("q", _cnum), ("r", _cnum)):
+        outputs[key] = None if (value := getattr(res, key)) is None else fmt(value)
     if res.graph is not None:
         outputs["principal_graph_prefix"] = {
             "depth2_weights": {k: _num(v) for k, v in sorted(res.graph.depth2_weights.items())},

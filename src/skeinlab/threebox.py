@@ -21,11 +21,11 @@ shapes with the basis: it closes them under the turn, builds and plans one
 closure per rotation orbit of pairs (x, D_j) from its first pair, compiles
 them into one program (`skein._compile`), and indexes each pair by its
 orbit; a shape that fails to validate or to compile raises on every
-call.  A classification reduces 60 closures: 40 for the Gram matrix, 6
-for the 3-gon and 14 for the two sides of the Yang-Baxter equation.  Each
-program has two leaves, the generator (or U on the braid sides) on x's
-vertices and the generator's conjugate on mirror(D_j)'s, as complex
-triples; `skein._run` also runs a program on exact or array leaves.
+call.  A classification reduces 40 + 14 = 54 closures in two programs,
+the Gram matrix's and the Yang-Baxter sides' (the 3-gon's 6 only for
+`evaluate`).  Each program has two leaves, the generator (or U on the
+braid sides) on x's vertices and its conjugate on mirror(D_j)'s, as
+complex triples; `skein._run` also runs one on exact or array leaves.
 """
 
 from __future__ import annotations
@@ -424,12 +424,11 @@ def _triangle(labels) -> Pattern:
 class TriangleTable:
     """The expansion of the 3-gon over the basis, in the "left" frame that
     the skein reducer meets by construction, and the generator that labels
-    the basis and the 3-gon."""
+    the basis and the 3-gon.  Only the skein engine reads it, at a 3-gon."""
 
     left_coeffs: np.ndarray
     residual_left: float
     generator: tuple
-    gram: GramMatrix
 
 
 def solve_triangle(
@@ -439,11 +438,11 @@ def solve_triangle(
 ) -> TriangleTable:
     """The 3-gon's expansion from its `_pairings` with the basis, bit for
     bit `inner`'s with `triangle_pattern(model)`: two turns fix the 3-gon,
-    so it takes 6 closures for the 14."""
+    so it takes 6 closures for the 14; only `evaluate` at a 3-gon needs it."""
     gm = gm or gram(model, tol)
     t = model.uncappable().coeffs
     cl, rl = _expansion(gm, _pairings(_TRIANGLE_SHAPES, model, t, tol))
-    return TriangleTable(cl, rl, t, gm)
+    return TriangleTable(cl, rl, t)
 
 
 # -- braid relation residuals -------------------------------------------
@@ -495,19 +494,19 @@ _BRAID_SHAPES = (
 def ybe_residual(
     model: TwoBoxModel,
     braid: BraidPair,
-    table: TriangleTable,
+    gm: GramMatrix,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Gram-norm distance between the basis expansions of the two sides
-    of the Yang-Baxter equation, relative to side A's Gram norm.
+    """Distance in the Gram norm of gm between the basis expansions of the
+    two sides of the Yang-Baxter equation, relative to side A's norm.
 
     Both sides are paired with the basis by `_pairings`, with U as the
     x-side label; side B is side A turned three clicks, so its pairings
     are read from side A's 14 closures, and one solve expands both.  A
     quadratic form past the float range raises NonFiniteScalar."""
     v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs, tol)
-    ca, cb = _solve(table.gram, v.reshape(2, -1).T).T
-    g = table.gram.entries
+    ca, cb = _solve(gm, v.reshape(2, -1).T).T
+    g = gm.entries
     with np.errstate(over="ignore", invalid="ignore"):
         d = ca - cb
         val = d.conj() @ g @ d

@@ -12,7 +12,7 @@ from helpers import (
     rotated_trace_closure,
     trace_closure,
 )
-from skeinlab import DEPTH3_DELTA, braid_pair, delta_for_l, from_classification_data, solve_triangle
+from skeinlab import DEPTH3_DELTA, braid_pair, delta_for_l, from_classification_data, gram, solve_triangle
 from skeinlab import shapes
 
 
@@ -39,8 +39,13 @@ def model_brauer():
 
 
 @pytest.fixture(scope="session")
-def table12(model12):
-    return solve_triangle(model12)
+def gram12(model12):
+    return gram(model12)
+
+
+@pytest.fixture(scope="session")
+def table12(model12, gram12):
+    return solve_triangle(model12, gram12)
 
 
 @pytest.fixture(scope="session")

@@ -589,17 +589,17 @@ def braid_pattern(model, braid, side, roots=(0, 0, 0)):
     return _braid_wiring(side, roots, [(model.rotate(u) if k % 2 else u).coeffs for k in roots])
 
 
-def reference_ybe_residual(model, braid, table, roots_a=(0, 0, 0), roots_b=(0, 0, 0)):
+def reference_ybe_residual(model, braid, gm, roots_a=(0, 0, 0), roots_b=(0, 0, 0)):
     """The Yang-Baxter residual with both sides built and each paired with
     all 14 basis patterns and expanded on its own, as before side B's
     pairings were read off side A's by the turn; the per-vertex root offsets
-    re-root the crossings of each side."""
+    re-root the crossings of each side; gm is the Gram matrix."""
     pa = braid_pattern(model, braid, "A", roots_a)
     pb = braid_pattern(model, braid, "B", roots_b)
-    ca, _ = expand(model, pa, table.gram)
-    cb, _ = expand(model, pb, table.gram)
+    ca, _ = expand(model, pa, gm)
+    cb, _ = expand(model, pb, gm)
     d = ca - cb
-    g = table.gram.entries
+    g = gm.entries
     val = complex(d.conj() @ g @ d)
     scale = max(1.0, abs(complex(ca.conj() @ g @ ca)))
     return float(np.sqrt(max(val.real, 0.0)) / np.sqrt(scale))

@@ -174,7 +174,7 @@ def test_criterion_6_skein_soundness(model12, table12):
     _report("criterion 6 (skein engine soundness)", ok)
 
 
-def test_criterion_7_negative_controls(model12, table12, braid12):
+def test_criterion_7_negative_controls(model12, gram12, braid12):
     m = model12
     off = TwoBoxModel(m.delta, m.a + 1e-2, m.b - 1e-2, m.sigma)
     chir = off.chirality_residual()
@@ -182,7 +182,7 @@ def test_criterion_7_negative_controls(model12, table12, braid12):
     from skeinlab.twobox import BraidPair
 
     perturbed = BraidPair.from_qr(qp, braid12.r)
-    ybe = ybe_residual(m, perturbed, table12)
+    ybe = ybe_residual(m, perturbed, gram12)
     ok = chir > 1e-3 and ybe > 1e-3
     _report("criterion 7 (negative controls)", ok)
 

@@ -150,6 +150,7 @@ def test_evaluate_malformed_diagram_fails(capsys, tmp_path):
 
 
 CAPPED = [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]
+CAPPED1 = [[[1, 0], [1, 1]], [[1, 2], [1, 3]]]  # the caps of vertex 1
 
 
 @pytest.mark.parametrize(
@@ -163,9 +164,21 @@ CAPPED = [[[0, 0], [0, 1]], [[0, 2], [0, 3]]]
         {"vertices": ["G"], "edges": CAPPED},
         {"free_loops": 1e400},
         [],
+        {"vertices": [{"id": 1.7, "label": "G"}], "edges": CAPPED1},
+        {"vertices": [{"id": True, "label": "G"}], "edges": CAPPED1},
+        {"vertices": [{"id": "1", "label": "G"}], "edges": CAPPED1},
+        {"vertices": [{"id": 0, "label": "G"}], "edges": [[[0, 0], [0, 1.9]], [[0, 2], [0, 3]]]},
+        {"vertices": [{"id": 0, "label": "G", "shading0": 1.5}], "edges": CAPPED},
+        {"vertices": [{"id": 0, "label": "G", "shading0": 2}], "edges": CAPPED},
+        {"free_loops": 2.9},
+        {"vertices": [{"id": 0, "label": ["1", 0, 0]}], "edges": CAPPED},
+        {"vertices": [{"id": 0, "label": [True, 0, 0]}], "edges": CAPPED},
+        {"vertices": [{"id": 0, "label": [[1, 0, 0], 0, 0]}], "edges": CAPPED},
     ],
     ids=["no label", "int edge", "two-entry label", "string coeff", "string id",
-         "string vertex", "infinite loops", "top-level list"],
+         "string vertex", "infinite loops", "top-level list", "fractional id", "bool id",
+         "numeric string id", "fractional slot", "fractional shading", "shading 2",
+         "fractional loops", "numeric string coeff", "bool coeff", "three-part coeff"],
 )
 def test_evaluate_unparsable_diagram_fails(capsys, tmp_path, doc):
     path = write_diagram(tmp_path, doc)
@@ -173,6 +186,19 @@ def test_evaluate_unparsable_diagram_fails(capsys, tmp_path, doc):
     assert code == EXIT_FAIL
     assert out == ""
     assert err.startswith(f"error: {path}: malformed diagram file") and err.count("\n") == 1
+
+
+def test_evaluate_integer_coefficients_are_numbers(capsys, tmp_path):
+    """JSON integers are valid coefficients and give the values of the
+    same numbers written as floats; explicit integer shading and loops
+    are read as they are."""
+    values = []
+    for label in ([2, [0, -1], 1], [2.0, [0.0, -1.0], 1.0]):
+        doc = {"free_loops": 1, "vertices": [{"id": 0, "label": label, "shading0": 0}], "edges": CAPPED}
+        code, out, _ = run(capsys, "evaluate", "--diagram", write_diagram(tmp_path, doc), "--l", "12")
+        assert code == EXIT_PASS
+        values.append(json.loads(out)["outputs"]["value"])
+    assert values[0] == values[1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, [0.0, -math.inf]])

@@ -21,3 +21,15 @@ def test_the_engine_hash_covers_each_locus():
     count, digest = TOOL["engine_hash"]((5.0, DEPTH3_DELTA))
     assert count == 2 and DIGEST.fullmatch(digest)
     assert TOOL["engine_hash"]((5.0,))[1] != digest
+
+
+# The float pipeline's and the skein engine's outputs, bit for bit.  A
+# change that moves bits on purpose re-records these two values and says
+# which outputs moved.
+PIPELINE_HASH = (698, "db6025bc7fd2fdcd79078932a4f50a2d3d7d139ad35d5b8e16db1bac7a41881d")
+ENGINE_HASH = (4, "aeaac16238c4fc56056b3a95abb13edcdfb00472cb2f1041f4ff5077ede19860")
+
+
+def test_the_full_hashes_are_pinned():
+    assert TOOL["pipeline_hash"]() == PIPELINE_HASH
+    assert TOOL["engine_hash"]() == ENGINE_HASH

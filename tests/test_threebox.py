@@ -345,24 +345,24 @@ def test_triangle_residuals_small(table12):
     assert table12.residual_left < 1e-10
 
 
-def test_triangle_expansion_consistency(model12, table12):
+def test_triangle_expansion_consistency(model12, gram12, table12):
     # <T-triangle, D_i> must match sum_j c_j <D_j, D_i> for every basis element
     left = triangle_pattern(model12)
     v = np.array(
         [inner(model12, left, di) for di in enumerate_basis(model12)], dtype=complex
     )
-    w = table12.gram.entries.T @ table12.left_coeffs
+    w = gram12.entries.T @ table12.left_coeffs
     assert np.max(np.abs(v - w)) < 1e-9 * max(1.0, float(np.max(np.abs(v))))
 
 
-def test_triangle_substitution_matches_direct_evaluation(model12, table12):
+def test_triangle_substitution_matches_direct_evaluation(model12, gram12, table12):
     # closing the triangle pattern against each basis element directly must
     # agree with evaluating the same closure through the 3-gon rewrite
     left = triangle_pattern(model12)
     for i, di in enumerate(enumerate_basis(model12)):
         direct = inner(model12, left, di)
         via_table = complex(
-            (table12.gram.entries.T @ table12.left_coeffs)[i]
+            (gram12.entries.T @ table12.left_coeffs)[i]
         )
         assert abs(direct - via_table) < 1e-9 * max(1.0, abs(direct))
 
@@ -389,14 +389,14 @@ def test_first_idempotent_triangle_null_when_rooted_at_legs(model12, table12):
     assert float(np.linalg.norm(v)) < 1e-8
 
 
-def test_triangle_table_right_is_mirror(model12, table12):
+def test_triangle_table_right_is_mirror(model12, gram12, table12):
     # The table's one expansion reproduces the pairings of the right
     # (mirror) triangle with the basis.
     right = mirror(triangle_pattern(model12))
     v = np.array(
         [inner(model12, right, di) for di in enumerate_basis(model12)], dtype=complex
     )
-    w = table12.gram.entries.T @ table12.left_coeffs
+    w = gram12.entries.T @ table12.left_coeffs
     assert np.max(np.abs(v - w)) < 1e-9 * max(1.0, float(np.max(np.abs(v))))
 
 
@@ -424,10 +424,9 @@ def test_the_mirror_triangle_has_the_left_expansion():
 # -- Yang-Baxter and Reidemeister ---------------------------------------
 
 
-def test_ybe_residual_small_at_loci(model12, table12, braid12, model_depth3, braid_depth3):
-    assert ybe_residual(model12, braid12, table12) < 1e-8
-    table3 = solve_triangle(model_depth3)
-    assert ybe_residual(model_depth3, braid_depth3, table3) < 1e-8
+def test_ybe_residual_small_at_loci(model12, gram12, braid12, model_depth3, braid_depth3):
+    assert ybe_residual(model12, braid12, gram12) < 1e-8
+    assert ybe_residual(model_depth3, braid_depth3, gram(model_depth3)) < 1e-8
 
 
 def test_ybe_residual_small_at_real_locus():
@@ -437,8 +436,7 @@ def test_ybe_residual_small_at_real_locus():
 
     q, r = recover_qr(4.5, m.a, m.b, sigma=-1)
     bp = braid_pair(m, q, r)
-    table = solve_triangle(m)
-    assert ybe_residual(m, bp, table) < 1e-8
+    assert ybe_residual(m, bp, gram(m)) < 1e-8
 
 
 def pairings(model, pattern):
@@ -466,18 +464,18 @@ def test_ybe_rerooting_invariance(model12, table12, braid12):
 
 
 def turn_cases():
-    """(name, model, table, braid) at the depth-3 point, at l = 12, 14,
-    100 and 200, and at delta = 4.5, 5, 11 and 15, each with its braid
-    generator and with q scaled by 1.01 and r by 1 + 1e-6."""
+    """(name, stages, braid) at the depth-3 point, at l = 12, 14, 100 and
+    200, and at delta = 4.5, 5, 11 and 15, each with its braid generator
+    and with q scaled by 1.01 and r by 1 + 1e-6."""
     loci = [("depth3", DEPTH3_DELTA)]
     loci += [(f"l={l}", delta_for_l(l)) for l in (12, 14, 100, 200)]
     loci += [(f"delta={d}", d) for d in (4.5, 5.0, 11.0, 15.0)]
     for name, delta in loci:
         st = Stages(delta)
         q, r = st.braid.q, st.braid.r
-        yield name, st.model, st.table, st.braid
-        yield f"{name}, q*1.01", st.model, st.table, BraidPair.from_qr(q * 1.01, r)
-        yield f"{name}, r*(1+1e-6)", st.model, st.table, BraidPair.from_qr(q, r * (1 + 1e-6))
+        yield name, st, st.braid
+        yield f"{name}, q*1.01", st, BraidPair.from_qr(q * 1.01, r)
+        yield f"{name}, r*(1+1e-6)", st, BraidPair.from_qr(q, r * (1 + 1e-6))
 
 
 def test_the_turned_pairings_match_the_direct_ones():
@@ -487,14 +485,15 @@ def test_the_turned_pairings_match_the_direct_ones():
     orbit_of = _pairing_program(threebox._TRIANGLE_SHAPES)[1]
     firsts = orbit_firsts(orbit_of)
     assert [firsts[k] for k in orbit_of] == [min(j, TURN2[j], TURN2[TURN2[j]]) for j in range(14)]
-    for name, m, table, braid in turn_cases():
+    for name, st, braid in turn_cases():
+        m, table = st.model, st.table
         vt = pairings(m, triangle_pattern(m))
         orbit = vt[firsts][orbit_of]
         assert np.max(np.abs(vt - orbit)) <= 1e-14 * np.max(np.abs(vt)), name
         va = pairings(m, braid_pattern(m, braid, "A"))
         vb = pairings(m, braid_pattern(m, braid, "B"))
         assert np.max(np.abs(vb - va[TURN3])) <= 1e-14 * np.max(np.abs(vb)), name
-        direct, residual = expand(m, triangle_pattern(m), table.gram)
+        direct, residual = expand(m, triangle_pattern(m), st.gram)
         assert residual < 1e-10 and table.residual_left < 1e-10, name
         scale = float(np.max(np.abs(direct)))
         assert np.max(np.abs(table.left_coeffs - direct)) <= 1e-13 * scale, name
@@ -504,8 +503,9 @@ def test_ybe_residual_matches_the_two_sided_reference():
     """Against both sides expanded apart: the pairings differ by rounding
     (<= 1e-15 relative, above), which shows in the residual as absolute
     noise below 1e-15 (2.9e-16 at most on these cases)."""
-    for name, m, table, braid in turn_cases():
-        got, want = ybe_residual(m, braid, table), reference_ybe_residual(m, braid, table)
+    for name, st, braid in turn_cases():
+        m, gm = st.model, st.gram
+        got, want = ybe_residual(m, braid, gm), reference_ybe_residual(m, braid, gm)
         assert abs(got - want) <= 1e-15, name
 
 
@@ -526,7 +526,7 @@ def test_an_x_side_shape_that_is_no_turn_of_another_gets_its_own_closures():
         assert np.max(np.abs(vb - va[TURN3])) <= 1e-12 * np.max(np.abs(vb)), name
 
 
-def test_ybe_perturbed_q_fails(model12, table12, braid12):
+def test_ybe_perturbed_q_fails(model12, gram12, braid12):
     q = braid12.q * 1.01
     # rebuild U, V from the perturbed q directly
     m = model12
@@ -536,7 +536,7 @@ def test_ybe_perturbed_q_fails(model12, table12, braid12):
     u = BoxVec(PLUS, (1.0 / r, q, -1.0 / q))
     v = BoxVec(PLUS, (r, 1.0 / q, -q))
     perturbed = BraidPair(q=q, r=r, U=u, V=v)
-    assert ybe_residual(m, perturbed, table12) > 1e-3
+    assert ybe_residual(m, perturbed, gram12) > 1e-3
 
 
 def test_reidemeister_residuals_at_loci(model12, braid12, model_depth3, braid_depth3):

@@ -61,10 +61,12 @@ def test_traced_classify_records_the_hot_path(tracer_module):
         tracer.uninstall()
     assert result.verdict == "PASS"
     calls = {name: agg[0] for name, agg in tracer.totals().items()}
-    # The Gram matrix, the 3-gon's and side A's pairings run as programs,
-    # not through inner or the engine.
+    # The Gram matrix's and side A's pairings run as programs, not through
+    # inner or the engine, and the Yang-Baxter residual reads the Gram
+    # matrix: no triangle table is solved.
     assert "threebox.inner" not in calls
     assert "skein.evaluate" not in calls
-    assert calls["threebox.gram"] == calls["threebox.solve_triangle"] == 1
+    assert "threebox.solve_triangle" not in calls
+    assert calls["threebox.gram"] == calls["threebox.ybe_residual"] == 1
     assert calls["twobox.rotate"] == 1  # the r2 residual only
     assert "twobox.product" not in calls

@@ -4,16 +4,22 @@ and the two sides of the Yang-Baxter equation are each paired with the
 basis by one program of one closure per rotation orbit of pairs (40, 6
 and 14), which computes every distinct cap, rotation and fusion once, so
 a classification makes no `inner` call and labels no basis pattern, and
-builds each closure once, when its program is compiled.  A
+builds each closure once, when its program is compiled.  The Yang-Baxter
+residual reads the Gram matrix, so a classification and a `ybe` report
+run two programs, the Gram matrix's and side A's, and never solve the
+triangle table; `evaluate` solves it once, for a diagram with a 3-gon.  A
 PASS classification makes one eigendecomposition, of the scaled Gram
-matrix, and a Gram report two, the scaled and the raw spectrum.
+matrix, and one solve, of both Yang-Baxter sides, and a Gram report two
+eigendecompositions, the scaled and the raw spectrum.
 The FormalSum engine evaluates a diagram again without redoing the shape
 half of any rewrite, under any triangle table, keys only the terms that
 can merge, and its connector walk asks once per node whether the node is
 a connector."""
 
 import contextlib
+import importlib
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -25,12 +31,17 @@ from skeinlab.classify import Stages
 from skeinlab.cli import main
 from skeinlab.threebox import expand, mirror, triangle_pattern
 
+# skeinlab.classify is the function; the module is only in sys.modules.
+classify_mod = importlib.import_module("skeinlab.classify")
+
 # 40 rotation orbits of Gram entries, 6 orbits of two turns for the
 # triangle table and 14 basis patterns for side A of the Yang-Baxter
 # equation (side B's pairings are side A's turned three clicks), run as
-# three programs; each pairs a different closure shape.
+# three programs; each pairs a different closure shape.  A classification
+# runs the Gram matrix's and side A's, 54 closures in two programs.
 GRAM_CLOSURES, TRIANGLE_CLOSURES, SIDE_A_CLOSURES = 40, 6, 14
-CLOSURES_PER_PASS = GRAM_CLOSURES + TRIANGLE_CLOSURES + SIDE_A_CLOSURES
+CLOSURES_PER_PASS = GRAM_CLOSURES + SIDE_A_CLOSURES
+PROGRAMS_PER_PASS = 2
 
 # (nodes, chain steps) of each program.  The plans of the Gram matrix's
 # and the 3-gon's 46 closures make 57 caps, 33 fusions and 44 odd
@@ -84,6 +95,22 @@ def counted(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def triangle_solves(monkeypatch):
+    """Counts the calls of solve_triangle, by which `Stages.table` solves
+    the triangle table."""
+    calls = []
+    solve_triangle = threebox.solve_triangle
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_triangle(*args, **kwargs)
+
+    monkeypatch.setattr(threebox, "solve_triangle", counting)
+    monkeypatch.setattr(classify_mod, "solve_triangle", counting)
+    return calls
+
+
 def programs_built():
     return threebox._pairing_program.cache_info().misses
 
@@ -95,7 +122,7 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert counted["inner"] == counted["labelled"] == 0
     assert counted["evaluated"] == []
     assert counted["closures"] == len(counted["validated"]) == CLOSURES_PER_PASS
-    assert programs_built() == len(PROGRAMS)
+    assert programs_built() == PROGRAMS_PER_PASS
 
     # A second classification runs the cached programs and builds,
     # compiles and validates nothing.
@@ -104,7 +131,38 @@ def test_classify_validates_every_evaluated_diagram_once(counted):
     assert counted["inner"] == counted["labelled"] == 0
     assert counted["evaluated"] == counted["validated"] == []
     assert counted["closures"] == CLOSURES_PER_PASS
-    assert programs_built() == len(PROGRAMS)
+    assert programs_built() == PROGRAMS_PER_PASS
+
+
+def test_classify_and_ybe_never_solve_the_triangle_table(triangle_solves, monkeypatch):
+    """The Yang-Baxter residual reads the Gram matrix: one solve, of both
+    sides, and no triangle table, in `classify` and in a `ybe` report."""
+    calls = _count_linalg(monkeypatch, ("solve",))
+    assert classify(5.0).verdict == "PASS"
+    assert triangle_solves == [] and calls == {"solve": [(14, 14)]}
+    calls["solve"].clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ybe", "--l", "12"]) == 0
+    assert triangle_solves == [] and calls == {"solve": [(14, 14)]}
+
+
+def test_evaluate_solves_the_table_only_at_a_3_gon(triangle_solves, model12, tmp_path):
+    """A `skeinlab evaluate` of the octahedron, all 3-gons, solves the
+    triangle table once; one of a triangle-free diagram, the 4-vertex
+    closure of the last basis pattern with itself, never does."""
+    octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
+    last = threebox.enumerate_basis(model12)[-1]
+    free = threebox.closure(last, last)
+    for d, solves in ((free, 0), (octa, 1)):
+        doc = {
+            "vertices": [{"id": v, "label": "G"} for v in d.vertices],
+            "edges": [[list(a), list(b)] for a, b in d.edges.items() if a < b],
+        }
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evaluate", "--diagram", str(path), "--l", "12"]) == 0
+        assert len(triangle_solves) == solves
 
 
 def test_evaluate_labels_no_basis_pattern(counted, triangle_rich):
@@ -201,19 +259,19 @@ def test_a_second_evaluation_replays_every_rewrite(model12, table12, monkeypatch
 
 
 def test_the_table_and_the_braid_sides_take_20_closures(counted):
-    """On a cold program cache the table builds the 6 closures of its
-    program and the braid sides the 14 of theirs; neither makes an inner
-    call."""
+    """On a cold program cache the braid sides build the 14 closures of
+    their program and the table, read later, the 6 of its own; neither
+    makes an inner call."""
     threebox._pairing_program.cache_clear()
     st = Stages(5.0)
     st.gram
     assert counted["closures"] == GRAM_CLOSURES
-    st.table
-    assert counted["inner"] == 0
-    assert counted["closures"] == GRAM_CLOSURES + TRIANGLE_CLOSURES
     st.braid_residuals(st.braid)
     assert counted["inner"] == 0
     assert counted["closures"] == CLOSURES_PER_PASS
+    st.table
+    assert counted["inner"] == 0
+    assert counted["closures"] == CLOSURES_PER_PASS + TRIANGLE_CLOSURES
 
 
 def _count_linalg(monkeypatch, names):
@@ -231,8 +289,8 @@ def _count_linalg(monkeypatch, names):
 def test_classify_computes_one_eigendecomposition(monkeypatch):
     calls = _count_linalg(monkeypatch, ("svd", "lstsq", "eigvalsh", "solve"))
     assert classify(5.0).verdict == "PASS"
-    # One solve for the 3-gon's table, one for both Yang-Baxter sides.
-    assert calls == {"svd": [], "lstsq": [], "eigvalsh": [(14, 14)], "solve": [(14, 14)] * 2}
+    # One solve, for both Yang-Baxter sides; no triangle table.
+    assert calls == {"svd": [], "lstsq": [], "eigvalsh": [(14, 14)], "solve": [(14, 14)]}
 
 
 def test_gram_report_computes_the_eigenvalues_once(monkeypatch):
