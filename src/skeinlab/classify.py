@@ -36,18 +36,17 @@ from .twobox import (
     trace_split,
 )
 
-# Even-l range searched for the root-of-unity series below delta = 4.
+# Least l of the series: odd l are not unitary (Wenzl 1990), l = 10 has 3-box rank 13.
 L_SERIES_MIN = 12
-L_SERIES_MAX = 200
+# Float64 inverts delta_for_l to within _UNIT_ROUNDOFF * l**3 (1/90 of it at
+# every even l <= 2e5), which reaches 1/2 at L_SERIES_LIMIT, about 1.65e5.
+_UNIT_ROUNDOFF = math.ulp(1.0) / 2
+L_SERIES_LIMIT = (2 * _UNIT_ROUNDOFF) ** (-1 / 3)
 
 
 def delta_for_l(l: int) -> float:
     """Loop value of the root-of-unity point: q = e^{i pi/l}."""
     return 2.0 * math.cos(2.0 * math.pi / l) + 2.0 * math.cos(4.0 * math.pi / l)
-
-
-# (l, delta_for_l(l)) for the even l searched, in ascending l.
-_L_SERIES = tuple((l, delta_for_l(l)) for l in range(L_SERIES_MIN, L_SERIES_MAX + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,29 @@ class Admissibility:
     note: str = ""
 
 
-def admissible_check(delta: float, tol: Tolerance = DEFAULT_TOL) -> Admissibility:
+def admissible_check(delta: float) -> Admissibility:
     """Locate delta on the classification locus, or reject it."""
     delta = float(delta)
     if not 0 < delta < math.inf:
         note = "is not positive" if delta <= 0 else "is not finite"
         return Admissibility("Rejected", note=f"delta = {delta} {note}")
-    if abs(delta - DEPTH3_DELTA) < tol.DEPTH3_WINDOW:
+    if abs(delta - DEPTH3_DELTA) < Tolerance.DEPTH3_WINDOW:
         return Admissibility("Depth3", note="cubic depth-3 loop value")
-    if delta >= 4.0 - tol.eq_tol:
+    if delta >= 4.0:
         return Admissibility("Sp4", note="real continuum, q >= 1")
-    for l, delta_l in _L_SERIES:
-        if abs(delta - delta_l) < tol.L_WINDOW:
-            return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
-    return Admissibility(
-        "Rejected",
-        note=(
-            f"delta = {delta} is neither the depth-3 value, in the even-l "
-            f"series (l <= {L_SERIES_MAX}), nor >= 4"
-        ),
-    )
+    # delta_for_l(l') = delta at sin(pi/l')^2 = (4 - delta) / (10 + 2 sqrt(4 delta + 9)).
+    lp = math.pi / math.asin(math.sqrt((4.0 - delta) / (10.0 + math.sqrt(16.0 * delta + 36.0))))
+    l = 2 * round(lp / 2)
+    if lp >= L_SERIES_LIMIT:
+        why = f"past float64's limit of about {L_SERIES_LIMIT:.6g}, where neighbouring even l merge"
+    elif l < L_SERIES_MIN:
+        why = f"less than {L_SERIES_MIN}"
+    elif abs(lp - l) > _UNIT_ROUNDOFF * lp**3:
+        why = f"{abs(lp - l):.2g} off the even l = {l}"
+    else:
+        return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
+    note = f"delta = {delta} is off the even-l series: l' = {lp:.6g} is {why}"
+    return Admissibility("Rejected", note=note)
 
 
 def recover_qr(
@@ -248,7 +250,7 @@ class Stages:
     def __init__(self, delta: float, tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
         self.delta = float(delta)
-        self.admissibility = admissible_check(self.delta, tol)
+        self.admissibility = admissible_check(self.delta)
         case = self.admissibility.case
         self.rejected = case == "Rejected"
         self.sigma = {"Depth3": +1, "Sp4": -1}.get(case, 0)

@@ -39,8 +39,9 @@ class Tolerance:
     One value is set: eq_tol, the relative tolerance of `is_real`.  It
     must be finite, positive and at most EQ_TOL_MAX; anything else raises
     InvalidTolerance.  The fields derived from eq_tol judge agreement up to
-    float error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class constants identify points of the
-    locus or guard against float noise, and stay fixed.
+    float error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class
+    constants identify points of the locus or guard against float noise, and
+    stay fixed; `admissible_check` finds the even l in closed form, with none.
     """
 
     eq_tol: float = _EQ_TOL
@@ -72,10 +73,6 @@ class Tolerance:
     """Window of the depth-3 point.  Fixed: the next admissible loop value
     is 0.49 away, and a window that shrank with --tol would miss a depth-3
     value typed to 7 digits."""
-    L_WINDOW: ClassVar[float] = 1e-6
-    """Window of the even-l point delta(l).  Fixed: the series spacing bounds
-    it, not float error; delta(98) and delta(100) are 8.1e-4 apart, so a
-    window scaled by --tol 1e-6 would match l = 98 for l = 100."""
     BRAUER_WINDOW: ClassVar[float] = 1e-9
     """Window of the Brauer point q = 1.  Fixed: it is where the q -> 1 limit
     replaces trace formulas that divide by q - 1/q, whatever --tol judges."""

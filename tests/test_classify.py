@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab import (
     DEPTH3_DELTA,
+    Admissibility,
     Stages,
     TwoBoxModel,
     admissible_check,
@@ -28,7 +31,7 @@ from skeinlab.errors import (
     SkeinlabError,
     SupportAmbiguous,
 )
-from skeinlab.scalar import DEFAULT_TOL
+from skeinlab.scalar import DEFAULT_TOL, Tolerance
 
 from helpers import FIXTURE_LOCI, first_over
 
@@ -49,12 +52,12 @@ def test_admissible_depth3():
 
 
 def test_admissible_l_series():
-    adm = admissible_check(1.0 + math.sqrt(3.0))
-    assert adm.case == "Sp4"
-    assert adm.l == 12
-    adm = admissible_check(delta_for_l(14))
-    assert adm.case == "Sp4"
-    assert adm.l == 14
+    # 1 + sqrt(3) and its upper float neighbour are delta(12) to one ulp.
+    for delta in (1.0 + math.sqrt(3.0), math.nextafter(1.0 + math.sqrt(3.0), 4.0)):
+        assert admissible_check(delta) == Admissibility("Sp4", 12, "root-of-unity point l = 12")
+    for l in range(12, 10_001, 2):
+        adm = admissible_check(delta_for_l(l))
+        assert (adm.case, adm.l) == ("Sp4", l), l
 
 
 def test_admissible_real_continuum():
@@ -65,8 +68,36 @@ def test_admissible_real_continuum():
 
 
 def test_rejected_values():
-    for delta in (2.5, 3.0, 3.9):
-        assert admissible_check(delta).case == "Rejected"
+    for delta in (2.5, 3.0, 3.9, delta_for_l(12) + 1e-7, delta_for_l(12) - 1e-7, 4.0 - 1e-10):
+        assert admissible_check(delta).case == "Rejected", delta
+    # delta(l') at l' off the even l >= 12; the note gives l'.
+    for lp in ("10", "11", "12.5", "100.5", "201", "1001", "200000"):
+        adm = admissible_check(delta_for_l(float(lp)))
+        assert adm.case == "Rejected" and f"l' = {lp} is " in adm.note, adm.note
+    # The continuum edge stays at 4 whatever --tol: 3.99999 is at l' = 4442.88.
+    res = classify(3.99999, Tolerance(eq_tol=1e-5))
+    assert res.verdict == "REJECTED" and "l' = 4442.88 is 0.88 off the even l = 4442" in res.notes[0]
+
+
+# Past this l the float window _UNIT_ROUNDOFF * l**3 passes 0.05, the
+# smallest offset from an even l drawn below.
+_OFF_L_MAX = classify_mod.L_SERIES_LIMIT * 0.1 ** (1 / 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(6, int(classify_mod.L_SERIES_LIMIT) // 2))
+def test_every_even_l_up_to_the_limit_is_found_and_passes(half):
+    l = 2 * half
+    res = classify(delta_for_l(l))
+    assert (res.case, res.l, res.verdict) == ("Sp4", l, "PASS"), res.notes
+    assert res.notes[0] == f"root-of-unity point l = {l}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(6, int(_OFF_L_MAX) // 2 - 1), st.floats(0.05, 1.95))
+def test_a_delta_between_even_l_is_rejected(half, f):
+    res = classify(delta_for_l(2 * half + f))
+    assert res.verdict == "REJECTED" and " off the even l = " in res.notes[0], res.notes
 
 
 def test_rejected_stages_are_not_built():
@@ -271,6 +302,13 @@ def test_classify_l12_passes():
         assert res.residuals[key] < bound
 
 
+@pytest.mark.parametrize("l", [202, 1000])
+def test_even_l_past_200_is_found_as_itself(l):
+    # l = 1000 must not come back as its neighbour l = 998.
+    res = classify(delta_for_l(l))
+    assert (res.case, res.l, res.verdict) == ("Sp4", l, "PASS")
+
+
 def test_classify_brauer_passes():
     res = classify(4.0)
     assert res.verdict == "PASS"
@@ -369,15 +407,3 @@ def test_the_continuum_passes_at_the_first_fail_of_the_log_grid():
 )
 def test_the_continuum_passes_next_to_the_brauer_point():
     assert classify(4.0 + 1e-12).verdict == "PASS"
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="REJECTED: the even-l series is searched up to l = 200 only",
-)
-@pytest.mark.parametrize("l", [202, 1000])
-def test_even_l_past_200_is_found_as_itself(l):
-    # Raising L_SERIES_MAX is no fix: l = 1000 then came back as l = 998.
-    res = classify(delta_for_l(l))
-    assert (res.case, res.l, res.verdict) == ("Sp4", l, "PASS")

@@ -87,16 +87,32 @@ def test_every_private_name_is_used_in_the_package():
     assert sorted(defined - used) == []
 
 
+def _is_number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
 def threshold_literals(source: str) -> list[str]:
     """Float literals x with 0 < |x| <= 1e-3, the size of a threshold, or
-    |x| >= 1e3, the size of a threshold's factor."""
-    return sorted(
-        f"{node.value!r} (line {node.lineno})"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Constant)
-        and type(node.value) is float
-        and (0.0 < abs(node.value) <= 1e-3 or abs(node.value) >= 1e3)
-    )
+    |x| >= 1e3, the size of a threshold's factor; and a number literal
+    raised to a negative literal power, a threshold written as 10 ** -9."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and (0.0 < abs(node.value) <= 1e-3 or abs(node.value) >= 1e3)
+        ):
+            found.append(f"{node.value!r} (line {node.lineno})")
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and _is_number(node.left)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and _is_number(node.right.operand)
+        ):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return sorted(found)
 
 
 def test_checker_flags_a_threshold_literal():
@@ -106,6 +122,8 @@ def test_checker_flags_a_threshold_literal():
         "1000.0 (line 1)",
         "200000.0 (line 1)",
     ]
+    source = "eps = 2.0 ** -53\ntol = 10 ** (-9)\nx = y ** -1 + 2 ** 3 + (2 * u) ** (-1 / 3)\n"
+    assert threshold_literals(source) == ["10 ** (-9) (line 2)", "2.0 ** (-53) (line 1)"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"], ids=lambda p: p.name)

@@ -131,7 +131,6 @@ DERIVED = {"match_tol": 1e-6, "drop_tol": 1e-9 * 1e-3}
 FIXED = {
     "RANK_TOL": 1e-8,
     "DEPTH3_WINDOW": 1e-6,
-    "L_WINDOW": 1e-6,
     "BRAUER_WINDOW": 1e-9,
     "TERM_DROP": 1e-14,
     "TABLE_DROP": 1e-13,
