@@ -280,11 +280,11 @@ class Stages:
 
     @cached_property
     def gram(self):
-        return gram(self.model, self.tol)
+        return gram(self.model)
 
     @cached_property
     def table(self):
-        return solve_triangle(self.model, self.gram, self.tol)
+        return solve_triangle(self.model, self.gram)
 
     def perturbed_braid(self, factor: float) -> BraidPair:
         """The braid generator with q scaled by factor (r kept); any factor
@@ -293,7 +293,7 @@ class Stages:
 
     def braid_residuals(self, braid: BraidPair) -> dict[str, float]:
         """Yang-Baxter and Reidemeister residuals of braid; no triangle table."""
-        ybe = ybe_residual(self.model, braid, self.gram, self.tol)
+        ybe = ybe_residual(self.model, braid, self.gram)
         r1, r2, quad = reidemeister_residuals(self.model, braid)
         return {"ybe": ybe, "r1": r1, "r2": r2, "quad": quad}
 

@@ -55,14 +55,13 @@ pairing, free loops).  `_plan` takes it from a valid diagram with the
 shape half.  `_compile` turns plans, each vertex mapped to one of a few
 leaf labels, into one straight-line program, and `_run` evaluates it with
 the number half, each distinct cap, rotation and fusion once, in the
-number type of the model's delta; over floats only, it drops as the engine
-does.  `_size` raises the same NonFiniteScalar, in the same words, on both
-evaluators; `threebox.inner` is the engine.
+number type of the model's delta.  A run drops nothing in any number type,
+so its values agree with the engine's, which drops tiny terms, to
+roundoff; `threebox.inner` is the engine.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from collections import defaultdict
@@ -220,19 +219,15 @@ def _rebuild(diag: Diagram, removed, new_vertices: dict, code, at: int = 0) -> D
 
 def _size(coeff: Scalar) -> float:
     """|coeff|; an inf or nan coefficient, or one whose modulus is past the
-    float range, raises NonFiniteScalar in the words of both evaluators."""
+    float range, raises NonFiniteScalar.  An exact rational is finite at
+    any size."""
     try:
         size = abs(coeff)
     except OverflowError:  # finite parts, modulus past the float range
         raise NonFiniteScalar(f"non-finite scalar |{coeff!r}|") from None
-    if not math.isfinite(size):
+    if isinstance(size, float) and not math.isfinite(size):
         check_finite(coeff)
     return size
-
-
-def _kept(size: float, scale: float, tol: Tolerance) -> bool:
-    """Whether a term of modulus `size` survives next to terms of size `scale`."""
-    return size > tol.drop_tol * max(1.0, scale)
 
 
 @dataclass
@@ -243,8 +238,9 @@ class FormalSum:
 
     def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
         """Merge the terms of equal canonical key, in first-seen order, then
-        drop the terms that `_kept` refuses; the first merged coefficient
-        that is inf or nan, or whose modulus is past the float range, raises
+        drop the terms of modulus at most `Tolerance.drop_tol` times the largest
+        one's, or times 1 if that is more; the first merged coefficient that
+        is inf or nan, or whose modulus is past the float range, raises
         NonFiniteScalar (`_size`).  Equal keys imply an equal invariant
         (free loops, vertex count, sum of the label keys' hashes), so a term
         whose invariant no other term shares merges with nothing: its bucket
@@ -267,8 +263,8 @@ class FormalSum:
             else:
                 buckets[key] = (complex(coeff), diag)
         sizes = [_size(c) for c, _ in buckets.values()]
-        scale = max(sizes, default=1.0)
-        return FormalSum([t for t, size in zip(buckets.values(), sizes) if _kept(size, scale, tol)])
+        floor = tol.drop_tol * max([1.0, *sizes])
+        return FormalSum([t for t, size in zip(buckets.values(), sizes) if size > floor])
 
     @property
     def is_scalar(self) -> bool:
@@ -587,13 +583,6 @@ def _plan(diag: Diagram) -> tuple:
     return tuple(plan)
 
 
-def _survives(coeff: Scalar, tol: Tolerance) -> bool:
-    """The engine's zero-drop of a single term: whether `coeff` is kept.
-    A non-finite coefficient raises NonFiniteScalar (`_size`)."""
-    size = _size(coeff)
-    return _kept(size, size, tol)
-
-
 # -- straight-line programs ----------------------------------------------
 
 
@@ -640,14 +629,13 @@ def _compile(closures, leaves: int) -> Program:
     return Program(tuple(nodes), tuple(chains))
 
 
-def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list:
-    """The value of each plan of `program` on the leaf labels `leaves`.  At
-    a float delta a chain stops at the first coefficient that `_survives`
-    drops, and a non-finite one raises NonFiniteScalar, chain by chain in
-    plan order.  At a `Fraction` or an `ndarray` nothing is dropped, and
-    an array run under `np.errstate` raises it after any non-finite value."""
-    drop = isinstance(model.delta, (float, np.floating))
-    with contextlib.nullcontext() if drop else np.errstate(all="ignore"):
+def _run(program: Program, leaves, model: TwoBoxModel) -> list:
+    """The value of each plan of `program` on the leaf labels `leaves`, in
+    the number type of the model's delta (a float, a `Fraction` or an
+    `ndarray`); nothing is dropped.  The run goes under `np.errstate`, and
+    a non-finite value raises NonFiniteScalar once it is done (`_size` on
+    each scalar value)."""
+    with np.errstate(all="ignore"):
         regs = list(leaves)
         for op in program.nodes:
             if op[0] == "cap":
@@ -665,12 +653,13 @@ def _run(program: Program, leaves, model: TwoBoxModel, tol: Tolerance) -> list:
                     coeff = coeff * _loop_factor(model, loops)
                 if cap is not None:
                     coeff = coeff * regs[cap]
-                if drop and not _survives(coeff, tol):
-                    coeff = 0.0
-                    break
-            values.append(complex(0.0) + coeff if drop else coeff)
-    if not drop and isinstance(model.delta, np.ndarray) and not np.isfinite(values).all():
-        raise NonFiniteScalar(f"non-finite scalar in a run over {model.delta.size} loop values")
+            values.append(coeff)
+    if isinstance(model.delta, np.ndarray):
+        if not np.isfinite(values).all():
+            raise NonFiniteScalar(f"non-finite scalar in a run over {model.delta.size} loop values")
+    else:
+        for value in values:
+            _size(value)
     return values
 
 

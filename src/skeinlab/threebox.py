@@ -302,13 +302,15 @@ def _pairing_program(xs: tuple) -> tuple:
     return _compile(closures, 2), np.array(index, dtype=np.intp)
 
 
-def _pairings(xs: tuple, model: TwoBoxModel, x_label, tol: Tolerance) -> np.ndarray:
+def _pairings(xs: tuple, model: TwoBoxModel, x_label) -> np.ndarray:
     """<x, D_j> for the shapes x of `xs` labelled x_label and the model's
-    basis, in row-major order, from `_pairing_program(xs)`: bit for bit
-    what `inner` gives on each orbit's first pair."""
+    basis, in row-major order, from `_pairing_program(xs)`: what `inner`
+    gives on each orbit's first pair, up to roundoff, since the program
+    drops nothing and the engine drops tiny terms.  Adding 0.0 turns a
+    signed zero -0.0 into 0.0, so no report prints one."""
     program, index = _pairing_program(xs)
     y_bar = tuple(c.conjugate() for c in model.uncappable().coeffs)
-    return np.array(_run(program, (x_label, y_bar), model, tol), dtype=complex)[index]
+    return np.array(_run(program, (x_label, y_bar), model), dtype=complex)[index] + 0.0
 
 
 # -- Gram matrix ---------------------------------------------------------
@@ -360,13 +362,12 @@ class GramMatrix:
         return float(np.max(np.abs(g - g.conj().T))) / scale
 
 
-def gram(model: TwoBoxModel, tol: Tolerance = DEFAULT_TOL) -> GramMatrix:
+def gram(model: TwoBoxModel) -> GramMatrix:
     """G from `_pairings` of the basis with itself, 40 closures for 196
-    entries, each bit for bit `inner`'s.  But for the orbits of (0, 3) and
-    (5, 8), (i, j) and (j, i) are reduced apart, so `hermiticity_defect`
-    compares two computations."""
+    entries.  But for the orbits of (0, 3) and (5, 8), (i, j) and (j, i)
+    are reduced apart, so `hermiticity_defect` compares two computations."""
     t = model.uncappable().coeffs
-    return GramMatrix(_pairings(_basis_shapes()[0], model, t, tol).reshape(14, 14))
+    return GramMatrix(_pairings(_basis_shapes()[0], model, t).reshape(14, 14))
 
 
 def expand(
@@ -431,17 +432,13 @@ class TriangleTable:
     generator: tuple
 
 
-def solve_triangle(
-    model: TwoBoxModel,
-    gm: GramMatrix | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> TriangleTable:
-    """The 3-gon's expansion from its `_pairings` with the basis, bit for
-    bit `inner`'s with `triangle_pattern(model)`: two turns fix the 3-gon,
-    so it takes 6 closures for the 14; only `evaluate` at a 3-gon needs it."""
-    gm = gm or gram(model, tol)
+def solve_triangle(model: TwoBoxModel, gm: GramMatrix | None = None) -> TriangleTable:
+    """The 3-gon's expansion from its `_pairings` with the basis, those of
+    `triangle_pattern(model)`: two turns fix the 3-gon, so it takes 6
+    closures for the 14; only `evaluate` at a 3-gon needs it."""
+    gm = gm or gram(model)
     t = model.uncappable().coeffs
-    cl, rl = _expansion(gm, _pairings(_TRIANGLE_SHAPES, model, t, tol))
+    cl, rl = _expansion(gm, _pairings(_TRIANGLE_SHAPES, model, t))
     return TriangleTable(cl, rl, t)
 
 
@@ -491,12 +488,7 @@ _BRAID_SHAPES = (
 )
 
 
-def ybe_residual(
-    model: TwoBoxModel,
-    braid: BraidPair,
-    gm: GramMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def ybe_residual(model: TwoBoxModel, braid: BraidPair, gm: GramMatrix) -> float:
     """Distance in the Gram norm of gm between the basis expansions of the
     two sides of the Yang-Baxter equation, relative to side A's norm.
 
@@ -504,7 +496,7 @@ def ybe_residual(
     x-side label; side B is side A turned three clicks, so its pairings
     are read from side A's 14 closures, and one solve expands both.  A
     quadratic form past the float range raises NonFiniteScalar."""
-    v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs, tol)
+    v = _pairings(_BRAID_SHAPES, model, braid.U.coeffs)
     ca, cb = _solve(gm, v.reshape(2, -1).T).T
     g = gm.entries
     with np.errstate(over="ignore", invalid="ignore"):

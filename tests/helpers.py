@@ -14,7 +14,15 @@ from skeinlab.errors import (
     ShadingInconsistent,
     SkeinlabError,
 )
-from skeinlab.threebox import _basis_shapes, _braid_wiring, _labelled, expand, mirror
+from skeinlab.threebox import (
+    GramMatrix,
+    _basis_shapes,
+    _braid_wiring,
+    _labelled,
+    _solve,
+    expand,
+    mirror,
+)
 
 
 # -- the loci of the golden reports, and residuals pushed off them ---------
@@ -35,6 +43,26 @@ def first_over(limit, residual):
     """The smallest perturbation eps whose residual(eps) is at or over
     limit, or None."""
     return next((eps for eps in PERTURBATIONS if not residual(eps) < limit), None)
+
+
+# -- pairings computed two ways agree to roundoff --------------------------
+
+# The programs of `skein._run` drop nothing and the FormalSum engine drops
+# terms at its `drop_tol` floor, so a pairing <x, D_j> from each agrees to
+# ROUNDOFF times its Cauchy-Schwarz bound sqrt(<x, x> G_jj).
+ROUNDOFF = 1e-15
+
+
+def cauchy_schwarz(g, v=None):
+    """sqrt(<x, x> G_jj), the bound of |<x, D_j>|, from the Gram entries g:
+    as a 14 x 14 array over x = D_i when v is None, else for the one pattern
+    x whose pairings with the basis are v, <x, x> = c G c* from its
+    expansion c (G^T c = v)."""
+    diag = np.abs(np.diagonal(g))
+    if v is None:
+        return np.sqrt(np.outer(diag, diag))
+    c = _solve(GramMatrix(g), v)
+    return np.sqrt(abs(c @ g @ c.conj()) * diag)
 
 
 # -- the 2-box structure constants as numpy arrays -------------------------

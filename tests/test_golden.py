@@ -2,16 +2,19 @@
 
 `classify`, `gram` and `ybe` at the fixture loci take the plan path: they
 reduce every closed diagram through `skein._plan`/`_compile`/`_run`,
-which read no label keys, so a change to the FormalSum engine's keys or merging must
-leave these bytes as they are.  `evaluate --l 12` on 3-gon-rich diagram
-files takes the engine path: 3-gon expansion, triangle-table substitution
-and the shape graph, so a change to how the engine builds its terms must
-leave those bytes as they are."""
+which read no label keys and drop nothing, so a change to the FormalSum
+engine's keys, merging or zero drop must leave these bytes as they are,
+and none of them prints a -0.0.  `evaluate --l 12` on 3-gon-rich diagram
+files takes the engine path: 3-gon expansion, substitution of the
+triangle table (which the plan path solves) and the shape graph, so a
+change to how the engine builds its terms must leave those bytes as they
+are."""
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -42,26 +45,26 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) by (command, locus).
 GOLDEN = {
-    ("classify", "depth3"): (0, "41f042c2dfce1c9ad2e6a077ffe6ac987dbb46ed117e05997c8bc71d01eb4726"),
-    ("classify", "l12"): (0, "dc89f92bcd64629e0a34d3dd575d4349fbff3cc84e4a8ab9ee7c8ab25692f2c0"),
-    ("classify", "l100"): (0, "45e45d467764ef497e828a07cc699911a275f47b2a4373025e84d77963f34611"),
-    ("classify", "delta5"): (0, "9e71e9d470b2c33dafd56effea07fb47ea8906fc829b1558156628f318ffce9a"),
-    ("classify", "delta11"): (0, "e9c254b28b516960b693713b2061e7ab6b34e589468e5e7f1fffe16b046595a3"),
-    ("gram", "depth3"): (0, "b84d86203259567b13552b7343c8a84e0a1f2783e73b876991c9a482977f6f71"),
-    ("gram", "l12"): (0, "8d6491967dae5ff9114a185f5d9734f3a8028af65eb54e44aa188eb741bd0cf7"),
-    ("gram", "l100"): (0, "e9517693d8133d0f9d2a7af00c77fa626ef01b70beaec42117c7798bef23698c"),
-    ("gram", "delta5"): (0, "d176ac79c82ec8d656f389e732bee747dbcdbee842f09d470766a7e2627145a5"),
-    ("gram", "delta11"): (0, "b0b0d4ea44ebc968c6149fc5974a0811c10d880856efa2397fd6226c8fd07887"),
-    ("ybe", "depth3"): (0, "e885ca9d04328c441efd4588a70f0ae6140be3fe2076cc5fd468b51443d23e22"),
-    ("ybe", "l12"): (0, "731292ed9897fc6f1cee8e14966217c0489615e305bc7ab82d35361bbc9dd96d"),
-    ("ybe", "l100"): (0, "22bb033566801994f57b051991a93e8625f4536f3271201742f9c258f063f14a"),
-    ("ybe", "delta5"): (0, "bda006f6ca387e196c327c1c651879507154c440cc372362fa417ca558a08e96"),
-    ("ybe", "delta11"): (0, "72f9f1cbded85ee17f9321902a9e21fb0c29ffa6145585b84156c34c71ba00e8"),
-    ("ybe-perturbed", "depth3"): (1, "bab36d00a5fe8f6089896d6fd98744a92fb4fdcc8e39e73746a54b06229a8d85"),
-    ("ybe-perturbed", "l12"): (1, "a55e4e52d20aea193653e958342e2160a96efe15695919b0f5113a5641c2339c"),
-    ("ybe-perturbed", "l100"): (1, "6734d2086b4e393ab8e5156b41f6508332bc7f860c2de5193631bc53b8ab9ac1"),
-    ("ybe-perturbed", "delta5"): (1, "810b5b575477ad46155d5104cf7661a1fcaa79fe35402c1481e356cb8a9d2309"),
-    ("ybe-perturbed", "delta11"): (1, "25b6eb97262f038dc6408238084f5558e0f6cdc48332a0b7fe19af226bd54fdb"),
+    ("classify", "depth3"): (0, "cfbb925885503fbabc8ab7840f724f6333ad79aafc9668fb207fce748df97121"),
+    ("classify", "l12"): (0, "c2ade9ebe2964874f5bb9f8ec5c84897f48683272c5527dbd8c17bc0d45ec1bf"),
+    ("classify", "l100"): (0, "0f682614900352aec427cf28a41fcc239f24765b9cdc3fd59be8103b8592a85b"),
+    ("classify", "delta5"): (0, "89f35a046af6f9396ac96735a15f5e9d1ba8a34cef09110c13df62d6f170dc96"),
+    ("classify", "delta11"): (0, "fbc8e23d5c12a39c56c9d8e7fe9f5bf4126f18b8b47b219f37f5dc2bff9c6a07"),
+    ("gram", "depth3"): (0, "ca8395cb5c54938b2c86777cefb81993f6faf42ed498deb23d552166b5458534"),
+    ("gram", "l12"): (0, "21a4d4150579253dca46e1d2fb21a02a249ef56b2f9df759a554a733f788de90"),
+    ("gram", "l100"): (0, "e51f0f0ba877e3de2b9c010aa048920e1d367bd5e1a31fed7d2030fd9936b777"),
+    ("gram", "delta5"): (0, "fe9200994b7550bd6f40a8b0426aa8da7b85fbb05710fdefc2aefc64cd2767c0"),
+    ("gram", "delta11"): (0, "50f5bd70d21f353742921aa39ae65ab8717da1f2d0677e66a08c3f73ee6d5cea"),
+    ("ybe", "depth3"): (0, "864a43e690b1a7b9aa3e25798817de8ea60b0e9cf7660aecfafd00437a03c5c3"),
+    ("ybe", "l12"): (0, "b4b22c94a4233cc7270887dfb9bbbdb2cf2fb442614a152e6d29bcee7658b0b8"),
+    ("ybe", "l100"): (0, "6c569b8b494309d8bb3450add1d1e51c97860bc02de475ba56e1894827b4dc76"),
+    ("ybe", "delta5"): (0, "4725ced5939a878ad71b2fb47f2d65ed9654a37b8ea6896c5456debc8c045005"),
+    ("ybe", "delta11"): (0, "bca223460377bb5889fcdcaca3df2ce8c35cd29be3a51e048f16dacaa8d361d2"),
+    ("ybe-perturbed", "depth3"): (1, "19c979dfdcad6b4d2587df55e62bf9dcf435dff48666aac0da12c14b20e41c2c"),
+    ("ybe-perturbed", "l12"): (1, "ec865c5a5bb589fcef994073506f3c30a69eb837cae9a84dde3b2ea0785a9931"),
+    ("ybe-perturbed", "l100"): (1, "fadcf437ceb2125e1fe03fd312495cecc7303c0c2ded4513aa2533d20b6055f9"),
+    ("ybe-perturbed", "delta5"): (1, "a60a2b7bd64164fd28916d8fa1875497938efdd1c1d6867e993e550986de294e"),
+    ("ybe-perturbed", "delta11"): (1, "f1ac91634571fafeca69bbe0547e0d3589d240a2e4acb3d014f0deb6d8ea23d0"),
 }
 
 
@@ -72,6 +75,25 @@ def test_plan_path_reports_are_golden(monkeypatch, command, locus):
     with contextlib.redirect_stdout(out):
         code = main([*COMMANDS[command], *LOCI[locus]])
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command, locus]
+
+
+def _negative_zeros(node, path=""):
+    """The paths of the -0.0 floats in a parsed JSON report."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _negative_zeros(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for k, v in enumerate(node) for p in _negative_zeros(v, f"{path}[{k}]")]
+    return [path] if isinstance(node, float) and node == 0 and math.copysign(1.0, node) < 0 else []
+
+
+@pytest.mark.parametrize("locus", list(LOCI))
+def test_no_plan_path_report_prints_a_negative_zero(monkeypatch, locus):
+    monkeypatch.delenv("SKEINLAB_TOL", raising=False)
+    for command in ("classify", "gram", "ybe"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main([command, *LOCI[locus]])
+        assert _negative_zeros(json.loads(out.getvalue())) == [], command
 
 
 def _generic(v):
@@ -121,12 +143,12 @@ def _write_diagram(path, d, generators):
 
 # (exit code, sha256 of stdout) of `evaluate --l 12` by diagram file.
 GOLDEN_EVALUATE = {
-    "octahedron-tied": (0, "96fd179ae953f1da254fb0fd285987f149e67f2c9eff837cfe522eb41d5c68d5"),
-    "octahedron-mixed": (0, "59d8e0b52bf71c1112fcb7ea9b7d70ac9d9722c4d7ef19913b3c77c3cea3f06c"),
-    "square_pyramid-mixed": (0, "c1ed95d52b5234761e1cc0f9d7ed338b639474d4c77af6d9f133f22b19bd90bd"),
-    "triangular_prism-mixed": (0, "e63d57bf0e118e0e2d75d2421671a82d4b57e404770a59e7a5156e8fea896bfb"),
+    "octahedron-tied": (0, "ebddc0050c22c52d526a987cadda849acabf9193fe37fe173d46b1314a868ad3"),
+    "octahedron-mixed": (0, "3acc6d1df11c3dbac89bd18c8ec1c94b463bb930b6f9888b9adb0795fb5383ba"),
+    "square_pyramid-mixed": (0, "1a81dab746a138313aa99cb56930964cdd83f128c9fc56b948ec76a92da0f5e6"),
+    "triangular_prism-mixed": (0, "cf27073eee350f848354a59ba0cc837261550e2c2ce0b7c29b99df14080d71d8"),
     "self-loops": (0, "935d9ef09531ca2cdf785e999c950680c968edc78df3448f7ecac1974b3fcd70"),
-    "disconnected": (0, "1ba4f7b01515aa4db32fafc8d1a9424089e62b2c0721762d289c0e9affe3c459"),
+    "disconnected": (0, "cfc7be8f8ed87aaa9961bd07f19b499b24cb19c834847d390ea7cfff13a36873"),
 }
 
 

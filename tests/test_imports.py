@@ -1,5 +1,6 @@
 """Every name a skeinlab module imports is used in that module, every
-module-level private name is used somewhere in the package, no module but
+module-level private name is used somewhere in the package, every
+parameter of a function or lambda is read in its body, no module but
 `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
 more), every import is relative, of the standard library or of numpy,
 the one runtime dependency, every private `_name` or dotted
@@ -7,8 +8,9 @@ the one runtime dependency, every private `_name` or dotted
 and so does every backticked README name with a private part.
 
 No linter ships with the project, so these stdlib `ast` checks stand in
-for unused-import and unused-definition rules and for the tolerance
-policy: every threshold is a `scalar.Tolerance` field or constant.
+for unused-import, unused-definition and unused-argument rules and for
+the tolerance policy: every threshold is a `scalar.Tolerance` field or
+constant.
 `__future__` imports and the package `__init__.py` (whose imports are
 re-exports) are exempt from the first.
 """
@@ -85,6 +87,53 @@ def test_every_private_name_is_used_in_the_package():
     used = set().union(*map(references, sources))
     defined = set().union(*map(private_definitions, sources))
     assert sorted(defined - used) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters of each function and lambda that its body (nested
+    functions included) never reads; `self`, `cls` and `_`-prefixed names
+    are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}({p.arg}) (line {node.lineno})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return sorted(found)
+
+
+def test_checker_flags_an_unread_parameter():
+    source = (
+        "def f(x, tol, *args, key=None, **kw):\n    return x + len(args) + g(**kw)\n"
+        "def g(self, _unused, cls, y):\n    def h():\n        return y\n    return h\n"
+        "k = lambda a, b: a\n"
+        "class C:\n    def m(self, z):\n        return self\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>(b) (line 7)",
+        "f(key) (line 1)",
+        "f(tol) (line 1)",
+        "m(z) (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def _is_number(node) -> bool:

@@ -22,7 +22,6 @@ import sympy
 
 from skeinlab import TwoBoxModel, gram, trace_split
 from skeinlab.errors import NonFiniteScalar
-from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import _run
 from skeinlab.threebox import (
     _BRAID_SHAPES,
@@ -56,7 +55,7 @@ def pairings(shapes, model, x_label):
     x_label and the generator (0, b, -a) in the model's number type."""
     program, index = _pairing_program(shapes)
     generator = (0 * model.a, model.b, -model.a)
-    values = _run(program, (x_label, generator), model, DEFAULT_TOL)
+    values = _run(program, (x_label, generator), model)
     return [values[i] for i in index]
 
 
@@ -112,8 +111,7 @@ def test_the_yang_baxter_sides_expand_to_the_same_vector_exactly(q):
 def test_exact_runs_match_the_float_runs_on_the_same_inputs(q):
     """Each exact entry matches the complex-float pipeline at the rounded
     (delta, a, b), to 1e-15 of the Cauchy-Schwarz bound of its pairing:
-    sqrt(G_ii G_jj) in the Gram matrix, sqrt(<x, x> G_jj) for a pattern x.
-    The float run has the engine's zero-drop; the exact one has none."""
+    sqrt(G_ii G_jj) in the Gram matrix, sqrt(<x, x> G_jj) for a pattern x."""
     ex = exact(q)
     gm = ex["gram"]
     model = TwoBoxModel(*(float(x) for x in sp4_split(q)), -1)
@@ -131,26 +129,19 @@ def test_exact_runs_match_the_float_runs_on_the_same_inputs(q):
     ):
         c = expansion(gm, v[:14])
         norm = float((c.T * gm * c)[0])  # <x, x>; side B has side A's
-        got = _pairings(shapes, model, x_label, DEFAULT_TOL)
+        got = _pairings(shapes, model, x_label)
         want = np.array([float(x) for x in v])
         bound = np.sqrt(norm * np.tile(diag, len(v) // 14))
         assert np.all(np.abs(got - want) <= 1e-15 * bound)
 
 
-def test_the_float_zero_drop_removes_only_exact_zeros():
-    """Every chain of the Gram program that the float run drops to 0j is
-    exactly zero over the rationals."""
-    program, _ = _pairing_program(BASIS)
-    for q in QS:
-        ex = exact(q)
-        model = TwoBoxModel(*(float(x) for x in sp4_split(q)), -1)
-        t = model.uncappable().coeffs
-        floats = _run(program, (t, t), model, DEFAULT_TOL)
-        generator = (0, ex["model"].b, -ex["model"].a)
-        values = _run(program, (generator, generator), ex["model"], DEFAULT_TOL)
-        dropped = [k for k, x in enumerate(floats) if x == 0]
-        assert dropped
-        assert all(values[k] == 0 for k in dropped)
+def test_an_exact_run_past_the_float_range_keeps_its_values():
+    """At q = 10^12, delta is about 1e96 and the largest Gram entries are
+    past the float range; an exact run is finite at any size."""
+    model = TwoBoxModel(*sp4_split(Fraction(10**12)), -1)
+    values = pairings(BASIS, model, (0, model.b, -model.a))
+    assert all(type(x) is Fraction for x in values)
+    assert max(map(abs, values)) > 10**308
 
 
 def array_model(deltas):

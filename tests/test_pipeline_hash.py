@@ -26,8 +26,8 @@ def test_the_engine_hash_covers_each_locus():
 # The float pipeline's and the skein engine's outputs, bit for bit.  A
 # change that moves bits on purpose re-records these two values and says
 # which outputs moved.
-PIPELINE_HASH = (698, "db6025bc7fd2fdcd79078932a4f50a2d3d7d139ad35d5b8e16db1bac7a41881d")
-ENGINE_HASH = (4, "aeaac16238c4fc56056b3a95abb13edcdfb00472cb2f1041f4ff5077ede19860")
+PIPELINE_HASH = (698, "271c2dfaad39ac681de3dede42d8ccc66aa0a6cddc185fdf93aea5e31668f29d")
+ENGINE_HASH = (4, "cb7fb5d1e2d024ed4911f58a8fe71cfee6bfe281f49962926ed0f8d8d2a2a35c")
 
 
 def test_the_full_hashes_are_pinned():

@@ -3,14 +3,21 @@ program with a leaf per vertex and run on its labels, against the
 FormalSum engine.
 
 Passing chooser=find_small_face makes evaluate_detailed pick faces in the
-same order as the plan, so a run must agree with the engine exactly, in
-the value's bits, signed zeros included."""
+same order as the plan.  A run drops nothing, and the engine drops a term
+at its `drop_tol` floor, so where the engine drops nothing, as on random
+labels, a run agrees with it in the value's bits; on closures of the
+uncappable generator, where chains that are exactly zero over the rationals
+leave roundoff, they agree to ROUNDOFF of the Cauchy-Schwarz bound."""
+
+import math
 
 import numpy as np
 import pytest
 
 from helpers import (
+    ROUNDOFF,
     braid_pattern,
+    cauchy_schwarz,
     coproduct_trace_closure,
     octahedron_diagram,
     product_trace_closure,
@@ -37,14 +44,13 @@ from skeinlab import (
     mirror,
     triangle_pattern,
 )
-from skeinlab import skein, threebox
+from skeinlab import threebox
 from skeinlab.errors import (
     MalformedPairing,
     NonFiniteScalar,
     ShadingInconsistent,
     TriangleTableRequired,
 )
-from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import _compile, _plan, _run
 from skeinlab.threebox import _basis_shapes, _pairing_program, closure
 from skeinlab.twobox import PLUS
@@ -54,8 +60,8 @@ def exact(value):
     return np.complex128(value).tobytes()
 
 
-def engine(d, m, table=None):
-    return exact(evaluate_detailed(d, m, table, chooser=find_small_face)[0])
+def engine(d, m):
+    return evaluate_detailed(d, m, chooser=find_small_face)[0]
 
 
 def program(d, plan=None):
@@ -68,14 +74,14 @@ def program(d, plan=None):
 def run(d, m, plan=None):
     """d's labels run through the program of a plan, by default d's."""
     labels = [vert.coeffs for vert in d.vertices.values()]
-    return exact(_run(program(d, plan), labels, m, DEFAULT_TOL)[0])
+    return _run(program(d, plan), labels, m)[0]
 
 
 def test_plan_matches_engine_on_random_corpus(model12):
     rng = np.random.default_rng(11)
     for d in random_diagram_corpus(rng, 60, max_vertices=5):
         # Five vertices or fewer always leave a face with at most 2 sides.
-        assert run(d, model12) == engine(d, model12)
+        assert exact(run(d, model12)) == exact(engine(d, model12))
 
 
 def test_three_gon_diagrams_have_no_plan(model12, table12):
@@ -91,32 +97,19 @@ def test_three_gon_diagrams_have_no_plan(model12, table12):
 
 
 def test_plan_keeps_the_engines_signed_zeros(model12):
+    """The engine's sum starts at complex(0.0), which turns a -0.0
+    imaginary part into 0.0; the run's product keeps -0.0, an equal value.
+    `_pairings` adds 0.0, so no pairing the pipeline reads carries -0.0."""
     d = coproduct_trace_closure((1j, -1j, 0.0), (1j, -1j, 0.0))
-    value, _ = evaluate_detailed(d, model12)
-    assert value.imag == 0
-    assert run(d, model12) == engine(d, model12)
-
-
-def test_plan_drops_a_zero_coefficient_mid_reduction(model12, monkeypatch):
-    generator = model12.uncappable().coeffs
-    capped = coproduct_trace_closure(generator, (0.3, -1.2, 0.7))
-    generic = coproduct_trace_closure((0.5, 0.4, -0.9), (0.3, -1.2, 0.7))
-    assert _plan(capped) == _plan(generic)
-    value, steps = evaluate_detailed(capped, model12)
-    assert value == 0
-    assert steps < evaluate_detailed(generic, model12)[1]
-
-    # Like the engine, the run stops early: at the step that leaves the
-    # zero coefficient, before the end of its chain.
-    checked = []
-    survives = skein._survives
-    monkeypatch.setattr(skein, "_survives", lambda c, tol: checked.append(c) or survives(c, tol))
-    assert run(capped, model12) == engine(capped, model12)
-    assert not survives(checked[-1], DEFAULT_TOL)
-    assert len(checked) < len(program(capped).chains[0])
-    checked.clear()
-    run(generic, model12)
-    assert len(checked) == len(program(generic).chains[0])
+    value = engine(d, model12)
+    assert math.copysign(1.0, value.imag) == 1.0
+    got = run(d, model12)
+    assert math.copysign(1.0, got.imag) == -1.0
+    assert abs(got - value) <= ROUNDOFF * abs(value)
+    t = model12.uncappable().coeffs
+    for shapes in (_basis_shapes()[0], threebox._TRIANGLE_SHAPES):
+        v = threebox._pairings(shapes, model12, t)
+        assert not np.signbit(np.concatenate([v.real[v.real == 0], v.imag[v.imag == 0]])).any()
 
 
 def test_an_overflow_is_not_a_dropped_zero(model12):
@@ -142,18 +135,20 @@ def test_a_modulus_past_the_float_range_is_a_non_finite_scalar(model12):
 
 @pytest.mark.parametrize("delta", [DEPTH3_DELTA, delta_for_l(12), 5.0])
 def test_plan_matches_engine_on_classify_closures(delta):
+    """Each closure <x, D_j> that `classify` reduces, run and reduced by the
+    engine and by inner, the three within ROUNDOFF of sqrt(<x, x> G_jj)."""
     res = classify(delta)
     m = TwoBoxModel(res.delta, res.a, res.b, res.sigma)
     basis = enumerate_basis(m)
+    g = np.array([[inner(m, x, y) for y in basis] for x in basis])
     braid = braid_pair(m, res.q, res.r)
     left = triangle_pattern(m)
     expanded = [left, mirror(left), braid_pattern(m, braid, "A"), braid_pattern(m, braid, "B")]
     for x in list(basis) + expanded:
-        for y in basis:
-            d = closure(x, y)
-            want = engine(d, m)
-            assert run(d, m) == want
-            assert exact(inner(m, x, y)) == want
+        want = np.array([engine(closure(x, y), m) for y in basis])
+        bound = ROUNDOFF * cauchy_schwarz(g, want)
+        assert np.all(np.abs([run(closure(x, y), m) for y in basis] - want) <= bound)
+        assert np.all(np.abs([inner(m, x, y) for y in basis] - want) <= bound)
 
 
 def test_one_topology_different_labels(model12):
@@ -166,22 +161,25 @@ def test_one_topology_different_labels(model12):
     for (cx, cy), d, v in zip(pairs, diagrams, values):
         want = model12.trace(model12.product(BoxVec(PLUS, cx), BoxVec(PLUS, cy)))
         assert abs(v - want) < 1e-10 * max(1.0, abs(want))
-        assert run(d, model12, plan) == engine(d, model12)
+        assert exact(run(d, model12, plan)) == exact(engine(d, model12))
 
 
 def test_gram_across_loop_values_matches_engine():
     """The first pair of each rotation orbit holds the engine's value on its
-    own closure, bit for bit, and every other pair of the orbit a copy."""
+    own closure, to ROUNDOFF of sqrt(G_ii G_jj), and every other pair of the
+    orbit a copy."""
     for delta in (5.0, delta_for_l(12), 5.0):
         m = from_classification_data(delta, -1)
         basis = enumerate_basis(m)
-        g = gram(m).entries.ravel()
+        g = gram(m).entries
+        bound = ROUNDOFF * cauchy_schwarz(g).ravel()
+        g = g.ravel()
         index = _pairing_program(_basis_shapes()[0])[1]
         for k in range(max(index) + 1):
             (orbit,) = np.nonzero(index == k)
             x, y = basis[orbit[0] // 14], basis[orbit[0] % 14]
-            want = complex(evaluate(closure(x, y), m, chooser=find_small_face))
-            assert g[orbit].tobytes() == np.full(len(orbit), want).tobytes()
+            assert abs(g[orbit[0]] - engine(closure(x, y), m)) <= bound[orbit[0]]
+            assert g[orbit].tobytes() == np.full(len(orbit), g[orbit[0]]).tobytes()
 
 
 def test_validation_is_not_memoised(model12):

@@ -438,19 +438,20 @@ def test_delta_refuses_a_kept_dart_that_is_still_paired():
 # evaluate() on the diagrams above at l = 12, (re, im) as hex floats, as the
 # all-starts canonical key and the full-scan surgery computed them with
 # exact label keys and the closed-form id/e/T split of each 3-gon corner,
-# with the triangle table solved on the equilibrated Gram matrix.
+# with the triangle table solved on the equilibrated Gram matrix from
+# pairings that drop nothing.
 PINNED = {
-    "octahedron-tied": ("-0x1.6e34391a336e6p+13", "0x0.0p+0"),
-    "square_pyramid-tied": ("-0x1.136ab2b276bc4p+14", "0x0.0p+0"),
+    "octahedron-tied": ("-0x1.6e34391a336e4p+13", "0x0.0p+0"),
+    "square_pyramid-tied": ("-0x1.136ab2b276bc8p+14", "0x0.0p+0"),
     "octahedron-mixed": ("-0x1.f5aa3528510a0p+1", "0x0.0p+0"),
-    "square_pyramid-mixed": ("-0x1.8b593d637a0e6p+6", "0x0.0p+0"),
+    "square_pyramid-mixed": ("-0x1.8b593d637a0e0p+6", "0x0.0p+0"),
     "octahedron-generic": ("0x1.1d411d65197dcp-1", "0x0.0p+0"),
-    "square_pyramid-generic": ("0x1.fc220d619978cp-1", "0x0.0p+0"),
-    "triangular_prism-tied": ("-0x1.66e77396b4c35p+15", "0x0.0p+0"),
-    "triangular_prism-mixed": ("-0x1.747cafa8737e6p+8", "0x0.0p+0"),
-    "tetrahedron-mixed": ("-0x1.80e35e76dc5b4p+6", "0x0.0p+0"),
+    "square_pyramid-generic": ("0x1.fc220d6199792p-1", "0x0.0p+0"),
+    "triangular_prism-tied": ("-0x1.66e77396b4c31p+15", "0x0.0p+0"),
+    "triangular_prism-mixed": ("-0x1.747cafa8737e4p+8", "0x0.0p+0"),
+    "tetrahedron-mixed": ("-0x1.80e35e76dc5b2p+6", "0x0.0p+0"),
     "self-loops": ("-0x1.68bbb44a4ce5fp+7", "0x0.0p+0"),
-    "disconnected": ("-0x1.88125951e3366p+20", "0x0.0p+0"),
+    "disconnected": ("-0x1.88125951e3364p+20", "0x0.0p+0"),
 }
 
 
