@@ -54,18 +54,26 @@ class Admissibility:
     case: str  # "Depth3" | "Sp4" | "Rejected"
     l: int | None = None
     note: str = ""
+    delta: float = field(default=math.nan, compare=False)
+    """The loop value as the stages read it: a float, +-inf past the float
+    range, and the root itself at the depth-3 point."""
 
 
 def admissible_check(delta: float) -> Admissibility:
-    """Locate delta on the classification locus, or reject it."""
-    delta = float(delta)
+    """Locate delta on the classification locus, or reject it.  delta is
+    made a float here, once; an integer past the float range is +-inf."""
+    try:
+        delta = float(delta)
+    except OverflowError:  # an integer past the float range
+        delta = math.inf if delta > 0 else -math.inf
     if not 0 < delta < math.inf:
         note = "is not positive" if delta <= 0 else "is not finite"
-        return Admissibility("Rejected", note=f"delta = {delta} {note}")
+        return Admissibility("Rejected", note=f"delta = {delta} {note}", delta=delta)
     if abs(delta - DEPTH3_DELTA) < Tolerance.DEPTH3_WINDOW:
-        return Admissibility("Depth3", note="cubic depth-3 loop value")
+        # Snap a typed approximation to the root.
+        return Admissibility("Depth3", note="cubic depth-3 loop value", delta=DEPTH3_DELTA)
     if delta >= 4.0:
-        return Admissibility("Sp4", note="real continuum, q >= 1")
+        return Admissibility("Sp4", note="real continuum, q >= 1", delta=delta)
     # delta_for_l(l') = delta at sin(pi/l')^2 = (4 - delta) / (10 + 2 sqrt(4 delta + 9)).
     lp = math.pi / math.asin(math.sqrt((4.0 - delta) / (10.0 + math.sqrt(16.0 * delta + 36.0))))
     l = 2 * round(lp / 2)
@@ -76,18 +84,12 @@ def admissible_check(delta: float) -> Admissibility:
     elif abs(lp - l) > _UNIT_ROUNDOFF * lp**3:
         why = f"{abs(lp - l):.2g} off the even l = {l}"
     else:
-        return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}")
+        return Admissibility("Sp4", l=l, note=f"root-of-unity point l = {l}", delta=delta)
     note = f"delta = {delta} is off the even-l series: l' = {lp:.6g} is {why}"
-    return Admissibility("Rejected", note=note)
+    return Admissibility("Rejected", note=note, delta=delta)
 
 
-def recover_qr(
-    delta: float,
-    a: float,
-    b: float,
-    sigma: int = -1,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[Scalar, Scalar]:
+def recover_qr(delta: float, a: float, b: float, sigma: int = -1) -> tuple[Scalar, Scalar]:
     """Braid parameters (q, r) from (delta, a, b), using delta' = sigma*delta.
 
     q solves q^2 + q^-2 = (2(d-1)^4 - 4(d-1)^2 + 2(b-a)^2) / ((d-1)^4 - (b-a)^2)
@@ -102,19 +104,19 @@ def recover_qr(
         raise NonFiniteScalar(f"(delta'-1)^2 or (b-a)^2 overflows at delta={delta}") from None
     denom = u * u - w
     scale = max(1.0, abs(u * u), abs(w))
-    if abs(denom) <= tol.eq_tol * scale:
+    if abs(denom) <= Tolerance.REL_EQ * scale:
         raise DegenerateDenominator(
             f"(delta'-1)^4 - (b-a)^2 = {denom} vanishes at delta={delta}"
         )
     c = (2.0 * u * u - 4.0 * u + 2.0 * w) / denom
-    q = principal_q_from_c(c, tol)
-    if tol.at_brauer_point(q):
+    q = principal_q_from_c(c)
+    if Tolerance.at_brauer_point(q):
         return complex(1.0), complex(1.0)
     r = (u * (q - 1.0 / q) + (a - b) * (q + 1.0 / q)) / (2.0 * (dp - 1.0))
     # On the unit-circle branch the modulus is exact; snap the float noise.
-    if abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= tol.match_tol:
+    if abs(abs(q) - 1.0) <= Tolerance.REL_EQ and abs(abs(r) - 1.0) <= Tolerance.MATCH:
         r /= abs(r)
-    if is_real(q, tol) and is_real(r, tol):
+    if is_real(q) and is_real(r):
         r = complex(r.real, 0.0)
     return q, r
 
@@ -138,28 +140,18 @@ def _bmw_orbit(r: Scalar, q: Scalar) -> list[tuple[Scalar, Scalar]]:
     return list(seen.values())
 
 
-def normalize_bmw_params(
-    r: Scalar, q: Scalar, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Scalar, Scalar]:
+def normalize_bmw_params(r: Scalar, q: Scalar) -> tuple[Scalar, Scalar]:
     """Canonical orbit representative: Re q >= 0, Im q >= 0, Re r >= 0 on the
     unit circle, or q >= 1, r >= 0 in the real case."""
     r, q = complex(r), complex(q)
-    unit = abs(abs(q) - 1.0) <= tol.eq_tol and abs(abs(r) - 1.0) <= tol.eq_tol
+    eps = Tolerance.REL_EQ
+    unit = abs(abs(q) - 1.0) <= eps and abs(abs(r) - 1.0) <= eps
     candidates = []
     for rr, qq in _bmw_orbit(r, q):
         if unit:
-            ok = (
-                qq.real >= -tol.eq_tol
-                and qq.imag >= -tol.eq_tol
-                and rr.real >= -tol.eq_tol
-            )
+            ok = qq.real >= -eps and qq.imag >= -eps and rr.real >= -eps
         else:
-            ok = (
-                is_real(qq, tol)
-                and is_real(rr, tol)
-                and qq.real >= 1.0 - tol.eq_tol
-                and rr.real >= -tol.eq_tol
-            )
+            ok = is_real(qq) and is_real(rr) and qq.real >= 1.0 - eps and rr.real >= -eps
         if ok:
             candidates.append((rr, qq))
     if not candidates:
@@ -190,10 +182,10 @@ class PrincipalGraphPrefix:
 _BASIS_NAMES = ("e", "P1", "P2")
 
 
-def _support(coeffs, tol: Tolerance) -> tuple[str, ...]:
+def _support(coeffs) -> tuple[str, ...]:
     scale = max(1.0, *map(abs, coeffs))
-    lo = tol.eq_tol * scale
-    hi = tol.SUPPORT_BAND * lo
+    lo = Tolerance.REL_EQ * scale
+    hi = Tolerance.SUPPORT_BAND * lo
     out = []
     for name, c in zip(_BASIS_NAMES, coeffs):
         mag = abs(c)
@@ -207,15 +199,13 @@ def _support(coeffs, tol: Tolerance) -> tuple[str, ...]:
     return tuple(out)
 
 
-def principal_graph_prefix(
-    model: TwoBoxModel, tol: Tolerance = DEFAULT_TOL
-) -> PrincipalGraphPrefix:
+def principal_graph_prefix(model: TwoBoxModel) -> PrincipalGraphPrefix:
     """Depth-3 prefix inferred from the coproduct supports."""
     cop = model.coproduct_table
     supports = {
-        "P1*P1": _support(cop[1][1], tol),
-        "P1*P2": _support(cop[1][2], tol),
-        "P2*P2": _support(cop[2][2], tol),
+        "P1*P1": _support(cop[1][1]),
+        "P1*P2": _support(cop[1][2]),
+        "P2*P2": _support(cop[2][2]),
     }
     expected = {
         "P1*P1": ("e", "P2"),
@@ -242,26 +232,23 @@ def principal_graph_prefix(
 
 
 class Stages:
-    """The pipeline at one loop value.  The locus (case, sigma, depth-3 snap)
-    is found up front; each later stage is computed on first read (the
+    """The pipeline at one loop value, which alone fixes every number in
+    it.  The locus (case, sigma, the delta `admissible_check` gives) is
+    found up front; each later stage is computed on first read (the
     triangle table only by `evaluate` at a 3-gon).  A rejected loop value
     has no stages: reading one raises InadmissibleDelta."""
 
-    def __init__(self, delta: float, tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
-        self.delta = float(delta)
-        self.admissibility = admissible_check(self.delta)
-        case = self.admissibility.case
-        self.rejected = case == "Rejected"
-        self.sigma = {"Depth3": +1, "Sp4": -1}.get(case, 0)
-        if case == "Depth3":
-            self.delta = DEPTH3_DELTA  # snap user-typed approximations to the root
+    def __init__(self, delta: float):
+        self.admissibility = adm = admissible_check(delta)
+        self.delta = adm.delta
+        self.rejected = adm.case == "Rejected"
+        self.sigma = {"Depth3": +1, "Sp4": -1}.get(adm.case, 0)
 
     @cached_property
     def split(self) -> tuple[float, float, float]:
         if self.rejected:  # every later stage starts from the split
             raise InadmissibleDelta(self.admissibility.note)
-        return trace_split(self.delta, self.sigma, self.tol)
+        return trace_split(self.delta, self.sigma)
 
     @cached_property
     def model(self) -> TwoBoxModel:
@@ -271,12 +258,12 @@ class Stages:
     @cached_property
     def qr(self) -> tuple[Scalar, Scalar]:
         _, a, b = self.split
-        return recover_qr(self.delta, a, b, self.sigma, self.tol)
+        return recover_qr(self.delta, a, b, self.sigma)
 
     @cached_property
     def braid(self) -> BraidPair:
         q, r = self.qr
-        return braid_pair(self.model, q, r, self.tol)
+        return braid_pair(self.model, q, r)
 
     @cached_property
     def gram(self):
@@ -316,7 +303,9 @@ class ClassificationResult:
 
 
 def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult:
-    st = Stages(delta, tol)
+    """Every stage at delta, judged against tol's limits: tol moves the
+    verdict, never a number."""
+    st = Stages(delta)
     delta, sigma, adm = st.delta, st.sigma, st.admissibility
     result = ClassificationResult(case=adm.case, delta=delta, sigma=sigma, l=adm.l, notes=[adm.note])
     if st.rejected:
@@ -332,18 +321,18 @@ def classify(delta: float, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult
         }
         residuals.update(st.braid_residuals(braid))
 
-        if tol.at_brauer_point(q):
+        if Tolerance.at_brauer_point(q):
             residuals["qr_roundtrip"] = 0.0
             result.notes.append("Brauer point: roundtrip taken as the q -> 1 limit")
         else:
-            dp, t1, t2 = bmw_two_box_traces(q, r, tol)
+            dp, t1, t2 = bmw_two_box_traces(q, r)
             scale = max(1.0, delta * delta)
             residuals["qr_roundtrip"] = (
                 max(abs(dp - sigma * delta), abs(t1 - result.a), abs(t2 - result.b)) / scale
             )
 
         result.residuals = residuals
-        result.graph = principal_graph_prefix(st.model, tol)
+        result.graph = principal_graph_prefix(st.model)
         bad = tol.over_limits(residuals)
         if bad:
             result.verdict = "FAIL"

@@ -5,6 +5,8 @@ Every subcommand locates delta with one `Stages` pipeline and renders only
 the stages it reads; off the locus it is REJECTED before any stage is
 built, and a residual at or over its `Tolerance.limits` entry, which moves
 with `--tol`/`SKEINLAB_TOL` and is listed under `tolerances`, FAILs.
+`--tol` moves those limits only: every number in a report depends on
+delta alone.
 A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
 report naming the exception, as `classify` does.
 
@@ -69,7 +71,7 @@ def _add_locus_args(sp: argparse.ArgumentParser) -> None:
     g.add_argument("--delta", type=float, help="loop value")
     g.add_argument("--l", type=int, help="even root-of-unity index, l >= 12")
     g.add_argument("--depth3", action="store_true", help="the cubic depth-3 point")
-    sp.add_argument("--tol", type=float, default=None, help="equality tolerance")
+    sp.add_argument("--tol", type=float, default=None, help="tolerance that sets the PASS limits")
 
 
 def _resolve_locus(args) -> float:
@@ -88,11 +90,13 @@ def _tolerance(args) -> Tolerance:
     return Tolerance.from_env()
 
 
-def _stages(args, **inputs) -> tuple[Stages, dict]:
-    """The pipeline at the requested locus, and the report's inputs."""
+def _stages(args, **inputs) -> tuple[Stages, Tolerance, dict]:
+    """The pipeline at the requested locus, the tolerance that judges it,
+    and the report's inputs."""
     delta = _resolve_locus(args)
-    st = Stages(delta, _tolerance(args))
-    return st, {"delta": _num(delta), "sigma": st.sigma, "tol": _num(st.tol.eq_tol), **inputs}
+    tol = _tolerance(args)
+    st = Stages(delta)
+    return st, tol, {"delta": _num(delta), "sigma": st.sigma, "tol": _num(tol.eq_tol), **inputs}
 
 
 def _reject(args, st: Stages, inputs: dict) -> int:
@@ -186,25 +190,25 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    st, inputs = _stages(args, diagram=args.diagram)
+    st, _, inputs = _stages(args, diagram=args.diagram)
     if st.rejected:
         return _reject(args, st, inputs)
     diagram = load_diagram(args.diagram, st.model)
     try:
-        value, steps = evaluate_detailed(diagram, st.model, None, st.tol)
+        value, steps = evaluate_detailed(diagram, st.model)
     except TriangleTableRequired:
         try:
             table = st.table
         except SkeinlabError as exc:
             return _fail(args, inputs, exc)
-        value, steps = evaluate_detailed(diagram, st.model, table, st.tol)
+        value, steps = evaluate_detailed(diagram, st.model, table)
     outputs = {"value": _cnum(value), "reduction_steps": steps}
     summary = f"value = {value:.12g} ({steps} reduction steps)"
     return _emit(args, summary, inputs=inputs, outputs=outputs, verdict="PASS")
 
 
 def cmd_gram(args) -> int:
-    st, inputs = _stages(args)
+    st, tol, inputs = _stages(args)
     if st.rejected:
         return _reject(args, st, inputs)
     try:
@@ -215,7 +219,7 @@ def cmd_gram(args) -> int:
     rank = gm.rank()
     # A rank deficit fails the pipeline too (GramRankDeficient in classify).
     judged = {"gram_psd_min_eigenvalue": gm.psd_defect()}
-    verdict = "FAIL" if rank < len(gm.entries) or st.tol.over_limits(judged) else "PASS"
+    verdict = "FAIL" if rank < len(gm.entries) or tol.over_limits(judged) else "PASS"
     outputs = {
         "matrix": [[_cnum(z) for z in row] for row in gm.entries],
         "eigenvalues": [_num(v) for v in evals],
@@ -229,7 +233,7 @@ def cmd_gram(args) -> int:
         inputs=inputs,
         outputs=outputs,
         residuals={"hermiticity": _num(gm.hermiticity_defect()), **{k: _num(v) for k, v in judged.items()}},
-        tolerances={"rank_tol": _num(st.tol.RANK_TOL), **{k: _num(st.tol.limits[k]) for k in judged}},
+        tolerances={"rank_tol": _num(tol.RANK_TOL), **{k: _num(tol.limits[k]) for k in judged}},
         verdict=verdict,
     )
 
@@ -239,7 +243,7 @@ def cmd_ybe(args) -> int:
     if not (math.isfinite(factor) and factor != 0.0):
         print(f"error: --perturb-q must be finite and nonzero, got {factor!r}", file=sys.stderr)
         return EXIT_USAGE
-    st, inputs = _stages(args, perturb_q=_num(factor))
+    st, tol, inputs = _stages(args, perturb_q=_num(factor))
     if st.rejected:
         return _reject(args, st, inputs)
     outputs = {}
@@ -249,14 +253,14 @@ def cmd_ybe(args) -> int:
         residuals = st.braid_residuals(braid)
     except SkeinlabError as exc:
         return _fail(args, inputs, exc, **outputs)
-    verdict = "FAIL" if st.tol.over_limits(residuals) else "PASS"
+    verdict = "FAIL" if tol.over_limits(residuals) else "PASS"
     return _emit(
         args,
         f"{verdict}: " + " ".join(f"{k}={v:.3e}" for k, v in sorted(residuals.items())),
         inputs=inputs,
         outputs=outputs,
         residuals={k: _num(v) for k, v in sorted(residuals.items())},
-        tolerances={k: _num(st.tol.limits[k]) for k in sorted(residuals)},
+        tolerances={k: _num(tol.limits[k]) for k in sorted(residuals)},
         verdict=verdict,
     )
 

@@ -2,10 +2,12 @@
 
 The pipeline computes over Python complex numbers (the 2-box model and
 `skein._run` also over exact rationals and arrays).  `Tolerance` holds
-every threshold the other modules compare against: relative equality,
-the limits derived from it, which move with `--tol`, and the fixed locus
-windows and float-noise guards.  The root solvers, a stable quadratic and
-the principal branch Re q >= 0, Im q >= 0 of q^2 + q^-2 = c, recover q.
+every threshold the other modules compare against.  Only the PASS limits
+move with `--tol`; every guard that shapes a number (relative equality,
+the trace agreement checks, the locus windows, the engine's zero drops)
+is a fixed class constant, so the numbers depend on delta alone.  The
+root solvers, a stable quadratic and the principal branch Re q >= 0,
+Im q >= 0 of q^2 + q^-2 = c, recover q.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
 Scalar = complex
 
 
-# Default eq_tol; derived thresholds scale by eq_tol / _EQ_TOL, exactly 1 here.
+# Default eq_tol; the limits scale by eq_tol / _EQ_TOL, exactly 1 here.
 _EQ_TOL = 1e-9
 
 
@@ -36,35 +38,46 @@ _EQ_TOL = 1e-9
 class Tolerance:
     """Every threshold the pipeline compares against.
 
-    One value is set: eq_tol, the relative tolerance of `is_real`.  It
-    must be finite, positive and at most EQ_TOL_MAX; anything else raises
-    InvalidTolerance.  The fields derived from eq_tol judge agreement up to
-    float error, so they move with it (`--tol`, `SKEINLAB_TOL`).  The class
-    constants identify points of the locus or guard against float noise, and
-    stay fixed; `admissible_check` finds the even l in closed form, with none.
+    One value is set: eq_tol, which judges the verdict.  It must be finite,
+    positive and at most EQ_TOL_MAX; anything else raises InvalidTolerance.
+    Only `limits` derives from it, so `--tol` and `SKEINLAB_TOL` move the
+    PASS limits and nothing else.  The class constants are the guards that
+    shape the numbers: relative equality, agreement checks, locus windows
+    and float-noise drops.  They stay fixed, so every number depends on
+    delta alone; `admissible_check` finds the even l in closed form, with
+    none.
     """
 
     eq_tol: float = _EQ_TOL
 
     limits: Mapping[str, float] = field(init=False, repr=False, compare=False)
-    """PASS limit per residual: 1e-8, and eq_tol for qr_roundtrip."""
-    match_tol: float = field(init=False, repr=False, compare=False)
-    """Agreement of the BMW traces of (q, r) with the model, and the Brauer
-    delta = 4 and unit-modulus r checks: 1e-6."""
-    drop_tol: float = field(init=False, repr=False, compare=False)
-    """Formal-sum terms up to this times the largest (floored at 1) drop."""
+    """PASS limit per residual: 1e-8 times eq_tol / 1e-9, and eq_tol for
+    qr_roundtrip."""
 
+    REL_EQ: ClassVar[float] = 1e-9
+    """Relative equality: of `is_real`, of a vanishing leading coefficient
+    or denominator, of a singular (q, r) in the trace formulas, of the
+    unit-circle and region tests that normalize (q, r), and the bottom of
+    the coproduct support band."""
+    MATCH: ClassVar[float] = 1e-6
+    """Agreement of the BMW traces of (q, r) with the model, and the Brauer
+    delta = 4 and unit-modulus r checks."""
+    SUM_DROP: ClassVar[float] = 1e-12
+    """Formal-sum terms up to this times the largest (floored at 1) drop.
+    A float-noise guard of the engine: without it a 3-gon-rich reduction
+    keeps about a fifth more terms, for values that move by roundoff."""
     SUPPORT_BAND: ClassVar[float] = 1e3
     """Top of the ambiguity band of a coproduct support coefficient, in
-    units of eq_tol times the coefficient scale: a coefficient between
-    eq_tol and SUPPORT_BAND * eq_tol (relative) is neither clearly zero nor
+    units of REL_EQ times the coefficient scale: a coefficient between
+    REL_EQ and SUPPORT_BAND * REL_EQ (relative) is neither clearly zero nor
     clearly present, and raises SupportAmbiguous."""
     EQ_TOL_MAX: ClassVar[float] = 1e-5
-    """Largest accepted eq_tol.  The smallest relative support coefficient
-    on the locus is 3.9e-2, at the depth-3 point, and the band top
-    SUPPORT_BAND * eq_tol must stay below it: at eq_tol = 1e-4 it is 0.1, and
-    the depth-3 point FAILs.  Looser tolerances also let the perturbed-q
-    negative control pass (`ybe --l 12 --perturb-q 1.01 --tol 1e-2`)."""
+    """Largest accepted eq_tol.  It bounds how far `--tol` may loosen the
+    PASS limits before a wrong braid could pass: at eq_tol = 1e-5 every
+    limit of `ybe` is 1e-4, and the perturbed-q negative control
+    `ybe --l 12 --perturb-q 1.01` reads each residual at least 107 times
+    over it (ybe 1.07e-2, the smallest; quad 7.2e-2).  At eq_tol = 1e-3
+    ybe would be within 7% of its limit."""
     RANK_TOL: ClassVar[float] = 1e-8
     """Gram rank threshold, a ratio to the largest |eigenvalue| of D·G·D,
     the Gram matrix G equilibrated by D = |diag G|^-1/2.  Fixed: on the
@@ -99,8 +112,6 @@ class Tolerance:
         limits = dict.fromkeys(keys, 1e-8 * ratio)
         limits["qr_roundtrip"] = self.eq_tol
         object.__setattr__(self, "limits", limits)
-        object.__setattr__(self, "match_tol", 1e-6 * ratio)
-        object.__setattr__(self, "drop_tol", self.eq_tol * 1e-3)
 
     @classmethod
     def from_env(cls) -> "Tolerance":
@@ -119,9 +130,10 @@ class Tolerance:
         residual is over any limit."""
         return sorted(k for k, v in residuals.items() if not v < self.limits[k])
 
-    def at_brauer_point(self, q: Scalar) -> bool:
+    @staticmethod
+    def at_brauer_point(q: Scalar) -> bool:
         """Whether q is the Brauer point q = 1 (see BRAUER_WINDOW)."""
-        return abs(q - 1.0) <= self.BRAUER_WINDOW
+        return abs(q - 1.0) <= Tolerance.BRAUER_WINDOW
 
 
 DEFAULT_TOL = Tolerance()
@@ -134,23 +146,21 @@ def check_finite(*values: Scalar) -> None:
             raise NonFiniteScalar(f"non-finite scalar {c!r}")
 
 
-def is_real(x: Scalar, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_real(x: Scalar) -> bool:
     x = complex(x)
-    return abs(x.imag) <= tol.eq_tol * max(1.0, abs(x))
+    return abs(x.imag) <= Tolerance.REL_EQ * max(1.0, abs(x))
 
 
-def solve_quadratic(
-    c2: Scalar, c1: Scalar, c0: Scalar, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Scalar, Scalar]:
+def solve_quadratic(c2: Scalar, c1: Scalar, c0: Scalar) -> tuple[Scalar, Scalar]:
     """Both roots of c2*x^2 + c1*x + c0, ordered by (real, imag).
 
-    Raises DegenerateLeadingCoefficient when |c2| is below tolerance
+    Raises DegenerateLeadingCoefficient when |c2| is below REL_EQ
     relative to the coefficient scale.
     """
     c2, c1, c0 = complex(c2), complex(c1), complex(c0)
     check_finite(c2, c1, c0)
     scale = max(abs(c2), abs(c1), abs(c0), 1.0)
-    if abs(c2) <= tol.eq_tol * scale:
+    if abs(c2) <= Tolerance.REL_EQ * scale:
         raise DegenerateLeadingCoefficient(f"|c2| = {abs(c2)} too small")
 
     disc = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
@@ -164,7 +174,7 @@ def solve_quadratic(
     return roots[0], roots[1]
 
 
-def principal_q_from_c(c: Scalar, tol: Tolerance = DEFAULT_TOL) -> Scalar:
+def principal_q_from_c(c: Scalar) -> Scalar:
     """The solution q of q^2 + q^-2 = c with Re q >= 0, Im q >= 0.
 
     c must be real.  For c <= 2 the solution lies on the unit circle; for
@@ -172,16 +182,17 @@ def principal_q_from_c(c: Scalar, tol: Tolerance = DEFAULT_TOL) -> Scalar:
     """
     c = complex(c)
     check_finite(c)
-    if not is_real(c, tol):
+    if not is_real(c):
         raise NonRealInput(f"q^2+q^-2 = {c!r} is not real")
     cr = c.real
 
     # t = q^2 solves t + 1/t = cr.
-    t1, t2 = solve_quadratic(1.0, -cr, 1.0, tol)
+    t1, t2 = solve_quadratic(1.0, -cr, 1.0)
+    eps = Tolerance.REL_EQ
     best = None
     for t in (t1, t2):
         for q in (cmath.sqrt(t), -cmath.sqrt(t)):
-            if q.real < -tol.eq_tol or q.imag < -tol.eq_tol:
+            if q.real < -eps or q.imag < -eps:
                 continue
             key = (round(q.real, 12), round(q.imag, 12))
             if best is None or key > best[0]:
@@ -190,9 +201,9 @@ def principal_q_from_c(c: Scalar, tol: Tolerance = DEFAULT_TOL) -> Scalar:
         raise NoRealRoot(f"no normalized q for c = {cr}")
     q = best[1]
     # Snap the exactly-representable branches.
-    if cr <= 2.0 + tol.eq_tol and abs(abs(q) - 1.0) < tol.UNIT_SNAP:
+    if cr <= 2.0 + eps and abs(abs(q) - 1.0) < Tolerance.UNIT_SNAP:
         q /= abs(q)
-    if abs(q.imag) < tol.eq_tol * max(1.0, abs(q)) and cr > 2.0:
+    if abs(q.imag) < eps * max(1.0, abs(q)) and cr > 2.0:
         q = complex(q.real, 0.0)
     return q
 

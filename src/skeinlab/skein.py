@@ -58,6 +58,10 @@ the number half, each distinct cap, rotation and fusion once, in the
 number type of the model's delta.  A run drops nothing in any number type,
 so its values agree with the engine's, which drops tiny terms, to
 roundoff; `threebox.inner` is the engine.
+
+No evaluation takes a tolerance: the engine's drops (`Tolerance.SUM_DROP`,
+`TERM_DROP`, `TABLE_DROP`) are fixed, so a value depends on the diagram,
+the model and the table alone.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from .errors import (
     SideMismatch,
     TriangleTableRequired,
 )
-from .scalar import DEFAULT_TOL, Scalar, Tolerance, check_finite
+from .scalar import Scalar, Tolerance, check_finite
 from .twobox import MINUS, PLUS, TwoBoxModel, product_coeffs
 
 # -- edge deltas ---------------------------------------------------------
@@ -236,9 +240,9 @@ class FormalSum:
 
     terms: list[tuple[Scalar, Diagram]] = field(default_factory=list)
 
-    def normalized(self, tol: Tolerance = DEFAULT_TOL) -> "FormalSum":
+    def normalized(self) -> "FormalSum":
         """Merge the terms of equal canonical key, in first-seen order, then
-        drop the terms of modulus at most `Tolerance.drop_tol` times the largest
+        drop the terms of modulus at most `Tolerance.SUM_DROP` times the largest
         one's, or times 1 if that is more; the first merged coefficient that
         is inf or nan, or whose modulus is past the float range, raises
         NonFiniteScalar (`_size`).  Equal keys imply an equal invariant
@@ -263,7 +267,7 @@ class FormalSum:
             else:
                 buckets[key] = (complex(coeff), diag)
         sizes = [_size(c) for c, _ in buckets.values()]
-        floor = tol.drop_tol * max([1.0, *sizes])
+        floor = Tolerance.SUM_DROP * max([1.0, *sizes])
         return FormalSum([t for t, size in zip(buckets.values(), sizes) if size > floor])
 
     @property
@@ -364,9 +368,7 @@ ID_ARCS = ((0, 1), (2, 3))
 E_ARCS = ((3, 0), (1, 2))
 
 
-def _apply_3gon(
-    model: TwoBoxModel, coeff: Scalar, diag: Diagram, node, graph, triangle, tol: Tolerance
-):
+def _apply_3gon(model: TwoBoxModel, coeff: Scalar, diag: Diagram, node, graph, triangle):
     """A 3-gon rewrite of one term: each record from `node`, or computed
     and stored there, counted in `graph`."""
     if triangle is None:
@@ -383,11 +385,11 @@ def _apply_3gon(
         w = coeff
         for (alpha, beta, gamma), c in zip(decomp, choice):
             w *= (alpha, beta, gamma)[c]
-        if abs(w) < tol.TERM_DROP * max(1.0, abs(coeff)):
+        if abs(w) < Tolerance.TERM_DROP * max(1.0, abs(coeff)):
             continue
 
         if k == shapes.ALL_T:
-            out_terms.extend(_substitute_triangle(tol, w, diag, corners, triangle, node, graph))
+            out_terms.extend(_substitute_triangle(w, diag, corners, triangle, node, graph))
             continue
 
         removed = set()
@@ -418,12 +420,12 @@ def _apply_3gon(
     return out_terms
 
 
-def _table_floor(tol: Tolerance, triangle) -> float:
+def _table_floor(triangle) -> float:
     """Table coefficients under this size are dropped."""
-    return tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
+    return Tolerance.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
 
 
-def _substitute_triangle(tol, coeff, diag, corners, triangle, node, graph):
+def _substitute_triangle(coeff, diag, corners, triangle, node, graph):
     """Replace an all-generator 3-gon by the triangle table expansion: the
     basis shapes wired into the hole, each new vertex labelled by the
     table's generator.  A shape's record, from `node` or computed and
@@ -446,7 +448,7 @@ def _substitute_triangle(tol, coeff, diag, corners, triangle, node, graph):
         node.table = ([None] * len(basis), [None] * len(basis))
     codes, nodes = node.table
 
-    floor = _table_floor(tol, triangle)
+    floor = _table_floor(triangle)
     t = triangle.generator
 
     out = []
@@ -517,13 +519,7 @@ def _loop_factor(model: TwoBoxModel, loops: int) -> Scalar:
         raise NonFiniteScalar(f"non-finite scalar delta ** {loops}") from None
 
 
-def reduce_once(
-    s: FormalSum,
-    model: TwoBoxModel,
-    triangle=None,
-    tol: Tolerance = DEFAULT_TOL,
-    chooser=None,
-) -> FormalSum:
+def reduce_once(s: FormalSum, model: TwoBoxModel, triangle=None, chooser=None) -> FormalSum:
     """One rewrite on every term that still has vertices or loops, each
     from the shape node of its face; the diagrams of the returned terms
     link to their nodes, so they are not to be changed in place (edit a
@@ -553,8 +549,8 @@ def reduce_once(
         if node.SIDES == 2:
             out.extend(_apply_small(model, coeff, diag, node))
         else:
-            out.extend(_apply_3gon(model, coeff, diag, node, graph, triangle, tol))
-    return FormalSum(out).normalized(tol)
+            out.extend(_apply_3gon(model, coeff, diag, node, graph, triangle))
+    return FormalSum(out).normalized()
 
 
 # -- reduction plans -----------------------------------------------------
@@ -663,13 +659,7 @@ def _run(program: Program, leaves, model: TwoBoxModel) -> list:
     return values
 
 
-def evaluate_detailed(
-    d: Diagram,
-    model: TwoBoxModel,
-    triangle=None,
-    tol: Tolerance = DEFAULT_TOL,
-    chooser=None,
-) -> tuple[Scalar, int]:
+def evaluate_detailed(d: Diagram, model: TwoBoxModel, triangle=None, chooser=None) -> tuple[Scalar, int]:
     """Evaluate a closed diagram to a scalar; also return the rewrite count.
     d is validated, then the FormalSum engine reduces it term by term."""
     d.validate(check_shading=True)
@@ -680,18 +670,12 @@ def evaluate_detailed(
     s = FormalSum([(complex(1.0), d)])
     steps = 0
     while not s.is_scalar:
-        s = reduce_once(s, model, triangle, tol, chooser)
+        s = reduce_once(s, model, triangle, chooser)
         steps += 1
         if steps > 10000:
             raise InvariantViolation("evaluation failed to terminate")
     return s.scalar_value(), steps
 
 
-def evaluate(
-    d: Diagram,
-    model: TwoBoxModel,
-    triangle=None,
-    tol: Tolerance = DEFAULT_TOL,
-    chooser=None,
-) -> Scalar:
-    return evaluate_detailed(d, model, triangle, tol, chooser)[0]
+def evaluate(d: Diagram, model: TwoBoxModel, triangle=None, chooser=None) -> Scalar:
+    return evaluate_detailed(d, model, triangle, chooser)[0]

@@ -43,7 +43,7 @@ from .errors import (
     InvariantViolation,
     NonFiniteScalar,
 )
-from .scalar import DEFAULT_TOL, Scalar, Tolerance
+from .scalar import Scalar, Tolerance
 from .skein import _compile, _plan, _run, evaluate, walk_connections
 from .twobox import BoxVec, BraidPair, TwoBoxModel
 
@@ -183,10 +183,10 @@ def _labelled(shape: tuple, coeffs) -> Pattern:
     return Pattern(tuple((vid, Vertex(coeffs, s0)) for vid, s0 in verts), edges, boundary)
 
 
-def inner(model: TwoBoxModel, x: Pattern, y: Pattern, tol: Tolerance = DEFAULT_TOL) -> Scalar:
+def inner(model: TwoBoxModel, x: Pattern, y: Pattern) -> Scalar:
     """<x, y> = tr_3(y* x); linear in x, conjugate-linear in y: the
     FormalSum engine on the closure."""
-    return evaluate(closure(x, y), model, None, tol)
+    return evaluate(closure(x, y), model)
 
 
 # -- basis enumeration ---------------------------------------------------
@@ -370,15 +370,10 @@ def gram(model: TwoBoxModel) -> GramMatrix:
     return GramMatrix(_pairings(_basis_shapes()[0], model, t).reshape(14, 14))
 
 
-def expand(
-    model: TwoBoxModel,
-    pattern: Pattern,
-    gm: GramMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, float]:
+def expand(model: TwoBoxModel, pattern: Pattern, gm: GramMatrix) -> tuple[np.ndarray, float]:
     """Coefficients c with pattern = sum_j c_j D_j, solved from
     <pattern, D_i> = (G^T c)_i; returns (c, normal-equation residual)."""
-    v = np.array([inner(model, pattern, di, tol) for di in enumerate_basis(model)], dtype=complex)
+    v = np.array([inner(model, pattern, di) for di in enumerate_basis(model)], dtype=complex)
     return _expansion(gm, v)
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ParameterMismatch,
     SideMismatch,
 )
-from .scalar import DEFAULT_TOL, Scalar, Tolerance, solve_quadratic
+from .scalar import Scalar, Tolerance, solve_quadratic
 
 PLUS = "+"
 MINUS = "-"
@@ -68,15 +68,15 @@ class BoxVec:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _trace_ratio(delta: float, sigma: int, tol: Tolerance) -> float:
+def _trace_ratio(delta: float, sigma: int) -> float:
     """The ratio y = b/a determined by delta and the chirality sigma."""
     if sigma == +1:
         disc = (9.0 - 4.0 * delta) * (delta + 1.0) ** 2
-        if disc < -tol.eq_tol:
+        if disc < -Tolerance.REL_EQ:
             raise ChiralityInfeasible(
                 f"sigma=+1 has no real trace ratio at delta={delta} (needs delta <= 9/4)"
             )
-        r1, r2 = solve_quadratic(delta, -(delta + 3.0), delta * delta - 2.0, tol)
+        r1, r2 = solve_quadratic(delta, -(delta + 3.0), delta * delta - 2.0)
         y = max(r1.real, r2.real)
     else:
         y = (delta - 3.0 + (delta - 1.0) * math.sqrt(4.0 * delta + 9.0)) / (2.0 * delta)
@@ -85,9 +85,9 @@ def _trace_ratio(delta: float, sigma: int, tol: Tolerance) -> float:
     return float(y)
 
 
-def trace_split(delta: float, sigma: int, tol: Tolerance = DEFAULT_TOL):
+def trace_split(delta: float, sigma: int):
     """(y, a, b) with y = b/a, a + b = delta^2 - 1, for the given chirality."""
-    y = _trace_ratio(delta, sigma, tol)
+    y = _trace_ratio(delta, sigma)
     a = (delta * delta - 1.0) / (y + 1.0)
     return y, a, y * a
 
@@ -224,18 +224,16 @@ class TwoBoxModel:
         return (lhs - rhs).norm() / scale
 
 
-def from_classification_data(
-    delta: float, sigma: int, tol: Tolerance = DEFAULT_TOL
-) -> TwoBoxModel:
+def from_classification_data(delta: float, sigma: int) -> TwoBoxModel:
     """Model with (a, b) determined by delta and the chirality branch."""
     delta = float(delta)
     if not delta > 1.0:
         raise InadmissibleDelta(f"delta = {delta} must exceed 1")
-    if sigma == +1 and abs(delta - DEPTH3_DELTA) > tol.DEPTH3_WINDOW:
+    if sigma == +1 and abs(delta - DEPTH3_DELTA) > Tolerance.DEPTH3_WINDOW:
         raise ChiralityMismatch(
             f"sigma=+1 forces the depth-3 loop value {DEPTH3_DELTA:.9f}, got {delta}"
         )
-    _, a, b = trace_split(delta, sigma, tol)
+    _, a, b = trace_split(delta, sigma)
     return TwoBoxModel(delta, a, b, sigma)
 
 
@@ -260,15 +258,14 @@ class BraidPair:
         return cls(U=U, V=V, q=q, r=r)
 
 
-def bmw_two_box_traces(
-    q: Scalar, r: Scalar, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Scalar, Scalar, Scalar]:
+def bmw_two_box_traces(q: Scalar, r: Scalar) -> tuple[Scalar, Scalar, Scalar]:
     """(delta', tr(P1), tr(P2)) of BMW at parameters (q, r)."""
     q, r = complex(q), complex(r)
-    if abs(r) <= tol.eq_tol:
+    eps = Tolerance.REL_EQ
+    if abs(r) <= eps:
         raise DegenerateParameters("r must be nonzero")
     for bad in (1.0, -1.0, 1.0j, -1.0j):
-        if abs(q - bad) <= tol.eq_tol:
+        if abs(q - bad) <= eps:
             raise DegenerateParameters(f"q = {bad} makes the trace formulas singular")
     qi, ri = 1.0 / q, 1.0 / r
     dp = (r - ri) / (q - qi) + 1.0
@@ -278,9 +275,7 @@ def bmw_two_box_traces(
     return dp, tr1, tr2
 
 
-def braid_pair(
-    model: TwoBoxModel, q: Scalar, r: Scalar, tol: Tolerance = DEFAULT_TOL
-) -> BraidPair:
+def braid_pair(model: TwoBoxModel, q: Scalar, r: Scalar) -> BraidPair:
     """U = r^-1 e + q P1 - q^-1 P2 and its inverse, checked against the model.
 
     The Brauer point q = 1 is admitted through its explicit limit r = 1,
@@ -288,19 +283,20 @@ def braid_pair(
     """
     q, r = complex(q), complex(r)
     d = model.delta
-    if tol.at_brauer_point(q):
-        if abs(r - 1.0) > tol.eq_tol:
+    match = Tolerance.MATCH
+    if Tolerance.at_brauer_point(q):
+        if abs(r - 1.0) > Tolerance.REL_EQ:
             raise BrauerDegenerate(f"q = 1 requires r = 1, got r = {r}")
         q, r = 1.0 + 0.0j, 1.0 + 0.0j
-        if abs(d - 4.0) > tol.match_tol:
+        if abs(d - 4.0) > match:
             raise ParameterMismatch(f"Brauer braid needs delta = 4, model has {d}")
     else:
-        dp, tr1, tr2 = bmw_two_box_traces(q, r, tol)
+        dp, tr1, tr2 = bmw_two_box_traces(q, r)
         expected_dp = model.sigma * d
         if (
-            abs(dp - expected_dp) > tol.match_tol * max(1.0, abs(dp))
-            or abs(tr1 - model.a) > tol.match_tol * max(1.0, abs(tr1))
-            or abs(tr2 - model.b) > tol.match_tol * max(1.0, abs(tr2))
+            abs(dp - expected_dp) > match * max(1.0, abs(dp))
+            or abs(tr1 - model.a) > match * max(1.0, abs(tr1))
+            or abs(tr2 - model.b) > match * max(1.0, abs(tr2))
         ):
             raise ParameterMismatch(
                 f"(q, r) = ({q}, {r}) traces do not match model "

@@ -12,7 +12,7 @@ from helpers import (
     rotated_trace_closure,
     trace_closure,
 )
-from skeinlab import DEPTH3_DELTA, braid_pair, delta_for_l, from_classification_data, gram, solve_triangle
+from skeinlab import DEPTH3_DELTA, braid_pair, from_classification_data, gram, solve_triangle
 from skeinlab import shapes
 
 

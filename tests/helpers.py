@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from skeinlab import DEPTH3_DELTA, Diagram, Vertex, delta_for_l
+from skeinlab import DEPTH3_DELTA, Diagram, Tolerance, Vertex, delta_for_l
 from skeinlab.errors import (
     InvariantViolation,
     MalformedPairing,
@@ -48,7 +48,7 @@ def first_over(limit, residual):
 # -- pairings computed two ways agree to roundoff --------------------------
 
 # The programs of `skein._run` drop nothing and the FormalSum engine drops
-# terms at its `drop_tol` floor, so a pairing <x, D_j> from each agrees to
+# terms at its `Tolerance.SUM_DROP` floor, so a pairing <x, D_j> from each agrees to
 # ROUNDOFF times its Cauchy-Schwarz bound sqrt(<x, x> G_jj).
 ROUNDOFF = 1e-15
 
@@ -374,11 +374,11 @@ def reference_faces(d):
     return out
 
 
-def reference_normalized(s, tol):
+def reference_normalized(s):
     """`FormalSum.normalized` with every term keyed by
     `reference_canonical_key`, kept as a test oracle: the terms of equal key
     summed onto the first one, in first-seen order, then the terms under
-    `tol.drop_tol` times the largest dropped.  Returns the (coefficient,
+    `Tolerance.SUM_DROP` times the largest dropped.  Returns the (coefficient,
     diagram) list."""
     buckets = {}
     for coeff, diag in s.terms:
@@ -389,7 +389,7 @@ def reference_normalized(s, tol):
         else:
             buckets[key] = (complex(coeff), diag)
     scale = max([abs(c) for c, _ in buckets.values()], default=1.0)
-    return [(c, d) for c, d in buckets.values() if abs(c) > tol.drop_tol * max(1.0, scale)]
+    return [(c, d) for c, d in buckets.values() if abs(c) > Tolerance.SUM_DROP * max(1.0, scale)]
 
 
 def reference_canonical_key(d):
@@ -560,7 +560,7 @@ def reference_closure(x, y):
     return d.infer_shading()
 
 
-def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
+def reference_substitute_triangle(coeff, diag, corners, triangle):
     """`skein._substitute_triangle` as it wired each table pattern into the
     3-gon's hole before `threebox.wiring`, with the full-scan surgery and
     shading inference of each child, kept as a test oracle."""
@@ -570,7 +570,7 @@ def reference_substitute_triangle(tol, coeff, diag, corners, triangle):
         ext.append((u, (d + 3) % 4))
     removed = {u for u, _ in corners}
     nid0 = max(itertools.chain(diag.vertices, [0])) + 1
-    floor = tol.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
+    floor = Tolerance.TABLE_DROP * max(1.0, float(np.max(np.abs(triangle.left_coeffs))))
     out = []
     patterns = [_labelled(shape, triangle.generator) for shape in _basis_shapes()[0]]
     for c_i, pattern in zip(triangle.left_coeffs, patterns):

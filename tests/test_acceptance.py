@@ -5,7 +5,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from helpers import (
     coproduct_product_trace_closure,
@@ -27,11 +26,9 @@ from skeinlab import (
     normalize_bmw_params,
     principal_graph_prefix,
     recover_qr,
-    solve_triangle,
     ybe_residual,
 )
 from skeinlab.skein import small_faces
-from skeinlab.threebox import inner, triangle_pattern
 from skeinlab.twobox import PLUS
 
 

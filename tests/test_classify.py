@@ -331,7 +331,7 @@ def test_classify_passes_with_full_gram_rank_up_the_continuum():
         st = Stages(float(delta))
         assert st.gram.rank() == 14, delta
         res = classify(float(delta))
-        assert not st.tol.over_limits({k: v for k, v in res.residuals.items() if k != "quad"})
+        assert not DEFAULT_TOL.over_limits({k: v for k, v in res.residuals.items() if k != "quad"})
         assert res.residuals["quad"] < 1e-8 * max(1.0, st.braid.U.norm()), delta
         assert res.verdict == "PASS" or res.notes[-1] == "residuals over tolerance: quad", delta
 
@@ -375,6 +375,54 @@ def test_classify_rejects():
         assert res.case == "Rejected"
 
 
+@pytest.mark.parametrize("sign, note", [(1, "is not finite"), (-1, "is not positive")])
+def test_an_integer_past_the_float_range_is_rejected(sign, note):
+    """10**400 has no float; it is located as +-inf, not an OverflowError."""
+    res = classify(sign * 10**400)
+    assert (res.case, res.verdict) == ("Rejected", "REJECTED")
+    assert res.notes == [f"delta = {sign * math.inf} {note}"]
+    st = Stages(sign * 10**400)
+    assert st.rejected and st.delta == sign * math.inf
+    with pytest.raises(InadmissibleDelta):
+        st.split
+
+
+# -- the tolerance judges, it does not compute -----------------------------
+
+# A subset of the sweep grid: the depth-3 point, even l, the continuum on a
+# log scale, the Brauer edge 4 + 10^-k and the far continuum.
+TOL_GRID = [
+    DEPTH3_DELTA,
+    *map(delta_for_l, (12, 14, 30, 200, 2000)),
+    *np.geomspace(4.0, 1e6, 12).tolist(),
+    *(4.0 + 10.0**-k for k in range(1, 17)),
+    *np.geomspace(1e6, 1e16, 5).tolist(),
+]
+
+
+def _judged_apart(res):
+    """The fields of a result that no tolerance may move, as a repr (a NaN
+    residual compares equal to itself)."""
+    notes = [n for n in res.notes if not n.startswith("residuals over tolerance")]
+    return repr({**vars(res), "verdict": None, "notes": notes})
+
+
+@pytest.mark.parametrize("eq_tol", [1e-12, 1e-6, 1e-5])
+def test_the_tolerance_moves_the_verdict_only(eq_tol):
+    """classify(delta, tol) equals classify(delta) but for the verdict and
+    its over-tolerance note, and PASSes exactly when no residual reaches
+    tol's limits (and no stage raised)."""
+    tol = Tolerance(eq_tol=eq_tol)
+    for delta in TOL_GRID:
+        base, res = classify(delta), classify(delta, tol)
+        assert _judged_apart(res) == _judged_apart(base), delta
+        if res.case == "Rejected":
+            assert res.verdict == "REJECTED", delta
+        else:
+            clean = res.graph is not None and not tol.over_limits(res.residuals)
+            assert (res.verdict == "PASS") == clean, delta
+
+
 # -- known wrong verdicts on the locus --------------------------------------
 #
 # Each test states the right verdict and fails today; the reason gives what
@@ -385,7 +433,7 @@ def test_classify_rejects():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="FAIL: DegenerateParameters: r must be nonzero (|r| ~ 1e-10 < eq_tol)",
+    reason="FAIL: DegenerateParameters: r must be nonzero (|r| ~ 1e-10 < Tolerance.REL_EQ)",
 )
 def test_the_continuum_passes_at_delta_1e8():
     assert classify(1e8).verdict == "PASS"

@@ -464,12 +464,39 @@ def test_tol_env_that_does_not_parse_is_a_usage_error(capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("tol", ["1e-5", "1e-6", "1e-12"])
-@pytest.mark.parametrize("locus", [("--depth3",), ("--l", "12")])
-def test_accepted_tol_keeps_the_verdicts(capsys, locus, tol):
+ACCEPTED_TOL_LOCI = [("--depth3",), ("--l", "12"), ("--delta", "4.00000000001")]
+
+
+# Just above the Brauer point, at 4 + 1e-11, qr_roundtrip reads 1.5e-10: a
+# PASS at 1e-9 and looser, a FAIL under --tol 1e-12.
+@pytest.mark.parametrize(
+    "k, tol",
+    [pytest.param(k, tol, id=f"locus{k}-{tol}") for k in (0, 1) for tol in ("1e-12", "1e-5", "1e-6")]
+    + [pytest.param(2, tol, id=f"locus2-{tol}") for tol in ("1e-5", "1e-6")],
+)
+def test_accepted_tol_keeps_the_verdicts(capsys, k, tol):
+    locus = ACCEPTED_TOL_LOCI[k]
     assert run(capsys, "classify", *locus, "--tol", tol)[0] == EXIT_PASS
     assert run(capsys, "ybe", *locus, "--tol", tol)[0] == EXIT_PASS
     assert run(capsys, "ybe", *locus, "--tol", tol, "--perturb-q", "1.01")[0] == EXIT_FAIL
+
+
+@pytest.mark.parametrize("label", ["G", [0.01, -0.03, 0.02]])
+def test_tol_leaves_evaluate_and_gram_outputs_alone(capsys, tmp_path, label):
+    """--tol judges and computes nothing: the evaluate and gram outputs
+    are the same bytes at the loosest accepted tolerance.  With the small
+    labels the value is -2.0e-9, whose terms a drop floor that moved with
+    --tol (1e-8 at 1e-5) would zero."""
+    octa = octahedron_diagram([(0.0, 1.0, 0.0)] * 6)
+    doc = {
+        "vertices": [{"id": v, "label": label} for v in octa.vertices],
+        "edges": [[list(a), list(b)] for a, b in octa.edges.items() if a < b],
+    }
+    path = write_diagram(tmp_path, doc)
+    for argv in (("evaluate", "--diagram", path, "--l", "12"), ("gram", "--l", "12")):
+        reports = [json.loads(run(capsys, *argv, *extra)[1]) for extra in ((), ("--tol", "1e-5"))]
+        default, loose = (json.dumps(r["outputs"], sort_keys=True) for r in reports)
+        assert default == loose, argv
 
 
 def test_tol_env_override(capsys, monkeypatch):

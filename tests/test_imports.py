@@ -1,8 +1,10 @@
-"""Every name a skeinlab module imports is used in that module, every
-module-level private name is used somewhere in the package, every
-parameter of a function or lambda is read in its body, no module but
-`scalar` writes a threshold-sized float literal (or a factor of 1e3 or
-more), every import is relative, of the standard library or of numpy,
+"""Every name a skeinlab, test or tool module imports is used in that
+module, every module-level private name is used somewhere in the package,
+every parameter of a function or lambda is read in its body, no module
+but `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
+more), no module but `scalar` and `cli` reads `eq_tol`, so `--tol` moves
+the PASS limits and no number, every import is relative, of the standard
+library or of numpy,
 the one runtime dependency, every private `_name` or dotted
 `module.name` a docstring puts in backticks names something that exists,
 and so does every backticked README name with a private part.
@@ -24,9 +26,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "skeinlab"
-README = SRC.parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "skeinlab"
+README = ROOT / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,6 +54,11 @@ def test_checker_flags_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_tools(path):
     assert unused_imports(path.read_text()) == []
 
 
@@ -178,6 +187,28 @@ def test_checker_flags_a_threshold_literal():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scalar.py"], ids=lambda p: p.name)
 def test_no_threshold_literals_outside_scalar(path):
     assert threshold_literals(path.read_text()) == []
+
+
+def eq_tol_reads(source: str) -> list[str]:
+    """Each read of an attribute `eq_tol`, by line."""
+    return sorted(
+        f"eq_tol (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "eq_tol" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_checker_flags_an_eq_tol_read():
+    source = "def f(x, tol):\n    return x < tol.eq_tol or x < tol.limits['r1']\nt.eq_tol = 1\n"
+    assert eq_tol_reads(source) == ["eq_tol (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_scalar_and_cli_read_eq_tol(path):
+    """`scalar` derives the limits from eq_tol and `cli` reports it; any
+    other reader would let --tol move a number."""
+    reads = eq_tol_reads(path.read_text())
+    assert reads == [] or path.name in ("scalar.py", "cli.py"), reads
 
 
 RUNTIME_DEPENDENCIES = sys.stdlib_module_names | {"numpy"}

@@ -4,7 +4,7 @@ FormalSum engine.
 
 Passing chooser=find_small_face makes evaluate_detailed pick faces in the
 same order as the plan.  A run drops nothing, and the engine drops a term
-at its `drop_tol` floor, so where the engine drops nothing, as on random
+at its `Tolerance.SUM_DROP` floor, so where the engine drops nothing, as on random
 labels, a run agrees with it in the value's bits; on closures of the
 uncappable generator, where chains that are exactly zero over the rationals
 leave roundoff, they agree to ROUNDOFF of the Cauchy-Schwarz bound."""

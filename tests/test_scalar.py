@@ -112,9 +112,9 @@ def test_tolerance_refuses_bad_values(kwargs):
 
 def test_tolerance_accepts_up_to_eq_tol_max():
     assert Tolerance(eq_tol=Tolerance.EQ_TOL_MAX).eq_tol == 1e-5
-    # The support band top stays below the smallest relative support
+    # The fixed support band top stays below the smallest relative support
     # coefficient on the locus, 3.9e-2 at the depth-3 point.
-    assert Tolerance.SUPPORT_BAND * Tolerance.EQ_TOL_MAX < 3.9e-2
+    assert Tolerance.SUPPORT_BAND * Tolerance.REL_EQ < 3.9e-2
 
 
 def test_tolerance_env_that_does_not_parse(monkeypatch):
@@ -125,10 +125,13 @@ def test_tolerance_env_that_does_not_parse(monkeypatch):
 
 # -- the threshold policy ------------------------------------------------
 
-# Each derived threshold and its value at the default eq_tol = 1e-9, which
-# is the literal it replaced in the pipeline.
-DERIVED = {"match_tol": 1e-6, "drop_tol": 1e-9 * 1e-3}
+# Each fixed threshold and its value: the literal it replaced in the
+# pipeline, or for REL_EQ, MATCH and SUM_DROP the default of the threshold
+# that once moved with eq_tol (SUM_DROP to 2 ulp: it was 1e-9 * 1e-3).
 FIXED = {
+    "REL_EQ": 1e-9,
+    "MATCH": 1e-6,
+    "SUM_DROP": 1e-12,
     "RANK_TOL": 1e-8,
     "DEPTH3_WINDOW": 1e-6,
     "BRAUER_WINDOW": 1e-9,
@@ -153,7 +156,6 @@ LIMITS = {
 def test_tolerance_defaults_equal_the_old_literals():
     tol = Tolerance()
     assert tol.eq_tol == 1e-9
-    assert {name: getattr(tol, name) for name in DERIVED} == DERIVED
     assert {name: getattr(tol, name) for name in FIXED} == FIXED
     assert tol.limits == LIMITS
 
@@ -161,7 +163,7 @@ def test_tolerance_defaults_equal_the_old_literals():
 def test_tolerance_round_trips_through_pickle():
     tol = Tolerance(eq_tol=1e-6)
     back = pickle.loads(pickle.dumps(tol))
-    assert back == tol and back.limits == tol.limits and back.match_tol == tol.match_tol
+    assert back == tol and back.limits == tol.limits
 
 
 def test_tolerance_has_one_settable_field():
@@ -174,8 +176,6 @@ def test_tolerance_has_one_settable_field():
 def test_derived_thresholds_scale_with_eq_tol(eq_tol):
     tol = Tolerance(eq_tol=eq_tol)
     ratio = eq_tol / 1e-9
-    for name, default in DERIVED.items():
-        assert getattr(tol, name) == pytest.approx(default * ratio, rel=1e-12), name
     for key, default in LIMITS.items():
         assert tol.limits[key] == pytest.approx(default * ratio, rel=1e-12), key
     assert {name: getattr(tol, name) for name in FIXED} == FIXED
@@ -195,6 +195,8 @@ def test_over_limits_counts_a_nan_residual_as_over():
 
 
 def test_brauer_point_window_is_fixed():
+    assert Tolerance.at_brauer_point(1.0 + 0.5e-9)
+    assert not Tolerance.at_brauer_point(1.0 + 2e-9)
     for tol in (Tolerance(), Tolerance(eq_tol=1e-6)):
         assert tol.at_brauer_point(1.0 + 0.5e-9)
         assert not tol.at_brauer_point(1.0 + 2e-9)

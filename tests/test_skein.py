@@ -50,7 +50,6 @@ from skeinlab.errors import (
     TriangleTableRequired,
 )
 from skeinlab.classify import Stages
-from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.skein import small_faces
 from skeinlab.twobox import PLUS
 
@@ -466,9 +465,9 @@ def test_triangle_substitution_matches_the_reference_wiring(model12, table12, tr
     wired = skein._substitute_triangle
     calls = []
 
-    def checked(tol, coeff, diag, corners, triangle, node, graph):
-        got = wired(tol, coeff, diag, corners, triangle, node, graph)
-        want = reference_substitute_triangle(tol, coeff, diag, corners, triangle)
+    def checked(coeff, diag, corners, triangle, node, graph):
+        got = wired(coeff, diag, corners, triangle, node, graph)
+        want = reference_substitute_triangle(coeff, diag, corners, triangle)
         assert [c for c, _ in got] == [c for c, _ in want]
         assert all(same_wiring(g, w) for (_, g), (_, w) in zip(got, want))
         calls.append(len(got))
@@ -488,7 +487,7 @@ def test_triangle_substitution_refuses_an_inconsistently_shaded_parent(model12, 
 
     def substitute(diag):
         node, graph = skein._node(diag, corners), shapes.ShapeGraph()
-        return skein._substitute_triangle(DEFAULT_TOL, 1.0, diag, corners, table12, node, graph)
+        return skein._substitute_triangle(1.0, diag, corners, table12, node, graph)
 
     assert substitute(d)
     bad = d.copy()
@@ -813,8 +812,8 @@ def test_normalized_matches_the_all_terms_reference(model12, table12, triangle_r
 
     def check(terms):
         s = FormalSum(terms)
-        got = [(c, id(d)) for c, d in s.normalized(DEFAULT_TOL).terms]
-        assert got == [(c, id(d)) for c, d in reference_normalized(s, DEFAULT_TOL)]
+        got = [(c, id(d)) for c, d in s.normalized().terms]
+        assert got == [(c, id(d)) for c, d in reference_normalized(s)]
 
     rng = random.Random(61)
     nprng = np.random.default_rng(61)

@@ -1,6 +1,3 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
@@ -43,7 +40,7 @@ from skeinlab.threebox import (
 )
 from skeinlab.scalar import DEFAULT_TOL, Tolerance
 from skeinlab.twobox import other_side
-from skeinlab.skein import FormalSum, Vertex, reduce_once
+from skeinlab.skein import Vertex
 
 from helpers import (
     FIXTURE_LOCI,
@@ -200,13 +197,13 @@ def inner_built(m, basis):
     return g, orbit_built(m, threebox._TRIANGLE_SHAPES, [triangle_pattern(m)], basis)
 
 
-# The engine with a drop floor of 1e-303: it drops only what underflows.
-NO_DROP = Tolerance(eq_tol=1e-300)
+# The engine's drop floor for a run that drops only what underflows.
+NO_DROP = 1e-303
 
 PARITY_DELTAS = [DEPTH3_DELTA, *map(delta_for_l, range(12, 201, 2)), *np.geomspace(4.0, 1e6, 40)]
 
 
-def test_the_programs_match_inner_to_roundoff():
+def test_the_programs_match_inner_to_roundoff(monkeypatch):
     """The Gram and 3-gon programs against one inner call per orbit, on
     PARITY_DELTAS: each pairing within ROUNDOFF of its Cauchy-Schwarz bound
     (8.9e-17 of it at most, measured), the triangle table's coefficients
@@ -231,12 +228,13 @@ def test_the_programs_match_inner_to_roundoff():
     # 1e-12, under the default drop floor that zeroes them in inner
     # (9.1e-14 of the bound at depth 3), so the engine here runs with a
     # floor of 1e-303; it then agrees with the program bit for bit.
+    monkeypatch.setattr(Tolerance, "SUM_DROP", NO_DROP)
     for name, delta in FIXTURE_LOCI.items():
         st = Stages(delta)
         q, r = st.braid.q, st.braid.r
         for eps in [0.0, *PERTURBATIONS]:
             braid = BraidPair.from_qr(q * (1.0 + eps), r)
-            va = pairings(st.model, braid_pattern(st.model, braid, "A"), NO_DROP)
+            va = pairings(st.model, braid_pattern(st.model, braid, "A"))
             got = threebox._pairings(threebox._BRAID_SHAPES, st.model, braid.U.coeffs)
             want = np.concatenate((va, va[TURN3]))
             bound = np.tile(ROUNDOFF * cauchy_schwarz(st.gram.entries, va), 2)
@@ -456,9 +454,9 @@ def test_ybe_residual_small_at_real_locus():
     assert ybe_residual(m, bp, gram(m)) < 1e-8
 
 
-def pairings(model, pattern, tol=DEFAULT_TOL):
+def pairings(model, pattern):
     """<pattern, D_j> for the 14 basis patterns, each closure reduced."""
-    return np.array([inner(model, pattern, dj, tol) for dj in enumerate_basis(model)], dtype=complex)
+    return np.array([inner(model, pattern, dj) for dj in enumerate_basis(model)], dtype=complex)
 
 
 def test_ybe_rerooting_invariance(model12, table12, braid12):
@@ -582,7 +580,7 @@ def test_r2_catches_a_perturbed_q_or_r(locus):
     float noise on the locus, and over its limit once q or r is off by a
     relative 1e-7."""
     st = Stages(FIXTURE_LOCI[locus])
-    limit = st.tol.limits["r2"]
+    limit = DEFAULT_TOL.limits["r2"]
     q, r = st.braid.q, st.braid.r
     assert reidemeister_residuals(st.model, st.braid)[1] < 4e-15
     for bad in (BraidPair.from_qr(q * (1.0 + 1e-7), r), BraidPair.from_qr(q, r * (1.0 + 1e-7))):
@@ -599,8 +597,8 @@ def test_r1_catches_a_perturbed_r(locus):
     def r1(eps):
         return reidemeister_residuals(st.model, BraidPair.from_qr(q, r * (1.0 + eps)))[0]
 
-    assert r1(0.0) < st.tol.limits["r1"]
-    assert first_over(st.tol.limits["r1"], r1) is not None
+    assert r1(0.0) < DEFAULT_TOL.limits["r1"]
+    assert first_over(DEFAULT_TOL.limits["r1"], r1) is not None
 
 
 @pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
@@ -613,8 +611,8 @@ def test_quad_catches_a_perturbed_q(locus):
     def quad(eps):
         return reidemeister_residuals(st.model, BraidPair.from_qr(q * (1.0 + eps), r))[2]
 
-    assert quad(0.0) < st.tol.limits["quad"]
-    assert first_over(st.tol.limits["quad"], quad) is not None
+    assert quad(0.0) < DEFAULT_TOL.limits["quad"]
+    assert first_over(DEFAULT_TOL.limits["quad"], quad) is not None
 
 
 @pytest.mark.parametrize("locus", list(FIXTURE_LOCI))
@@ -626,7 +624,7 @@ def test_ybe_detects_a_perturbed_q_linearly(locus):
     st = Stages(FIXTURE_LOCI[locus])
     ybe = [st.braid_residuals(st.perturbed_braid(1.0 + eps))["ybe"] for eps in (1e-9, 1e-8, 1e-7)]
     assert all(abs(hi / lo - 10.0) <= 0.1 for lo, hi in zip(ybe, ybe[1:])), ybe
-    assert ybe[-1] > st.tol.limits["ybe"]
+    assert ybe[-1] > DEFAULT_TOL.limits["ybe"]
 
 
 def test_braid_pattern_sides_differ_as_patterns(model12, braid12):

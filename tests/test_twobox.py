@@ -25,6 +25,7 @@ from skeinlab.errors import (
     SideMismatch,
 )
 from helpers import FIXTURE_LOCI, coproduct_tensor, first_over, rotation_matrix, trace_vector
+from skeinlab.scalar import DEFAULT_TOL
 from skeinlab.twobox import MINUS, PLUS, product_coeffs
 
 LOCI = [
@@ -227,8 +228,8 @@ def test_chirality_catches_a_perturbed_b(locus):
     def chirality(eps):
         return TwoBoxModel(m.delta, m.a, m.b * (1.0 + eps), m.sigma).chirality_residual()
 
-    assert chirality(0.0) < st.tol.limits["chirality"]
-    assert first_over(st.tol.limits["chirality"], chirality) is not None
+    assert chirality(0.0) < DEFAULT_TOL.limits["chirality"]
+    assert first_over(DEFAULT_TOL.limits["chirality"], chirality) is not None
 
 
 def test_side_mismatch_raises():

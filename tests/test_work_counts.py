@@ -315,7 +315,7 @@ def test_right_table_is_solved_on_first_read(counted):
 
     # The expansion of the right (mirror) triangle, solved from scratch.
     right_pattern = mirror(triangle_pattern(st.model))
-    want, want_residual = expand(st.model, right_pattern, st.gram, st.tol)
+    want, want_residual = expand(st.model, right_pattern, st.gram)
     assert counted["inner"] == before + 14
     assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(residual - want_residual) <= 1e-12
