@@ -19,11 +19,11 @@ from functools import cached_property
 
 from .errors import (
     DegenerateDenominator,
+    DegenerateParameters,
     InadmissibleDelta,
     NoCanonicalRepresentative,
     NonFiniteScalar,
     SkeinlabError,
-    SupportAmbiguous,
 )
 from .scalar import DEFAULT_TOL, Scalar, Tolerance, is_real, principal_q_from_c
 from .threebox import gram, reidemeister_residuals, solve_triangle, ybe_residual
@@ -144,6 +144,8 @@ def normalize_bmw_params(r: Scalar, q: Scalar) -> tuple[Scalar, Scalar]:
     """Canonical orbit representative: Re q >= 0, Im q >= 0, Re r >= 0 on the
     unit circle, or q >= 1, r >= 0 in the real case."""
     r, q = complex(r), complex(q)
+    if r == 0:  # the orbit holds r^-1
+        raise DegenerateParameters("r must be nonzero")
     eps = Tolerance.REL_EQ
     unit = abs(abs(q) - 1.0) <= eps and abs(abs(r) - 1.0) <= eps
     candidates = []
@@ -175,56 +177,29 @@ class PrincipalGraphPrefix:
 
     depth2_weights: dict[str, float]
     depth3_neighbors: dict[str, tuple[str, ...]]
-    edge_multiplicities: dict[tuple[str, str], int]
-    supports: dict[str, tuple[str, ...]]
-
-
-_BASIS_NAMES = ("e", "P1", "P2")
-
-
-def _support(coeffs) -> tuple[str, ...]:
-    scale = max(1.0, *map(abs, coeffs))
-    lo = Tolerance.REL_EQ * scale
-    hi = Tolerance.SUPPORT_BAND * lo
-    out = []
-    for name, c in zip(_BASIS_NAMES, coeffs):
-        mag = abs(c)
-        if mag < lo:
-            continue
-        if mag < hi:
-            raise SupportAmbiguous(
-                f"coefficient of {name} is {mag:.3e}, inside the ambiguity band"
-            )
-        out.append(name)
-    return tuple(out)
 
 
 def principal_graph_prefix(model: TwoBoxModel) -> PrincipalGraphPrefix:
-    """Depth-3 prefix inferred from the coproduct supports."""
-    cop = model.coproduct_table
-    supports = {
-        "P1*P1": _support(cop[1][1]),
-        "P1*P2": _support(cop[1][2]),
-        "P2*P2": _support(cop[2][2]),
-    }
-    expected = {
-        "P1*P1": ("e", "P2"),
-        "P1*P2": ("P1", "P2"),
-        "P2*P2": ("e", "P1", "P2"),
-    }
-    if supports != expected:
+    """Depth-3 prefix, decided from the closed forms of the coproducts.
+
+    The hat pattern is P1*P1 on (e, P2), P1*P2 on (P1, P2) and P2*P2 on
+    (e, P1, P2).  The zeros of `TwoBoxModel.coproduct_table` are literal,
+    and its other coefficients are nonzero exactly when a, a - 1, b,
+    b - a + 1 and b^2 - b - ab + a^2 - a are.  a > 1 and b > a (the
+    depth-3 dimensions delta(a - 1) and delta(b - a) positive) with a
+    positive quadratic imply all of that, exactly, with no float band.
+    """
+    a, b = model.a, model.b
+    if not (a > 1 and b > a and b * b - b - a * b + a * a - a > 0):
         raise SkeinlabError(
-            f"coproduct supports {supports} off the classification pattern"
+            f"(a, b) = ({a}, {b}) is off the classification pattern, which needs "
+            "a > 1, b > a and b^2 - b - ab + a^2 - a > 0"
         )
     # Two depth-3 vertices: w1 shared between P1 and P2, w2 hangs off P2;
     # path counting then gives dim(S_3) = 9 + 4 + 1 = 14.
-    neighbors = {"w1": ("P1", "P2"), "w2": ("P2",)}
-    mults = {("w1", "P1"): 1, ("w1", "P2"): 1, ("w2", "P2"): 1}
     return PrincipalGraphPrefix(
-        depth2_weights={"P1": model.a, "P2": model.b},
-        depth3_neighbors=neighbors,
-        edge_multiplicities=mults,
-        supports=supports,
+        depth2_weights={"P1": a, "P2": b},
+        depth3_neighbors={"w1": ("P1", "P2"), "w2": ("P2",)},
     )
 
 

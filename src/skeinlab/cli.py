@@ -4,15 +4,15 @@ braid-relation reports, all as deterministic JSON.
 Every subcommand locates delta with one `Stages` pipeline and renders only
 the stages it reads; off the locus it is REJECTED before any stage is
 built, and a residual at or over its `Tolerance.limits` entry, which moves
-with `--tol`/`SKEINLAB_TOL` and is listed under `tolerances`, FAILs.
+with `--tol` and is listed under `tolerances`, FAILs.
 `--tol` moves those limits only: every number in a report depends on
 delta alone.
 A stage that raises (a rank-deficient Gram matrix, say) gives a FAIL
 report naming the exception, as `classify` does.
 
 Exit codes: 0 PASS, 1 FAIL or error, 2 REJECTED, 64 usage (bad arguments,
-a `--tol`/`SKEINLAB_TOL` that `Tolerance` refuses, or a `--perturb-q` that
-is not finite and nonzero).
+a `--tol` that `Tolerance` refuses, or a `--perturb-q` that is not finite
+and nonzero).
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ def _resolve_locus(args) -> float:
 
 
 def _tolerance(args) -> Tolerance:
-    if args.tol is not None:
-        return Tolerance(eq_tol=args.tol)
-    return Tolerance.from_env()
+    return Tolerance() if args.tol is None else Tolerance(eq_tol=args.tol)
 
 
 def _stages(args, **inputs) -> tuple[Stages, Tolerance, dict]:

@@ -6,8 +6,7 @@ class SkeinlabError(Exception):
 
 
 class InvalidTolerance(SkeinlabError, ValueError):
-    """A tolerance that is not finite, not positive or too loose, or an
-    SKEINLAB_TOL that does not parse."""
+    """A tolerance that is not finite, not positive or too loose."""
 
 
 class NonFiniteScalar(SkeinlabError):
@@ -51,11 +50,11 @@ class BrauerDegenerate(SkeinlabError):
 
 
 class ParameterMismatch(SkeinlabError):
-    """(q, r) inconsistent with the model's loop value."""
+    """The Brauer braid (q = 1) asked of a model whose loop value is not 4."""
 
 
 class DegenerateParameters(SkeinlabError):
-    """BMW trace formulas evaluated at q in {+-1, +-i} or r = 0."""
+    """BMW trace formulas evaluated at q in {+-1, +-i}, or r = 0."""
 
 
 class DegenerateDenominator(SkeinlabError):
@@ -92,7 +91,3 @@ class InternalEnumerationMismatch(SkeinlabError):
 
 class GramRankDeficient(SkeinlabError):
     """Gram matrix rank dropped below 14."""
-
-
-class SupportAmbiguous(SkeinlabError):
-    """A coproduct support coefficient sits within tolerance of zero."""

@@ -4,7 +4,7 @@ The pipeline computes over Python complex numbers (the 2-box model and
 `skein._run` also over exact rationals and arrays).  `Tolerance` holds
 every threshold the other modules compare against.  Only the PASS limits
 move with `--tol`; every guard that shapes a number (relative equality,
-the trace agreement checks, the locus windows, the engine's zero drops)
+the Brauer point's checks, the locus windows, the engine's zero drops)
 is a fixed class constant, so the numbers depend on delta alone.  The
 root solvers, a stable quadratic and the principal branch Re q >= 0,
 Im q >= 0 of q^2 + q^-2 = c, recover q.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -40,9 +39,9 @@ class Tolerance:
 
     One value is set: eq_tol, which judges the verdict.  It must be finite,
     positive and at most EQ_TOL_MAX; anything else raises InvalidTolerance.
-    Only `limits` derives from it, so `--tol` and `SKEINLAB_TOL` move the
-    PASS limits and nothing else.  The class constants are the guards that
-    shape the numbers: relative equality, agreement checks, locus windows
+    Only `limits` derives from it, so `--tol` moves the PASS limits and
+    nothing else.  The class constants are the guards that shape the
+    numbers: relative equality, the Brauer point's checks, locus windows
     and float-noise drops.  They stay fixed, so every number depends on
     delta alone; `admissible_check` finds the even l in closed form, with
     none.
@@ -56,21 +55,17 @@ class Tolerance:
 
     REL_EQ: ClassVar[float] = 1e-9
     """Relative equality: of `is_real`, of a vanishing leading coefficient
-    or denominator, of a singular (q, r) in the trace formulas, of the
-    unit-circle and region tests that normalize (q, r), and the bottom of
-    the coproduct support band."""
+    or denominator, of a singular q in the trace formulas, of r = 1 at the
+    Brauer point, and of the unit-circle and region tests that normalize
+    (q, r)."""
     MATCH: ClassVar[float] = 1e-6
-    """Agreement of the BMW traces of (q, r) with the model, and the Brauer
-    delta = 4 and unit-modulus r checks."""
+    """The Brauer braid's delta = 4 check, and the unit-modulus band in which
+    `recover_qr` snaps r onto the circle.  Whether (q, r) gives the model's
+    traces is judged once, by the qr_roundtrip limit."""
     SUM_DROP: ClassVar[float] = 1e-12
     """Formal-sum terms up to this times the largest (floored at 1) drop.
     A float-noise guard of the engine: without it a 3-gon-rich reduction
     keeps about a fifth more terms, for values that move by roundoff."""
-    SUPPORT_BAND: ClassVar[float] = 1e3
-    """Top of the ambiguity band of a coproduct support coefficient, in
-    units of REL_EQ times the coefficient scale: a coefficient between
-    REL_EQ and SUPPORT_BAND * REL_EQ (relative) is neither clearly zero nor
-    clearly present, and raises SupportAmbiguous."""
     EQ_TOL_MAX: ClassVar[float] = 1e-5
     """Largest accepted eq_tol.  It bounds how far `--tol` may loosen the
     PASS limits before a wrong braid could pass: at eq_tol = 1e-5 every
@@ -112,18 +107,6 @@ class Tolerance:
         limits = dict.fromkeys(keys, 1e-8 * ratio)
         limits["qr_roundtrip"] = self.eq_tol
         object.__setattr__(self, "limits", limits)
-
-    @classmethod
-    def from_env(cls) -> "Tolerance":
-        """Default tolerance, with SKEINLAB_TOL overriding eq_tol."""
-        raw = os.environ.get("SKEINLAB_TOL")
-        if raw is None:
-            return cls()
-        try:
-            eq_tol = float(raw)
-        except ValueError:
-            raise InvalidTolerance(f"SKEINLAB_TOL={raw!r} is not a number") from None
-        return cls(eq_tol=eq_tol)
 
     def over_limits(self, residuals: Mapping[str, float]) -> list[str]:
         """Sorted keys whose residual is at or over its limit; a NaN

@@ -45,6 +45,24 @@ def first_over(limit, residual):
     return next((eps for eps in PERTURBATIONS if not residual(eps) < limit), None)
 
 
+# -- the principal graph's hat pattern, read off the coproduct table ------
+
+# The basis elements in which each coproduct of the hat pattern has a
+# nonzero coefficient.
+HAT_SUPPORTS = {"P1*P1": ("e", "P2"), "P1*P2": ("P1", "P2"), "P2*P2": ("e", "P1", "P2")}
+
+
+def coproduct_supports(model):
+    """The supports of P1*P1, P1*P2 and P2*P2, read exactly: the table's
+    structural zeros are literal 0."""
+    cop = model.coproduct_table
+    names = ("e", "P1", "P2")
+    return {
+        f"P{i}*P{j}": tuple(n for n, c in zip(names, cop[i][j]) if c != 0)
+        for i, j in ((1, 1), (1, 2), (2, 2))
+    }
+
+
 # -- pairings computed two ways agree to roundoff --------------------------
 
 # The programs of `skein._run` drop nothing and the FormalSum engine drops

@@ -29,11 +29,10 @@ from skeinlab.errors import (
     NoCanonicalRepresentative,
     NonFiniteScalar,
     SkeinlabError,
-    SupportAmbiguous,
 )
 from skeinlab.scalar import DEFAULT_TOL, Tolerance
 
-from helpers import FIXTURE_LOCI, first_over
+from helpers import FIXTURE_LOCI, HAT_SUPPORTS, coproduct_supports, first_over
 
 # skeinlab.classify is the function; the module is only in sys.modules.
 classify_mod = importlib.import_module("skeinlab.classify")
@@ -257,24 +256,41 @@ def test_normalize_no_representative():
 def test_principal_graph_prefix_hat_shape(delta, sigma):
     m = from_classification_data(delta, sigma)
     g = principal_graph_prefix(m)
-    assert g.supports["P1*P1"] == ("e", "P2")
-    assert g.supports["P1*P2"] == ("P1", "P2")
-    assert g.supports["P2*P2"] == ("e", "P1", "P2")
     assert g.depth3_neighbors == {"w1": ("P1", "P2"), "w2": ("P2",)}
     assert g.depth2_weights["P1"] == pytest.approx(m.a)
     assert g.depth2_weights["P2"] == pytest.approx(m.b)
 
 
-@pytest.mark.parametrize(
-    "a, error, match",
-    [(1.0, SkeinlabError, "off the classification pattern"), (1.0 + 1e-7, SupportAmbiguous, "ambiguity band")],
-)
-def test_principal_graph_prefix_refuses_supports_off_the_pattern(a, error, match):
-    # At a = 1 the coefficient of P1 in P1 * P1 vanishes; 1e-7 off, it is
-    # 2e-8, inside the band where present and absent cannot be told apart.
-    with pytest.raises(SkeinlabError, match=match) as info:
-        principal_graph_prefix(TwoBoxModel(5.0, a, 23.0, -1))
-    assert type(info.value) is error
+SWEEP_DELTAS = [DEPTH3_DELTA, *(delta_for_l(l) for l in range(12, 2001, 2)), *np.geomspace(4.0, 1e16, 700)]
+
+
+def test_the_hat_pattern_holds_across_the_locus():
+    """At every sampled loop value the exact supports of the coproduct
+    table are the hat pattern, and principal_graph_prefix returns."""
+    for delta in SWEEP_DELTAS:
+        m = Stages(float(delta)).model
+        assert coproduct_supports(m) == HAT_SUPPORTS, delta
+        assert principal_graph_prefix(m).depth2_weights == {"P1": m.a, "P2": m.b}
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 23.0), (5.0, 5.0), (1.5, 1.6)])
+def test_principal_graph_prefix_refuses_supports_off_the_pattern(a, b):
+    """a = 1 zeroes P1 in P1*P2 (and P2 in P1*P1), b = a makes the depth-3
+    dimension delta(b - a) zero, and at (1.5, 1.6) the P2 coefficient of
+    P2*P2, b^2 - b - ab + a^2 - a over delta*b, is negative."""
+    m = TwoBoxModel(5.0, a, b, -1)
+    with pytest.raises(SkeinlabError, match="off the classification pattern") as info:
+        principal_graph_prefix(m)
+    assert type(info.value) is SkeinlabError
+
+
+def test_principal_graph_prefix_accepts_a_just_over_one():
+    """At a = 1 + 1e-7 the P1 coefficient of P1*P2, (a - 1)/delta, is a
+    true 2e-8: small, and present."""
+    m = TwoBoxModel(5.0, 1.0 + 1e-7, 23.0, -1)
+    assert coproduct_supports(m) == HAT_SUPPORTS
+    assert m.coproduct_table[1][2][1] == pytest.approx(2e-8, rel=1e-8)
+    assert principal_graph_prefix(m).depth3_neighbors == {"w1": ("P1", "P2"), "w2": ("P2",)}
 
 
 # -- end-to-end ----------------------------------------------------------
@@ -347,7 +363,8 @@ def test_classify_fails_with_a_note_at_huge_delta(delta):
 def test_qr_roundtrip_catches_a_perturbed_q(locus, monkeypatch):
     """qr_roundtrip compares the BMW traces of the recovered (q, r) with
     (delta, a, b): under its limit on the locus, and over it once q is off
-    by a relative 1e-6 or less, before braid_pair refuses that q."""
+    by a relative 1e-6 or less.  It is the one judge of that agreement:
+    braid_pair builds U from the perturbed q as it is."""
     recover = classify_mod.recover_qr
     perturbation = [0.0]
 
@@ -433,7 +450,7 @@ def test_the_tolerance_moves_the_verdict_only(eq_tol):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="FAIL: DegenerateParameters: r must be nonzero (|r| ~ 1e-10 < Tolerance.REL_EQ)",
+    reason="FAIL: DegenerateParameters: r must be nonzero (recover_qr's r cancels to -0.0; it is q^-5 ~ 1e-10)",
 )
 def test_the_continuum_passes_at_delta_1e8():
     assert classify(1e8).verdict == "PASS"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from skeinlab import DEPTH3_DELTA, Tolerance
+from skeinlab import DEPTH3_DELTA, Tolerance, classify
 from skeinlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_REJECTED, EXIT_USAGE, load_diagram, main
 
 from helpers import octahedron_diagram
@@ -457,13 +457,6 @@ def test_tol_out_of_range_is_a_usage_error(capsys, tol):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_tol_env_that_does_not_parse_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SKEINLAB_TOL", "abc")
-    code, out, err = run(capsys, "classify", "--l", "12")
-    assert code == EXIT_USAGE
-    assert err.count("\n") == 1 and err.startswith("error: ")
-
-
 ACCEPTED_TOL_LOCI = [("--depth3",), ("--l", "12"), ("--delta", "4.00000000001")]
 
 
@@ -499,8 +492,17 @@ def test_tol_leaves_evaluate_and_gram_outputs_alone(capsys, tmp_path, label):
         assert default == loose, argv
 
 
-def test_tol_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SKEINLAB_TOL", "1e-6")
-    code, out, _ = run(capsys, "classify", "--l", "12")
-    assert code == EXIT_PASS
-    assert json.loads(out)["inputs"]["tol"] == 1e-6
+def test_a_wrong_qr_fails_by_its_residuals(capsys):
+    """At delta = 1e5 recover_qr's (q, r) misses the model's traces (its r
+    cancels).  The verdict is a FAIL that shows every residual, with
+    qr_roundtrip over its limit, and the ybe report shows the four braid
+    residuals that this (q, r) gives."""
+    res = classify(1e5)
+    assert res.verdict == "FAIL"
+    assert sorted(res.residuals) == sorted(Tolerance().limits)
+    assert res.residuals["qr_roundtrip"] > Tolerance().limits["qr_roundtrip"]
+    assert "qr_roundtrip" in res.notes[-1]
+    code, out, _ = run(capsys, "ybe", "--delta", "1e5")
+    report = strict(out)
+    assert code == EXIT_FAIL and report["verdict"] == "FAIL"
+    assert sorted(report["residuals"]) == ["quad", "r1", "r2", "ybe"]

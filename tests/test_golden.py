@@ -69,8 +69,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("command, locus", list(GOLDEN), ids=[f"{c}-{l}" for c, l in GOLDEN])
-def test_plan_path_reports_are_golden(monkeypatch, command, locus):
-    monkeypatch.delenv("SKEINLAB_TOL", raising=False)
+def test_plan_path_reports_are_golden(command, locus):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([*COMMANDS[command], *LOCI[locus]])
@@ -87,8 +86,7 @@ def _negative_zeros(node, path=""):
 
 
 @pytest.mark.parametrize("locus", list(LOCI))
-def test_no_plan_path_report_prints_a_negative_zero(monkeypatch, locus):
-    monkeypatch.delenv("SKEINLAB_TOL", raising=False)
+def test_no_plan_path_report_prints_a_negative_zero(locus):
     for command in ("classify", "gram", "ybe"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -154,7 +152,6 @@ GOLDEN_EVALUATE = {
 
 @pytest.mark.parametrize("name", list(_engine_diagrams()))
 def test_engine_path_reports_are_golden(monkeypatch, tmp_path, name):
-    monkeypatch.delenv("SKEINLAB_TOL", raising=False)
     monkeypatch.chdir(tmp_path)  # the report names the file as given
     d, generators = _engine_diagrams()[name]
     _write_diagram(f"{name}.json", d, set(generators))

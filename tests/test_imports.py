@@ -1,6 +1,7 @@
 """Every name a skeinlab, test or tool module imports is used in that
 module, every module-level private name is used somewhere in the package,
-every parameter of a function or lambda is read in its body, no module
+every exception class of `errors` is raised or caught in the package and
+every `Tolerance` class constant is read there, every parameter of a function or lambda is read in its body, no module
 but `scalar` writes a threshold-sized float literal (or a factor of 1e3 or
 more), no module but `scalar` and `cli` reads `eq_tol`, so `--tol` moves
 the PASS limits and no number, every import is relative, of the standard
@@ -96,6 +97,67 @@ def test_every_private_name_is_used_in_the_package():
     used = set().union(*map(references, sources))
     defined = set().union(*map(private_definitions, sources))
     assert sorted(defined - used) == []
+
+
+def _dotted_name(node) -> str | None:
+    """`X` of a name `X` or an attribute `m.X`."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def raised_or_caught(source: str) -> set[str]:
+    """Names of the exception classes a source raises or catches."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.add(_dotted_name(exc))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            out.update(map(_dotted_name, types))
+    return out
+
+
+def tolerance_constants(source: str) -> set[str]:
+    """The `ClassVar` names of the class `Tolerance` in a source."""
+    return {
+        node.target.id
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and cls.name == "Tolerance"
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.annotation, ast.Subscript)
+        and _dotted_name(node.annotation.value) == "ClassVar"
+    }
+
+
+def orphans(errors: str, scalar: str, package: list[str]) -> list[str]:
+    """The exception classes `errors` defines that no source of `package`
+    raises or catches, and the `Tolerance` constants of `scalar` that none
+    reads (a definition is no read)."""
+    handled = set().union(*map(raised_or_caught, package))
+    read = set().union(*map(references, package))
+    classes = {node.name for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)}
+    return sorted(
+        [name for name in classes if name not in handled]
+        + [f"Tolerance.{name}" for name in tolerance_constants(scalar) if name not in read]
+    )
+
+
+def test_checker_flags_an_orphaned_error_or_constant():
+    errors = "class Raised(Exception): pass\nclass Caught(Raised): pass\nclass Orphan(Raised): pass\n"
+    scalar = (
+        "from typing import ClassVar\n"
+        "class Tolerance:\n    eq_tol: float = 1.0\n    READ: ClassVar[float] = 1.0\n"
+        "    BAND: ClassVar[float] = 2.0\n    def f(self):\n        return self.READ\n"
+    )
+    user = "def g(x):\n    try:\n        raise errors.Raised(x)\n    except (ValueError, Caught):\n        raise\n"
+    assert orphans(errors, scalar, [errors, scalar, user]) == ["Orphan", "Tolerance.BAND"]
+
+
+def test_every_error_is_raised_or_caught_and_every_constant_read():
+    """A deleted check leaves no exception class or threshold behind."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert orphans((SRC / "errors.py").read_text(), (SRC / "scalar.py").read_text(), sources) == []
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -26,7 +26,7 @@ def test_the_engine_hash_covers_each_locus():
 # The float pipeline's and the skein engine's outputs, bit for bit.  A
 # change that moves bits on purpose re-records these two values and says
 # which outputs moved.
-PIPELINE_HASH = (698, "271c2dfaad39ac681de3dede42d8ccc66aa0a6cddc185fdf93aea5e31668f29d")
+PIPELINE_HASH = (698, "395e5e0cf3c90803c35f8093eeb3d65b3e08c5a82c858b712b9a173388b0e214")
 ENGINE_HASH = (4, "cb7fb5d1e2d024ed4911f58a8fe71cfee6bfe281f49962926ed0f8d8d2a2a35c")
 
 

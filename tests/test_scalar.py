@@ -83,14 +83,6 @@ def test_is_real():
     assert not is_real(1.0j)
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("SKEINLAB_TOL", "1e-6")
-    tol = Tolerance.from_env()
-    assert tol.eq_tol == 1e-6
-    monkeypatch.delenv("SKEINLAB_TOL")
-    assert Tolerance.from_env().eq_tol == 1e-9
-
-
 def test_tolerance_positive():
     with pytest.raises(ValueError):
         Tolerance(eq_tol=0.0)
@@ -112,15 +104,6 @@ def test_tolerance_refuses_bad_values(kwargs):
 
 def test_tolerance_accepts_up_to_eq_tol_max():
     assert Tolerance(eq_tol=Tolerance.EQ_TOL_MAX).eq_tol == 1e-5
-    # The fixed support band top stays below the smallest relative support
-    # coefficient on the locus, 3.9e-2 at the depth-3 point.
-    assert Tolerance.SUPPORT_BAND * Tolerance.REL_EQ < 3.9e-2
-
-
-def test_tolerance_env_that_does_not_parse(monkeypatch):
-    monkeypatch.setenv("SKEINLAB_TOL", "abc")
-    with pytest.raises(InvalidTolerance, match="SKEINLAB_TOL"):
-        Tolerance.from_env()
 
 
 # -- the threshold policy ------------------------------------------------
@@ -139,7 +122,6 @@ FIXED = {
     "TABLE_DROP": 1e-13,
     "UNIT_SNAP": 1e-13,
     "EIG_FLOOR": 1e-300,
-    "SUPPORT_BAND": 1e3,
     "EQ_TOL_MAX": 1e-5,
 }
 LIMITS = {

@@ -7,11 +7,13 @@ import pytest
 from skeinlab import (
     DEPTH3_DELTA,
     BoxVec,
+    BraidPair,
     Stages,
     TwoBoxModel,
     bmw_two_box_traces,
     braid_pair,
     from_classification_data,
+    normalize_bmw_params,
     trace_split,
 )
 from skeinlab.errors import (
@@ -308,8 +310,37 @@ def test_braid_pair_brauer_limit():
 
 
 def test_braid_pair_rejects_mismatched_parameters():
+    """Away from q = 1, braid_pair builds U from any (q, r); that they miss
+    the model's traces is the qr_roundtrip residual's to judge, and here
+    it is far over its limit.  The Brauer braid is refused off delta = 4."""
     m = from_classification_data(1.0 + math.sqrt(3.0), -1)
-    with pytest.raises(ParameterMismatch):
-        braid_pair(m, cmath.exp(1j * math.pi / 14.0), cmath.exp(-5j * math.pi / 14.0))
+    q, r = cmath.exp(1j * math.pi / 14.0), cmath.exp(-5j * math.pi / 14.0)
+    assert braid_pair(m, q, r).q == q
+    dp, t1, t2 = bmw_two_box_traces(q, r)
+    mismatch = max(abs(dp + m.delta), abs(t1 - m.a), abs(t2 - m.b)) / m.delta**2
+    assert mismatch > 1e6 * DEFAULT_TOL.limits["qr_roundtrip"]
     with pytest.raises(ParameterMismatch, match="Brauer braid needs delta = 4"):
         braid_pair(Stages(5.0).model, 1.0, 1.0)
+
+
+def test_bmw_traces_at_a_tiny_r():
+    """r = q^-5 is 1e-10 at q = 100, on the real branch near delta = 1e8;
+    only r = 0 is refused.  delta' = -(t^2 + t - 2), t = q^2 + q^-2."""
+    q = 100.0
+    t = q * q + q**-2
+    dp, _, _ = bmw_two_box_traces(q, q**-5)
+    assert dp == pytest.approx(-(t * t + t - 2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, 0j])
+def test_r_zero_is_degenerate_at_every_entry_point(r):
+    q = cmath.exp(1j * math.pi / 12.0)
+    m = from_classification_data(1.0 + math.sqrt(3.0), -1)
+    for call in (
+        lambda: bmw_two_box_traces(q, r),
+        lambda: braid_pair(m, q, r),
+        lambda: BraidPair.from_qr(q, r),
+        lambda: normalize_bmw_params(r, q),
+    ):
+        with pytest.raises(DegenerateParameters, match="r must be nonzero"):
+            call()
